@@ -6,14 +6,14 @@
 //! * `persistent_*` — one warm `--serve` worker per compiled program
 //!   ([`native_pool`]): the timed loop is a single binary frame
 //!   (header + raw `f64` lanes both ways) against a process that was
-//!   spawned once. This is the tier `NativePolicy::Auto` routes to.
+//!   spawned once — the transport `codegen_check --persistent` uses.
 //! * `spawn_*` — the same compiled binary, but a fresh process per
 //!   invocation ([`NativeWorker::spawn`] + one frame + drop): what the
 //!   native tier costs without the pool. The persistent/spawn gap is
 //!   the amortized spawn overhead.
 //! * `batch_*` — the in-process columnar interpreter
-//!   (`PureFn::eval_batch`) on the identical input slice: the tier the
-//!   worker has to beat to earn its place in the ladder.
+//!   (`PureFn::eval_batch`) on the identical input slice: the tier
+//!   `ring_map` runs, and the yardstick the native rows are read against.
 //!
 //! The crossover this records: a deep ring (14 chained float ops) is
 //! compute-bound enough that the compiled loop wins even after paying
@@ -30,7 +30,7 @@ use std::time::Duration;
 use snap_ast::builder::*;
 use snap_ast::pure::compile_cached;
 use snap_ast::{Expr, Ring};
-use snap_codegen::worker::{native_pool, register_native_map, NativeWorker};
+use snap_codegen::worker::{compile_native_map, native_pool, NativeWorker};
 
 const SIZES: [usize; 2] = [12_000, 120_000];
 
@@ -69,10 +69,10 @@ fn bench_native_amortized(c: &mut Criterion) {
     group.sample_size(10);
 
     for (label, ring) in [("shallow", shallow_ring()), ("deep", deep_ring())] {
-        let f = compile_cached(&ring).expect("ring compiles to bytecode");
+        let f = compile_cached(&ring).expect("ring compiles to the numeric tier");
         // Compile once outside every timed loop (content-addressed
         // cache); a missing C toolchain skips the native rows only.
-        let program = register_native_map(&ring)
+        let program = compile_native_map(&ring)
             .map_err(|e| eprintln!("a10_native_amortized: skipping native {label} rows: {e}"))
             .ok();
 

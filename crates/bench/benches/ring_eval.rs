@@ -1,19 +1,16 @@
 //! A5: per-item ring evaluation — the acceptance bench for the ring
 //! bytecode compiler. Every prior bench measured *scheduling*; this one
-//! measures the work each worker performs per item.
+//! measures the work each worker performs per item, over a 1 000-item
+//! batch:
 //!
-//! The same pure numeric ring (a small polynomial like the paper's
-//! image-kernel and climate inner loops) is evaluated over a 1 000-item
-//! batch three ways:
-//!
-//! * `bytecode_fastpath` — `PureFn::call` on a numeric ring: the
-//!   unboxed `f64` register program from `snap_ast::bytecode`;
+//! * `bytecode_fastpath` — `PureFn::call` on a numeric ring (a small
+//!   polynomial like the paper's image-kernel and climate inner loops):
+//!   the unboxed `f64` register program from `snap_ast::bytecode`;
 //! * `treewalk_oracle` — `PureFn::call_treewalk` on the *same* compiled
 //!   ring: the reference tree-walking evaluator the fast path must beat
-//!   by ≥ 2× (the PR's acceptance bar);
-//! * `boxed_bytecode` — `PureFn::call` on a list-producing ring (the
-//!   word-count mapper), which lowers to boxed `Value` bytecode; its
-//!   oracle `boxed_treewalk` rides along for the same comparison.
+//!   by ≥ 2× (the acceptance bar);
+//! * `boxed_treewalk` — the tree walk on a list-producing ring (the
+//!   word-count mapper), the tier every non-numeric ring runs on.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -36,8 +33,8 @@ fn numeric_ring() -> Arc<Ring> {
     )))
 }
 
-/// The word-count mapper `[w, 1]` — lowers to boxed bytecode (the
-/// result is a list, so the numeric pass declines).
+/// The word-count mapper `[w, 1]` — runs on the tree walk (the result
+/// is a list, so the numeric pass declines).
 fn list_ring() -> Arc<Ring> {
     Arc::new(Ring::reporter_with_params(
         vec!["w".into()],
@@ -91,21 +88,10 @@ fn bench_ring_eval(c: &mut Criterion) {
     }
 
     let boxed = PureFn::compile(list_ring()).expect("list ring compiles");
-    assert_eq!(boxed.strategy(), CompiledStrategy::Bytecode);
+    assert_eq!(boxed.strategy(), CompiledStrategy::TreeWalk);
     let words: Vec<Value> = (0..ITEMS)
         .map(|n| Value::text(format!("w{}", n % 97)))
         .collect();
-    {
-        let f = boxed.clone();
-        let words = words.clone();
-        group.bench_function("boxed_bytecode", move |b| {
-            b.iter(|| {
-                for word in &words {
-                    black_box(f.call(std::slice::from_ref(black_box(word))).unwrap());
-                }
-            })
-        });
-    }
     {
         let f = boxed;
         group.bench_function("boxed_treewalk", move |b| {

@@ -13,19 +13,17 @@
 //! 2. compiles them with the probed toolchain (`-Wall -Werror`,
 //!    content-addressed binary cache under `target/codegen-cache/`),
 //! 3. runs the binary on the same `snap-data` inputs the VM uses, and
-//! 4. asserts tier equivalence: native ≡ tree-walk ≡ bytecode ≡ batch
+//! 4. asserts tier equivalence: native ≡ tree-walk ≡ scalar ≡ batch
 //!    (maps, bit-for-bit with the any-NaN rule; also against the pooled
-//!    columnar `ring_map` pipeline) and native ≡ VM `mapReduce` within
-//!    the documented reduction tolerance.
+//!    columnar and scalar `ring_map` pipelines) and native ≡ VM
+//!    `mapReduce` within the documented reduction tolerance.
 //!
-//! `--persistent` swaps step 3 for the **warm-worker** path: each map
-//! scenario's binary is spawned once in `--serve` mode and streamed
+//! `--persistent` swaps step 3 for the **warm-worker** transport: each
+//! map scenario's binary is spawned once in `--serve` mode and streamed
 //! multiple successive binary frames through the process-wide
-//! `NativePool` (MapReduce scenarios stream whole jobs the same way),
-//! and the big pooled comparison runs `ring_map` under
-//! `NativePolicy::Auto` so the chunk router itself is on the hook. The
-//! equivalence assertions are unchanged — the persistent tier earns no
-//! extra tolerance.
+//! `NativePool` (MapReduce scenarios stream whole jobs the same way).
+//! The equivalence assertions are unchanged — the persistent transport
+//! earns no extra tolerance.
 //!
 //! Exit codes: `0` all green (or toolchain missing without
 //! `--require-toolchain` — an auto-skip with a visible
@@ -41,12 +39,10 @@ use std::sync::Arc;
 use snap_ast::{Ring, Value};
 use snap_codegen::harness::{self, compare_pairs, compare_values, Harness, Scenario, ScenarioKind};
 use snap_codegen::openmp::{emit_map_openmp, emit_mapreduce_openmp_protocol};
-use snap_codegen::worker::{native_pool, register_native_map, NativeProgram, WorkerKind};
+use snap_codegen::worker::{compile_native_map, native_pool, NativeProgram, WorkerKind};
 use snap_data::corpus::generate_words;
 use snap_data::noaa::{generate as generate_noaa, NoaaConfig};
-use snap_workers::ring_fn::{
-    ring_map, ColumnarPolicy, NativePolicy, RingMapOptions, NATIVE_MIN_ITEMS,
-};
+use snap_workers::ring_fn::{ring_map, ColumnarPolicy, RingMapOptions};
 
 fn usage() -> String {
     "usage: codegen_check [--require-toolchain] [--persistent] [--out <dir>] [--trace <path>]"
@@ -158,13 +154,11 @@ fn pooled_map(
     ring: &Arc<Ring>,
     inputs: &[f64],
     columnar: ColumnarPolicy,
-    native: NativePolicy,
 ) -> Result<Vec<f64>, String> {
     let items: Vec<Value> = inputs.iter().map(|&x| Value::Number(x)).collect();
     let options = RingMapOptions {
         workers: 4,
         columnar,
-        native,
         ..RingMapOptions::default()
     };
     let out = ring_map(Arc::clone(ring), items, options)
@@ -186,25 +180,6 @@ fn persistent_map(program: &NativeProgram, inputs: &[f64]) -> Result<Vec<f64>, S
         );
     }
     Ok(out)
-}
-
-/// `ring_map` under `NativePolicy::Auto` on an input list big enough
-/// that the chunk router must actually frame out to the warm worker
-/// (`inputs` tiled past `NATIVE_MIN_ITEMS`), compared against the same
-/// list with the native tier disabled.
-fn persistent_pooled_equivalence(ring: &Arc<Ring>, inputs: &[f64]) -> Result<usize, String> {
-    let mut tiled = Vec::with_capacity(2 * NATIVE_MIN_ITEMS + inputs.len());
-    while tiled.len() < 2 * NATIVE_MIN_ITEMS {
-        tiled.extend_from_slice(inputs);
-    }
-    let through_worker = pooled_map(ring, &tiled, ColumnarPolicy::Auto, NativePolicy::Auto)?;
-    let in_process = pooled_map(ring, &tiled, ColumnarPolicy::Auto, NativePolicy::Disabled)?;
-    compare_values(
-        "pooled native-auto vs native-disabled",
-        &through_worker,
-        &in_process,
-    )?;
-    Ok(tiled.len())
 }
 
 /// VM-side MapReduce via the paper's parallel block, normalized to
@@ -268,7 +243,7 @@ fn run_scenario(
             write_sources(out, name, &[("map_program.c", &source)]);
             let inputs = map_inputs();
             let native = if persistent {
-                let program = register_native_map(ring).map_err(|e| e.to_string())?;
+                let program = compile_native_map(ring).map_err(|e| e.to_string())?;
                 persistent_map(&program, &inputs)?
             } else {
                 h.run_map(name, &source, &inputs)
@@ -276,30 +251,18 @@ fn run_scenario(
             };
             let tiers = harness::oracle_map_tiers(ring, &inputs).map_err(|e| e.to_string())?;
             compare_values("native vs tree-walk", &native, &tiers.treewalk)?;
-            compare_values("native vs bytecode", &native, &tiers.bytecode)?;
+            compare_values("native vs scalar", &native, &tiers.scalar)?;
             let batch = tiers
                 .batch
                 .ok_or_else(|| "map ring unexpectedly not batchable".to_owned())?;
             compare_values("native vs batch", &native, &batch)?;
-            let columnar = pooled_map(ring, &inputs, ColumnarPolicy::Auto, NativePolicy::Disabled)?;
+            let columnar = pooled_map(ring, &inputs, ColumnarPolicy::Auto)?;
             compare_values("native vs pooled columnar", &native, &columnar)?;
-            let scalar_pool = pooled_map(
-                ring,
-                &inputs,
-                ColumnarPolicy::Disabled,
-                NativePolicy::Disabled,
-            )?;
+            let scalar_pool = pooled_map(ring, &inputs, ColumnarPolicy::Disabled)?;
             compare_values("native vs pooled scalar", &native, &scalar_pool)?;
-            if persistent {
-                let tiled = persistent_pooled_equivalence(ring, &inputs)?;
-                return Ok(format!(
-                    "{} elements over 3 frames bit-for-bit across 4 tiers \
-                     (+{tiled}-element chunk-routed ring_map)",
-                    inputs.len()
-                ));
-            }
+            let frames = if persistent { " over 3 frames" } else { "" };
             Ok(format!(
-                "{} elements bit-for-bit across 4 tiers (+2 pooled pipelines)",
+                "{} elements{frames} bit-for-bit across 4 tiers (+2 pooled pipelines)",
                 inputs.len()
             ))
         }
@@ -449,12 +412,10 @@ fn main() -> ExitCode {
     );
     println!(
         "codegen.worker_spawns = {}, codegen.worker_frames = {}, \
-         codegen.worker_restarts = {}, codegen.worker_fallbacks = {}, \
-         codegen.worker_reaped = {}",
+         codegen.worker_restarts = {}, codegen.worker_reaped = {}",
         wk::CODEGEN_WORKER_SPAWNS.get(),
         wk::CODEGEN_WORKER_FRAMES.get(),
         wk::CODEGEN_WORKER_RESTARTS.get(),
-        wk::CODEGEN_WORKER_FALLBACKS.get(),
         wk::CODEGEN_WORKER_REAPED.get()
     );
     finish_trace(&opts.trace);

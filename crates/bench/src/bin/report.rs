@@ -204,7 +204,7 @@ fn e12() {
 /// for: "a comparison … between parallel Snap! and a text-based parallel
 /// programming language with respect to performance and
 /// programmability". One block script, three executions: the psnap VM,
-/// the generated C (gcc -O2), and the generated Python.
+/// the generated C (harness flags, -O3), and the generated Python.
 fn e13() {
     header(
         "E13",
@@ -238,7 +238,7 @@ fn e13() {
 
     println!("  psnap VM (interpreted blocks): {vm_time:>10.2?}  correct: {vm_ok}");
 
-    // (b) generated C, compiled -O2.
+    // (b) generated C, compiled through the harness (-O3).
     let dir = std::env::temp_dir().join("psnap-e13");
     if let Ok(pipeline) = snap_build::BuildPipeline::new(&dir) {
         if pipeline.has_compiler() {
@@ -255,7 +255,7 @@ fn e13() {
                             let c_ok =
                                 out.trim().parse::<f64>().ok() == expected.parse::<f64>().ok();
                             println!(
-                                "  generated C (gcc -O2)        : {c_time:>10.2?}  correct: {c_ok}  (incl. process startup)"
+                                "  generated C (cc -O3)         : {c_time:>10.2?}  correct: {c_ok}  (incl. process startup)"
                             );
                             println!(
                                 "  abstraction cost: blocks are {:.0}x slower than the C the same blocks generate",

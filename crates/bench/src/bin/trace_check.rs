@@ -100,7 +100,6 @@ const REQUIRED_REPORT_COUNTERS: &[&str] = &[
     "compile_cache.misses",
     "ring.bytecode_compiles",
     "ring.fastpath_calls",
-    "ring.bytecode_calls",
     "ring.treewalk_calls",
     "ring.batch_calls",
     "ring.batch_elems",
@@ -121,7 +120,6 @@ const REQUIRED_REPORT_COUNTERS: &[&str] = &[
     "codegen.worker_spawns",
     "codegen.worker_frames",
     "codegen.worker_restarts",
-    "codegen.worker_fallbacks",
     "codegen.worker_reaped",
 ];
 

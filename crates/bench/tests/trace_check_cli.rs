@@ -47,7 +47,6 @@ fn full_report_json() -> String {
         "compile_cache.misses",
         "ring.bytecode_compiles",
         "ring.fastpath_calls",
-        "ring.bytecode_calls",
         "ring.treewalk_calls",
         "ring.batch_calls",
         "ring.batch_elems",
@@ -71,7 +70,6 @@ fn full_report_json() -> String {
         "codegen.worker_spawns",
         "codegen.worker_frames",
         "codegen.worker_restarts",
-        "codegen.worker_fallbacks",
         "codegen.worker_reaped",
     ];
     let body: Vec<String> = counters.iter().map(|c| format!("\"{c}\": 1")).collect();

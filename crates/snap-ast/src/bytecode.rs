@@ -1,48 +1,40 @@
-//! Ring bytecode: flat, register-based programs compiled from pure rings.
+//! Ring bytecode: flat, register-based programs compiled from numeric
+//! rings.
 //!
 //! The tree-walking evaluator in [`crate::pure`] re-dispatches on the
-//! `Expr` enum and re-resolves names against a `(String, Value)` binding
-//! list on *every item* of a parallel map. This module is the next step
-//! of the paper's `mappedCode()` → `new Function(...)` pipeline (§4.1,
-//! Listing 2): a ring is lowered **once** into a linear instruction
-//! stream over single-assignment virtual registers, with parameters,
-//! empty slots, and captured variables resolved to register loads at
-//! compile time — no per-item `HashMap` or name lookups remain.
+//! `Expr` enum and re-resolves names on *every item* of a parallel map.
+//! This module is the next step of the paper's `mappedCode()` →
+//! `new Function(...)` pipeline (§4.1, Listing 2): a numeric ring is
+//! lowered **once** into a linear instruction stream over
+//! single-assignment `f64` registers, with parameters, empty slots, and
+//! captured variables resolved to register loads at compile time.
 //!
-//! Two programs can come out of lowering:
+//! A cheap type pass proves the ring numeric: every argument use sits in
+//! a position the evaluator coerces with `to_number`, and the root always
+//! produces a `Value::Number`. Then [`NumProgram::call`] (the scalar
+//! path) and [`NumProgram::eval_batch`] (the columnar batch tier) run
+//! the whole body on a stack-allocated `f64` register file with zero
+//! heap traffic per call.
 //!
-//! * [`Program`] — boxed bytecode over [`Value`] registers. Covers every
-//!   strict, non-higher-order block (arithmetic, comparisons, logic,
-//!   text, list accessors). Semantics are bit-for-bit those of the tree
-//!   walk: instructions are emitted in exactly the evaluator's
-//!   evaluation order, so coercions, errors, and the empty-slot cursor
-//!   behave identically.
-//! * [`NumProgram`] — the **numeric fast path** over unboxed `f64`
-//!   registers. A cheap type pass proves the ring numeric: every
-//!   argument use sits in a position the evaluator coerces with
-//!   `to_number`, and the root always produces a `Value::Number`. Then
-//!   the whole body runs on a stack-allocated `f64` array with zero
-//!   heap traffic per call.
+//! Every ring [`lower`] declines — non-numeric roots (comparisons,
+//! text, lists), higher-order or non-strict blocks, unbound variables,
+//! and rings wider than the register file — runs on the tree walk of
+//! [`crate::pure::PureFn`], which also serves as the differential-testing
+//! oracle for the compiled paths.
 //!
-//! Rings using higher-order or non-strict blocks (nested rings, `call`,
-//! `map`, `combine`, …) and rings referencing unbound variables are not
-//! lowered; [`crate::pure::PureFn`] keeps tree-walking those (and serves
-//! as the differential-testing oracle for the compiled paths).
-//!
-//! Constant folding happens during lowering: literal scalars, captured
+//! Constant folding happens during lowering: literals, captured
 //! variables (immutable for the life of a ring), and operator nodes
 //! whose operands folded are evaluated at compile time with the same
-//! `eval_binop` / `eval_unop` the interpreter uses, so folded results
+//! [`num_binop`] / [`num_unop`] the interpreter uses, so folded results
 //! cannot diverge from unfolded ones.
 
 use crate::constant::Constant;
 use crate::error::EvalError;
 use crate::expr::{BinOp, Expr, UnOp};
-use crate::pure::{eval_binop, eval_unop, numbers_from_to};
 use crate::ring::{Ring, RingBody};
-use crate::value::{List, Value};
+use crate::value::Value;
 
-/// The unboxed arithmetic core shared by [`eval_binop`] and the numeric
+/// The unboxed arithmetic core shared by [`crate::pure::eval_binop`] and the numeric
 /// fast path: the `f64` result for the arithmetic operators, `None` for
 /// comparison/logic/equality operators (those need full Snap! value
 /// semantics). Keeping one definition is what makes the fast path
@@ -61,7 +53,7 @@ pub fn num_binop(op: BinOp, x: f64, y: f64) -> Option<f64> {
     })
 }
 
-/// The unboxed core of [`eval_unop`] (see [`num_binop`]); `None` for
+/// The unboxed core of [`crate::pure::eval_unop`] (see [`num_binop`]); `None` for
 /// `not`, the only non-numeric unary block.
 #[inline]
 pub fn num_unop(op: UnOp, x: f64) -> Option<f64> {
@@ -80,208 +72,8 @@ pub fn num_unop(op: UnOp, x: f64) -> Option<f64> {
     })
 }
 
-/// The empty-slot value for slot `i`: Snap!'s binding rule, precomputed.
-/// No arguments → Nothing; exactly one argument fills *every* slot;
-/// otherwise slots take arguments positionally (missing → Nothing).
-#[inline]
-fn slot_value(args: &[Value], i: usize) -> Value {
-    match args.len() {
-        0 => Value::Nothing,
-        1 => args[0].clone(),
-        _ => args.get(i).cloned().unwrap_or(Value::Nothing),
-    }
-}
-
-/// Register index. Programs with more than `u16::MAX` nodes fall back
-/// to the tree walk (no real ring comes close).
+/// Register index. Lowering never needs more than [`NUM_STACK_REGS`].
 type Reg = u16;
-
-/// One boxed-bytecode instruction. Registers are single-assignment and
-/// single-use (the program is a linearized expression tree), so the
-/// interpreter may move values out of source registers.
-#[derive(Debug, Clone)]
-enum Instr {
-    /// `consts[src]` (cloned — list constants share storage the same way
-    /// a re-evaluated captured variable would) → `dst`.
-    Const(u16, Reg),
-    /// Materialize `fresh[src]` into a brand-new value (list literals
-    /// produce fresh storage on every evaluation) → `dst`.
-    Fresh(u16, Reg),
-    /// `args[src]` (cloned) → `dst`.
-    Arg(u16, Reg),
-    /// Empty-slot argument `src` (see [`slot_value`]) → `dst`.
-    Slot(u16, Reg),
-    /// `eval_binop(op, a, b)` → `dst`.
-    Bin(BinOp, Reg, Reg, Reg),
-    /// `eval_unop(op, a)` → `dst`.
-    Un(UnOp, Reg, Reg),
-    /// `item <a> of <b>` (1-based) → `dst`.
-    Item(Reg, Reg, Reg),
-    /// `length of <a>` (list length) → `dst`.
-    Len(Reg, Reg),
-    /// `<a> contains <b>` → `dst`.
-    Contains(Reg, Reg, Reg),
-    /// Fail with the tree walk's `TypeMismatch` unless `src` holds a
-    /// list, *without* consuming the register. `contains` type-checks
-    /// its list operand before evaluating its value operand; this
-    /// reproduces that error ordering in the flat stream.
-    CheckList(Reg),
-    /// `join` the display strings of `srcs` → `dst`.
-    Join(Box<[Reg]>, Reg),
-    /// `split <a> by <b>` → `dst`.
-    Split(Reg, Reg, Reg),
-    /// `letter <a> of <b>` → `dst`.
-    Letter(Reg, Reg, Reg),
-    /// text `length of <a>` (characters) → `dst`.
-    TextLen(Reg, Reg),
-    /// `numbers from <a> to <b>` → `dst`.
-    Range(Reg, Reg, Reg),
-    /// fresh list of `srcs` → `dst`.
-    MakeList(Box<[Reg]>, Reg),
-}
-
-/// A lowered ring body over boxed [`Value`] registers.
-#[derive(Debug)]
-pub struct Program {
-    /// `Some(n)` when the ring has named parameters: calls must pass
-    /// exactly `n` arguments (the tree walk's arity check).
-    arity: Option<usize>,
-    consts: Vec<Value>,
-    fresh: Vec<Constant>,
-    instrs: Vec<Instr>,
-    regs: usize,
-    out: Reg,
-}
-
-impl Program {
-    /// Execute against `args`, reproducing `PureFn::call` exactly.
-    pub fn call(&self, args: &[Value]) -> Result<Value, EvalError> {
-        if let Some(expected) = self.arity {
-            if args.len() != expected {
-                return Err(EvalError::ArityMismatch {
-                    expected,
-                    got: args.len(),
-                });
-            }
-        }
-        let mut regs = vec![Value::Nothing; self.regs];
-        // Registers are single-use, so operands are *moved* out below.
-        let take = |regs: &mut [Value], r: Reg| std::mem::take(&mut regs[r as usize]);
-        for instr in &self.instrs {
-            let (value, dst) = match instr {
-                Instr::Const(i, dst) => (self.consts[*i as usize].clone(), *dst),
-                Instr::Fresh(i, dst) => (self.fresh[*i as usize].to_value(), *dst),
-                Instr::Arg(i, dst) => (args[*i as usize].clone(), *dst),
-                Instr::Slot(i, dst) => (slot_value(args, *i as usize), *dst),
-                Instr::Bin(op, a, b, dst) => {
-                    let a = take(&mut regs, *a);
-                    let b = take(&mut regs, *b);
-                    (eval_binop(*op, &a, &b), *dst)
-                }
-                Instr::Un(op, a, dst) => {
-                    let a = take(&mut regs, *a);
-                    (eval_unop(*op, &a), *dst)
-                }
-                Instr::Item(a, b, dst) => {
-                    let idx = take(&mut regs, *a).to_number();
-                    let list = expect_list(take(&mut regs, *b))?;
-                    let i = idx as usize;
-                    let item = list.item(i).ok_or(EvalError::IndexOutOfRange {
-                        index: i,
-                        len: list.len(),
-                    })?;
-                    (item, *dst)
-                }
-                Instr::Len(a, dst) => {
-                    let list = expect_list(take(&mut regs, *a))?;
-                    (Value::Number(list.len() as f64), *dst)
-                }
-                Instr::Contains(a, b, dst) => {
-                    let list = expect_list(take(&mut regs, *a))?;
-                    let value = take(&mut regs, *b);
-                    (Value::Bool(list.contains(&value)), *dst)
-                }
-                Instr::CheckList(src) => {
-                    if !matches!(regs[*src as usize], Value::List(_)) {
-                        return Err(EvalError::TypeMismatch {
-                            expected: "list",
-                            got: regs[*src as usize].to_display_string(),
-                        });
-                    }
-                    continue;
-                }
-                Instr::Join(srcs, dst) => {
-                    let mut out = String::new();
-                    for src in srcs.iter() {
-                        out.push_str(&take(&mut regs, *src).to_display_string());
-                    }
-                    (Value::Text(out), *dst)
-                }
-                Instr::Split(a, b, dst) => {
-                    let text = take(&mut regs, *a).to_display_string();
-                    let delim = take(&mut regs, *b).to_display_string();
-                    let items: Vec<Value> = if delim.is_empty() {
-                        text.chars().map(|c| Value::Text(c.to_string())).collect()
-                    } else {
-                        text.split(&delim)
-                            .filter(|s| !s.is_empty())
-                            .map(|s| Value::Text(s.to_owned()))
-                            .collect()
-                    };
-                    (Value::list(items), *dst)
-                }
-                Instr::Letter(a, b, dst) => {
-                    let i = take(&mut regs, *a).to_number() as usize;
-                    let text = take(&mut regs, *b).to_display_string();
-                    let letter = text
-                        .chars()
-                        .nth(i.saturating_sub(1))
-                        .map(|c| c.to_string())
-                        .unwrap_or_default();
-                    (Value::Text(letter), *dst)
-                }
-                Instr::TextLen(a, dst) => {
-                    let text = take(&mut regs, *a).to_display_string();
-                    (Value::Number(text.chars().count() as f64), *dst)
-                }
-                Instr::Range(a, b, dst) => {
-                    let a = take(&mut regs, *a).to_number();
-                    let b = take(&mut regs, *b).to_number();
-                    (numbers_from_to(a, b), *dst)
-                }
-                Instr::MakeList(srcs, dst) => {
-                    let mut items = Vec::with_capacity(srcs.len());
-                    for src in srcs.iter() {
-                        items.push(take(&mut regs, *src));
-                    }
-                    (Value::list(items), *dst)
-                }
-            };
-            regs[dst as usize] = value;
-        }
-        Ok(std::mem::take(&mut regs[self.out as usize]))
-    }
-
-    /// Instruction count (diagnostics / tests).
-    pub fn len(&self) -> usize {
-        self.instrs.len()
-    }
-
-    /// `true` when the program folded to a single constant load.
-    pub fn is_empty(&self) -> bool {
-        self.instrs.is_empty()
-    }
-}
-
-fn expect_list(v: Value) -> Result<List, EvalError> {
-    match v {
-        Value::List(l) => Ok(l),
-        other => Err(EvalError::TypeMismatch {
-            expected: "list",
-            got: other.to_display_string(),
-        }),
-    }
-}
 
 /// One numeric-fast-path instruction over `f64` registers.
 #[derive(Debug, Clone, Copy)]
@@ -299,9 +91,9 @@ enum NumInstr {
 }
 
 /// Register-file width of the numeric fast path. Numeric lowering
-/// *declines* programs wider than this (they fall back to boxed
-/// bytecode), so both [`NumProgram::call`] and [`NumProgram::eval_batch`]
-/// run on fixed-size stack arrays with no heap branch.
+/// *declines* programs wider than this (they run on the tree walk), so
+/// both [`NumProgram::call`] and [`NumProgram::eval_batch`] run on
+/// fixed-size stack arrays with no heap branch.
 const NUM_STACK_REGS: usize = 32;
 
 /// Elements per batch block in [`NumProgram::eval_batch`]. The register
@@ -501,38 +293,6 @@ impl NumProgram {
     }
 }
 
-/// The result of lowering a ring.
-#[derive(Debug)]
-pub enum Lowered {
-    /// Proven numeric: unboxed fast path.
-    Numeric(NumProgram),
-    /// Compilable, but not numeric: boxed bytecode.
-    Boxed(Program),
-}
-
-/// Lower a reporter/predicate ring to bytecode. Returns `None` when the
-/// body uses a construct only the tree walk supports (nested rings,
-/// ring calls, higher-order list blocks, unbound variables) — the
-/// caller keeps tree-walking those.
-pub fn lower(ring: &Ring) -> Option<Lowered> {
-    let expr = match &ring.body {
-        RingBody::Reporter(e) | RingBody::Predicate(e) => e,
-        RingBody::Command(_) => return None,
-    };
-    if let Some(p) = lower_numeric(ring, expr) {
-        return Some(Lowered::Numeric(p));
-    }
-    lower_boxed(ring, expr).map(Lowered::Boxed)
-}
-
-fn arity_of(ring: &Ring) -> Option<usize> {
-    if ring.params.is_empty() {
-        None
-    } else {
-        Some(ring.params.len())
-    }
-}
-
 /// Resolve a variable name the way the tree walk does: innermost
 /// parameter first (last duplicate wins), then the captured environment
 /// (innermost = last). `None` means unbound — not compilable, so the
@@ -551,230 +311,6 @@ fn resolve_var<'a>(ring: &'a Ring, name: &str) -> Option<Resolved<'a>> {
 enum Resolved<'a> {
     Param(usize),
     Captured(&'a Value),
-}
-
-// ---------------------------------------------------------------------
-// Boxed lowering
-// ---------------------------------------------------------------------
-
-struct Builder<'a> {
-    ring: &'a Ring,
-    consts: Vec<Value>,
-    fresh: Vec<Constant>,
-    instrs: Vec<Instr>,
-    next_reg: usize,
-    next_slot: usize,
-}
-
-impl<'a> Builder<'a> {
-    fn reg(&mut self) -> Option<Reg> {
-        let r = self.next_reg;
-        if r > Reg::MAX as usize {
-            return None;
-        }
-        self.next_reg = r + 1;
-        Some(r as Reg)
-    }
-
-    fn push(&mut self, instr: Instr) {
-        self.instrs.push(instr);
-    }
-
-    fn emit_const(&mut self, v: Value) -> Option<Reg> {
-        let dst = self.reg()?;
-        let idx = self.consts.len();
-        if idx > u16::MAX as usize {
-            return None;
-        }
-        self.consts.push(v);
-        self.push(Instr::Const(idx as u16, dst));
-        Some(dst)
-    }
-
-    /// Compile-time evaluation for constant folding. Only scalar
-    /// results fold (lists have identity and fresh-storage semantics);
-    /// operator folds reuse the interpreter's own `eval_binop` /
-    /// `eval_unop`, so a folded node cannot diverge from an unfolded
-    /// one. Returns `None` for anything not provably constant.
-    fn fold(&self, e: &Expr) -> Option<Value> {
-        let scalar = |v: Value| match v {
-            Value::Nothing | Value::Number(_) | Value::Text(_) | Value::Bool(_) => Some(v),
-            _ => None,
-        };
-        match e {
-            Expr::Literal(c) => match c {
-                Constant::List(_) => None,
-                _ => scalar(c.to_value()),
-            },
-            Expr::Var(name) => match resolve_var(self.ring, name)? {
-                // Captured values never change for the life of a ring.
-                Resolved::Captured(v) => scalar(v.clone()),
-                Resolved::Param(_) => None,
-            },
-            Expr::Binary(op, a, b) => {
-                let a = self.fold(a)?;
-                let b = self.fold(b)?;
-                scalar(eval_binop(*op, &a, &b))
-            }
-            Expr::Unary(op, a) => {
-                let a = self.fold(a)?;
-                scalar(eval_unop(*op, &a))
-            }
-            _ => None,
-        }
-    }
-
-    /// Emit instructions computing `e`, returning its result register.
-    /// Emission follows the tree walk's evaluation order exactly — in
-    /// particular the empty-slot cursor advances in evaluation order —
-    /// so coercions and error precedence are preserved. `None` aborts
-    /// the whole lowering (unsupported construct).
-    fn emit(&mut self, e: &Expr) -> Option<Reg> {
-        if let Some(v) = self.fold(e) {
-            return self.emit_const(v);
-        }
-        match e {
-            Expr::Literal(c) => {
-                // Non-scalar literal (fold handles scalars): list
-                // constants materialize fresh storage per call.
-                let dst = self.reg()?;
-                let idx = self.fresh.len();
-                if idx > u16::MAX as usize {
-                    return None;
-                }
-                self.fresh.push(c.clone());
-                self.push(Instr::Fresh(idx as u16, dst));
-                Some(dst)
-            }
-            Expr::Var(name) => match resolve_var(self.ring, name)? {
-                Resolved::Param(pos) => {
-                    let dst = self.reg()?;
-                    self.push(Instr::Arg(pos as u16, dst));
-                    Some(dst)
-                }
-                // Non-scalar captured (list/ring): cloning the pooled
-                // value per call shares storage exactly like the tree
-                // walk's `lookup` clone.
-                Resolved::Captured(v) => self.emit_const(v.clone()),
-            },
-            Expr::EmptySlot => {
-                let i = self.next_slot;
-                if i > u16::MAX as usize {
-                    return None;
-                }
-                self.next_slot = i + 1;
-                let dst = self.reg()?;
-                self.push(Instr::Slot(i as u16, dst));
-                Some(dst)
-            }
-            Expr::Binary(op, a, b) => {
-                let a = self.emit(a)?;
-                let b = self.emit(b)?;
-                let dst = self.reg()?;
-                self.push(Instr::Bin(*op, a, b, dst));
-                Some(dst)
-            }
-            Expr::Unary(op, a) => {
-                let a = self.emit(a)?;
-                let dst = self.reg()?;
-                self.push(Instr::Un(*op, a, dst));
-                Some(dst)
-            }
-            Expr::Item(index, list) => {
-                let i = self.emit(index)?;
-                let l = self.emit(list)?;
-                let dst = self.reg()?;
-                self.push(Instr::Item(i, l, dst));
-                Some(dst)
-            }
-            Expr::LengthOf(list) => {
-                let l = self.emit(list)?;
-                let dst = self.reg()?;
-                self.push(Instr::Len(l, dst));
-                Some(dst)
-            }
-            Expr::Contains(list, value) => {
-                let l = self.emit(list)?;
-                // The tree walk type-checks the list *before* evaluating
-                // the value operand; keep that error order.
-                self.push(Instr::CheckList(l));
-                let v = self.emit(value)?;
-                let dst = self.reg()?;
-                self.push(Instr::Contains(l, v, dst));
-                Some(dst)
-            }
-            Expr::Join(parts) => {
-                let srcs: Option<Vec<Reg>> = parts.iter().map(|p| self.emit(p)).collect();
-                let dst = self.reg()?;
-                self.push(Instr::Join(srcs?.into_boxed_slice(), dst));
-                Some(dst)
-            }
-            Expr::Split(text, delim) => {
-                let t = self.emit(text)?;
-                let d = self.emit(delim)?;
-                let dst = self.reg()?;
-                self.push(Instr::Split(t, d, dst));
-                Some(dst)
-            }
-            Expr::LetterOf(index, text) => {
-                let i = self.emit(index)?;
-                let t = self.emit(text)?;
-                let dst = self.reg()?;
-                self.push(Instr::Letter(i, t, dst));
-                Some(dst)
-            }
-            Expr::TextLength(text) => {
-                let t = self.emit(text)?;
-                let dst = self.reg()?;
-                self.push(Instr::TextLen(t, dst));
-                Some(dst)
-            }
-            Expr::NumbersFromTo(a, b) => {
-                let a = self.emit(a)?;
-                let b = self.emit(b)?;
-                let dst = self.reg()?;
-                self.push(Instr::Range(a, b, dst));
-                Some(dst)
-            }
-            Expr::MakeList(items) => {
-                let srcs: Option<Vec<Reg>> = items.iter().map(|i| self.emit(i)).collect();
-                let dst = self.reg()?;
-                self.push(Instr::MakeList(srcs?.into_boxed_slice(), dst));
-                Some(dst)
-            }
-            // Higher-order / non-strict / impure constructs: tree walk.
-            Expr::Ring(_)
-            | Expr::CallRing(_, _)
-            | Expr::Map { .. }
-            | Expr::Keep { .. }
-            | Expr::Combine { .. }
-            | Expr::ParallelMap { .. }
-            | Expr::MapReduce { .. }
-            | Expr::PickRandom(_, _)
-            | Expr::Attribute(_)
-            | Expr::CallCustom(_, _) => None,
-        }
-    }
-}
-
-fn lower_boxed(ring: &Ring, expr: &Expr) -> Option<Program> {
-    let mut b = Builder {
-        ring,
-        consts: Vec::new(),
-        fresh: Vec::new(),
-        instrs: Vec::new(),
-        next_reg: 0,
-        next_slot: 0,
-    };
-    let out = b.emit(expr)?;
-    Some(Program {
-        arity: arity_of(ring),
-        consts: b.consts,
-        fresh: b.fresh,
-        instrs: b.instrs,
-        regs: b.next_reg,
-        out,
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -875,17 +411,23 @@ impl<'a> NumBuilder<'a> {
             }
             // Everything else (comparisons produce Bools, text/list
             // blocks produce non-numbers, higher-order blocks are not
-            // lowered at all): leave to the boxed path or tree walk.
+            // lowered at all): leave to the tree walk.
             _ => None,
         }
     }
 }
 
-/// The numeric type pass + lowering. Succeeds only when the **root**
-/// always produces a `Value::Number` (an arithmetic operator, a numeric
-/// unary, or a number literal) and every reachable argument use sits in
-/// a coercing operand position.
-fn lower_numeric(ring: &Ring, expr: &Expr) -> Option<NumProgram> {
+/// Lower a reporter/predicate ring to a [`NumProgram`]: the numeric
+/// type pass plus lowering. Succeeds only when the **root** always
+/// produces a `Value::Number` (an arithmetic operator, a numeric unary,
+/// or a number literal), every reachable argument use sits in a
+/// coercing operand position, and the program fits [`NUM_STACK_REGS`]
+/// registers. `None` means the caller keeps tree-walking the ring.
+pub fn lower(ring: &Ring) -> Option<NumProgram> {
+    let expr = match &ring.body {
+        RingBody::Reporter(e) | RingBody::Predicate(e) => e,
+        RingBody::Command(_) => return None,
+    };
     let root_is_numeric = match expr {
         Expr::Binary(op, _, _) => num_binop(*op, 0.0, 0.0).is_some(),
         Expr::Unary(op, _) => num_unop(*op, 0.0).is_some(),
@@ -903,14 +445,13 @@ fn lower_numeric(ring: &Ring, expr: &Expr) -> Option<NumProgram> {
     };
     let out = b.emit(expr)?;
     let out = b.materialize(out)?;
-    // Wider than the fixed register file → decline; the ring still
-    // compiles, as boxed bytecode (the fallback ladder's next tier), so
+    // Wider than the fixed register file → decline to the tree walk, so
     // the scalar and batch executors never need a heap register branch.
     if b.next_reg > NUM_STACK_REGS {
         return None;
     }
     Some(NumProgram {
-        arity: arity_of(ring),
+        arity: (!ring.params.is_empty()).then_some(ring.params.len()),
         instrs: b.instrs,
         regs: b.next_reg,
         out,
@@ -921,51 +462,34 @@ fn lower_numeric(ring: &Ring, expr: &Expr) -> Option<NumProgram> {
 mod tests {
     use super::*;
     use crate::builder::*;
-
-    fn lower_ring(ring: Ring) -> Option<Lowered> {
-        lower(&ring)
-    }
+    use crate::pure::eval_binop;
 
     #[test]
     fn numeric_ring_takes_the_fast_path() {
-        let lowered = lower_ring(Ring::reporter(mul(empty_slot(), num(10.0)))).unwrap();
-        let p = match lowered {
-            Lowered::Numeric(p) => p,
-            Lowered::Boxed(_) => panic!("expected numeric"),
-        };
+        let p = lower(&Ring::reporter(mul(empty_slot(), num(10.0)))).unwrap();
         assert_eq!(p.call(&[Value::Number(7.0)]).unwrap(), Value::Number(70.0));
     }
 
     #[test]
     fn constant_subtrees_fold() {
         // (2 + 3) × x lowers to a single multiply against an immediate.
-        let lowered = lower_ring(Ring::reporter_with_params(
+        let p = lower(&Ring::reporter_with_params(
             vec!["x".into()],
             mul(add(num(2.0), num(3.0)), var("x")),
         ))
         .unwrap();
-        let p = match lowered {
-            Lowered::Numeric(p) => p,
-            Lowered::Boxed(_) => panic!("expected numeric"),
-        };
         // Const, Arg, Bin — the add folded away.
         assert_eq!(p.len(), 3);
         assert_eq!(p.call(&[Value::Number(4.0)]).unwrap(), Value::Number(20.0));
     }
 
     #[test]
-    fn textual_ring_takes_the_boxed_path() {
-        let lowered = lower_ring(Ring::reporter_with_params(
+    fn textual_rings_are_not_lowered() {
+        assert!(lower(&Ring::reporter_with_params(
             vec!["w".into()],
             make_list(vec![var("w"), num(1.0)]),
         ))
-        .unwrap();
-        let p = match lowered {
-            Lowered::Boxed(p) => p,
-            Lowered::Numeric(_) => panic!("expected boxed"),
-        };
-        let out = p.call(&[Value::text("fox")]).unwrap();
-        assert_eq!(out, Value::list(vec!["fox".into(), 1.into()]));
+        .is_none());
     }
 
     #[test]
@@ -977,27 +501,23 @@ mod tests {
                 empty_slot(),
             )))),
         };
-        assert!(lower_ring(Ring::reporter_with_params(vec!["xs".into()], body)).is_none());
+        assert!(lower(&Ring::reporter_with_params(vec!["xs".into()], body)).is_none());
     }
 
     #[test]
     fn unbound_variables_are_not_lowered() {
         // The tree walk reports UnboundVariable at call time; lowering
         // must decline so that behavior is preserved.
-        assert!(lower_ring(Ring::reporter(add(var("nope"), num(1.0)))).is_none());
+        assert!(lower(&Ring::reporter(add(var("nope"), num(1.0)))).is_none());
     }
 
     #[test]
     fn arity_is_enforced() {
-        let lowered = lower_ring(Ring::reporter_with_params(
+        let p = lower(&Ring::reporter_with_params(
             vec!["a".into(), "b".into()],
             add(var("a"), var("b")),
         ))
         .unwrap();
-        let p = match lowered {
-            Lowered::Numeric(p) => p,
-            Lowered::Boxed(_) => panic!("expected numeric"),
-        };
         assert_eq!(
             p.call(&[Value::Number(1.0)]),
             Err(EvalError::ArityMismatch {
@@ -1009,11 +529,7 @@ mod tests {
 
     #[test]
     fn single_argument_fills_every_slot() {
-        let lowered = lower_ring(Ring::reporter(add(empty_slot(), empty_slot()))).unwrap();
-        let p = match lowered {
-            Lowered::Numeric(p) => p,
-            Lowered::Boxed(_) => panic!("expected numeric"),
-        };
+        let p = lower(&Ring::reporter(add(empty_slot(), empty_slot()))).unwrap();
         assert_eq!(p.call(&[Value::Number(4.0)]).unwrap(), Value::Number(8.0));
         assert_eq!(
             p.call(&[Value::Number(10.0), Value::Number(3.0)]).unwrap(),
@@ -1023,68 +539,24 @@ mod tests {
     }
 
     #[test]
-    fn list_literals_materialize_fresh_storage() {
-        let lowered = lower_ring(Ring::reporter(Expr::Literal(Constant::List(
-            vec![1.into()],
-        ))))
-        .unwrap();
-        let p = match lowered {
-            Lowered::Boxed(p) => p,
-            Lowered::Numeric(_) => panic!("expected boxed"),
-        };
-        let a = p.call(&[]).unwrap();
-        let b = p.call(&[]).unwrap();
-        a.as_list().unwrap().add(2.into());
-        assert_eq!(b.as_list().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn captured_lists_share_storage_across_calls() {
-        // The tree walk clones the captured binding per call — which
-        // shares list storage. The bytecode must do the same.
-        let shared = Value::list(vec![1.into()]);
-        let ring = Ring::reporter(var("xs")).with_captured(vec![("xs".into(), shared.clone())]);
-        let lowered = lower_ring(ring).unwrap();
-        let p = match lowered {
-            Lowered::Boxed(p) => p,
-            Lowered::Numeric(_) => panic!("expected boxed"),
-        };
-        let out = p.call(&[]).unwrap();
-        assert!(out
-            .as_list()
-            .unwrap()
-            .same_identity(shared.as_list().unwrap()));
-    }
-
-    #[test]
-    fn comparison_roots_are_boxed_not_numeric() {
-        let lowered = lower_ring(Ring::reporter(Expr::Binary(
+    fn comparison_roots_are_not_numeric() {
+        // `<` reports a Bool under snap_cmp semantics, not a number.
+        assert!(lower(&Ring::reporter(Expr::Binary(
             BinOp::Lt,
             Box::new(empty_slot()),
             Box::new(num(5.0)),
         )))
-        .unwrap();
-        let p = match lowered {
-            Lowered::Boxed(p) => p,
-            Lowered::Numeric(_) => panic!("comparisons must not take the numeric path"),
-        };
-        assert_eq!(p.call(&[Value::Number(3.0)]).unwrap(), Value::Bool(true));
-        // snap_cmp semantics, not to_number: text compares textually.
-        assert_eq!(p.call(&[Value::text("zebra")]).unwrap(), Value::Bool(false));
+        .is_none());
     }
 
     #[test]
     fn eval_batch_matches_scalar_calls_bitwise() {
         // The a5 bench ring: ((x × 2) + (x mod 7)) ÷ 3, slot-style.
-        let lowered = lower_ring(Ring::reporter(div(
+        let p = lower(&Ring::reporter(div(
             add(mul(empty_slot(), num(2.0)), modulo(empty_slot(), num(7.0))),
             num(3.0),
         )))
         .unwrap();
-        let p = match lowered {
-            Lowered::Numeric(p) => p,
-            Lowered::Boxed(_) => panic!("expected numeric"),
-        };
         assert!(p.batchable());
         // Cross a block boundary (> BATCH_LANES elements) and include
         // the awkward values.
@@ -1119,11 +591,7 @@ mod tests {
 
     #[test]
     fn eval_batch_handles_empty_input() {
-        let lowered = lower_ring(Ring::reporter(mul(empty_slot(), num(10.0)))).unwrap();
-        let p = match lowered {
-            Lowered::Numeric(p) => p,
-            Lowered::Boxed(_) => panic!("expected numeric"),
-        };
+        let p = lower(&Ring::reporter(mul(empty_slot(), num(10.0)))).unwrap();
         let mut out = Vec::new();
         p.eval_batch(&[], &mut out);
         assert!(out.is_empty());
@@ -1131,33 +599,24 @@ mod tests {
 
     #[test]
     fn multi_parameter_programs_are_not_batchable() {
-        let lowered = lower_ring(Ring::reporter_with_params(
+        let p = lower(&Ring::reporter_with_params(
             vec!["a".into(), "b".into()],
             add(var("a"), var("b")),
         ))
         .unwrap();
-        let p = match lowered {
-            Lowered::Numeric(p) => p,
-            Lowered::Boxed(_) => panic!("expected numeric"),
-        };
         assert!(!p.batchable());
     }
 
     #[test]
-    fn wide_numeric_rings_decline_to_boxed_bytecode() {
+    fn wide_numeric_rings_are_declined() {
         // A 40-term chain of x + x + … needs ~40 live registers — over
         // the NUM_STACK_REGS file. Numeric lowering must decline (not
-        // fail), leaving boxed bytecode with identical results.
+        // fail); the ring then runs on the tree walk.
         let mut expr = var("x");
         for _ in 0..40 {
             expr = add(expr, var("x"));
         }
-        let lowered = lower_ring(Ring::reporter_with_params(vec!["x".into()], expr)).unwrap();
-        let p = match lowered {
-            Lowered::Boxed(p) => p,
-            Lowered::Numeric(_) => panic!("40-term chain cannot fit the numeric register file"),
-        };
-        assert_eq!(p.call(&[Value::Number(1.0)]).unwrap(), Value::Number(41.0));
+        assert!(lower(&Ring::reporter_with_params(vec!["x".into()], expr)).is_none());
     }
 
     #[test]

@@ -7,18 +7,17 @@
 //!
 //! [`PureFn`] is the Rust analogue: it checks that a ring's body uses only
 //! *pure* blocks (no stage, no sprite motion, no randomness, no custom
-//! blocks), then compiles it. Most rings lower to the flat register
-//! bytecode of [`crate::bytecode`] — numeric rings to the unboxed `f64`
-//! fast path — and calls dispatch to the compiled program; rings using
-//! higher-order blocks keep the re-entrant tree-walking evaluator, which
-//! also serves as the differential-testing oracle
-//! ([`PureFn::call_treewalk`]). A `PureFn` is `Send + Sync`, so worker
-//! threads can share it.
+//! blocks), then compiles it. Numeric rings lower to the unboxed `f64`
+//! register program of [`crate::bytecode`] (scalar calls and the
+//! columnar batch tier); every other ring runs on the re-entrant
+//! tree-walking evaluator, which also serves as the differential-testing
+//! oracle ([`PureFn::call_treewalk`]). A `PureFn` is `Send + Sync`, so
+//! worker threads can share it.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
-use crate::bytecode::{self, num_binop, num_unop, Lowered, NumProgram, Program};
+use crate::bytecode::{self, num_binop, num_unop, NumProgram};
 use crate::error::EvalError;
 use crate::expr::{BinOp, Expr, RingExprBody, UnOp};
 use crate::ring::{Ring, RingBody};
@@ -50,9 +49,7 @@ pub fn check_pure(expr: &Expr) -> Result<(), &'static str> {
 pub enum CompiledStrategy {
     /// Unboxed `f64` register program — the numeric fast path.
     Numeric,
-    /// Boxed [`Value`] register bytecode.
-    Bytecode,
-    /// The tree-walking evaluator (higher-order or unbound constructs).
+    /// The tree-walking evaluator (every ring the numeric pass declines).
     TreeWalk,
 }
 
@@ -61,7 +58,6 @@ pub enum CompiledStrategy {
 #[derive(Clone)]
 enum Compiled {
     Numeric(Arc<NumProgram>),
-    Bytecode(Arc<Program>),
     TreeWalk,
 }
 
@@ -77,8 +73,8 @@ pub struct PureFn {
 
 impl PureFn {
     /// Compile a ring into a callable pure function: purity check, then
-    /// bytecode lowering ([`crate::bytecode::lower`]), falling back to
-    /// the tree walk for constructs bytecode does not cover.
+    /// numeric lowering ([`crate::bytecode::lower`]), falling back to
+    /// the tree walk for every ring the numeric pass declines.
     pub fn compile(ring: Arc<Ring>) -> Result<PureFn, EvalError> {
         let expr = match &ring.body {
             RingBody::Reporter(e) | RingBody::Predicate(e) => e,
@@ -86,13 +82,12 @@ impl PureFn {
         };
         check_pure(expr).map_err(EvalError::NotPure)?;
         let compiled = match bytecode::lower(&ring) {
-            Some(Lowered::Numeric(p)) => Compiled::Numeric(Arc::new(p)),
-            Some(Lowered::Boxed(p)) => Compiled::Bytecode(Arc::new(p)),
+            Some(p) => {
+                snap_trace::well_known::RING_BYTECODE_COMPILES.incr();
+                Compiled::Numeric(Arc::new(p))
+            }
             None => Compiled::TreeWalk,
         };
-        if !matches!(compiled, Compiled::TreeWalk) {
-            snap_trace::well_known::RING_BYTECODE_COMPILES.incr();
-        }
         Ok(PureFn { ring, compiled })
     }
 
@@ -105,7 +100,6 @@ impl PureFn {
     pub fn strategy(&self) -> CompiledStrategy {
         match &self.compiled {
             Compiled::Numeric(_) => CompiledStrategy::Numeric,
-            Compiled::Bytecode(_) => CompiledStrategy::Bytecode,
             Compiled::TreeWalk => CompiledStrategy::TreeWalk,
         }
     }
@@ -117,16 +111,13 @@ impl PureFn {
     /// arguments left to right, and when exactly one argument is supplied
     /// it fills *every* empty slot (this is how `map (( ) × 10)` works).
     ///
-    /// Dispatches to the compiled program; results are bit-for-bit those
-    /// of [`PureFn::call_treewalk`] (enforced by the differential suite).
+    /// Dispatches to the numeric program when there is one; results are
+    /// bit-for-bit those of [`PureFn::call_treewalk`] (enforced by the
+    /// differential suite).
     pub fn call(&self, args: &[Value]) -> Result<Value, EvalError> {
         match &self.compiled {
             Compiled::Numeric(p) => {
                 snap_trace::well_known::RING_FASTPATH_CALLS.incr();
-                p.call(args)
-            }
-            Compiled::Bytecode(p) => {
-                snap_trace::well_known::RING_BYTECODE_CALLS.incr();
                 p.call(args)
             }
             Compiled::TreeWalk => {
@@ -138,8 +129,8 @@ impl PureFn {
 
     /// Apply via the tree-walking evaluator, bypassing any compiled
     /// program — the reference semantics every compiled path must match
-    /// (the oracle of the differential tests, and the fallback body of
-    /// [`PureFn::call`] for non-lowered rings).
+    /// (the oracle of the differential tests, and the body of
+    /// [`PureFn::call`] for rings the numeric pass declines).
     pub fn call_treewalk(&self, args: &[Value]) -> Result<Value, EvalError> {
         let expr = match &self.ring.body {
             RingBody::Reporter(e) | RingBody::Predicate(e) => e,
@@ -303,44 +294,41 @@ pub fn compile_cache_stats() -> (u64, u64) {
     )
 }
 
-/// Evaluation context: visible bindings plus the empty-slot argument
-/// cursor.
+/// Evaluation context: the ring's parameters bound (by position) to the
+/// call's arguments, plus the empty-slot argument cursor. Everything is
+/// borrowed — a call allocates nothing for its bindings.
 struct PureCtx<'a> {
-    /// (name, value) bindings, innermost last.
-    bindings: Vec<(String, Value)>,
+    /// Formal parameter names; `params[i]` binds `args[i]`. Empty for
+    /// slot-style rings.
+    params: &'a [String],
+    /// The call's arguments: parameter values and empty-slot fillers.
+    args: &'a [Value],
     /// Captured environment of the ring being applied.
     captured: &'a [(String, Value)],
-    /// Positional arguments feeding empty slots.
-    slot_args: &'a [Value],
     /// Next slot argument to consume.
     slot_cursor: usize,
 }
 
 impl<'a> PureCtx<'a> {
     fn for_ring(ring: &'a Ring, args: &'a [Value]) -> Result<PureCtx<'a>, EvalError> {
-        let mut bindings = Vec::new();
-        if !ring.params.is_empty() {
-            if ring.params.len() != args.len() {
-                return Err(EvalError::ArityMismatch {
-                    expected: ring.params.len(),
-                    got: args.len(),
-                });
-            }
-            for (name, value) in ring.params.iter().zip(args) {
-                bindings.push((name.clone(), value.clone()));
-            }
+        if !ring.params.is_empty() && ring.params.len() != args.len() {
+            return Err(EvalError::ArityMismatch {
+                expected: ring.params.len(),
+                got: args.len(),
+            });
         }
         Ok(PureCtx {
-            bindings,
+            params: &ring.params,
+            args,
             captured: &ring.captured,
-            slot_args: args,
             slot_cursor: 0,
         })
     }
 
     fn lookup(&self, name: &str) -> Result<Value, EvalError> {
-        if let Some((_, v)) = self.bindings.iter().rev().find(|(n, _)| n == name) {
-            return Ok(v.clone());
+        // Last duplicate wins, as for any shadowing binding.
+        if let Some(i) = self.params.iter().rposition(|p| p == name) {
+            return Ok(self.args[i].clone());
         }
         if let Some(v) = self
             .captured
@@ -355,15 +343,15 @@ impl<'a> PureCtx<'a> {
     }
 
     fn next_slot_arg(&mut self) -> Value {
-        if self.slot_args.is_empty() {
+        if self.args.is_empty() {
             return Value::Nothing;
         }
-        if self.slot_args.len() == 1 {
+        if self.args.len() == 1 {
             // Snap!: a single argument fills every empty slot.
-            return self.slot_args[0].clone();
+            return self.args[0].clone();
         }
         let v = self
-            .slot_args
+            .args
             .get(self.slot_cursor)
             .cloned()
             .unwrap_or(Value::Nothing);
@@ -462,7 +450,7 @@ impl<'a> PureCtx<'a> {
             Expr::Ring(ring_expr) => {
                 // A nested ring closes over the current bindings.
                 let mut captured: Vec<(String, Value)> = self.captured.to_vec();
-                captured.extend(self.bindings.iter().cloned());
+                captured.extend(self.params.iter().cloned().zip(self.args.iter().cloned()));
                 let body = match &ring_expr.body {
                     RingExprBody::Reporter(e) => RingBody::Reporter((**e).clone()),
                     RingExprBody::Predicate(e) => RingBody::Predicate((**e).clone()),
@@ -565,7 +553,7 @@ pub fn numbers_from_to(a: f64, b: f64) -> Value {
 /// Evaluate a binary operator block on two values with Snap! coercions.
 pub fn eval_binop(op: BinOp, a: &Value, b: &Value) -> Value {
     match op {
-        // Arithmetic has a single definition, shared with the bytecode VM.
+        // Arithmetic has a single definition, shared with the numeric VM.
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod | BinOp::Pow => {
             let n = num_binop(op, a.to_number(), b.to_number()).expect("arith op");
             Value::Number(n)
@@ -858,20 +846,89 @@ mod tests {
         ))))
         .unwrap();
         assert_eq!(numeric.strategy(), CompiledStrategy::Numeric);
-        // List-producing ring → boxed bytecode.
-        let boxed = PureFn::compile(Arc::new(Ring::reporter(make_list(vec![
+        // List-producing ring → tree walk (no numeric root).
+        let list = PureFn::compile(Arc::new(Ring::reporter(make_list(vec![
             empty_slot(),
             num(1.0),
         ]))))
         .unwrap();
-        assert_eq!(boxed.strategy(), CompiledStrategy::Bytecode);
-        // Higher-order ring → tree walk fallback.
+        assert_eq!(list.strategy(), CompiledStrategy::TreeWalk);
+        // Higher-order ring → tree walk.
         let tree = PureFn::compile(Arc::new(Ring::reporter(map_over(
             ring_reporter(add(empty_slot(), num(1.0))),
             empty_slot(),
         ))))
         .unwrap();
         assert_eq!(tree.strategy(), CompiledStrategy::TreeWalk);
+    }
+
+    #[test]
+    fn list_literals_materialize_fresh_storage() {
+        let f = PureFn::compile(Arc::new(Ring::reporter(Expr::Literal(
+            crate::Constant::List(vec![1.into()]),
+        ))))
+        .unwrap();
+        let a = f.call(&[]).unwrap();
+        let b = f.call(&[]).unwrap();
+        a.as_list().unwrap().add(2.into());
+        assert_eq!(b.as_list().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn captured_lists_share_storage_across_calls() {
+        // Each call clones the captured binding — which shares list
+        // storage rather than copying it.
+        let shared = Value::list(vec![1.into()]);
+        let ring = Ring::reporter(var("xs")).with_captured(vec![("xs".into(), shared.clone())]);
+        let f = PureFn::compile(Arc::new(ring)).unwrap();
+        let out = f.call(&[]).unwrap();
+        assert!(out
+            .as_list()
+            .unwrap()
+            .same_identity(shared.as_list().unwrap()));
+    }
+
+    #[test]
+    fn parameters_bind_by_position_and_nested_rings_close_over_them() {
+        // Duplicate names: the last one wins.
+        let dup = PureFn::compile(Arc::new(Ring::reporter_with_params(
+            vec!["x".into(), "x".into()],
+            make_list(vec![var("x")]),
+        )))
+        .unwrap();
+        assert_eq!(
+            dup.call(&["first".into(), "second".into()]).unwrap(),
+            Value::list(vec!["second".into()])
+        );
+        // A nested ring captures the outer ring's captured values and
+        // its parameters: ring(a) = call (ring(b) = [base, a, b]) with 3.
+        let inner = crate::expr::RingExpr {
+            params: vec!["b".into()],
+            body: RingExprBody::Reporter(Box::new(make_list(vec![
+                var("base"),
+                var("a"),
+                var("b"),
+            ]))),
+        };
+        let outer = Ring::reporter_with_params(
+            vec!["a".into()],
+            Expr::CallRing(Box::new(Expr::Ring(inner)), vec![num(3.0)]),
+        )
+        .with_captured(vec![("base".into(), "cap".into())]);
+        let f = PureFn::compile(Arc::new(outer)).unwrap();
+        assert_eq!(
+            f.call(&[2.into()]).unwrap(),
+            Value::list(vec!["cap".into(), 2.into(), 3.into()])
+        );
+        // The arity check still guards the bindings.
+        assert_eq!(
+            f.call(&[]),
+            Err(EvalError::ArityMismatch {
+                expected: 1,
+                got: 0
+            })
+        );
+        assert_eq!(f.call(&[]), f.call_treewalk(&[]));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! parameter) are evaluated three ways over random `f64` inputs covering
 //! NaN (payloads included), ±0.0, ±inf, and subnormals. Deep expressions
 //! occasionally exceed the numeric register file, in which case lowering
-//! declines to boxed bytecode: `eval_batch` must then report
+//! declines to the tree walk: `eval_batch` must then report
 //! non-batchable rather than mis-evaluate, and the scalar paths must
 //! still agree — the whole fallback ladder is exercised from one
 //! generator.
@@ -164,23 +164,22 @@ proptest! {
 }
 
 /// The register-spill ladder, deterministically: a provably-numeric ring
-/// too wide for the fixed register file must land on boxed bytecode (not
-/// fail, not tree-walk), refuse `eval_batch`, and still agree with the
-/// oracle.
+/// too wide for the fixed register file must land on the tree walk (not
+/// fail), refuse `eval_batch`, and still agree with the oracle.
 #[test]
-fn register_spill_falls_back_to_boxed_bytecode() {
+fn register_spill_falls_back_to_treewalk() {
     use snap_ast::builder::*;
     let mut expr = var("x");
     for _ in 0..40 {
         expr = add(expr, var("x"));
     }
     let ring = Arc::new(Ring::reporter_with_params(vec!["x".into()], expr));
-    let bytecode_before = snap_trace::well_known::RING_BYTECODE_CALLS.get();
+    let treewalk_before = snap_trace::well_known::RING_TREEWALK_CALLS.get();
     let f = PureFn::compile(ring).unwrap();
     assert_eq!(
         f.strategy(),
-        CompiledStrategy::Bytecode,
-        "a >32-register numeric ring must decline to boxed bytecode"
+        CompiledStrategy::TreeWalk,
+        "a >32-register numeric ring must decline to the tree walk"
     );
     assert!(!f.is_batchable());
     let mut out = Vec::new();
@@ -191,6 +190,6 @@ fn register_spill_falls_back_to_boxed_bytecode() {
     assert!(bits_eq(&result, &oracle));
     assert_eq!(result, Value::Number(41.0 * 1.5));
     // The tier counter proves which executor ran the call above.
-    let bytecode_delta = snap_trace::well_known::RING_BYTECODE_CALLS.get() - bytecode_before;
-    assert!(bytecode_delta >= 1, "boxed bytecode executor did not run");
+    let treewalk_delta = snap_trace::well_known::RING_TREEWALK_CALLS.get() - treewalk_before;
+    assert!(treewalk_delta >= 1, "tree-walk executor did not run");
 }

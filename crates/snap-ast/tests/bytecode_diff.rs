@@ -1,13 +1,14 @@
-//! Differential tests: the ring bytecode VM against the tree-walk oracle.
+//! Differential tests: `PureFn::call` against the tree-walk oracle.
 //!
-//! `PureFn::call` dispatches to compiled bytecode (boxed or unboxed
-//! numeric); `PureFn::call_treewalk` is the reference evaluator. For any
-//! pure ring and any arguments the two must agree **bit for bit** —
-//! including NaN payload propagation, `-0.0`, Text/Bool numeric coercion
-//! edges, and the exact `EvalError` on failure. Random rings are
-//! generated over the whole lowerable grammar (arithmetic, comparisons,
-//! logic, list/text blocks) plus unbound variables, so both the numeric
-//! fast path, the boxed program, and the tree-walk fallback are hit.
+//! `PureFn::call` dispatches to the unboxed numeric program when the
+//! ring lowers to one and to the tree walk otherwise;
+//! `PureFn::call_treewalk` is the reference evaluator. For any pure ring
+//! and any arguments the two must agree **bit for bit** — including NaN
+//! payload propagation, `-0.0`, Text/Bool numeric coercion edges, and
+//! the exact `EvalError` on failure. Random rings are generated over the
+//! whole strict grammar (arithmetic, comparisons, logic, list/text
+//! blocks) plus unbound variables, so both the numeric fast path and the
+//! tree walk are hit.
 
 use proptest::prelude::*;
 
@@ -39,7 +40,7 @@ fn assert_paths_agree(ring: Arc<Ring>, args: &[Value]) {
     match (&fast, &slow) {
         (Ok(x), Ok(y)) => assert!(
             bits_eq(x, y),
-            "strategy {:?} diverged: bytecode {x:?} vs treewalk {y:?}",
+            "strategy {:?} diverged: call {x:?} vs treewalk {y:?}",
             f.strategy()
         ),
         (Err(x), Err(y)) => assert_eq!(
@@ -50,7 +51,7 @@ fn assert_paths_agree(ring: Arc<Ring>, args: &[Value]) {
             f.ring()
         ),
         _ => panic!(
-            "strategy {:?}: one path errored: bytecode {fast:?} vs treewalk {slow:?}",
+            "strategy {:?}: one path errored: call {fast:?} vs treewalk {slow:?}",
             f.strategy()
         ),
     }
@@ -109,7 +110,7 @@ fn unop_strategy() -> impl Strategy<Value = UnOp> {
     ]
 }
 
-/// Random pure ring bodies over the lowerable grammar. `Var("x")` is the
+/// Random pure ring bodies over the strict grammar. `Var("x")` is the
 /// named parameter when the ring declares one, otherwise an unbound
 /// variable (exercising the tree-walk fallback and the runtime error).
 fn expr_strategy() -> impl Strategy<Value = Expr> {
@@ -156,7 +157,7 @@ proptest! {
     /// argument fills every slot). `Var("x")` is unbound here, so rings
     /// containing it must fail identically on both paths.
     #[test]
-    fn implicit_rings_bytecode_matches_treewalk(
+    fn implicit_rings_call_matches_treewalk(
         body in expr_strategy(),
         args in prop::collection::vec(value_strategy(), 0..3),
     ) {
@@ -166,7 +167,7 @@ proptest! {
     /// Named-parameter rings: `x` binds positionally; empty slots also
     /// consume the arguments. Wrong arity must error identically.
     #[test]
-    fn named_rings_bytecode_matches_treewalk(
+    fn named_rings_call_matches_treewalk(
         body in expr_strategy(),
         args in prop::collection::vec(value_strategy(), 0..3),
     ) {
@@ -178,7 +179,7 @@ proptest! {
     /// (folded to a constant at compile time) when no parameter shadows
     /// it.
     #[test]
-    fn captured_rings_bytecode_matches_treewalk(
+    fn captured_rings_call_matches_treewalk(
         body in expr_strategy(),
         captured in value_strategy(),
         args in prop::collection::vec(value_strategy(), 0..2),

@@ -1,11 +1,11 @@
 //! # snap-build — from blocks to batch jobs
 //!
 //! The paper's §6.3 workflow automation, built out: a Makefile-shaped
-//! [`BuildPipeline`] (write generated sources → compile with the system
-//! C compiler → run → collect output) and a [`BatchScheduler`] simulator
-//! standing in for a supercomputer's queueing system (submit, wait,
-//! run, collect — with FIFO and EASY-backfill policies and walltime
-//! enforcement).
+//! [`BuildPipeline`] (write generated sources → compile through the
+//! codegen harness → run → collect output) and a [`BatchScheduler`]
+//! simulator standing in for a supercomputer's queueing system (submit,
+//! wait, run, collect — with FIFO and EASY-backfill policies and
+//! walltime enforcement).
 
 #![warn(missing_docs)]
 
@@ -14,5 +14,5 @@ pub mod pipeline;
 pub mod workflow;
 
 pub use batch::{BatchScheduler, Job, JobId, JobSpec, JobState, Policy};
-pub use pipeline::{detect_cc, parse_kv_output, BuildError, BuildPipeline};
+pub use pipeline::{parse_kv_output, BuildError, BuildPipeline};
 pub use workflow::{batch_script, run_on_cluster, BatchRequest, WorkflowReport};

@@ -4,17 +4,20 @@
 //! automating the compilation and linking of the textual output from the
 //! code mapping process in order to fulfill the same requirements as are
 //! currently filled by the Makefile." This module is that Makefile: it
-//! writes generated sources to a build directory, invokes the system C
-//! compiler (when one exists), and runs the produced binary, capturing
-//! its output. Everything degrades gracefully on machines without a
-//! compiler — generation is still validated textually.
+//! writes generated sources to a build directory, compiles them through
+//! the codegen [`Harness`] — the same toolchain probe, content-addressed
+//! compile cache and flag set (`-O3 -std=c99 -Wall -Werror
+//! -ffp-contract=off`) under which `codegen_check` proves native ≡ VM —
+//! and runs the produced binary, capturing its output. Everything
+//! degrades gracefully on machines without a compiler — generation is
+//! still validated textually.
 
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use snap_codegen::OpenMpProgram;
+use snap_codegen::{Harness, HarnessError, OpenMpProgram};
 
 /// A build failure.
 #[derive(Debug)]
@@ -58,35 +61,34 @@ impl From<io::Error> for BuildError {
     }
 }
 
-/// Locate a C compiler (`cc`, `gcc`, or `clang`).
-pub fn detect_cc() -> Option<PathBuf> {
-    for candidate in ["cc", "gcc", "clang"] {
-        let ok = Command::new(candidate)
-            .arg("--version")
-            .output()
-            .map(|o| o.status.success())
-            .unwrap_or(false);
-        if ok {
-            return Some(PathBuf::from(candidate));
+impl From<HarnessError> for BuildError {
+    fn from(e: HarnessError) -> Self {
+        match e {
+            HarnessError::ToolchainMissing => BuildError::NoCompiler,
+            HarnessError::CompileFailed { stderr, .. } => BuildError::CompileFailed { stderr },
+            HarnessError::RunFailed { message, .. } => BuildError::RunFailed {
+                code: None,
+                stderr: message,
+            },
+            HarnessError::Io(message) => BuildError::Io(io::Error::other(message)),
         }
     }
-    None
 }
 
-/// A build directory plus the compiler driving it.
+/// A build directory plus the harness compiling into it.
 pub struct BuildPipeline {
     dir: PathBuf,
-    cc: Option<PathBuf>,
+    harness: Option<Harness>,
 }
 
 impl BuildPipeline {
-    /// Create (or reuse) a build directory; detects the compiler.
+    /// Create (or reuse) a build directory; probes the toolchain.
     pub fn new(dir: impl Into<PathBuf>) -> io::Result<BuildPipeline> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         Ok(BuildPipeline {
             dir,
-            cc: detect_cc(),
+            harness: Harness::detect().ok(),
         })
     }
 
@@ -97,7 +99,7 @@ impl BuildPipeline {
 
     /// Whether a compiler is available.
     pub fn has_compiler(&self) -> bool {
-        self.cc.is_some()
+        self.harness.is_some()
     }
 
     /// Write one generated source file into the build directory.
@@ -107,32 +109,31 @@ impl BuildPipeline {
         Ok(path)
     }
 
-    /// Compile + link sources (named relative to the build directory).
+    /// Compile + link sources written to the build directory. List
+    /// headers (`kvp.h`) too: every listed file takes part in the compile
+    /// and its cache key, and the `.c` files are compiled. The binary,
+    /// named after `output`, lands in the harness's content-addressed
+    /// cache; the build directory keeps the sources.
     pub fn compile(
         &self,
         sources: &[&str],
         output: &str,
         openmp: bool,
     ) -> Result<PathBuf, BuildError> {
-        let cc = self.cc.as_ref().ok_or(BuildError::NoCompiler)?;
-        let out_path = self.dir.join(output);
-        let mut cmd = Command::new(cc);
-        cmd.current_dir(&self.dir);
-        if openmp {
-            cmd.arg("-fopenmp");
-        }
-        cmd.args(["-O2", "-std=c99", "-o"]).arg(&out_path);
-        for src in sources {
-            cmd.arg(src);
-        }
-        cmd.arg("-lm");
-        let out = cmd.output()?;
-        if !out.status.success() {
-            return Err(BuildError::CompileFailed {
-                stderr: String::from_utf8_lossy(&out.stderr).into_owned(),
-            });
-        }
-        Ok(out_path)
+        let harness = self.harness.as_ref().ok_or(BuildError::NoCompiler)?;
+        let texts = sources
+            .iter()
+            .map(|name| std::fs::read_to_string(self.dir.join(name)))
+            .collect::<io::Result<Vec<String>>>()?;
+        let named: Vec<(&str, &str)> = sources
+            .iter()
+            .copied()
+            .zip(texts.iter().map(String::as_str))
+            .collect();
+        let compiled = harness.compile(output, &named, openmp)?;
+        // `run` starts the binary inside the build directory, so a cache
+        // path relative to this process's directory would not resolve.
+        Ok(std::path::absolute(compiled.binary)?)
     }
 
     /// Run a produced binary, returning its stdout.
@@ -157,12 +158,18 @@ impl BuildPipeline {
         &self,
         program: &OpenMpProgram,
     ) -> Result<Vec<(String, f64)>, BuildError> {
+        let binary = self.compile_mapreduce(program)?;
+        let stdout = self.run(&binary, &[])?;
+        Ok(parse_kv_output(&stdout))
+    }
+
+    /// Write a MapReduce program's `kvp.h` + `mapred.c` + `driver.c`
+    /// into the build directory and compile them with OpenMP.
+    pub(crate) fn compile_mapreduce(&self, program: &OpenMpProgram) -> Result<PathBuf, BuildError> {
         self.write_source("kvp.h", &program.kvp_h)?;
         self.write_source("mapred.c", &program.mapred_c)?;
         self.write_source("driver.c", &program.driver_c)?;
-        let binary = self.compile(&["mapred.c", "driver.c"], "mapreduce", true)?;
-        let stdout = self.run(&binary, &[])?;
-        Ok(parse_kv_output(&stdout))
+        self.compile(&["kvp.h", "mapred.c", "driver.c"], "mapreduce", true)
     }
 }
 
@@ -201,6 +208,69 @@ mod tests {
     }
 
     #[test]
+    fn harness_errors_map_to_build_errors() {
+        assert!(matches!(
+            BuildError::from(HarnessError::ToolchainMissing),
+            BuildError::NoCompiler
+        ));
+        let failed = BuildError::from(HarnessError::CompileFailed {
+            name: "prog".to_owned(),
+            stderr: "error: boom".to_owned(),
+        });
+        assert!(
+            matches!(&failed, BuildError::CompileFailed { stderr } if stderr == "error: boom"),
+            "got {failed}"
+        );
+        let run = BuildError::from(HarnessError::RunFailed {
+            name: "prog".to_owned(),
+            message: "exited 3".to_owned(),
+        });
+        assert!(
+            matches!(&run, BuildError::RunFailed { code: None, stderr } if stderr == "exited 3"),
+            "got {run}"
+        );
+        assert!(matches!(
+            BuildError::from(HarnessError::Io("disk full".to_owned())),
+            BuildError::Io(_)
+        ));
+    }
+
+    #[test]
+    fn listed_headers_take_part_in_the_compile() {
+        let pipeline = BuildPipeline::new(temp_dir("header")).unwrap();
+        if !pipeline.has_compiler() {
+            return;
+        }
+        pipeline
+            .write_source(
+                "main.c",
+                "#include <stdio.h>\n#include \"value.h\"\nint main(void) {\n    printf(\"%d\\n\", VALUE);\n    return 0;\n}\n",
+            )
+            .unwrap();
+        // A changed header must yield a new binary, not a cache hit on
+        // the old one.
+        for value in [1, 2] {
+            pipeline
+                .write_source("value.h", &format!("#define VALUE {value}\n"))
+                .unwrap();
+            let binary = pipeline
+                .compile(&["value.h", "main.c"], "header", false)
+                .unwrap();
+            assert!(binary.is_absolute());
+            assert!(
+                !binary.starts_with(pipeline.dir()),
+                "the binary belongs in the harness cache, not the build dir"
+            );
+            assert_eq!(
+                pipeline.run(&binary, &[]).unwrap().trim(),
+                value.to_string()
+            );
+        }
+        assert!(pipeline.dir().join("value.h").is_file());
+        assert!(pipeline.dir().join("main.c").is_file());
+    }
+
+    #[test]
     fn openmp_hello_compiles_and_runs() {
         let pipeline = BuildPipeline::new(temp_dir("hello")).unwrap();
         if !pipeline.has_compiler() {
@@ -230,6 +300,34 @@ mod tests {
             .unwrap();
         // Listing 5 produces no output; success is exit code 0.
         assert_eq!(pipeline.run(&binary, &[]).unwrap(), "");
+    }
+
+    #[test]
+    fn warnings_fail_the_build() {
+        // The harness flag set includes -Wall -Werror: an unused
+        // variable is a compile failure, not a warning.
+        let pipeline = BuildPipeline::new(temp_dir("werror")).unwrap();
+        if !pipeline.has_compiler() {
+            return;
+        }
+        pipeline
+            .write_source(
+                "unused.c",
+                "int main(void) {\n    int unused = 1;\n    return 0;\n}\n",
+            )
+            .unwrap();
+        let err = pipeline
+            .compile(&["unused.c"], "unused", false)
+            .unwrap_err();
+        match err {
+            BuildError::CompileFailed { stderr } => {
+                assert!(
+                    stderr.contains("unused"),
+                    "unexpected diagnostics: {stderr}"
+                )
+            }
+            other => panic!("expected CompileFailed, got {other}"),
+        }
     }
 
     #[test]

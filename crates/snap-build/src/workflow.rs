@@ -92,10 +92,7 @@ pub fn run_on_cluster(
     request: &BatchRequest,
 ) -> Result<WorkflowReport, BuildError> {
     // 1. Code mapping output → build directory, compile + link.
-    pipeline.write_source("kvp.h", &program.kvp_h)?;
-    pipeline.write_source("mapred.c", &program.mapred_c)?;
-    pipeline.write_source("driver.c", &program.driver_c)?;
-    let binary = pipeline.compile(&["mapred.c", "driver.c"], "mapreduce", true)?;
+    let binary = pipeline.compile_mapreduce(program)?;
 
     // 2. Batch submission script.
     let script = batch_script(request, "mapreduce");

@@ -8,7 +8,7 @@
 //! `target/codegen-cache/`, and compile/run plumbing that pipes datasets
 //! into the generated `main` over a line/CSV protocol and reads results
 //! back for differential comparison against the interpreted tiers
-//! (tree-walk ≡ bytecode ≡ batch ≡ native).
+//! (tree-walk ≡ scalar ≡ batch ≡ native).
 //!
 //! Equivalence rules, in order of strictness:
 //! - map programs are compared **bit-for-bit** ([`bits_eq`]): the
@@ -28,6 +28,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use snap_ast::pure::PureFn;
@@ -369,9 +370,14 @@ impl Harness {
         well_known::CODEGEN_CACHE_MISSES.incr();
 
         fs::create_dir_all(&self.cache_dir).map_err(io_err)?;
-        let work = self
-            .cache_dir
-            .join(format!("build-{name}-{hash:016x}-{}", std::process::id()));
+        // One work directory per compile, even for two threads of one
+        // process compiling the same key.
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+        let work = self.cache_dir.join(format!(
+            "build-{name}-{hash:016x}-{}-{seq}",
+            std::process::id()
+        ));
         fs::create_dir_all(&work).map_err(io_err)?;
         let result = self.compile_in(&work, name, sources, &flags, &binary);
         let _ = fs::remove_dir_all(&work);
@@ -630,36 +636,36 @@ pub fn compare_pairs(
 pub struct TierOutputs {
     /// Tree-walk evaluator (the semantics oracle).
     pub treewalk: Vec<f64>,
-    /// Scalar bytecode (`PureFn::call`).
-    pub bytecode: Vec<f64>,
+    /// Scalar numeric program (`PureFn::call`).
+    pub scalar: Vec<f64>,
     /// Columnar batch lanes (`eval_batch`), when the ring is batchable.
     pub batch: Option<Vec<f64>>,
 }
 
-/// Evaluate `ring` over `inputs` on the tree-walk, bytecode, and batch
+/// Evaluate `ring` over `inputs` on the tree-walk, scalar, and batch
 /// tiers. The three must already agree with each other (PR 5/6 gates);
 /// the native tier is compared against all of them.
 pub fn oracle_map_tiers(ring: &Arc<Ring>, inputs: &[f64]) -> Result<TierOutputs, HarnessError> {
     let compiled = PureFn::compile(Arc::clone(ring))
         .map_err(|e| HarnessError::Io(format!("ring does not compile: {e:?}")))?;
     let mut treewalk = Vec::with_capacity(inputs.len());
-    let mut bytecode = Vec::with_capacity(inputs.len());
+    let mut scalar = Vec::with_capacity(inputs.len());
     for &x in inputs {
         let args = [Value::Number(x)];
         let tw = compiled
             .call_treewalk(&args)
             .map_err(|e| HarnessError::Io(format!("tree-walk eval failed: {e:?}")))?;
-        let bc = compiled
+        let sc = compiled
             .call(&args)
-            .map_err(|e| HarnessError::Io(format!("bytecode eval failed: {e:?}")))?;
+            .map_err(|e| HarnessError::Io(format!("scalar eval failed: {e:?}")))?;
         treewalk.push(tw.to_number());
-        bytecode.push(bc.to_number());
+        scalar.push(sc.to_number());
     }
     let mut lanes = Vec::new();
     let batch = compiled.eval_batch(inputs, &mut lanes).then_some(lanes);
     Ok(TierOutputs {
         treewalk,
-        bytecode,
+        scalar,
         batch,
     })
 }
@@ -677,7 +683,7 @@ pub enum ScenarioKind {
         /// Whether to compile with `-fopenmp` when available.
         openmp: bool,
     },
-    /// A numeric map ring: native vs tree-walk/bytecode/batch,
+    /// A numeric map ring: native vs tree-walk/scalar/batch,
     /// bit-for-bit.
     Map {
         /// The mapper ring.
@@ -895,7 +901,7 @@ mod tests {
         ));
         let inputs = [32.0, 212.0, -40.0, 98.6];
         let tiers = oracle_map_tiers(&ring, &inputs).unwrap();
-        assert_eq!(tiers.treewalk, tiers.bytecode);
+        assert_eq!(tiers.treewalk, tiers.scalar);
         let batch = tiers.batch.expect("climate ring is batchable");
         assert_eq!(tiers.treewalk, batch);
         assert_eq!(tiers.treewalk[0], 0.0);

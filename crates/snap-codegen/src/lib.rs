@@ -33,9 +33,8 @@ pub use openmp::{
 pub use programs::{emit_js_program, emit_python_program, emit_smalltalk_chunk};
 pub use template::Template;
 pub use worker::{
-    native_pool, native_program_for, register_native_map, register_native_program,
-    unregister_native, NativePool, NativeProgram, NativeWorker, WorkerKind, NATIVE_IDLE_REAP,
-    POISON_FRAME,
+    compile_native_map, native_pool, NativePool, NativeProgram, NativeWorker, WorkerKind,
+    NATIVE_IDLE_REAP, POISON_FRAME,
 };
 
 use snap_ast::Stmt;

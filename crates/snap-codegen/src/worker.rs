@@ -21,13 +21,12 @@
 //! * `[u64::MAX]` is the **poison frame**: the worker exits abruptly.
 //!   It exists so crash recovery is deterministically testable.
 //!
-//! Binary `f64` frames are not a convenience: they are what makes the
-//! tier *win*. The line protocol costs ~450 ns/element in
-//! format/strtod/printf alone, which no amount of spawn amortization
-//! recovers; raw bits cost ~4 ns/element of pipe bandwidth and are
-//! trivially bit-exact, so the four-tier equivalence contract
-//! (tree-walk ≡ bytecode ≡ batch ≡ native) holds with no round-trip
-//! argument needed.
+//! Binary `f64` frames are not a convenience: the line protocol costs
+//! ~450 ns/element in format/strtod/printf alone, which no amount of
+//! spawn amortization recovers; raw bits cost a few ns/element of pipe
+//! bandwidth and are trivially bit-exact, so the four-tier equivalence
+//! contract (tree-walk ≡ scalar ≡ batch ≡ native) holds with no
+//! round-trip argument needed.
 //!
 //! **Lifecycle & crash ladder.** On first use of a program the pool
 //! spawns `binary --serve`, reads the text handshake line
@@ -35,25 +34,23 @@
 //! payload kind before any frame is sent. A frame failure (worker
 //! crashed, pipe closed, short read) discards the worker, respawns it
 //! **once** (`codegen.worker_restarts`) and retries the frame; a second
-//! failure returns the error so the caller falls back to the in-process
-//! batch tier (`codegen.worker_fallbacks` — counted at the fallback
-//! site). Warm workers idle past [`NativePool::idle_after`] are reaped
+//! failure returns the error to the caller. Warm workers idle past the
+//! pool's reap deadline ([`NATIVE_IDLE_REAP`] by default) are reaped
 //! on the next pool access, and a recompile under a new cache key
 //! retires the old worker instead of letting it serve stale code
 //! (`codegen.worker_reaped` either way).
 //!
-//! **Registry.** [`register_native_map`] compiles a ring's emitted map
-//! program and records it keyed on the ring's `Arc` identity (the
-//! `compile_cached` idiom: `Weak` + `ptr_eq` so ABA pointer reuse can't
-//! resurrect a dead registration). `snap-workers::ring_fn` consults
-//! [`native_program_for`] — unregistered rings never route native, so
-//! `NativePolicy::Auto` is a no-op until a caller opts a ring in.
+//! The warm worker is a **test transport**, not a tier `ring_map` picks:
+//! `codegen_check --persistent`, the `native_worker_diff` /
+//! `native_worker_chaos` suites and the `a10_native_amortized` bench
+//! compile a ring with [`compile_native_map`] and drive the returned
+//! program through the pool themselves.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use snap_ast::Ring;
@@ -114,17 +111,33 @@ fn run_failed(name: &str, message: String) -> HarnessError {
 }
 
 /// A `f64` slice viewed as its native-endian bytes, copy-free — the
-/// map-frame payload IS the slice's memory. Safe: `f64` has no invalid
-/// bit patterns, u8 has alignment 1, and the length math is exact.
+/// map-frame payload IS the slice's memory. Kept over a safe
+/// `to_ne_bytes` loop because the copy made `persistent_deep_120000`
+/// about 3× slower.
 fn f64_bytes(values: &[f64]) -> &[u8] {
-    unsafe { std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), values.len() * 8) }
+    // SAFETY: the pointer comes from a live `&[f64]`, so it is non-null
+    // and valid for reads of `size_of_val(values)` bytes (a size the
+    // slice already occupies) for the borrowed lifetime; `u8` has
+    // alignment 1 and every byte of an `f64` is initialized, so any
+    // byte may be read as a `u8`.
+    unsafe {
+        std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), std::mem::size_of_val(values))
+    }
 }
 
 /// Mutable byte view of a `f64` slice, so a response frame can be read
-/// straight into the output vector (same safety argument as
-/// [`f64_bytes`]; every byte pattern written is a valid `f64`).
+/// straight into the output vector.
 fn f64_bytes_mut(values: &mut [f64]) -> &mut [u8] {
-    unsafe { std::slice::from_raw_parts_mut(values.as_mut_ptr().cast::<u8>(), values.len() * 8) }
+    // SAFETY: as in `f64_bytes`, and the `&mut` borrow makes the view
+    // the only access to that memory while it lives; every bit pattern
+    // written through it is a valid `f64`, so the slice stays valid
+    // afterwards.
+    unsafe {
+        std::slice::from_raw_parts_mut(
+            values.as_mut_ptr().cast::<u8>(),
+            std::mem::size_of_val(values),
+        )
+    }
 }
 
 /// One live `--serve` process: spawned once, fed frames until it is
@@ -370,7 +383,7 @@ impl NativePool {
     /// Run one frame through the warm worker with the crash ladder
     /// applied: spawn on first use, respawn exactly once on a frame
     /// failure (`codegen.worker_restarts`), propagate the error after a
-    /// second failure so the caller can fall back in-process.
+    /// second failure.
     fn with_worker<T>(
         &self,
         program: &NativeProgram,
@@ -475,64 +488,20 @@ pub fn native_pool() -> &'static NativePool {
     POOL.get_or_init(NativePool::default)
 }
 
-// ---------------------------------------------------------------------
-// Ring registry: which rings have a harness-compiled program
-// ---------------------------------------------------------------------
-
-type Registry = Mutex<HashMap<usize, (Weak<Ring>, NativeProgram)>>;
-
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Emit, compile (content-addressed cache), and register the native map
-/// program for `ring`. After this, `NativePolicy::Auto` in
-/// `snap-workers::ring_fn` routes this ring's large columnar chunks
-/// through the warm worker. Errors when the ring does not translate to
-/// C, no toolchain exists, or the compile fails.
-pub fn register_native_map(ring: &Arc<Ring>) -> Result<NativeProgram, HarnessError> {
+/// Emit and compile (content-addressed cache) the native map program
+/// for `ring`, ready for [`NativePool::map_frame`]. Errors when the ring
+/// does not translate to C, no toolchain exists, or the compile fails.
+pub fn compile_native_map(ring: &Ring) -> Result<NativeProgram, HarnessError> {
     let source = emit_map_openmp(ring)
         .map_err(|e| HarnessError::Io(format!("ring does not translate to C: {e}")))?;
     let harness = Harness::detect()?;
     let name = format!("native_ring_{:016x}", fnv1a(source.as_bytes()));
     let compiled = harness.compile(&name, &[("map_program.c", &source)], true)?;
-    let program = NativeProgram {
+    Ok(NativeProgram {
         name,
         binary: compiled.binary,
         kind: WorkerKind::Map,
-    };
-    register_native_program(ring, program.clone());
-    Ok(program)
-}
-
-/// Record `program` as the native implementation of `ring`, keyed on
-/// the `Arc`'s pointer identity ([`native_program_for`] guards against
-/// ABA reuse with a `Weak` + `ptr_eq` check). Public so tests can
-/// inject chaos binaries; normal callers use [`register_native_map`].
-pub fn register_native_program(ring: &Arc<Ring>, program: NativeProgram) {
-    let mut map = registry().lock().unwrap_or_else(|e| e.into_inner());
-    // Opportunistic sweep: drop entries whose ring died, so the map
-    // stays proportional to live registrations.
-    if map.len() >= 64 {
-        map.retain(|_, (weak, _)| weak.strong_count() > 0);
-    }
-    map.insert(Arc::as_ptr(ring) as usize, (Arc::downgrade(ring), program));
-}
-
-/// The registered native program for `ring`, if its registration is
-/// still live (same `Arc`, not a reused allocation).
-pub fn native_program_for(ring: &Arc<Ring>) -> Option<NativeProgram> {
-    let map = registry().lock().unwrap_or_else(|e| e.into_inner());
-    let (weak, program) = map.get(&(Arc::as_ptr(ring) as usize))?;
-    let strong = weak.upgrade()?;
-    Arc::ptr_eq(&strong, ring).then(|| program.clone())
-}
-
-/// Remove `ring`'s registration; returns whether one existed.
-pub fn unregister_native(ring: &Arc<Ring>) -> bool {
-    let mut map = registry().lock().unwrap_or_else(|e| e.into_inner());
-    map.remove(&(Arc::as_ptr(ring) as usize)).is_some()
+    })
 }
 
 #[cfg(test)]
@@ -545,21 +514,6 @@ mod tests {
             binary: PathBuf::from(format!("/nonexistent/{name}")),
             kind: WorkerKind::Map,
         }
-    }
-
-    #[test]
-    fn registry_is_keyed_on_arc_identity() {
-        use snap_ast::builder::*;
-        let ring = Arc::new(Ring::reporter(mul(empty_slot(), num(2.0))));
-        let twin = Arc::new(Ring::reporter(mul(empty_slot(), num(2.0))));
-        register_native_program(&ring, fake_program("identity_test"));
-        assert!(native_program_for(&ring).is_some());
-        assert!(
-            native_program_for(&twin).is_none(),
-            "structurally equal ring must not hit the registration"
-        );
-        assert!(unregister_native(&ring));
-        assert!(native_program_for(&ring).is_none());
     }
 
     #[test]
@@ -577,6 +531,39 @@ mod tests {
         let pool = NativePool::default();
         let err = pool.map_frame(&fake_program("missing"), &[1.0]);
         assert!(matches!(err, Err(HarnessError::RunFailed { .. })));
+    }
+
+    #[test]
+    fn untranslatable_ring_is_an_error_before_any_compile() {
+        // A command ring has no C expression: the emitter refuses it,
+        // so the error is the same with or without a toolchain.
+        let err = compile_native_map(&Ring::command(vec![]));
+        assert!(matches!(err, Err(HarnessError::Io(_))), "got {err:?}");
+    }
+
+    #[test]
+    fn equal_rings_compile_to_one_cached_program() {
+        use snap_ast::builder::*;
+        if Harness::detect().is_err() {
+            eprintln!("codegen.toolchain_missing — skipping native compile test");
+            return;
+        }
+        // The program is keyed on the emitted source, not on a ring's
+        // identity: two separately built equal rings share one binary,
+        // and a different ring gets its own.
+        let ring = Ring::reporter(mul(empty_slot(), num(2.0)));
+        let twin = Ring::reporter(mul(empty_slot(), num(2.0)));
+        let program = compile_native_map(&ring).unwrap();
+        assert_eq!(program, compile_native_map(&twin).unwrap());
+        assert_eq!(program.kind, WorkerKind::Map);
+        let tripler = compile_native_map(&Ring::reporter(mul(empty_slot(), num(3.0)))).unwrap();
+        assert_ne!(program.binary, tripler.binary);
+
+        let pool = NativePool::default();
+        assert_eq!(
+            pool.map_frame(&program, &[1.5, -2.0, 0.0]).unwrap(),
+            vec![3.0, -4.0, 0.0]
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Differential proptest suite: random numeric rings are lowered to
 //! C/OpenMP, compiled, executed over the stdin protocol, and compared
-//! **bit-for-bit** against the tree-walk oracle (and the bytecode and
+//! **bit-for-bit** against the tree-walk oracle (and the scalar and
 //! columnar batch tiers). Ops are restricted to the IEEE-exact set the
 //! four tiers agree on exactly — add/sub/mul/div plus the floored mod,
 //! and the Neg/Abs/Sqrt/Round/Floor/Ceil unaries. `pow`/trig/log are
@@ -140,9 +140,9 @@ fn check_ring(harness: &Harness, seed: u64) -> Result<(), String> {
     )
     .map_err(|e| format!("{e}\n--- source ---\n{source}"))?;
     compare_values(
-        &format!("seed {seed}: native vs bytecode"),
+        &format!("seed {seed}: native vs scalar"),
         &native,
-        &tiers.bytecode,
+        &tiers.scalar,
     )?;
     if let Some(batch) = &tiers.batch {
         compare_values(&format!("seed {seed}: native vs batch"), &native, batch)?;

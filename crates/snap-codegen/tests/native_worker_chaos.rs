@@ -2,7 +2,7 @@
 //! mid-stream (poison frame), made to crash on every frame (a
 //! deliberately broken binary), and recompiled under a new
 //! content-addressed key — asserting the crash ladder (respawn exactly
-//! once, then propagate so the caller falls back in-process) and the
+//! once, then propagate the error to the caller) and the
 //! staleness rule (a new binary retires the old warm worker; frames
 //! never run stale code).
 //!
@@ -16,7 +16,7 @@ use snap_ast::builder::*;
 use snap_ast::Ring;
 use snap_codegen::harness::Harness;
 use snap_codegen::openmp::emit_map_openmp;
-use snap_codegen::worker::{native_pool, register_native_map, NativeProgram, WorkerKind};
+use snap_codegen::worker::{compile_native_map, native_pool, NativeProgram, WorkerKind};
 use snap_trace::well_known;
 
 /// Serializes the counter-delta tests within this binary.
@@ -39,7 +39,7 @@ fn harness() -> Option<Harness> {
 
 /// A worker that performs the handshake, then exits before answering
 /// any frame — every frame against it fails, driving the ladder to the
-/// respawn and then to the caller's fallback.
+/// respawn and then to an error for the caller.
 const CRASH_ALWAYS_C: &str = r#"#include <stdio.h>
 #include <stdlib.h>
 int main(int argc, char *argv[]) {
@@ -75,7 +75,7 @@ fn poisoned_worker_respawns_exactly_once_with_identical_results() {
         vec!["x".into()],
         mul(var("x"), num(2.0)),
     ));
-    let program = register_native_map(&ring).expect("ring compiles");
+    let program = compile_native_map(&ring).expect("ring compiles");
     let inputs: Vec<f64> = (0..200).map(|i| i as f64 * 0.5 - 40.0).collect();
     let before_kill = native_pool()
         .map_frame(&program, &inputs)

@@ -21,7 +21,7 @@ use snap_codegen::harness::{
     MAPREDUCE_REL_TOL,
 };
 use snap_codegen::openmp::{emit_mapreduce_openmp_protocol, summing_reducer, word_count_mapper};
-use snap_codegen::worker::{native_pool, register_native_map, NativeProgram, WorkerKind};
+use snap_codegen::worker::{compile_native_map, native_pool, NativeProgram, WorkerKind};
 
 /// Constant pool: mundane values plus the edges where C `int`
 /// arithmetic or printf rounding would diverge from IEEE doubles.
@@ -138,8 +138,8 @@ fn frame_inputs(seed: u64, frame: u64, len: usize) -> Vec<f64> {
 /// and that the worker pid never changes (one spawn, many frames).
 fn check_persistent_ring(seed: u64, frames: u64) -> Result<(), String> {
     let ring = random_ring(seed);
-    let program = register_native_map(&ring)
-        .map_err(|e| format!("seed {seed}: register_native_map failed: {e}"))?;
+    let program = compile_native_map(&ring)
+        .map_err(|e| format!("seed {seed}: compile_native_map failed: {e}"))?;
     let mut pid = None;
     for frame in 0..frames {
         let inputs = frame_inputs(seed, frame, 40);
@@ -162,9 +162,9 @@ fn check_persistent_ring(seed: u64, frames: u64) -> Result<(), String> {
             &tiers.treewalk,
         )?;
         compare_values(
-            &format!("seed {seed} frame {frame}: persistent vs bytecode"),
+            &format!("seed {seed} frame {frame}: persistent vs scalar"),
             &native,
-            &tiers.bytecode,
+            &tiers.scalar,
         )?;
         if let Some(batch) = &tiers.batch {
             compare_values(
@@ -205,7 +205,7 @@ fn empty_and_lane_boundary_frames_round_trip() {
         vec!["x".into()],
         add(mul(var("x"), num(3.0)), num(1.5)),
     ));
-    let program = register_native_map(&ring).expect("ring compiles");
+    let program = compile_native_map(&ring).expect("ring compiles");
     let first_pid = {
         let warmup = native_pool()
             .map_frame(&program, &[2.0])

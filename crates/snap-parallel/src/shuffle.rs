@@ -503,16 +503,4 @@ mod tests {
             assert!(v2.len() <= v1.len());
         }
     }
-
-    #[test]
-    fn combine_pairs_counts_eliminated_pairs() {
-        let before = metrics::SHUFFLE_PAIRS_COMBINED.get();
-        let pairs: Vec<(Value, Value)> = (0..100)
-            .map(|i| (Value::Number((i % 5) as f64), 1.into()))
-            .collect();
-        let out = combine_pairs(pairs, BinOp::Add, 2, ExecMode::Pooled);
-        // 2 chunks × 5 keys = 10 surviving pairs, 90 eliminated.
-        assert_eq!(out.len(), 10);
-        assert_eq!(metrics::SHUFFLE_PAIRS_COMBINED.get() - before, 90);
-    }
 }

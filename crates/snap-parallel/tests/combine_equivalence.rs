@@ -4,8 +4,13 @@
 //! cut shuffled pairs by **at least 5×** while leaving the `mapReduce`
 //! output — values *and* group ordering — bit-for-bit identical to the
 //! uncombined run.
+//!
+//! The counter checks assert exact deltas of the process-wide
+//! `shuffle.pairs_combined` / `shuffle.combine_runs` counters, and every
+//! test here runs the combiner, so each test holds [`COUNTER_LOCK`]: no
+//! sibling can move the counters between a test's before and after.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use snap_ast::builder::*;
 use snap_ast::{BinOp, Ring, Value};
@@ -13,6 +18,14 @@ use snap_data::generate_words;
 use snap_parallel::{combine_pairs, map_reduce_with_combine, CombinePolicy};
 use snap_trace::well_known as metrics;
 use snap_workers::{ExecMode, RingMapOptions};
+
+static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+
+/// Serialize on the combiner counters (a failed sibling's poison does
+/// not matter: the lock guards no data).
+fn counter_lock() -> MutexGuard<'static, ()> {
+    COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn word_count_mapper() -> Arc<Ring> {
     Arc::new(Ring::reporter_with_params(
@@ -36,6 +49,7 @@ fn corpus(n: usize) -> Vec<Value> {
 
 #[test]
 fn combiner_cuts_pairs_at_least_five_fold_on_word_corpus() {
+    let _guard = counter_lock();
     // Deterministic, directly on the combiner: 20k Zipf words over a
     // bounded vocabulary, 4 chunks → at most 4 × vocabulary pairs out.
     let pairs: Vec<(Value, Value)> = corpus(20_000)
@@ -65,6 +79,7 @@ fn combiner_cuts_pairs_at_least_five_fold_on_word_corpus() {
 
 #[test]
 fn combined_map_reduce_output_is_identical_to_uncombined() {
+    let _guard = counter_lock();
     // End-to-end mapReduce on the word-count corpus: combiner on vs off
     // must agree exactly, across worker counts, including output order.
     let items = corpus(8_000);
@@ -95,6 +110,7 @@ fn combined_map_reduce_output_is_identical_to_uncombined() {
 
 #[test]
 fn auto_policy_combines_on_the_word_corpus() {
+    let _guard = counter_lock();
     // The default path (map_reduce → Auto) must actually engage the
     // combiner for the associative word-count reducer.
     let items = corpus(4_000);
@@ -118,4 +134,17 @@ fn auto_policy_combines_on_the_word_corpus() {
         eliminated >= 4_000 - 4 * 105,
         "Auto policy barely combined: only {eliminated} pairs eliminated"
     );
+}
+
+#[test]
+fn combine_pairs_counts_eliminated_pairs() {
+    let _guard = counter_lock();
+    let before = metrics::SHUFFLE_PAIRS_COMBINED.get();
+    let pairs: Vec<(Value, Value)> = (0..100)
+        .map(|i| (Value::Number((i % 5) as f64), 1.into()))
+        .collect();
+    let out = combine_pairs(pairs, BinOp::Add, 2, ExecMode::Pooled);
+    // 2 chunks × 5 keys = 10 surviving pairs, 90 eliminated.
+    assert_eq!(out.len(), 10);
+    assert_eq!(metrics::SHUFFLE_PAIRS_COMBINED.get() - before, 90);
 }

@@ -407,13 +407,12 @@ pub mod well_known {
     /// Ring compile-cache misses (fresh compiles).
     pub static COMPILE_CACHE_MISSES: Counter = Counter::new("compile_cache.misses");
 
-    /// Rings lowered to bytecode (numeric or boxed) at compile time.
+    /// Rings lowered to the numeric `f64` bytecode at compile time.
     pub static RING_BYTECODE_COMPILES: Counter = Counter::new("ring.bytecode_compiles");
     /// Ring calls served by the unboxed `f64` numeric fast path.
     pub static RING_FASTPATH_CALLS: Counter = Counter::new("ring.fastpath_calls");
-    /// Ring calls served by boxed bytecode.
-    pub static RING_BYTECODE_CALLS: Counter = Counter::new("ring.bytecode_calls");
-    /// Ring calls that fell back to the tree-walking evaluator.
+    /// Ring calls served by the tree-walking evaluator (every ring the
+    /// numeric pass declines).
     pub static RING_TREEWALK_CALLS: Counter = Counter::new("ring.treewalk_calls");
     /// `eval_batch` invocations — each covers a whole chunk of elements.
     pub static RING_BATCH_CALLS: Counter = Counter::new("ring.batch_calls");
@@ -498,9 +497,6 @@ pub mod well_known {
     pub static CODEGEN_WORKER_FRAMES: Counter = Counter::new("codegen.worker_frames");
     /// Dead native workers respawned (exactly-once crash recovery).
     pub static CODEGEN_WORKER_RESTARTS: Counter = Counter::new("codegen.worker_restarts");
-    /// Native frames abandoned to the in-process batch tier after a
-    /// respawned worker died again (the bottom of the crash ladder).
-    pub static CODEGEN_WORKER_FALLBACKS: Counter = Counter::new("codegen.worker_fallbacks");
     /// Warm workers retired: idle past the reap deadline, or holding a
     /// binary whose content-addressed cache key went stale.
     pub static CODEGEN_WORKER_REAPED: Counter = Counter::new("codegen.worker_reaped");
@@ -518,7 +514,7 @@ pub mod well_known {
 }
 
 /// Every well-known counter, for enumeration by reports.
-pub fn known_counters() -> [&'static Counter; 67] {
+pub fn known_counters() -> [&'static Counter; 65] {
     use well_known::*;
     [
         &POOL_JOBS_SUBMITTED,
@@ -548,7 +544,6 @@ pub fn known_counters() -> [&'static Counter; 67] {
         &COMPILE_CACHE_MISSES,
         &RING_BYTECODE_COMPILES,
         &RING_FASTPATH_CALLS,
-        &RING_BYTECODE_CALLS,
         &RING_TREEWALK_CALLS,
         &RING_BATCH_CALLS,
         &RING_BATCH_ELEMS,
@@ -581,7 +576,6 @@ pub fn known_counters() -> [&'static Counter; 67] {
         &CODEGEN_WORKER_SPAWNS,
         &CODEGEN_WORKER_FRAMES,
         &CODEGEN_WORKER_RESTARTS,
-        &CODEGEN_WORKER_FALLBACKS,
         &CODEGEN_WORKER_REAPED,
         &VM_PROCESSES_SPAWNED,
         &TRACE_SPANS_DROPPED,

@@ -48,6 +48,6 @@ pub use parallel::{default_workers, map_slice, Parallel, Strategy};
 pub use pool::{PoolClosed, WorkerPool};
 pub use ring_fn::{
     as_map_pair, ring_map, ring_map_faulted, ring_map_pairs, ring_map_pairs_faulted,
-    ring_reduce_groups, ring_reduce_groups_faulted, ColumnarPolicy, Isolation, NativePolicy,
-    RingMapError, RingMapOptions, COLUMNAR_MIN_ITEMS, NATIVE_MIN_ITEMS,
+    ring_reduce_groups, ring_reduce_groups_faulted, ColumnarPolicy, Isolation, RingMapError,
+    RingMapOptions, COLUMNAR_MIN_ITEMS,
 };

@@ -9,17 +9,17 @@
 //! instead of "hope the JS works in the worker"), deep-copy each item
 //! across the thread boundary, evaluate, deep-copy the result back.
 //!
-//! Compilation goes further than the paper's `new Function`: the
-//! `PureFn` from [`compile_cached`] carries ring **bytecode** (an
-//! unboxed `f64` register program for numeric rings — see
-//! `snap_ast::bytecode`), so every execution path that flows through
-//! here — pooled, work-stolen, fault-retried, spawn-per-call — runs the
-//! compiled form per item, not a tree walk. On top of that sits the
-//! **columnar batch tier**: when the ring is batchable and every list
-//! element is a `Value::Number`, the map unboxes the list once, moves
-//! flat `f64` chunks through the pool, and runs `eval_batch` per chunk
-//! with no per-element dispatch at all (see [`ColumnarPolicy`]). The
-//! `ring.batch_calls` / `ring.fastpath_calls` / `ring.bytecode_calls` /
+//! Compilation goes further than the paper's `new Function`: a numeric
+//! ring's `PureFn` from [`compile_cached`] carries an unboxed `f64`
+//! register program (see `snap_ast::bytecode`), so every execution path
+//! that flows through here — pooled, work-stolen, fault-retried,
+//! spawn-per-call — runs it per item; every other ring runs on the tree
+//! walk. On top of that sits the **columnar batch tier**: when the ring
+//! is batchable and every list element is a `Value::Number`, the map
+//! unboxes the list once, moves flat `f64` chunks through the pool, and
+//! runs `eval_batch` per chunk with no per-element dispatch at all (see
+//! [`ColumnarPolicy`]). The ladder is columnar batch → numeric scalar →
+//! tree walk; the `ring.batch_calls` / `ring.fastpath_calls` /
 //! `ring.treewalk_calls` counters show which tier a run used.
 
 use std::fmt;
@@ -27,7 +27,6 @@ use std::sync::Arc;
 
 use snap_ast::pure::{compile_cached, PureFn};
 use snap_ast::{EvalError, Ring, Value};
-use snap_codegen::worker::{native_pool, native_program_for, NativeProgram};
 
 use crate::executor::{columnar_chunk_size, try_map_slice_with, ExecMode};
 use crate::fault::{ExecError, FaultPolicy};
@@ -65,33 +64,6 @@ pub enum ColumnarPolicy {
 /// size inputs relative to the threshold.
 pub const COLUMNAR_MIN_ITEMS: usize = 16;
 
-/// Whether [`ring_map`] may route large columnar chunks through a warm
-/// compiled-C worker (`snap_codegen::worker`) instead of the in-process
-/// `eval_batch`. Only rings explicitly registered with
-/// [`snap_codegen::worker::register_native_map`] are eligible, so `Auto`
-/// is a no-op until someone compiles the ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NativePolicy {
-    /// Route chunks of ≥ [`NATIVE_MIN_ITEMS`] elements through the
-    /// persistent native worker when the ring has a compiled program
-    /// and the columnar tier produced flat `f64` chunks. A worker
-    /// failure falls back to `eval_batch` for that chunk
-    /// (`codegen.worker_fallbacks`) — results are bit-identical either
-    /// way.
-    #[default]
-    Auto,
-    /// Never leave the process — the ablation baseline, and the knob
-    /// the differential tests flip to prove output equivalence.
-    Disabled,
-}
-
-/// Below this many elements a frame's fixed cost (two pipe round-trips
-/// plus OpenMP fork/join in the worker) outweighs `eval_batch`'s
-/// ~nanoseconds-per-element lane loop, so smaller chunks stay
-/// in-process. Public so tests and benches can size inputs relative to
-/// the threshold.
-pub const NATIVE_MIN_ITEMS: usize = 1024;
-
 /// Options for [`ring_map`].
 #[derive(Debug, Clone, Copy)]
 pub struct RingMapOptions {
@@ -113,9 +85,6 @@ pub struct RingMapOptions {
     pub policy: FaultPolicy,
     /// Columnar batch tier: on by default, off for ablation.
     pub columnar: ColumnarPolicy,
-    /// Persistent native-worker tier: on by default (but inert until a
-    /// ring is registered), off for ablation and differential tests.
-    pub native: NativePolicy,
 }
 
 impl Default for RingMapOptions {
@@ -128,7 +97,6 @@ impl Default for RingMapOptions {
             latency: None,
             policy: FaultPolicy::default(),
             columnar: ColumnarPolicy::default(),
-            native: NativePolicy::default(),
         }
     }
 }
@@ -198,11 +166,7 @@ pub fn ring_map_faulted(
         && len >= COLUMNAR_MIN_ITEMS
     {
         if let Some(inputs) = f.is_batchable().then(|| columnar_f64(&items)).flatten() {
-            let native = match options.native {
-                NativePolicy::Auto => native_program_for(&ring),
-                NativePolicy::Disabled => None,
-            };
-            return columnar_map(&f, inputs, &options, native.as_ref());
+            return columnar_map(&f, inputs, &options);
         }
         // A batch-sized map stayed on the per-element path: either the
         // ring is not batchable or the list is not all-numeric.
@@ -262,27 +226,14 @@ fn columnar_f64(items: &[Value]) -> Option<Vec<f64>> {
 /// as [`RingMapError::Exec`] so callers degrade exactly as they do for
 /// the per-element path. Isolation needs no handling here: numbers are
 /// plain copies either way.
-///
-/// When `native` is set (the ring has a registered compiled program and
-/// [`NativePolicy::Auto`] is in force), chunks are sized up to at least
-/// [`NATIVE_MIN_ITEMS`] and each big-enough chunk becomes one binary
-/// frame to the warm worker; undersized tails and worker failures run
-/// the same `eval_batch` lane loop, so the output is identical
-/// regardless of which side of the pipe computed it.
 fn columnar_map(
     f: &PureFn,
     inputs: Vec<f64>,
     options: &RingMapOptions,
-    native: Option<&NativeProgram>,
 ) -> Result<Vec<Value>, RingMapError> {
     let len = inputs.len();
     let _span = snap_trace::span!("columnar_map", len);
-    let mut chunk = columnar_chunk_size(len, options.workers);
-    if native.is_some() {
-        // Coarsen so a typical chunk clears the frame threshold instead
-        // of splitting one native-worthy list into all-tail pieces.
-        chunk = chunk.max(NATIVE_MIN_ITEMS);
-    }
+    let chunk = columnar_chunk_size(len, options.workers);
     let chunks: Vec<std::ops::Range<usize>> = (0..len)
         .step_by(chunk)
         .map(|start| start..(start + chunk).min(len))
@@ -295,18 +246,6 @@ fn columnar_map(
         &options.policy,
         |range| {
             snap_trace::well_known::PAR_COLUMNAR_CHUNKS.incr();
-            if let Some(program) = native {
-                if range.len() >= NATIVE_MIN_ITEMS {
-                    match native_pool().map_frame(program, &inputs[range.clone()]) {
-                        Ok(out) => return out,
-                        Err(_) => {
-                            // Worker died twice (or never came up):
-                            // salvage the chunk in-process.
-                            snap_trace::well_known::CODEGEN_WORKER_FALLBACKS.incr();
-                        }
-                    }
-                }
-            }
             let mut out = Vec::with_capacity(range.len());
             let batched = f.eval_batch(&inputs[range.clone()], &mut out);
             debug_assert!(batched, "columnar_map requires a batchable ring");

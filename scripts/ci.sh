@@ -18,6 +18,9 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+echo "==> perfbench: the whole-program benchmark builds against the library and its tests pass"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 mkdir -p target/ci
 echo "==> traced example: concession_stand --trace"
 cargo run --release --example concession_stand -- --trace target/ci/concession_trace.json \
@@ -103,7 +106,6 @@ cargo test --release -p snap-codegen --test codegen_diff -- --nocapture
 echo "==> codegen: persistent-worker differential + chaos (frames, crash ladder, staleness)"
 cargo test --release -p snap-codegen --test native_worker_diff -- --nocapture
 cargo test --release -p snap-codegen --test native_worker_chaos -- --nocapture
-cargo test --release -p snap-workers --test native_ring_map -- --nocapture
 
 echo "==> codegen_check: compile + run + tier equivalence on every scenario"
 mkdir -p target/ci/codegen

@@ -110,17 +110,17 @@ fn traced_run_emits_reconcilable_trace_and_report() {
     assert!(report.counter("shuffle.parallel_runs") >= 1);
     assert!(report.counter("compile_cache.misses") >= 1);
 
-    // --- ring bytecode + combiner counters --------------------------
+    // --- ring tier + combiner counters -----------------------------
     // The ×10 map ring is numeric over an all-Number list → the run must
     // take the columnar batch tier: every one of its 10k elements flows
     // through eval_batch chunks, with no per-element dispatch. The
-    // word-count mapper's make_list body runs boxed bytecode; the
+    // word-count mapper's make_list body runs on the tree walk; the
     // associative reducer engages the combiner.
     assert!(report.counter("ring.bytecode_compiles") >= 2);
     assert!(report.counter("ring.batch_elems") >= 10_000);
     assert!(report.counter("ring.batch_calls") >= 1);
     assert!(report.counter("par.columnar_chunks") >= 1);
-    assert!(report.counter("ring.bytecode_calls") >= 1);
+    assert!(report.counter("ring.treewalk_calls") >= 1);
     assert!(report.counter("shuffle.combine_runs") >= 1);
     assert!(
         report.counter("shuffle.pairs_combined") > 0,
