@@ -11,19 +11,20 @@
 //! ```
 //!
 //! Report validation checks the schema (counters/gauges/spans/
-//! executed_per_worker) and that every counter in
-//! [`REQUIRED_REPORT_COUNTERS`] — including the PR-5 ring-bytecode and
-//! combiner counters — is present. `--require-counter <name>`
+//! executed_per_worker) and that every well-known counter — each row of
+//! `snap_trace::metrics::known_counters()`, the table `report()` emits
+//! zero or not — is present. `--require-counter <name>`
 //! additionally asserts the named counter is **positive** in every
 //! report file checked (CI uses it to prove the map-side combiner
 //! actually ran on the traced example).
 //!
 //! `--bench-json` instead validates a `scripts/bench.sh` baseline file
-//! (date, host_cpus, and a non-empty benches array of name/mean_ns/
+//! (date, host_cpus, and a non-empty benches array of name/median_ns/
 //! workers entries). With `--baseline`, the fresh run is additionally
 //! compared against the committed baseline: the gated benches (see
 //! [`GATED_BENCHES`]; from `a1_job_churn/1` through
-//! `a10_native_amortized/persistent_deep_120000`) fail the check when more than 25% slower than
+//! `a10_native_amortized/persistent_deep_120000`) fail the check when
+//! missing from either file or more than 25% slower than the
 //! baseline, and the full comparison table is appended to
 //! `$GITHUB_STEP_SUMMARY` when that variable is set. Exits non-zero if
 //! a file is missing, fails to parse, lacks its required structure,
@@ -86,43 +87,6 @@ fn check_trace(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Counters every `ExecutionReport` JSON must carry — the observability
-/// contract each subsystem PR extends. PR 5 added the ring-bytecode
-/// tiers and the map-side combiner; PR 6 added the columnar batch tier;
-/// PR 7 added the continuous-telemetry self-audit counters; PR 8 added
-/// the streaming-pipeline counters.
-const REQUIRED_REPORT_COUNTERS: &[&str] = &[
-    "stream.items_in",
-    "stream.items_out",
-    "stream.blocks",
-    "pool.jobs_executed",
-    "compile_cache.hits",
-    "compile_cache.misses",
-    "ring.bytecode_compiles",
-    "ring.fastpath_calls",
-    "ring.treewalk_calls",
-    "ring.batch_calls",
-    "ring.batch_elems",
-    "ring.batch_fallbacks",
-    "par.columnar_chunks",
-    "shuffle.pairs",
-    "shuffle.combine_runs",
-    "shuffle.pairs_combined",
-    "trace.spans_dropped",
-    "trace.overhead_ns",
-    "trace.profile_samples",
-    "codegen.compiles",
-    "codegen.runs",
-    "codegen.native_elems",
-    "codegen.toolchain_missing",
-    "codegen.cache_hits",
-    "codegen.cache_misses",
-    "codegen.worker_spawns",
-    "codegen.worker_frames",
-    "codegen.worker_restarts",
-    "codegen.worker_reaped",
-];
-
 fn check_report(path: &str, require_positive: &[String]) -> Result<(), String> {
     let doc = parse_file(path)?;
     let object = doc
@@ -137,7 +101,8 @@ fn check_report(path: &str, require_positive: &[String]) -> Result<(), String> {
         .get("counters")
         .and_then(Value::as_object)
         .ok_or_else(|| format!("{path}: counters is not an object"))?;
-    for name in REQUIRED_REPORT_COUNTERS {
+    for known in snap_trace::metrics::known_counters() {
+        let name = known.metric.name();
         if counters.get(name).is_none() {
             return Err(format!("{path}: report missing counter {name:?}"));
         }
@@ -174,14 +139,14 @@ fn check_bench_json(path: &str) -> Result<(), String> {
         let entry = bench
             .as_object()
             .ok_or_else(|| format!("{path}: bench {i} is not an object"))?;
-        for field in ["name", "mean_ns", "workers"] {
+        for field in ["name", "median_ns", "workers"] {
             if entry.get(field).is_none() {
                 return Err(format!("{path}: bench {i} missing {field:?}"));
             }
         }
-        match entry.get("mean_ns") {
+        match entry.get("median_ns") {
             Some(Value::Number(ns)) if ns.as_f64() > 0.0 => {}
-            _ => return Err(format!("{path}: bench {i} mean_ns is not positive")),
+            _ => return Err(format!("{path}: bench {i} median_ns is not positive")),
         }
     }
     println!("{path}: OK — {} bench baselines", benches.len());
@@ -214,13 +179,13 @@ const GATED_BENCHES: &[&str] = &[
 /// than 25% slower than the committed baseline.
 const GATE_RATIO: f64 = 1.25;
 
-fn bench_means(path: &str) -> Result<Vec<(String, f64)>, String> {
+fn bench_medians(path: &str) -> Result<Vec<(String, f64)>, String> {
     let doc = parse_file(path)?;
     let benches = match doc.as_object().and_then(|o| o.get("benches")) {
         Some(Value::Array(benches)) => benches,
         _ => return Err(format!("{path}: no benches array")),
     };
-    let mut means = Vec::with_capacity(benches.len());
+    let mut medians = Vec::with_capacity(benches.len());
     for bench in benches {
         let entry = bench
             .as_object()
@@ -229,32 +194,37 @@ fn bench_means(path: &str) -> Result<Vec<(String, f64)>, String> {
             .get("name")
             .and_then(Value::as_str)
             .ok_or_else(|| format!("{path}: bench entry missing name"))?;
-        let mean = match entry.get("mean_ns") {
+        let median = match entry.get("median_ns") {
             Some(Value::Number(ns)) => ns.as_f64(),
-            _ => return Err(format!("{path}: bench {name:?} missing mean_ns")),
+            _ => return Err(format!("{path}: bench {name:?} missing median_ns")),
         };
-        means.push((name.to_string(), mean));
+        medians.push((name.to_string(), median));
     }
-    Ok(means)
+    Ok(medians)
 }
 
 /// Compare a fresh bench run against the committed baseline. Prints a
 /// markdown comparison table (also appended to `$GITHUB_STEP_SUMMARY`
-/// when set) and fails if any gated bench regressed past [`GATE_RATIO`].
+/// when set) and fails if any gated bench is missing from either file
+/// or regressed past [`GATE_RATIO`].
 fn compare_bench_json(current_path: &str, baseline_path: &str) -> Result<(), String> {
-    let current = bench_means(current_path)?;
-    let baseline = bench_means(baseline_path)?;
+    let current = bench_medians(current_path)?;
+    let baseline = bench_medians(baseline_path)?;
     let mut table = String::from(
         "## Bench regression gate\n\n\
          | bench | baseline ns | current ns | ratio | gate |\n\
          |---|---:|---:|---:|---|\n",
     );
     let mut regressions = Vec::new();
+    for gated in GATED_BENCHES {
+        for (path, rows) in [(current_path, &current), (baseline_path, &baseline)] {
+            if !rows.iter().any(|(name, _)| name == gated) {
+                regressions.push(format!("{gated}: missing from {path}"));
+            }
+        }
+    }
     for (name, base_ns) in &baseline {
         let Some((_, cur_ns)) = current.iter().find(|(n, _)| n == name) else {
-            if GATED_BENCHES.contains(&name.as_str()) {
-                regressions.push(format!("{name}: missing from {current_path}"));
-            }
             continue;
         };
         let ratio = cur_ns / base_ns;
@@ -307,18 +277,18 @@ const OVERHEAD_GATE_RATIO: f64 = 1.03;
 /// Assert the `a7_trace_overhead` pair in a fresh bench run is within
 /// [`OVERHEAD_GATE_RATIO`].
 fn check_overhead_gate(path: &str) -> Result<(), String> {
-    let means = bench_means(path)?;
-    let mean_of = |name: &str| {
-        means
+    let medians = bench_medians(path)?;
+    let median_of = |name: &str| {
+        medians
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, ns)| *ns)
             .ok_or_else(|| format!("{path}: missing bench {name:?}"))
     };
-    let off = mean_of("a7_trace_overhead/telemetry_off")?;
-    let on = mean_of("a7_trace_overhead/telemetry_on")?;
+    let off = median_of("a7_trace_overhead/telemetry_off")?;
+    let on = median_of("a7_trace_overhead/telemetry_on")?;
     if off <= 0.0 {
-        return Err(format!("{path}: telemetry_off mean is not positive"));
+        return Err(format!("{path}: telemetry_off median is not positive"));
     }
     let ratio = on / off;
     if ratio > OVERHEAD_GATE_RATIO {

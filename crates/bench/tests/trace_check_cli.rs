@@ -38,45 +38,23 @@ fn assert_fails(output: &Output, expected_in_stderr: &str) {
     );
 }
 
-/// A minimal report JSON carrying every required counter, which the
-/// per-test cases then corrupt.
-fn full_report_json() -> String {
-    let counters = [
-        "pool.jobs_executed",
-        "compile_cache.hits",
-        "compile_cache.misses",
-        "ring.bytecode_compiles",
-        "ring.fastpath_calls",
-        "ring.treewalk_calls",
-        "ring.batch_calls",
-        "ring.batch_elems",
-        "ring.batch_fallbacks",
-        "par.columnar_chunks",
-        "shuffle.pairs",
-        "shuffle.combine_runs",
-        "shuffle.pairs_combined",
-        "trace.spans_dropped",
-        "trace.overhead_ns",
-        "trace.profile_samples",
-        "stream.items_in",
-        "stream.items_out",
-        "stream.blocks",
-        "codegen.compiles",
-        "codegen.runs",
-        "codegen.native_elems",
-        "codegen.toolchain_missing",
-        "codegen.cache_hits",
-        "codegen.cache_misses",
-        "codegen.worker_spawns",
-        "codegen.worker_frames",
-        "codegen.worker_restarts",
-        "codegen.worker_reaped",
-    ];
-    let body: Vec<String> = counters.iter().map(|c| format!("\"{c}\": 1")).collect();
+/// A minimal report JSON carrying every well-known counter except
+/// `missing` (`""` keeps them all), which the per-test cases corrupt.
+fn report_json_without(missing: &str) -> String {
+    let body: Vec<String> = snap_trace::metrics::known_counters()
+        .iter()
+        .map(|known| known.metric.name())
+        .filter(|name| *name != missing)
+        .map(|name| format!("\"{name}\": 1"))
+        .collect();
     format!(
         "{{\"counters\": {{{}}}, \"gauges\": {{}}, \"spans\": [], \"executed_per_worker\": []}}",
         body.join(", ")
     )
+}
+
+fn full_report_json() -> String {
+    report_json_without("")
 }
 
 const VALID_TRACE: &str = r#"{"traceEvents":[{"name":"ring_map","cat":"snap","ph":"X","pid":1,"tid":1,"ts":1.5,"dur":2.0,"args":{"span_id":7}}],"displayTimeUnit":"ms"}"#;
@@ -112,10 +90,22 @@ fn trace_event_missing_required_field_fails() {
 fn report_missing_required_counter_fails() {
     let trace = temp_file("ok_trace_a.json", VALID_TRACE);
     // Drop trace.spans_dropped from the otherwise-complete counter set.
-    let gutted = full_report_json().replace("\"trace.spans_dropped\": 1, ", "");
-    let report = temp_file("gutted_report.json", &gutted);
+    let report = temp_file(
+        "gutted_report.json",
+        &report_json_without("trace.spans_dropped"),
+    );
     let out = trace_check(&[trace.to_str().unwrap(), report.to_str().unwrap()]);
-    assert_fails(&out, "trace.spans_dropped");
+    assert_fails(&out, "\"trace.spans_dropped\"");
+}
+
+#[test]
+fn report_missing_any_table_counter_fails() {
+    // vm.frames is a table row like any other, so the report contract
+    // covers it: the check reads the whole table, not a hand-kept list.
+    let trace = temp_file("ok_trace_vm.json", VALID_TRACE);
+    let report = temp_file("no_vm_frames.json", &report_json_without("vm.frames"));
+    let out = trace_check(&[trace.to_str().unwrap(), report.to_str().unwrap()]);
+    assert_fails(&out, "\"vm.frames\"");
 }
 
 #[test]
@@ -147,17 +137,35 @@ fn complete_trace_and_report_pass() {
     );
 }
 
-fn bench_json(churn_ns: f64) -> String {
+/// A bench file with one row per gated bench (`a1_job_churn/1` at
+/// `churn_ns`), minus any name in `skip`.
+fn bench_json_without(churn_ns: f64, skip: &[&str]) -> String {
+    let rows: Vec<String> = [
+        ("a1_job_churn/1", churn_ns, 1),
+        ("a1_nested_latency/outer2_inner8", 1000.0, 8),
+        ("a5_ring_eval/bytecode_fastpath", 1000.0, 4),
+        ("a5_word_count_combine/combiner_on", 1000.0, 4),
+        ("a6_batch_eval/eval_batch", 1000.0, 4),
+        ("a6_columnar_map/columnar_on", 1000.0, 4),
+        ("a8_stream_throughput/streaming", 1000.0, 4),
+        ("a8_stream_latency/numeric_2stage", 1000.0, 4),
+        ("a9_native_vs_batch/batch_tier", 1000.0, 4),
+        ("a10_native_amortized/persistent_deep_120000", 1000.0, 4),
+    ]
+    .into_iter()
+    .filter(|(name, _, _)| !skip.contains(name))
+    .map(|(name, ns, workers)| {
+        format!(r#"{{"name": "{name}", "median_ns": {ns:?}, "workers": {workers}}}"#)
+    })
+    .collect();
     format!(
-        r#"{{"date": "2026-08-08", "host_cpus": 4, "benches": [
-            {{"name": "a1_job_churn/1", "mean_ns": {churn_ns}, "workers": 1}},
-            {{"name": "a1_nested_latency/outer2_inner8", "mean_ns": 1000.0, "workers": 8}},
-            {{"name": "a5_ring_eval/bytecode_fastpath", "mean_ns": 1000.0, "workers": 4}},
-            {{"name": "a5_word_count_combine/combiner_on", "mean_ns": 1000.0, "workers": 4}},
-            {{"name": "a6_batch_eval/eval_batch", "mean_ns": 1000.0, "workers": 4}},
-            {{"name": "a6_columnar_map/columnar_on", "mean_ns": 1000.0, "workers": 4}}
-        ]}}"#
+        r#"{{"date": "2026-08-08", "host_cpus": 4, "benches": [{}]}}"#,
+        rows.join(",\n")
     )
+}
+
+fn bench_json(churn_ns: f64) -> String {
+    bench_json_without(churn_ns, &[])
 }
 
 #[test]
@@ -191,11 +199,41 @@ fn gated_bench_within_tolerance_passes() {
     );
 }
 
+#[test]
+fn gated_bench_missing_from_either_file_fails() {
+    // A gated bench the baseline lacks cannot be compared, so even a 10x
+    // slowdown in the current run would pass unseen: that must fail, as
+    // must a gated bench the current run lacks.
+    let cases = [
+        (
+            bench_json(10_000.0),
+            bench_json_without(1000.0, &["a1_job_churn/1"]),
+            "a1_job_churn/1: missing from",
+        ),
+        (
+            bench_json_without(1000.0, &["a8_stream_latency/numeric_2stage"]),
+            bench_json(1000.0),
+            "a8_stream_latency/numeric_2stage: missing from",
+        ),
+    ];
+    for (i, (current, baseline, expected)) in cases.iter().enumerate() {
+        let current = temp_file(&format!("current_gap{i}.json"), current);
+        let baseline = temp_file(&format!("baseline_gap{i}.json"), baseline);
+        let out = trace_check(&[
+            "--bench-json",
+            current.to_str().unwrap(),
+            "--baseline",
+            baseline.to_str().unwrap(),
+        ]);
+        assert_fails(&out, expected);
+    }
+}
+
 fn overhead_json(on_ns: f64, off_ns: f64) -> String {
     format!(
         r#"{{"date": "2026-08-08", "host_cpus": 4, "benches": [
-            {{"name": "a7_trace_overhead/telemetry_off", "mean_ns": {off_ns}, "workers": 4}},
-            {{"name": "a7_trace_overhead/telemetry_on", "mean_ns": {on_ns}, "workers": 4}}
+            {{"name": "a7_trace_overhead/telemetry_off", "median_ns": {off_ns}, "workers": 4}},
+            {{"name": "a7_trace_overhead/telemetry_on", "median_ns": {on_ns}, "workers": 4}}
         ]}}"#
     )
 }
@@ -224,7 +262,7 @@ fn overhead_gate_requires_the_pair() {
     let path = temp_file(
         "overhead_missing.json",
         r#"{"date": "2026-08-08", "host_cpus": 4, "benches": [
-            {"name": "a7_trace_overhead/telemetry_off", "mean_ns": 1000.0, "workers": 4}
+            {"name": "a7_trace_overhead/telemetry_off", "median_ns": 1000.0, "workers": 4}
         ]}"#,
     );
     let out = trace_check(&["--overhead-gate", path.to_str().unwrap()]);

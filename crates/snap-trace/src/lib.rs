@@ -47,9 +47,8 @@ pub mod window;
 
 pub use export::{chrome_trace_json, chrome_trace_json_with_notes, spans_jsonl};
 pub use metrics::{
-    counter, gauge, gauge_owned, global_workers, histogram, histogram_owned,
-    register_global_workers, well_known, Counter, Gauge, Histogram, HistogramSnapshot,
-    WorkerCounters,
+    counter, gauge_owned, global_workers, histogram_owned, register_global_workers, well_known,
+    Counter, Gauge, Histogram, HistogramSnapshot, WorkerCounters,
 };
 pub use profile::{profile_for, register_thread, sample_once, Profile, ProfilerHandle};
 pub use report::{report, ExecutionReport, SpanSummary};

@@ -2,9 +2,10 @@
 //!
 //! Every metric is a plain atomic: updates are one relaxed RMW with no
 //! locking on any hot path. The well-known runtime metrics (pool, ring
-//! map, compile cache, shuffle, VM) are `static`s so call sites pay no
-//! lookup at all; ad-hoc metrics can be interned at runtime through
-//! [`counter`] / [`gauge`] / [`histogram`], which hand back `&'static`
+//! map, compile cache, shuffle, VM) are declared once, in the
+//! `metrics!` table below, as `static`s so call sites pay no lookup at
+//! all; ad-hoc metrics can be interned at runtime through [`counter`] /
+//! [`gauge_owned`] / [`histogram_owned`], which hand back `&'static`
 //! references from a leak-once registry.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
@@ -327,400 +328,311 @@ impl WorkerCounters {
 // Well-known runtime metrics
 // ---------------------------------------------------------------------
 
-/// The well-known metrics every runtime crate reports into. Call sites
-/// use these statics directly (zero lookup cost); [`known_counters`]
-/// and friends enumerate them for reports and exporters.
-pub mod well_known {
-    use super::{Counter, Gauge, Histogram};
-
-    /// Jobs submitted to the worker pool (accepted sends).
-    pub static POOL_JOBS_SUBMITTED: Counter = Counter::new("pool.jobs_submitted");
-    /// Jobs completed by pool workers.
-    pub static POOL_JOBS_EXECUTED: Counter = Counter::new("pool.jobs_executed");
-    /// Jobs the pool refused (shutdown race) that ran inline instead.
-    pub static POOL_JOBS_REFUSED: Counter = Counter::new("pool.jobs_refused");
-    /// Refused jobs that actually ran inline on the submitting thread —
-    /// the shutdown-race fallback, attributed so report totals
-    /// reconcile (inline runs are neither submitted nor executed).
-    pub static POOL_JOBS_INLINE: Counter = Counter::new("pool.jobs_inline");
-    /// Jobs currently queued or running on the pool.
-    pub static POOL_QUEUE_DEPTH: Gauge = Gauge::new("pool.queue_depth");
-    /// Worker threads spawned (all pools).
-    pub static POOL_WORKERS_SPAWNED: Counter = Counter::new("pool.workers_spawned");
-    /// Jobs a worker popped from its own deque (LIFO fast path).
-    pub static POOL_DEQUEUE_LOCAL: Counter = Counter::new("pool.dequeue_local");
-    /// Jobs dequeued from the shared injector.
-    pub static POOL_DEQUEUE_INJECTOR: Counter = Counter::new("pool.dequeue_injector");
-    /// Jobs stolen FIFO from another worker's deque.
-    pub static POOL_JOBS_STOLEN: Counter = Counter::new("pool.jobs_stolen");
-    /// Times a worker parked (slept on the wake condvar) when every
-    /// queue probe came up empty.
-    pub static POOL_WORKER_PARKS: Counter = Counter::new("pool.worker_parks");
-    /// Job attempts that panicked inside a worker (counted per attempt,
-    /// before any retry decision). Every panicked attempt is either
-    /// retried (`fault.retries_scheduled`) or final
-    /// (`fault.failures_final`), so the three always reconcile.
-    pub static POOL_JOBS_PANICKED: Counter = Counter::new("pool.jobs_panicked");
-
-    /// Panicked attempts granted another try by a `FaultPolicy`.
-    pub static FAULT_RETRIES_SCHEDULED: Counter = Counter::new("fault.retries_scheduled");
-    /// Panicked attempts whose retry budget was exhausted.
-    pub static FAULT_FAILURES_FINAL: Counter = Counter::new("fault.failures_final");
-    /// Parallel calls that gave up because their deadline passed.
-    pub static FAULT_DEADLINES_EXCEEDED: Counter = Counter::new("fault.deadlines_exceeded");
-    /// Panics provoked by the deterministic fault injector.
-    pub static FAULT_INJECTED_PANICS: Counter = Counter::new("fault.injected_panics");
-    /// Delays provoked by the deterministic fault injector.
-    pub static FAULT_INJECTED_DELAYS: Counter = Counter::new("fault.injected_delays");
-    /// Items salvaged by the post-parallel sequential reassignment pass
-    /// after their retry budget ran out on workers.
-    pub static FAULT_ITEMS_REASSIGNED: Counter = Counter::new("fault.items_reassigned");
-    /// Parallel blocks that degraded to the sequential path rather than
-    /// fail (retry exhaustion, pool shutdown, or a pooled panic).
-    pub static FAULT_DEGRADED_RUNS: Counter = Counter::new("fault.degraded_runs");
-
-    /// Simulated cluster nodes that failed mid-run.
-    pub static DIST_NODE_FAILURES: Counter = Counter::new("distributed.node_failures");
-    /// Items reassigned off failed simulated nodes onto survivors.
-    pub static DIST_ITEMS_REASSIGNED: Counter = Counter::new("distributed.items_reassigned");
-    /// Straggler items speculatively re-executed on a backup node.
-    pub static DIST_SPECULATIVE_RUNS: Counter = Counter::new("distributed.speculative_runs");
-    /// Distributed maps that fell back to the master (every node died).
-    pub static DIST_DEGRADED_RUNS: Counter = Counter::new("distributed.degraded_runs");
-
-    /// `run_tasks` invocations that went through the pooled mode.
-    pub static EXEC_POOLED_CALLS: Counter = Counter::new("exec.pooled_calls");
-    /// `run_tasks` invocations that spawned per-call threads.
-    pub static EXEC_SPAWN_CALLS: Counter = Counter::new("exec.spawn_calls");
-    /// Re-entrant pooled calls that ran inline to avoid deadlock.
-    pub static EXEC_REENTRANT_INLINE: Counter = Counter::new("exec.reentrant_inline");
-    /// Dynamic-scheduling chunks claimed via `fetch_add`.
-    pub static EXEC_CHUNKS_CLAIMED: Counter = Counter::new("exec.chunks_claimed");
-
-    /// `ring_map` / `ring_reduce_groups` calls.
-    pub static RING_MAP_CALLS: Counter = Counter::new("ring_map.calls");
-    /// Items shipped through ring maps.
-    pub static RING_MAP_ITEMS: Counter = Counter::new("ring_map.items");
-
-    /// Ring compile-cache hits.
-    pub static COMPILE_CACHE_HITS: Counter = Counter::new("compile_cache.hits");
-    /// Ring compile-cache misses (fresh compiles).
-    pub static COMPILE_CACHE_MISSES: Counter = Counter::new("compile_cache.misses");
-
-    /// Rings lowered to the numeric `f64` bytecode at compile time.
-    pub static RING_BYTECODE_COMPILES: Counter = Counter::new("ring.bytecode_compiles");
-    /// Ring calls served by the unboxed `f64` numeric fast path.
-    pub static RING_FASTPATH_CALLS: Counter = Counter::new("ring.fastpath_calls");
-    /// Ring calls served by the tree-walking evaluator (every ring the
-    /// numeric pass declines).
-    pub static RING_TREEWALK_CALLS: Counter = Counter::new("ring.treewalk_calls");
-    /// `eval_batch` invocations — each covers a whole chunk of elements.
-    pub static RING_BATCH_CALLS: Counter = Counter::new("ring.batch_calls");
-    /// Elements evaluated by `eval_batch` (no per-element dispatch).
-    pub static RING_BATCH_ELEMS: Counter = Counter::new("ring.batch_elems");
-    /// Maps that considered the columnar batch tier but declined it
-    /// (non-batchable ring, or non-numeric elements in the list).
-    pub static RING_BATCH_FALLBACKS: Counter = Counter::new("ring.batch_fallbacks");
-    /// Flat `f64` chunks executed by the columnar map path.
-    pub static PAR_COLUMNAR_CHUNKS: Counter = Counter::new("par.columnar_chunks");
-
-    /// Shuffles that took the sequential path.
-    pub static SHUFFLE_SEQ_RUNS: Counter = Counter::new("shuffle.seq_runs");
-    /// Shuffles that took the parallel (partition/sort/merge) path.
-    pub static SHUFFLE_PARALLEL_RUNS: Counter = Counter::new("shuffle.parallel_runs");
-    /// Pairs shuffled (both paths).
-    pub static SHUFFLE_PAIRS: Counter = Counter::new("shuffle.pairs");
-    /// Map-side combiner runs (associative reducers only).
-    pub static SHUFFLE_COMBINE_RUNS: Counter = Counter::new("shuffle.combine_runs");
-    /// Pairs eliminated by the map-side combiner before the shuffle
-    /// (pairs in minus partially-reduced pairs out).
-    pub static SHUFFLE_PAIRS_COMBINED: Counter = Counter::new("shuffle.pairs_combined");
-    /// Size of each hash partition in the parallel shuffle.
-    pub static SHUFFLE_PARTITION_SIZE: Histogram = Histogram::new("shuffle.partition_size");
-    /// Wall-time of the parallel shuffle's k-way merge, nanoseconds.
-    pub static SHUFFLE_MERGE_NS: Histogram = Histogram::new("shuffle.merge_ns");
-
-    /// Simulated-cluster distributed maps.
-    pub static DISTRIBUTED_MAPS: Counter = Counter::new("distributed.maps");
-    /// Items run through the simulated cluster.
-    pub static DISTRIBUTED_ITEMS: Counter = Counter::new("distributed.items");
-
-    /// Spans lost because a thread's buffer hit
-    /// [`crate::span::MAX_EVENTS_PER_THREAD`].
-    pub static TRACE_SPANS_DROPPED: Counter = Counter::new("trace.spans_dropped");
-    /// Nanoseconds snap-trace spent on itself: profiler sampling ticks
-    /// plus telemetry HTTP handler time — the self-audit behind the
-    /// `a7_trace_overhead` CI gate.
-    pub static TRACE_OVERHEAD_NS: Counter = Counter::new("trace.overhead_ns");
-    /// Sampling-profiler ticks taken (all profiler runs).
-    pub static TRACE_PROFILE_SAMPLES: Counter = Counter::new("trace.profile_samples");
-    /// `/metrics` scrapes answered by the telemetry server.
-    pub static TRACE_METRICS_SCRAPES: Counter = Counter::new("trace.metrics_scrapes");
-
-    /// Items pulled into a streaming pipeline by its source node.
-    pub static STREAM_ITEMS_IN: Counter = Counter::new("stream.items_in");
-    /// Items delivered to a streaming pipeline's sink.
-    pub static STREAM_ITEMS_OUT: Counter = Counter::new("stream.items_out");
-    /// Item-blocks that flowed through streaming channels (all stages).
-    pub static STREAM_BLOCKS: Counter = Counter::new("stream.blocks");
-    /// Reduce-by-key windows closed (including the end-of-stream flush).
-    pub static STREAM_WINDOWS: Counter = Counter::new("stream.windows");
-    /// Blocks that panicked past their retry budget and went through
-    /// the per-item salvage pass instead of killing the stream.
-    pub static STREAM_BLOCKS_SALVAGED: Counter = Counter::new("stream.blocks_salvaged");
-    /// Items dropped by salvage because they panicked on every attempt.
-    pub static STREAM_ITEMS_DROPPED: Counter = Counter::new("stream.items_dropped");
-    /// Times a stage blocked on a full downstream channel
-    /// (backpressure waits, not spin retries).
-    pub static STREAM_BACKPRESSURE_WAITS: Counter = Counter::new("stream.backpressure_waits");
-    /// Blocks currently queued across all streaming channels.
-    pub static STREAM_QUEUE_DEPTH: Gauge = Gauge::new("stream.queue_depth");
-    /// End-to-end latency of each block, source pack to sink emit,
-    /// nanoseconds — feeds the windowed p50/p95/p99 on `/metrics`.
-    pub static STREAM_LATENCY_NS: Histogram = Histogram::new("stream.latency_ns");
-
-    /// Emitted C/OpenMP programs compiled by the codegen harness.
-    pub static CODEGEN_COMPILES: Counter = Counter::new("codegen.compiles");
-    /// Compiled codegen binaries executed to completion.
-    pub static CODEGEN_RUNS: Counter = Counter::new("codegen.runs");
-    /// Data elements processed by the native (compiled C) tier.
-    pub static CODEGEN_NATIVE_ELEMS: Counter = Counter::new("codegen.native_elems");
-    /// Codegen runs skipped because no C toolchain was detected.
-    pub static CODEGEN_TOOLCHAIN_MISSING: Counter = Counter::new("codegen.toolchain_missing");
-    /// Codegen compile-cache hits (binary reused, keyed on source hash).
-    pub static CODEGEN_CACHE_HITS: Counter = Counter::new("codegen.cache_hits");
-    /// Codegen compile-cache misses (fresh compile required).
-    pub static CODEGEN_CACHE_MISSES: Counter = Counter::new("codegen.cache_misses");
-    /// Persistent native workers spawned (`--serve` processes started).
-    pub static CODEGEN_WORKER_SPAWNS: Counter = Counter::new("codegen.worker_spawns");
-    /// Batch frames processed by persistent native workers.
-    pub static CODEGEN_WORKER_FRAMES: Counter = Counter::new("codegen.worker_frames");
-    /// Dead native workers respawned (exactly-once crash recovery).
-    pub static CODEGEN_WORKER_RESTARTS: Counter = Counter::new("codegen.worker_restarts");
-    /// Warm workers retired: idle past the reap deadline, or holding a
-    /// binary whose content-addressed cache key went stale.
-    pub static CODEGEN_WORKER_REAPED: Counter = Counter::new("codegen.worker_reaped");
-
-    /// VM frames executed (`step_frame` calls, stolen or not).
-    pub static VM_FRAMES: Counter = Counter::new("vm.frames");
-    /// VM frames consumed by the interference model.
-    pub static VM_FRAMES_STOLEN: Counter = Counter::new("vm.frames_stolen");
-    /// Processes spawned (green flag, broadcasts, clones, scripts).
-    pub static VM_PROCESSES_SPAWNED: Counter = Counter::new("vm.processes_spawned");
-    /// Live processes in the most recently stepped VM.
-    pub static VM_LIVE_PROCESSES: Gauge = Gauge::new("vm.live_processes");
-    /// Wall-time of each VM frame step, nanoseconds.
-    pub static VM_FRAME_NS: Histogram = Histogram::new("vm.frame_ns");
+/// One row of the well-known metrics table: the metric's static and
+/// its help text.
+#[derive(Debug)]
+pub struct Known<M: 'static> {
+    /// The metric's static in [`well_known`].
+    pub metric: &'static M,
+    /// The row's doc comment joined into one line — the `# HELP` text
+    /// on `/metrics`.
+    pub help: &'static str,
 }
 
-/// Every well-known counter, for enumeration by reports.
-pub fn known_counters() -> [&'static Counter; 65] {
-    use well_known::*;
-    [
-        &POOL_JOBS_SUBMITTED,
-        &POOL_JOBS_EXECUTED,
-        &POOL_JOBS_REFUSED,
-        &POOL_JOBS_INLINE,
-        &POOL_JOBS_PANICKED,
-        &POOL_WORKERS_SPAWNED,
-        &POOL_DEQUEUE_LOCAL,
-        &POOL_DEQUEUE_INJECTOR,
-        &POOL_JOBS_STOLEN,
-        &POOL_WORKER_PARKS,
-        &FAULT_RETRIES_SCHEDULED,
-        &FAULT_FAILURES_FINAL,
-        &FAULT_DEADLINES_EXCEEDED,
-        &FAULT_INJECTED_PANICS,
-        &FAULT_INJECTED_DELAYS,
-        &FAULT_ITEMS_REASSIGNED,
-        &FAULT_DEGRADED_RUNS,
-        &EXEC_POOLED_CALLS,
-        &EXEC_SPAWN_CALLS,
-        &EXEC_REENTRANT_INLINE,
-        &EXEC_CHUNKS_CLAIMED,
-        &RING_MAP_CALLS,
-        &RING_MAP_ITEMS,
-        &COMPILE_CACHE_HITS,
-        &COMPILE_CACHE_MISSES,
-        &RING_BYTECODE_COMPILES,
-        &RING_FASTPATH_CALLS,
-        &RING_TREEWALK_CALLS,
-        &RING_BATCH_CALLS,
-        &RING_BATCH_ELEMS,
-        &RING_BATCH_FALLBACKS,
-        &PAR_COLUMNAR_CHUNKS,
-        &SHUFFLE_SEQ_RUNS,
-        &SHUFFLE_PARALLEL_RUNS,
-        &SHUFFLE_PAIRS,
-        &SHUFFLE_COMBINE_RUNS,
-        &SHUFFLE_PAIRS_COMBINED,
-        &DISTRIBUTED_MAPS,
-        &DISTRIBUTED_ITEMS,
-        &DIST_NODE_FAILURES,
-        &DIST_ITEMS_REASSIGNED,
-        &DIST_SPECULATIVE_RUNS,
-        &DIST_DEGRADED_RUNS,
-        &STREAM_ITEMS_IN,
-        &STREAM_ITEMS_OUT,
-        &STREAM_BLOCKS,
-        &STREAM_WINDOWS,
-        &STREAM_BLOCKS_SALVAGED,
-        &STREAM_ITEMS_DROPPED,
-        &STREAM_BACKPRESSURE_WAITS,
-        &CODEGEN_COMPILES,
-        &CODEGEN_RUNS,
-        &CODEGEN_NATIVE_ELEMS,
-        &CODEGEN_TOOLCHAIN_MISSING,
-        &CODEGEN_CACHE_HITS,
-        &CODEGEN_CACHE_MISSES,
-        &CODEGEN_WORKER_SPAWNS,
-        &CODEGEN_WORKER_FRAMES,
-        &CODEGEN_WORKER_RESTARTS,
-        &CODEGEN_WORKER_REAPED,
-        &VM_PROCESSES_SPAWNED,
-        &TRACE_SPANS_DROPPED,
-        &TRACE_OVERHEAD_NS,
-        &TRACE_PROFILE_SAMPLES,
-        &TRACE_METRICS_SCRAPES,
-    ]
+/// Declares every well-known metric once. A row is a doc comment (the
+/// help text), a static identifier and the dotted metric name; rows are
+/// grouped by kind under the function that lists them. The table
+/// expands to the statics in [`well_known`] and to [`known_counters`],
+/// [`known_gauges`] and [`known_histograms`], which the report schema,
+/// `/metrics` and trace_check's report check all read.
+macro_rules! metrics {
+    ($(
+        $kind:ident in $list:ident {
+            $( $(#[doc = $doc:literal])+ $id:ident = $name:literal; )*
+        }
+    )*) => {
+        /// The well-known metrics every runtime crate reports into. Call
+        /// sites use these statics directly (zero lookup cost);
+        /// [`known_counters`] and friends enumerate them for reports and
+        /// exporters.
+        pub mod well_known {
+            use super::{Counter, Gauge, Histogram};
+            $($(
+                $(#[doc = $doc])+
+                pub static $id: $kind = $kind::new($name);
+            )*)*
+        }
+
+        $(
+            #[doc = concat!("Every well-known `", stringify!($kind), "`, in table order.")]
+            pub fn $list() -> &'static [Known<$kind>] {
+                static ROWS: &[Known<$kind>] = &[$(
+                    Known {
+                        metric: &well_known::$id,
+                        help: concat!($($doc),+).trim_ascii(),
+                    },
+                )*];
+                ROWS
+            }
+        )*
+    };
 }
 
-/// Every well-known gauge.
-pub fn known_gauges() -> [&'static Gauge; 3] {
-    use well_known::*;
-    [&POOL_QUEUE_DEPTH, &STREAM_QUEUE_DEPTH, &VM_LIVE_PROCESSES]
-}
+metrics! {
+    Counter in known_counters {
+        /// Jobs submitted to the worker pool (accepted sends).
+        POOL_JOBS_SUBMITTED = "pool.jobs_submitted";
+        /// Jobs completed by pool workers.
+        POOL_JOBS_EXECUTED = "pool.jobs_executed";
+        /// Jobs the pool refused (shutdown race) that ran inline instead.
+        POOL_JOBS_REFUSED = "pool.jobs_refused";
+        /// Refused jobs that actually ran inline on the submitting thread —
+        /// the shutdown-race fallback, attributed so report totals
+        /// reconcile (inline runs are neither submitted nor executed).
+        POOL_JOBS_INLINE = "pool.jobs_inline";
+        /// Job attempts that panicked inside a worker (counted per attempt,
+        /// before any retry decision). Every panicked attempt is either
+        /// retried (`fault.retries_scheduled`) or final
+        /// (`fault.failures_final`), so the three always reconcile.
+        POOL_JOBS_PANICKED = "pool.jobs_panicked";
+        /// Worker threads spawned (all pools).
+        POOL_WORKERS_SPAWNED = "pool.workers_spawned";
+        /// Jobs a worker popped from its own deque (LIFO fast path).
+        POOL_DEQUEUE_LOCAL = "pool.dequeue_local";
+        /// Jobs dequeued from the shared injector.
+        POOL_DEQUEUE_INJECTOR = "pool.dequeue_injector";
+        /// Jobs stolen FIFO from another worker's deque.
+        POOL_JOBS_STOLEN = "pool.jobs_stolen";
+        /// Times a worker parked (slept on the wake condvar) when every
+        /// queue probe came up empty.
+        POOL_WORKER_PARKS = "pool.worker_parks";
 
-/// Every well-known histogram.
-pub fn known_histograms() -> [&'static Histogram; 4] {
-    use well_known::*;
-    [
-        &SHUFFLE_PARTITION_SIZE,
-        &SHUFFLE_MERGE_NS,
-        &STREAM_LATENCY_NS,
-        &VM_FRAME_NS,
-    ]
-}
+        /// Panicked attempts granted another try by a `FaultPolicy`.
+        FAULT_RETRIES_SCHEDULED = "fault.retries_scheduled";
+        /// Panicked attempts whose retry budget was exhausted.
+        FAULT_FAILURES_FINAL = "fault.failures_final";
+        /// Parallel calls that gave up because their deadline passed.
+        FAULT_DEADLINES_EXCEEDED = "fault.deadlines_exceeded";
+        /// Panics provoked by the deterministic fault injector.
+        FAULT_INJECTED_PANICS = "fault.injected_panics";
+        /// Delays provoked by the deterministic fault injector.
+        FAULT_INJECTED_DELAYS = "fault.injected_delays";
+        /// Items salvaged by the post-parallel sequential reassignment pass
+        /// after their retry budget ran out on workers.
+        FAULT_ITEMS_REASSIGNED = "fault.items_reassigned";
+        /// Parallel blocks that degraded to the sequential path rather than
+        /// fail (retry exhaustion, pool shutdown, or a pooled panic).
+        FAULT_DEGRADED_RUNS = "fault.degraded_runs";
 
-/// The VM frame counters, exported separately so reports can show the
-/// scheduler section even when no parallel work ran.
-pub fn vm_counters() -> [&'static Counter; 2] {
-    use well_known::*;
-    [&VM_FRAMES, &VM_FRAMES_STOLEN]
+        /// `run_tasks` invocations that went through the pooled mode.
+        EXEC_POOLED_CALLS = "exec.pooled_calls";
+        /// `run_tasks` invocations that spawned per-call threads.
+        EXEC_SPAWN_CALLS = "exec.spawn_calls";
+        /// Re-entrant pooled calls that ran inline to avoid deadlock.
+        EXEC_REENTRANT_INLINE = "exec.reentrant_inline";
+        /// Dynamic-scheduling chunks claimed via `fetch_add`.
+        EXEC_CHUNKS_CLAIMED = "exec.chunks_claimed";
+
+        /// `ring_map` / `ring_reduce_groups` calls.
+        RING_MAP_CALLS = "ring_map.calls";
+        /// Items shipped through ring maps.
+        RING_MAP_ITEMS = "ring_map.items";
+
+        /// Ring compile-cache hits.
+        COMPILE_CACHE_HITS = "compile_cache.hits";
+        /// Ring compile-cache misses (fresh compiles).
+        COMPILE_CACHE_MISSES = "compile_cache.misses";
+
+        /// Rings lowered to the numeric `f64` bytecode at compile time.
+        RING_BYTECODE_COMPILES = "ring.bytecode_compiles";
+        /// Ring calls served by the unboxed `f64` numeric fast path.
+        RING_FASTPATH_CALLS = "ring.fastpath_calls";
+        /// Ring calls served by the tree-walking evaluator (every ring the
+        /// numeric pass declines).
+        RING_TREEWALK_CALLS = "ring.treewalk_calls";
+        /// `eval_batch` invocations — each covers a whole chunk of elements.
+        RING_BATCH_CALLS = "ring.batch_calls";
+        /// Elements evaluated by `eval_batch` (no per-element dispatch).
+        RING_BATCH_ELEMS = "ring.batch_elems";
+        /// Maps that considered the columnar batch tier but declined it
+        /// (non-batchable ring, or non-numeric elements in the list).
+        RING_BATCH_FALLBACKS = "ring.batch_fallbacks";
+        /// Flat `f64` chunks executed by the columnar map path.
+        PAR_COLUMNAR_CHUNKS = "par.columnar_chunks";
+
+        /// Shuffles that took the sequential path.
+        SHUFFLE_SEQ_RUNS = "shuffle.seq_runs";
+        /// Shuffles that took the parallel (partition/sort/merge) path.
+        SHUFFLE_PARALLEL_RUNS = "shuffle.parallel_runs";
+        /// Pairs shuffled (both paths).
+        SHUFFLE_PAIRS = "shuffle.pairs";
+        /// Map-side combiner runs (associative reducers only).
+        SHUFFLE_COMBINE_RUNS = "shuffle.combine_runs";
+        /// Pairs eliminated by the map-side combiner before the shuffle
+        /// (pairs in minus partially-reduced pairs out).
+        SHUFFLE_PAIRS_COMBINED = "shuffle.pairs_combined";
+
+        /// Simulated-cluster distributed maps.
+        DISTRIBUTED_MAPS = "distributed.maps";
+        /// Items run through the simulated cluster.
+        DISTRIBUTED_ITEMS = "distributed.items";
+        /// Simulated cluster nodes that failed mid-run.
+        DIST_NODE_FAILURES = "distributed.node_failures";
+        /// Items reassigned off failed simulated nodes onto survivors.
+        DIST_ITEMS_REASSIGNED = "distributed.items_reassigned";
+        /// Straggler items speculatively re-executed on a backup node.
+        DIST_SPECULATIVE_RUNS = "distributed.speculative_runs";
+        /// Distributed maps that fell back to the master (every node died).
+        DIST_DEGRADED_RUNS = "distributed.degraded_runs";
+
+        /// Items pulled into a streaming pipeline by its source node.
+        STREAM_ITEMS_IN = "stream.items_in";
+        /// Items delivered to a streaming pipeline's sink.
+        STREAM_ITEMS_OUT = "stream.items_out";
+        /// Item-blocks that flowed through streaming channels (all stages).
+        STREAM_BLOCKS = "stream.blocks";
+        /// Reduce-by-key windows closed (including the end-of-stream flush).
+        STREAM_WINDOWS = "stream.windows";
+        /// Blocks that panicked past their retry budget and went through
+        /// the per-item salvage pass instead of killing the stream.
+        STREAM_BLOCKS_SALVAGED = "stream.blocks_salvaged";
+        /// Items dropped by salvage because they panicked on every attempt.
+        STREAM_ITEMS_DROPPED = "stream.items_dropped";
+        /// Times a stage blocked on a full downstream channel
+        /// (backpressure waits, not spin retries).
+        STREAM_BACKPRESSURE_WAITS = "stream.backpressure_waits";
+
+        /// Emitted C/OpenMP programs compiled by the codegen harness.
+        CODEGEN_COMPILES = "codegen.compiles";
+        /// Compiled codegen binaries executed to completion.
+        CODEGEN_RUNS = "codegen.runs";
+        /// Data elements processed by the native (compiled C) tier.
+        CODEGEN_NATIVE_ELEMS = "codegen.native_elems";
+        /// Codegen runs skipped because no C toolchain was detected.
+        CODEGEN_TOOLCHAIN_MISSING = "codegen.toolchain_missing";
+        /// Codegen compile-cache hits (binary reused, keyed on source hash).
+        CODEGEN_CACHE_HITS = "codegen.cache_hits";
+        /// Codegen compile-cache misses (fresh compile required).
+        CODEGEN_CACHE_MISSES = "codegen.cache_misses";
+        /// Persistent native workers spawned (`--serve` processes started).
+        CODEGEN_WORKER_SPAWNS = "codegen.worker_spawns";
+        /// Batch frames processed by persistent native workers.
+        CODEGEN_WORKER_FRAMES = "codegen.worker_frames";
+        /// Dead native workers respawned (exactly-once crash recovery).
+        CODEGEN_WORKER_RESTARTS = "codegen.worker_restarts";
+        /// Warm workers retired: idle past the reap deadline, or holding a
+        /// binary whose content-addressed cache key went stale.
+        CODEGEN_WORKER_REAPED = "codegen.worker_reaped";
+
+        /// VM frames executed (`step_frame` calls, stolen or not).
+        VM_FRAMES = "vm.frames";
+        /// VM frames consumed by the interference model.
+        VM_FRAMES_STOLEN = "vm.frames_stolen";
+        /// Processes spawned (green flag, broadcasts, clones, scripts).
+        VM_PROCESSES_SPAWNED = "vm.processes_spawned";
+
+        /// Spans lost because a thread's buffer hit
+        /// `span::MAX_EVENTS_PER_THREAD`.
+        TRACE_SPANS_DROPPED = "trace.spans_dropped";
+        /// Nanoseconds snap-trace spent on itself: profiler sampling ticks
+        /// plus telemetry HTTP handler time — the self-audit behind the
+        /// `a7_trace_overhead` CI gate.
+        TRACE_OVERHEAD_NS = "trace.overhead_ns";
+        /// Sampling-profiler ticks taken (all profiler runs).
+        TRACE_PROFILE_SAMPLES = "trace.profile_samples";
+        /// `/metrics` scrapes answered by the telemetry server.
+        TRACE_METRICS_SCRAPES = "trace.metrics_scrapes";
+    }
+
+    Gauge in known_gauges {
+        /// Jobs currently queued or running on the pool.
+        POOL_QUEUE_DEPTH = "pool.queue_depth";
+        /// Blocks currently queued across all streaming channels.
+        STREAM_QUEUE_DEPTH = "stream.queue_depth";
+        /// Live processes in the most recently stepped VM.
+        VM_LIVE_PROCESSES = "vm.live_processes";
+    }
+
+    Histogram in known_histograms {
+        /// Size of each hash partition in the parallel shuffle.
+        SHUFFLE_PARTITION_SIZE = "shuffle.partition_size";
+        /// Wall-time of the parallel shuffle's k-way merge, nanoseconds.
+        SHUFFLE_MERGE_NS = "shuffle.merge_ns";
+        /// End-to-end latency of each block, source pack to sink emit,
+        /// nanoseconds — feeds the windowed p50/p95/p99 on `/metrics`.
+        STREAM_LATENCY_NS = "stream.latency_ns";
+        /// Wall-time of each VM frame step, nanoseconds.
+        VM_FRAME_NS = "vm.frame_ns";
+    }
 }
 
 // ---------------------------------------------------------------------
 // Dynamic (interned) metrics
 // ---------------------------------------------------------------------
 
-struct DynamicRegistry {
-    counters: Vec<&'static Counter>,
-    gauges: Vec<&'static Gauge>,
-    histograms: Vec<&'static Histogram>,
+static DYNAMIC_COUNTERS: Mutex<Vec<&'static Counter>> = Mutex::new(Vec::new());
+static DYNAMIC_GAUGES: Mutex<Vec<&'static Gauge>> = Mutex::new(Vec::new());
+static DYNAMIC_HISTOGRAMS: Mutex<Vec<&'static Histogram>> = Mutex::new(Vec::new());
+
+/// The one intern path: the metric in `registry` named `name`, or a
+/// fresh `make(name)` leaked into it (the name is leaked once, on first
+/// use). Hot paths cache the returned reference.
+fn intern<M>(
+    registry: &Mutex<Vec<&'static M>>,
+    name: &str,
+    name_of: fn(&M) -> &'static str,
+    make: fn(&'static str) -> M,
+) -> &'static M {
+    let mut metrics = registry.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(existing) = metrics.iter().find(|m| name_of(m) == name) {
+        return existing;
+    }
+    let leaked: &'static M = Box::leak(Box::new(make(Box::leak(name.into()))));
+    metrics.push(leaked);
+    leaked
 }
 
-static DYNAMIC: OnceLock<Mutex<DynamicRegistry>> = OnceLock::new();
-
-fn dynamic() -> &'static Mutex<DynamicRegistry> {
-    DYNAMIC.get_or_init(|| {
-        Mutex::new(DynamicRegistry {
-            counters: Vec::new(),
-            gauges: Vec::new(),
-            histograms: Vec::new(),
-        })
-    })
+fn listed<M>(registry: &Mutex<Vec<&'static M>>) -> Vec<&'static M> {
+    registry
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone()
 }
 
 /// Intern a counter by name: repeated calls with the same name return
 /// the same `&'static Counter`. For hot paths prefer holding the
 /// reference (or use a well-known static).
 pub fn counter(name: &'static str) -> &'static Counter {
-    let mut reg = dynamic().lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(existing) = reg.counters.iter().find(|c| c.name == name) {
-        return existing;
-    }
-    let leaked: &'static Counter = Box::leak(Box::new(Counter::new(name)));
-    reg.counters.push(leaked);
-    leaked
+    intern(&DYNAMIC_COUNTERS, name, Counter::name, Counter::new)
 }
 
-/// Intern a gauge by name (see [`counter`]).
-pub fn gauge(name: &'static str) -> &'static Gauge {
-    let mut reg = dynamic().lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(existing) = reg.gauges.iter().find(|g| g.name == name) {
-        return existing;
-    }
-    let leaked: &'static Gauge = Box::leak(Box::new(Gauge::new(name)));
-    reg.gauges.push(leaked);
-    leaked
-}
-
-/// Intern a histogram by name (see [`counter`]).
-pub fn histogram(name: &'static str) -> &'static Histogram {
-    let mut reg = dynamic().lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(existing) = reg.histograms.iter().find(|h| h.name == name) {
-        return existing;
-    }
-    let leaked: &'static Histogram = Box::leak(Box::new(Histogram::new(name)));
-    reg.histograms.push(leaked);
-    leaked
-}
-
-/// Intern a histogram under a runtime-built name (the name is leaked
-/// once per distinct string). Used for per-span-name duration
-/// histograms (`span.<name>.ns`), where the set of names is only known
-/// at runtime; hot paths cache the returned reference.
-pub fn histogram_owned(name: String) -> &'static Histogram {
-    let mut reg = dynamic().lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(existing) = reg.histograms.iter().find(|h| h.name == name) {
-        return existing;
-    }
-    let leaked_name: &'static str = Box::leak(name.into_boxed_str());
-    let leaked: &'static Histogram = Box::leak(Box::new(Histogram::new(leaked_name)));
-    reg.histograms.push(leaked);
-    leaked
-}
-
-/// Intern a gauge under a runtime-built name (see [`histogram_owned`]).
-/// Used for per-stage streaming queue-depth gauges
-/// (`stream.stage<N>.queue_depth`), where the stage count is only known
-/// when a pipeline is built; hot paths cache the returned reference.
+/// Intern a gauge under a runtime-built name. Used for per-stage
+/// streaming queue-depth gauges (`stream.stage<N>.queue_depth`), where
+/// the stage count is only known when a pipeline is built.
 pub fn gauge_owned(name: String) -> &'static Gauge {
-    let mut reg = dynamic().lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(existing) = reg.gauges.iter().find(|g| g.name == name) {
-        return existing;
-    }
-    let leaked_name: &'static str = Box::leak(name.into_boxed_str());
-    let leaked: &'static Gauge = Box::leak(Box::new(Gauge::new(leaked_name)));
-    reg.gauges.push(leaked);
-    leaked
+    intern(&DYNAMIC_GAUGES, &name, Gauge::name, Gauge::new)
+}
+
+/// Intern a histogram under a runtime-built name. Used for
+/// per-span-name duration histograms (`span.<name>.ns`), where the set
+/// of names is only known at runtime.
+pub fn histogram_owned(name: String) -> &'static Histogram {
+    intern(&DYNAMIC_HISTOGRAMS, &name, Histogram::name, Histogram::new)
 }
 
 /// Dynamically interned counters, for report enumeration.
 pub fn dynamic_counters() -> Vec<&'static Counter> {
-    dynamic()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .counters
-        .clone()
+    listed(&DYNAMIC_COUNTERS)
 }
 
 /// Dynamically interned gauges, for report enumeration.
 pub fn dynamic_gauges() -> Vec<&'static Gauge> {
-    dynamic()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .gauges
-        .clone()
+    listed(&DYNAMIC_GAUGES)
 }
 
 /// Dynamically interned histograms, for report enumeration.
 pub fn dynamic_histograms() -> Vec<&'static Histogram> {
-    dynamic()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .histograms
-        .clone()
+    listed(&DYNAMIC_HISTOGRAMS)
 }
 
 // ---------------------------------------------------------------------
@@ -846,15 +758,74 @@ mod tests {
         assert_eq!(workers.total(), 3);
     }
 
+    /// Every table row as `(name, help)`, across all three kinds.
+    fn rows() -> Vec<(&'static str, &'static str)> {
+        let counters = known_counters().iter().map(|k| (k.metric.name(), k.help));
+        let gauges = known_gauges().iter().map(|k| (k.metric.name(), k.help));
+        let histograms = known_histograms().iter().map(|k| (k.metric.name(), k.help));
+        counters.chain(gauges).chain(histograms).collect()
+    }
+
     #[test]
     fn well_known_lists_are_consistent() {
-        for c in known_counters() {
-            assert!(!c.name().is_empty());
+        let rows = rows();
+        let mut names: Vec<_> = rows.iter().map(|(name, _)| *name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), rows.len(), "a metric name is declared twice");
+        for (name, help) in &rows {
+            assert!(!help.is_empty(), "{name} has no help text");
+            assert_eq!(help.trim(), *help, "{name}: help is not trimmed");
+            assert!(
+                !help.contains("  "),
+                "{name}: doc lines joined badly: {help:?}"
+            );
         }
-        let names: Vec<_> = known_counters().iter().map(|c| c.name()).collect();
-        let mut dedup = names.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), names.len(), "duplicate well-known counter");
+        // A three-line doc comment reads as one sentence.
+        let panicked = known_counters()
+            .iter()
+            .find(|k| std::ptr::eq(k.metric, &well_known::POOL_JOBS_PANICKED))
+            .expect("POOL_JOBS_PANICKED is a row");
+        assert!(panicked
+            .help
+            .contains("per attempt, before any retry decision"));
+    }
+
+    #[test]
+    fn every_row_reaches_the_report_and_metrics() {
+        let json = crate::report().to_json();
+        let (counters, rest) = json.split_once("\"gauges\":").expect("gauges section");
+        let gauges = rest
+            .split_once("\"histograms\":")
+            .expect("histograms section")
+            .0;
+        for known in known_counters() {
+            let key = format!("\"{}\":", known.metric.name());
+            assert!(counters.contains(&key), "report lacks counter {key}");
+        }
+        for known in known_gauges() {
+            let key = format!("\"{}\":", known.metric.name());
+            assert!(gauges.contains(&key), "report lacks gauge {key}");
+        }
+        let text = crate::prometheus_text();
+        let lines: Vec<&str> = text.lines().collect();
+        for (name, help) in rows() {
+            let family = format!("snap_{}", name.replace('.', "_"));
+            let type_prefix = format!("# TYPE {family} ");
+            let help_line = format!("# HELP {family} {help}");
+            let types: Vec<usize> = (0..lines.len())
+                .filter(|&i| lines[i].starts_with(&type_prefix))
+                .collect();
+            assert_eq!(types.len(), 1, "{name}: want one # TYPE line");
+            let helps = lines
+                .iter()
+                .filter(|l| l.starts_with(&format!("# HELP {family} ")))
+                .count();
+            assert_eq!(helps, 1, "{name}: want one # HELP line");
+            assert!(
+                types[0] > 0 && lines[types[0] - 1] == help_line,
+                "{name}: # HELP must precede # TYPE"
+            );
+        }
     }
 }

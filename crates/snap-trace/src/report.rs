@@ -9,9 +9,10 @@
 use std::fmt::Write as _;
 
 use crate::export::escape_json;
+use crate::metrics::well_known::*;
 use crate::metrics::{
     dynamic_counters, dynamic_gauges, dynamic_histograms, global_workers, known_counters,
-    known_gauges, known_histograms, vm_counters, HistogramSnapshot,
+    known_gauges, known_histograms, Counter, HistogramSnapshot,
 };
 use crate::span::{collect_notes, collect_spans, dropped_spans};
 
@@ -58,23 +59,25 @@ pub fn report() -> ExecutionReport {
     // human table filters zeros for readability instead.
     let mut counters: Vec<(&'static str, u64)> = known_counters()
         .iter()
-        .chain(vm_counters().iter())
+        .map(|k| k.metric)
+        .chain(dynamic_counters())
         .map(|c| (c.name(), c.get()))
-        .chain(dynamic_counters().iter().map(|c| (c.name(), c.get())))
         .collect();
     counters.sort_by_key(|(name, _)| *name);
 
     let mut gauges: Vec<(&'static str, i64)> = known_gauges()
         .iter()
+        .map(|k| k.metric)
+        .chain(dynamic_gauges())
         .map(|g| (g.name(), g.get()))
-        .chain(dynamic_gauges().iter().map(|g| (g.name(), g.get())))
         .collect();
     gauges.sort_by_key(|(name, _)| *name);
 
     let mut histograms: Vec<HistogramSnapshot> = known_histograms()
         .iter()
+        .map(|k| k.metric)
+        .chain(dynamic_histograms())
         .map(|h| h.snapshot())
-        .chain(dynamic_histograms().iter().map(|h| h.snapshot()))
         .filter(|snap| snap.count > 0)
         .collect();
     histograms.sort_by_key(|snap| snap.name);
@@ -140,6 +143,7 @@ impl ExecutionReport {
 
     /// Render as an aligned human-readable table.
     pub fn to_table(&self) -> String {
+        let count = |c: &Counter| self.counter(c.name());
         let mut out = String::new();
         out.push_str("snap-trace execution report\n");
         out.push_str("  counters\n");
@@ -185,35 +189,35 @@ impl ExecutionReport {
             let _ = writeln!(
                 out,
                 "  scheduler: local={} injector={} stolen={} parks={} inline={} spans_dropped={}",
-                self.counter("pool.dequeue_local"),
-                self.counter("pool.dequeue_injector"),
-                self.counter("pool.jobs_stolen"),
-                self.counter("pool.worker_parks"),
-                self.counter("pool.jobs_inline"),
-                self.counter("trace.spans_dropped"),
+                count(&POOL_DEQUEUE_LOCAL),
+                count(&POOL_DEQUEUE_INJECTOR),
+                count(&POOL_JOBS_STOLEN),
+                count(&POOL_WORKER_PARKS),
+                count(&POOL_JOBS_INLINE),
+                count(&TRACE_SPANS_DROPPED),
             );
         }
         // The fault-tolerance line: every panicked attempt is either
         // retried or final, so panicked == retries + final — a reader
         // can check the reconciliation straight off the report.
-        let panicked = self.counter("pool.jobs_panicked");
+        let panicked = count(&POOL_JOBS_PANICKED);
         let faulty = panicked > 0
-            || self.counter("fault.deadlines_exceeded") > 0
-            || self.counter("fault.degraded_runs") > 0
-            || self.counter("fault.injected_delays") > 0;
+            || count(&FAULT_DEADLINES_EXCEEDED) > 0
+            || count(&FAULT_DEGRADED_RUNS) > 0
+            || count(&FAULT_INJECTED_DELAYS) > 0;
         if faulty {
             let _ = writeln!(
                 out,
                 "  faults: panicked={} retries={} final={} deadline={} \
                  injected_panics={} injected_delays={} reassigned={} degraded={}",
                 panicked,
-                self.counter("fault.retries_scheduled"),
-                self.counter("fault.failures_final"),
-                self.counter("fault.deadlines_exceeded"),
-                self.counter("fault.injected_panics"),
-                self.counter("fault.injected_delays"),
-                self.counter("fault.items_reassigned"),
-                self.counter("fault.degraded_runs"),
+                count(&FAULT_RETRIES_SCHEDULED),
+                count(&FAULT_FAILURES_FINAL),
+                count(&FAULT_DEADLINES_EXCEEDED),
+                count(&FAULT_INJECTED_PANICS),
+                count(&FAULT_INJECTED_DELAYS),
+                count(&FAULT_ITEMS_REASSIGNED),
+                count(&FAULT_DEGRADED_RUNS),
             );
         }
         if !self.fault_messages.is_empty() {

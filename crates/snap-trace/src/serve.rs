@@ -15,8 +15,10 @@
 //! The server is deliberately single-threaded: one connection at a
 //! time, `Connection: close`, no keep-alive, no TLS — a scrape target,
 //! not a web framework. `/profile` blocks the accept loop while it
-//! samples; concurrent scrapers queue in the listen backlog. Handler
-//! wall time is self-audited into `trace.overhead_ns`.
+//! samples; concurrent scrapers queue in the listen backlog. A client
+//! gets 2 s (`HEAD_DEADLINE`) for its whole request head, so one that
+//! trickles bytes cannot hold the loop. Handler wall time is
+//! self-audited into `trace.overhead_ns`.
 
 use std::fmt::Write as _;
 use std::io::{self, Read as _, Write as _};
@@ -28,11 +30,14 @@ use std::time::{Duration, Instant};
 use crate::metrics::well_known::{TRACE_METRICS_SCRAPES, TRACE_OVERHEAD_NS};
 use crate::metrics::{
     dynamic_counters, dynamic_gauges, dynamic_histograms, global_workers, known_counters,
-    known_gauges, known_histograms, vm_counters, HistogramSnapshot,
+    known_gauges, known_histograms, HistogramSnapshot, Known,
 };
 
 /// Longest request head (request line + headers) we will read.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
+
+/// Time a client gets to send its whole request head.
+const HEAD_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Hard cap on `/profile?seconds=N`.
 const MAX_PROFILE_SECS: u64 = 30;
@@ -107,10 +112,17 @@ pub fn serve<A: ToSocketAddrs>(addr: A) -> io::Result<MetricsServer> {
 }
 
 fn handle(mut stream: TcpStream) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
+    // One deadline for the whole head, not per read: a client trickling
+    // a byte at a time must not hold the single accept loop.
+    let deadline = Instant::now() + HEAD_DEADLINE;
     let mut head = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(left))?;
         let n = stream.read(&mut chunk)?;
         if n == 0 {
             break;
@@ -220,8 +232,22 @@ fn prom_name(name: &str) -> String {
     out
 }
 
-fn push_summary(out: &mut String, name: &str, snap: &HistogramSnapshot) {
-    let _ = writeln!(out, "# TYPE {name} summary");
+/// The `# HELP` (when the metric is a table row) and `# TYPE` lines
+/// that open a metric family. Help text escapes backslashes and
+/// newlines, as the exposition format requires.
+fn push_head(out: &mut String, name: &str, help: Option<&str>, kind: &str) {
+    if let Some(help) = help {
+        let _ = writeln!(
+            out,
+            "# HELP {name} {}",
+            help.replace('\\', "\\\\").replace('\n', "\\n")
+        );
+    }
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+}
+
+fn push_summary(out: &mut String, name: &str, help: Option<&str>, snap: &HistogramSnapshot) {
+    push_head(out, name, help, "summary");
     for (label, p) in [("0.5", 0.5), ("0.95", 0.95), ("0.99", 0.99)] {
         let _ = writeln!(out, "{name}{{quantile=\"{label}\"}} {}", snap.percentile(p));
     }
@@ -248,27 +274,33 @@ fn push_window(out: &mut String, name: &str, snap: &HistogramSnapshot) {
     );
 }
 
+/// The table's rows with their help text, then the interned metrics of
+/// the same kind, which have none.
+fn with_help<M>(
+    known: &'static [Known<M>],
+    interned: Vec<&'static M>,
+) -> impl Iterator<Item = (&'static M, Option<&'static str>)> {
+    let known = known.iter().map(|k| (k.metric, Some(k.help)));
+    known.chain(interned.into_iter().map(|m| (m, None)))
+}
+
 /// Render every registered metric in the Prometheus text exposition
 /// format, including windowed quantiles over the trailing minute.
 pub fn prometheus_text() -> String {
-    let mut out = String::with_capacity(8 * 1024);
-    for counter in known_counters()
-        .into_iter()
-        .chain(vm_counters())
-        .chain(dynamic_counters())
-    {
+    let mut out = String::with_capacity(16 * 1024);
+    for (counter, help) in with_help(known_counters(), dynamic_counters()) {
         let name = prom_name(counter.name());
-        let _ = writeln!(out, "# TYPE {name} counter");
+        push_head(&mut out, &name, help, "counter");
         let _ = writeln!(out, "{name} {}", counter.get());
     }
-    for gauge in known_gauges().into_iter().chain(dynamic_gauges()) {
+    for (gauge, help) in with_help(known_gauges(), dynamic_gauges()) {
         let name = prom_name(gauge.name());
-        let _ = writeln!(out, "# TYPE {name} gauge");
+        push_head(&mut out, &name, help, "gauge");
         let _ = writeln!(out, "{name} {}", gauge.get());
     }
-    for histogram in known_histograms().into_iter().chain(dynamic_histograms()) {
+    for (histogram, help) in with_help(known_histograms(), dynamic_histograms()) {
         let name = prom_name(histogram.name());
-        push_summary(&mut out, &name, &histogram.snapshot());
+        push_summary(&mut out, &name, help, &histogram.snapshot());
         push_window(&mut out, &name, &histogram.windowed(WINDOW_RANGE_SECS));
     }
     if let Some(workers) = global_workers() {
@@ -356,6 +388,43 @@ mod tests {
         let _ = get(server.addr(), "/metrics");
         assert!(TRACE_METRICS_SCRAPES.get() > before);
         server.shutdown();
+    }
+
+    #[test]
+    fn trickling_client_cannot_hold_the_accept_loop() {
+        let server = serve("127.0.0.1:0").expect("bind");
+        let addr = server.addr();
+        // Connects first, so the accept loop (FIFO backlog) takes it
+        // first, then sends one header byte every 200 ms for up to 8 s —
+        // each read sees data well inside any per-read timeout.
+        let mut slow = TcpStream::connect(addr).expect("connect");
+        slow.write_all(b"GET /metrics HTTP/1.1\r\nX-Slow: ")
+            .unwrap();
+        let trickler = std::thread::spawn(move || {
+            for _ in 0..40 {
+                std::thread::sleep(Duration::from_millis(200));
+                if slow.write_all(b"a").is_err() {
+                    break;
+                }
+            }
+        });
+        let began = Instant::now();
+        let (status, _) = get(addr, "/metrics");
+        let waited = began.elapsed();
+        assert_eq!(status, 200);
+        assert!(
+            waited < Duration::from_secs(4),
+            "a trickling client held /metrics for {waited:?}"
+        );
+        trickler.join().unwrap();
+        server.shutdown();
+    }
+
+    #[test]
+    fn help_text_is_escaped() {
+        let mut out = String::new();
+        push_head(&mut out, "snap_x", Some("a\\b\nc"), "counter");
+        assert_eq!(out, "# HELP snap_x a\\\\b\\nc\n# TYPE snap_x counter\n");
     }
 
     #[test]

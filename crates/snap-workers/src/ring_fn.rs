@@ -357,9 +357,20 @@ pub fn ring_reduce_groups_faulted(
 mod tests {
     use super::*;
     use snap_ast::builder::*;
+    use std::sync::{Mutex, MutexGuard};
 
     fn times_ten() -> Arc<Ring> {
         Arc::new(Ring::reporter(mul(empty_slot(), num(10.0))))
+    }
+
+    /// `ring.batch_fallbacks` is process-wide: the test that bumps it
+    /// and the test that asserts it unchanged take turns on this lock.
+    static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Serialize on the fallback counter (a failed sibling's poison does
+    /// not matter: the lock guards no data).
+    fn counter_lock() -> MutexGuard<'static, ()> {
+        COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     #[test]
@@ -450,6 +461,7 @@ mod tests {
     fn mixed_type_lists_fall_back_to_per_element_calls() {
         // One Text element spoils the columnar scan; output must still
         // be correct and the fallback counter must tick.
+        let _serial = counter_lock();
         let fallback_before = snap_trace::well_known::RING_BATCH_FALLBACKS.get();
         let mut items: Vec<Value> = (0..32).map(|n| Value::Number(n as f64)).collect();
         items.push(Value::text("  4 ")); // numeric text coerces to 4
@@ -463,6 +475,7 @@ mod tests {
     fn small_lists_skip_the_columnar_scan() {
         // Below COLUMNAR_MIN_ITEMS the per-element path runs directly —
         // and without counting a fallback (nothing was declined).
+        let _serial = counter_lock();
         let fallback_before = snap_trace::well_known::RING_BATCH_FALLBACKS.get();
         let items: Vec<Value> = (0..COLUMNAR_MIN_ITEMS - 1)
             .map(|n| Value::Number(n as f64))

@@ -48,7 +48,7 @@ awk -v date="$DATE" -v cpus="$CPUS" '
     workers = (name ~ /\/[0-9]+$/) ? name : (name ~ /nested_latency/ ? "8" : "4")
     sub(/^.*\//, "", workers)
     if (workers !~ /^[0-9]+$/) workers = "4"
-    printf("%s\n    {\"name\": \"%s\", \"mean_ns\": %.1f, \"workers\": %s}", \
+    printf("%s\n    {\"name\": \"%s\", \"median_ns\": %.1f, \"workers\": %s}", \
            sep, name, to_ns(med, $6), workers)
     sep = ","
   }
