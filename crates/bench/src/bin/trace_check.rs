@@ -20,9 +20,10 @@
 //!
 //! `--bench-json` instead validates a `scripts/bench.sh` baseline file
 //! (date, host_cpus, and a non-empty benches array of name/median_ns/
-//! workers entries). With `--baseline`, the fresh run is additionally
-//! compared against the committed baseline: the gated benches (see
-//! [`GATED_BENCHES`]; from `a1_job_churn/1` through
+//! workers entries, with `lo_ns <= median_ns <= hi_ns` where a row
+//! records its sample range). With `--baseline`, the fresh run is
+//! additionally compared against the committed baseline: the gated
+//! benches (see [`GATED_BENCHES`]; from `a1_job_churn/1` through
 //! `a10_native_amortized/persistent_deep_120000`) fail the check when
 //! missing from either file or more than 25% slower than the
 //! baseline, and the full comparison table is appended to
@@ -144,9 +145,21 @@ fn check_bench_json(path: &str) -> Result<(), String> {
                 return Err(format!("{path}: bench {i} missing {field:?}"));
             }
         }
-        match entry.get("median_ns") {
-            Some(Value::Number(ns)) if ns.as_f64() > 0.0 => {}
+        let median = match entry.get("median_ns") {
+            Some(Value::Number(ns)) if ns.as_f64() > 0.0 => ns.as_f64(),
             _ => return Err(format!("{path}: bench {i} median_ns is not positive")),
+        };
+        // The sample range, where the row records one.
+        let bound = |key: &str| match entry.get(key) {
+            None => Ok(median),
+            Some(Value::Number(ns)) => Ok(ns.as_f64()),
+            Some(_) => Err(format!("{path}: bench {i} {key} is not a number")),
+        };
+        let (lo, hi) = (bound("lo_ns")?, bound("hi_ns")?);
+        if !(lo <= median && median <= hi) {
+            return Err(format!(
+                "{path}: bench {i} breaks lo_ns <= median_ns <= hi_ns ({lo} / {median} / {hi})"
+            ));
         }
     }
     println!("{path}: OK — {} bench baselines", benches.len());

@@ -229,6 +229,28 @@ fn gated_bench_missing_from_either_file_fails() {
     }
 }
 
+#[test]
+fn bench_row_with_median_outside_its_range_fails() {
+    let row = |lo: f64, hi: f64| {
+        format!(
+            r#"{{"date": "2026-08-08", "host_cpus": 2, "benches": [
+                {{"name": "a1_job_churn/1", "median_ns": 1000.0, "lo_ns": {lo:?}, "hi_ns": {hi:?}, "workers": 1}}]}}"#
+        )
+    };
+    let ordered = temp_file("range_ok.json", &row(900.0, 1500.0));
+    let out = trace_check(&["--bench-json", ordered.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for (i, (lo, hi)) in [(1100.0, 1500.0), (900.0, 950.0)].into_iter().enumerate() {
+        let path = temp_file(&format!("range_bad{i}.json"), &row(lo, hi));
+        let out = trace_check(&["--bench-json", path.to_str().unwrap()]);
+        assert_fails(&out, "lo_ns <= median_ns <= hi_ns");
+    }
+}
+
 fn overhead_json(on_ns: f64, off_ns: f64) -> String {
     format!(
         r#"{{"date": "2026-08-08", "host_cpus": 4, "benches": [

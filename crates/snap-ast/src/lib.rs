@@ -41,4 +41,4 @@ pub use script::{BlockKind, CustomBlock, HatBlock, Script};
 pub use sprite::{Project, SpriteDef};
 pub use stmt::{Stmt, StopKind};
 pub use value::{List, Value};
-pub use xml::{XmlError, XmlNode};
+pub use xml::XmlError;

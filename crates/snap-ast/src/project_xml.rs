@@ -2,14 +2,14 @@
 //!
 //! Snap! project files are XML; this module gives psnap projects the
 //! same on-disk shape. The mapping is mechanical — the serde data model
-//! rendered as elements — which keeps it exactly as expressive as the
-//! JSON format and guarantees lossless round-trips (values are carried
-//! in fully-escaped attributes, so whitespace survives).
-
-use serde_json::Value as Json;
+//! rendered as elements (see [`crate::xml`]) — which keeps it exactly as
+//! expressive as the JSON format and guarantees lossless round-trips
+//! (values are carried in fully-escaped attributes, so whitespace
+//! survives). Both formats decode through the same derived
+//! `Deserialize` impls.
 
 use crate::sprite::Project;
-use crate::xml::{parse, XmlError, XmlNode};
+use crate::xml::{self, XmlError};
 
 /// A failure loading a project from XML.
 #[derive(Debug)]
@@ -42,89 +42,14 @@ impl Project {
     pub fn to_xml(&self) -> String {
         let json = serde_json::to_value(self).expect("projects always serialize");
         let mut doc = String::from("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
-        doc.push_str(&json_to_xml("project", &json).to_pretty_string());
+        xml::write(&mut doc, "project", None, &json, 0);
         doc
     }
 
     /// Load from the XML project format.
     pub fn from_xml(text: &str) -> Result<Project, ProjectXmlError> {
-        let node = parse(text)?;
-        if node.tag != "project" {
-            return Err(ProjectXmlError::Shape(format!(
-                "expected <project>, found <{}>",
-                node.tag
-            )));
-        }
-        let json = xml_to_json(&node)?;
+        let json = xml::read(text)?;
         serde_json::from_value(json).map_err(|e| ProjectXmlError::Shape(e.to_string()))
-    }
-}
-
-/// Render a serde-JSON tree as an XML element.
-fn json_to_xml(tag: &str, value: &Json) -> XmlNode {
-    match value {
-        Json::Null => XmlNode::new(tag).attr("type", "null"),
-        Json::Bool(b) => XmlNode::new(tag)
-            .attr("type", "bool")
-            .attr("value", b.to_string()),
-        Json::Number(n) => XmlNode::new(tag)
-            .attr("type", "number")
-            .attr("value", n.to_string()),
-        Json::String(s) => XmlNode::new(tag)
-            .attr("type", "string")
-            .attr("value", s.clone()),
-        Json::Array(items) => {
-            let mut node = XmlNode::new(tag).attr("type", "array");
-            for item in items {
-                node = node.child(json_to_xml("item", item));
-            }
-            node
-        }
-        Json::Object(map) => {
-            let mut node = XmlNode::new(tag).attr("type", "object");
-            for (key, item) in map {
-                node = node.child(json_to_xml("field", item).attr("name", key.clone()));
-            }
-            node
-        }
-    }
-}
-
-/// The inverse of [`json_to_xml`].
-fn xml_to_json(node: &XmlNode) -> Result<Json, ProjectXmlError> {
-    let kind = node
-        .get_attr("type")
-        .ok_or_else(|| ProjectXmlError::Shape(format!("<{}> lacks type attribute", node.tag)))?;
-    match kind {
-        "null" => Ok(Json::Null),
-        "bool" => Ok(Json::Bool(node.get_attr("value") == Some("true"))),
-        "number" => {
-            let raw = node
-                .get_attr("value")
-                .ok_or_else(|| ProjectXmlError::Shape("number without value".into()))?;
-            let n: serde_json::Number = raw
-                .parse()
-                .map_err(|_| ProjectXmlError::Shape(format!("bad number {raw:?}")))?;
-            Ok(Json::Number(n))
-        }
-        "string" => Ok(Json::String(
-            node.get_attr("value").unwrap_or_default().to_owned(),
-        )),
-        "array" => {
-            let items: Result<Vec<Json>, _> = node.children.iter().map(xml_to_json).collect();
-            Ok(Json::Array(items?))
-        }
-        "object" => {
-            let mut map = serde_json::Map::new();
-            for child in &node.children {
-                let name = child
-                    .get_attr("name")
-                    .ok_or_else(|| ProjectXmlError::Shape("object field without name".into()))?;
-                map.insert(name.to_owned(), xml_to_json(child)?);
-            }
-            Ok(Json::Object(map))
-        }
-        other => Err(ProjectXmlError::Shape(format!("unknown type {other:?}"))),
     }
 }
 

@@ -1,176 +1,32 @@
-//! The XML project format.
+//! The XML project format: the serde data model written as elements.
 //!
-//! Real Snap! saves projects as XML documents; our JSON format
-//! (`Project::to_json`) is the idiomatic-Rust equivalent, and this
-//! module provides the XML one for fidelity: a small self-contained XML
-//! reader/writer plus a full mapping of projects onto `<project>`,
-//! `<sprite>`, `<script>`, `<block>` elements. Round-tripping is exact
-//! (property-tested in `tests/xml_properties.rs`).
+//! A project is saved as its JSON value tree (`serde_json::to_value`),
+//! one element per value. The root element is `<project>`, an array's
+//! members are `<item>` children and an object's members are `<field>`
+//! children carrying the key in a `name` attribute. Every element names
+//! its JSON kind in a `type` attribute, and a scalar carries its text in
+//! a fully escaped `value` attribute, so whitespace survives. This is not
+//! Snap!'s own `<sprite>`/`<script>`/`<block>` vocabulary.
+//!
+//! [`read`] scans the text once, straight into the value tree that
+//! `Project::from_json` also decodes, and [`write`] streams a tree back
+//! to text. `tests/codec.rs` property-tests the round trip.
 
+use std::borrow::Cow;
 use std::fmt;
 
-/// A generic XML element.
-#[derive(Debug, Clone, PartialEq)]
-pub struct XmlNode {
-    /// Tag name.
-    pub tag: String,
-    /// Attributes, in order.
-    pub attrs: Vec<(String, String)>,
-    /// Child elements.
-    pub children: Vec<XmlNode>,
-    /// Text content (mutually exclusive with children in this format).
-    pub text: Option<String>,
-}
+use serde::json::{preview, Map, MAX_DEPTH};
+use serde_json::Value as Json;
 
-impl XmlNode {
-    /// An element with no attributes or children.
-    pub fn new(tag: impl Into<String>) -> XmlNode {
-        XmlNode {
-            tag: tag.into(),
-            attrs: Vec::new(),
-            children: Vec::new(),
-            text: None,
-        }
-    }
-
-    /// Builder: add an attribute.
-    pub fn attr(mut self, name: impl Into<String>, value: impl Into<String>) -> XmlNode {
-        self.attrs.push((name.into(), value.into()));
-        self
-    }
-
-    /// Builder: add a child element.
-    pub fn child(mut self, child: XmlNode) -> XmlNode {
-        self.children.push(child);
-        self
-    }
-
-    /// Builder: add children.
-    pub fn children(mut self, children: Vec<XmlNode>) -> XmlNode {
-        self.children.extend(children);
-        self
-    }
-
-    /// Builder: set text content.
-    pub fn with_text(mut self, text: impl Into<String>) -> XmlNode {
-        self.text = Some(text.into());
-        self
-    }
-
-    /// Attribute lookup.
-    pub fn get_attr(&self, name: &str) -> Option<&str> {
-        self.attrs
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// First child with the given tag.
-    pub fn find(&self, tag: &str) -> Option<&XmlNode> {
-        self.children.iter().find(|c| c.tag == tag)
-    }
-
-    /// All children with the given tag.
-    pub fn find_all<'a>(&'a self, tag: &'a str) -> impl Iterator<Item = &'a XmlNode> {
-        self.children.iter().filter(move |c| c.tag == tag)
-    }
-
-    /// Serialize with 2-space indentation.
-    pub fn to_pretty_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out
-    }
-
-    fn write(&self, out: &mut String, depth: usize) {
-        let pad = "  ".repeat(depth);
-        out.push_str(&pad);
-        out.push('<');
-        out.push_str(&self.tag);
-        for (name, value) in &self.attrs {
-            out.push(' ');
-            out.push_str(name);
-            out.push_str("=\"");
-            out.push_str(&escape(value));
-            out.push('"');
-        }
-        match (&self.text, self.children.is_empty()) {
-            (Some(text), _) => {
-                out.push('>');
-                out.push_str(&escape(text));
-                out.push_str("</");
-                out.push_str(&self.tag);
-                out.push_str(">\n");
-            }
-            (None, true) => out.push_str("/>\n"),
-            (None, false) => {
-                out.push_str(">\n");
-                for child in &self.children {
-                    child.write(out, depth + 1);
-                }
-                out.push_str(&pad);
-                out.push_str("</");
-                out.push_str(&self.tag);
-                out.push_str(">\n");
-            }
-        }
-    }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\n' => out.push_str("&#10;"),
-            other => out.push(other),
-        }
-    }
-    out
-}
-
-fn unescape(s: &str) -> Result<String, XmlError> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.char_indices();
-    while let Some((i, c)) = chars.next() {
-        if c != '&' {
-            out.push(c);
-            continue;
-        }
-        let rest = &s[i + 1..];
-        let end = rest.find(';').ok_or(XmlError::BadEntity)?;
-        let entity = &rest[..end];
-        out.push(match entity {
-            "amp" => '&',
-            "lt" => '<',
-            "gt" => '>',
-            "quot" => '"',
-            "apos" => '\'',
-            _ => {
-                let code = entity
-                    .strip_prefix('#')
-                    .and_then(|n| n.parse::<u32>().ok())
-                    .and_then(char::from_u32)
-                    .ok_or(XmlError::BadEntity)?;
-                code
-            }
-        });
-        for _ in 0..=end {
-            chars.next();
-        }
-    }
-    Ok(out)
-}
+use crate::project_xml::ProjectXmlError;
 
 /// A parse failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum XmlError {
     /// Input ended inside a construct.
     UnexpectedEof,
-    /// A token that doesn't belong (with position).
+    /// A token that doesn't belong (with position), including anything
+    /// but whitespace after the root element.
     Unexpected(usize),
     /// Close tag didn't match the open tag.
     MismatchedTag {
@@ -181,6 +37,8 @@ pub enum XmlError {
     },
     /// Malformed `&…;` entity.
     BadEntity,
+    /// Elements nest deeper than `serde::json::MAX_DEPTH`.
+    TooDeep,
 }
 
 impl fmt::Display for XmlError {
@@ -192,203 +50,457 @@ impl fmt::Display for XmlError {
                 write!(f, "<{open}> closed by </{close}>")
             }
             XmlError::BadEntity => write!(f, "malformed XML entity"),
+            XmlError::TooDeep => write!(f, "elements nested deeper than {MAX_DEPTH} levels"),
         }
     }
 }
 
 impl std::error::Error for XmlError {}
 
-/// Parse one XML element (leading whitespace and an optional
-/// `<?xml …?>` declaration are allowed).
-pub fn parse(input: &str) -> Result<XmlNode, XmlError> {
-    let mut parser = Parser {
-        input: input.as_bytes(),
-        pos: 0,
-    };
-    parser.skip_ws();
-    if parser.rest().starts_with("<?") {
-        let end = parser.rest().find("?>").ok_or(XmlError::UnexpectedEof)?;
-        parser.pos += end + 2;
-        parser.skip_ws();
+/// Append `value` as the element `tag`, indented two spaces per `depth`,
+/// with its key as the `name` attribute when it is an object's field.
+pub(crate) fn write(out: &mut String, tag: &str, name: Option<&str>, value: &Json, depth: usize) {
+    for _ in 0..depth {
+        out.push_str("  ");
     }
-    let node = parser.element()?;
-    parser.skip_ws();
-    Ok(node)
+    out.push('<');
+    out.push_str(tag);
+    attr(out, "type", value.kind());
+    match value {
+        Json::Bool(b) => attr(out, "value", if *b { "true" } else { "false" }),
+        Json::Number(n) => attr(out, "value", &n.to_string()),
+        Json::String(s) => attr(out, "value", s),
+        _ => {}
+    }
+    if let Some(name) = name {
+        attr(out, "name", name);
+    }
+    match value {
+        Json::Array(items) if !items.is_empty() => {
+            out.push_str(">\n");
+            for item in items {
+                write(out, "item", None, item, depth + 1);
+            }
+        }
+        Json::Object(map) if !map.is_empty() => {
+            out.push_str(">\n");
+            for (key, item) in map {
+                write(out, "field", Some(key), item, depth + 1);
+            }
+        }
+        _ => {
+            out.push_str("/>\n");
+            return;
+        }
+    }
+    for _ in 0..depth {
+        out.push_str("  ");
+    }
+    out.push_str("</");
+    out.push_str(tag);
+    out.push_str(">\n");
 }
 
-struct Parser<'a> {
-    input: &'a [u8],
+fn attr(out: &mut String, name: &str, value: &str) {
+    out.push(' ');
+    out.push_str(name);
+    out.push_str("=\"");
+    let mut done = 0;
+    for (i, b) in value.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            b'\n' => "&#10;",
+            _ => continue,
+        };
+        out.push_str(&value[done..i]);
+        out.push_str(entity);
+        done = i + 1;
+    }
+    out.push_str(&value[done..]);
+    out.push('"');
+}
+
+/// `s` with its entities replaced, borrowed when it has none.
+fn unescape(s: &str) -> Result<Cow<'_, str>, XmlError> {
+    if !s.contains('&') {
+        return Ok(Cow::Borrowed(s));
+    }
+    let mut out = String::with_capacity(s.len());
+    let mut rest = s;
+    while let Some(amp) = rest.find('&') {
+        out.push_str(&rest[..amp]);
+        rest = &rest[amp + 1..];
+        let end = rest.find(';').ok_or(XmlError::BadEntity)?;
+        out.push(match &rest[..end] {
+            "amp" => '&',
+            "lt" => '<',
+            "gt" => '>',
+            "quot" => '"',
+            "apos" => '\'',
+            entity => entity
+                .strip_prefix('#')
+                .and_then(|n| n.parse::<u32>().ok())
+                .and_then(char::from_u32)
+                .ok_or(XmlError::BadEntity)?,
+        });
+        rest = &rest[end + 1..];
+    }
+    out.push_str(rest);
+    Ok(Cow::Owned(out))
+}
+
+/// Read a project document: whitespace, an optional `<?xml …?>`
+/// prologue, the `<project>` element and nothing after it but whitespace.
+pub(crate) fn read(text: &str) -> Result<Json, ProjectXmlError> {
+    let mut reader = Reader { text, pos: 0 };
+    reader.skip_ws();
+    if reader.rest().starts_with(b"<?") {
+        let end = reader
+            .rest()
+            .windows(2)
+            .position(|w| w == b"?>")
+            .ok_or(XmlError::UnexpectedEof)?;
+        reader.pos += end + 2;
+        reader.skip_ws();
+    }
+    let root = reader.tag()?;
+    if root.element != "project" {
+        let found = preview(root.element);
+        return Err(shape(format!("expected <project>, found <{found}>")));
+    }
+    let value = reader.value(root, 1)?;
+    reader.skip_ws();
+    if reader.pos != text.len() {
+        return Err(XmlError::Unexpected(reader.pos).into());
+    }
+    Ok(value)
+}
+
+fn shape(message: String) -> ProjectXmlError {
+    ProjectXmlError::Shape(message)
+}
+
+/// A start tag, with the three attributes the format reads. Of a
+/// repeated attribute, the first wins.
+struct Tag<'a> {
+    element: &'a str,
+    kind: Option<Cow<'a, str>>,
+    value: Option<Cow<'a, str>>,
+    name: Option<Cow<'a, str>>,
+    /// Closed by `/>`: no content follows.
+    empty: bool,
+}
+
+struct Reader<'a> {
+    text: &'a str,
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn rest(&self) -> &'a str {
-        std::str::from_utf8(&self.input[self.pos..]).unwrap_or("")
+impl<'a> Reader<'a> {
+    fn rest(&self) -> &'a [u8] {
+        &self.text.as_bytes()[self.pos..]
     }
 
     fn skip_ws(&mut self) {
-        while self.pos < self.input.len() && self.input[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
+        let ws = self.rest().iter().take_while(|b| b.is_ascii_whitespace());
+        self.pos += ws.count();
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), XmlError> {
-        if self.input.get(self.pos) == Some(&byte) {
-            self.pos += 1;
-            Ok(())
-        } else if self.pos >= self.input.len() {
-            Err(XmlError::UnexpectedEof)
+        match self.rest().first() {
+            Some(&b) if b == byte => {
+                self.pos += 1;
+                Ok(())
+            }
+            Some(_) => Err(XmlError::Unexpected(self.pos)),
+            None => Err(XmlError::UnexpectedEof),
+        }
+    }
+
+    fn name(&mut self) -> Result<&'a str, XmlError> {
+        let len = self
+            .rest()
+            .iter()
+            .take_while(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b':'))
+            .count();
+        if len == 0 {
+            return Err(if self.rest().is_empty() {
+                XmlError::UnexpectedEof
+            } else {
+                XmlError::Unexpected(self.pos)
+            });
+        }
+        self.pos += len;
+        Ok(&self.text[self.pos - len..self.pos])
+    }
+
+    /// An attribute value up to its closing quote, which is consumed
+    /// too, with its entities replaced. A value without entities, the
+    /// common case, takes one scan and is borrowed.
+    fn attr_value(&mut self) -> Result<Cow<'a, str>, XmlError> {
+        let (start, rest) = (self.pos, self.rest());
+        let stop = rest.iter().position(|&b| b == b'"' || b == b'&');
+        let entities = stop.is_some_and(|at| rest[at] == b'&');
+        let len = if entities {
+            rest.iter().position(|&b| b == b'"')
         } else {
-            Err(XmlError::Unexpected(self.pos))
+            stop
+        };
+        let len = len.ok_or(XmlError::UnexpectedEof)?;
+        self.pos += len + 1;
+        let raw = &self.text[start..start + len];
+        if entities {
+            unescape(raw)
+        } else {
+            Ok(Cow::Borrowed(raw))
         }
     }
 
-    fn name(&mut self) -> Result<String, XmlError> {
-        let start = self.pos;
-        while self
-            .input
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'-' || *b == b'_' || *b == b':')
-        {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(XmlError::Unexpected(self.pos));
-        }
-        Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned())
-    }
-
-    fn element(&mut self) -> Result<XmlNode, XmlError> {
+    fn tag(&mut self) -> Result<Tag<'a>, XmlError> {
         self.expect(b'<')?;
-        let tag = self.name()?;
-        let mut node = XmlNode::new(tag);
+        let mut tag = Tag {
+            element: self.name()?,
+            kind: None,
+            value: None,
+            name: None,
+            empty: false,
+        };
         loop {
             self.skip_ws();
-            match self.input.get(self.pos) {
+            match self.rest().first() {
                 Some(b'/') => {
                     self.pos += 1;
                     self.expect(b'>')?;
-                    return Ok(node); // self-closing
+                    tag.empty = true;
+                    return Ok(tag);
                 }
                 Some(b'>') => {
                     self.pos += 1;
-                    break;
+                    return Ok(tag);
                 }
                 Some(_) => {
-                    let name = self.name()?;
+                    let attr = self.name()?;
                     self.skip_ws();
                     self.expect(b'=')?;
                     self.skip_ws();
                     self.expect(b'"')?;
-                    let start = self.pos;
-                    while self.input.get(self.pos).is_some_and(|&b| b != b'"') {
-                        self.pos += 1;
-                    }
-                    let raw = String::from_utf8_lossy(&self.input[start..self.pos]).into_owned();
-                    self.expect(b'"')?;
-                    node.attrs.push((name, unescape(&raw)?));
-                }
-                None => return Err(XmlError::UnexpectedEof),
-            }
-        }
-        // Content: children or text.
-        let mut text = String::new();
-        loop {
-            self.skip_ws_preserving(&mut text);
-            match self.input.get(self.pos) {
-                Some(b'<') if self.input.get(self.pos + 1) == Some(&b'/') => {
-                    self.pos += 2;
-                    let close = self.name()?;
-                    self.skip_ws();
-                    self.expect(b'>')?;
-                    if close != node.tag {
-                        return Err(XmlError::MismatchedTag {
-                            open: node.tag,
-                            close,
-                        });
-                    }
-                    let trimmed = text.trim();
-                    if node.children.is_empty() && !trimmed.is_empty() {
-                        node.text = Some(unescape(trimmed)?);
-                    }
-                    return Ok(node);
-                }
-                Some(b'<') => {
-                    node.children.push(self.element()?);
-                }
-                Some(_) => {
-                    let start = self.pos;
-                    while self.input.get(self.pos).is_some_and(|&b| b != b'<') {
-                        self.pos += 1;
-                    }
-                    text.push_str(&String::from_utf8_lossy(&self.input[start..self.pos]));
+                    let value = self.attr_value()?;
+                    let slot = match attr {
+                        "type" => &mut tag.kind,
+                        "value" => &mut tag.value,
+                        "name" => &mut tag.name,
+                        _ => continue,
+                    };
+                    slot.get_or_insert(value);
                 }
                 None => return Err(XmlError::UnexpectedEof),
             }
         }
     }
 
-    fn skip_ws_preserving(&mut self, _text: &mut String) {
-        // Whitespace between elements is insignificant in this format;
-        // significant text is always adjacent to its tags.
-        while self.pos < self.input.len() && self.input[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
+    /// The next child of the element `open` started, or `None` once its
+    /// close tag has been read.
+    fn child(&mut self, open: &Tag<'a>) -> Result<Option<Tag<'a>>, XmlError> {
+        if open.empty {
+            return Ok(None);
+        }
+        loop {
+            self.skip_ws();
+            match self.rest() {
+                [b'<', b'/', ..] => {
+                    self.pos += 2;
+                    let close = self.name()?;
+                    self.skip_ws();
+                    self.expect(b'>')?;
+                    if close != open.element {
+                        return Err(XmlError::MismatchedTag {
+                            open: open.element.to_owned(),
+                            close: close.to_owned(),
+                        });
+                    }
+                    return Ok(None);
+                }
+                [b'<', ..] => return self.tag().map(Some),
+                [_, ..] => {
+                    // Text carries nothing in this format, but its
+                    // entities must still be well formed.
+                    let len = self.rest().iter().position(|&b| b == b'<');
+                    let len = len.unwrap_or(self.rest().len());
+                    unescape(&self.text[self.pos..self.pos + len])?;
+                    self.pos += len;
+                }
+                [] => return Err(XmlError::UnexpectedEof),
+            }
         }
     }
+
+    /// The value of the element `tag` started, `depth` elements deep,
+    /// reading up to its end. This is the reader's one recursive step,
+    /// so it keeps its stack frame small.
+    fn value(&mut self, mut tag: Tag<'a>, depth: usize) -> Result<Json, ProjectXmlError> {
+        if depth > MAX_DEPTH {
+            return Err(XmlError::TooDeep.into());
+        }
+        let mut value = from_tag(&mut tag)?;
+        let mut fields = match value {
+            // Most objects are enum values, tagged by their one key.
+            Json::Object(_) => Vec::with_capacity(1),
+            _ => Vec::new(),
+        };
+        while let Some(mut child) = self.child(&tag)? {
+            let name = child.name.take();
+            let item = self.value(child, depth + 1)?;
+            match &mut value {
+                Json::Array(items) => items.push(item),
+                Json::Object(_) => {
+                    let name = name.ok_or_else(|| shape("object field without name".into()))?;
+                    fields.push((name.into_owned(), item));
+                }
+                // A scalar has no children in the format; any present
+                // are read and dropped.
+                _ => {}
+            }
+        }
+        if !fields.is_empty() {
+            value = Json::Object(fields.into_iter().collect());
+        }
+        Ok(value)
+    }
+}
+
+/// The value a start tag's `type` and `value` attributes give: a scalar,
+/// or an empty array or object for the element's children to fill. Kept
+/// out of line so that its error formatting stays out of the recursive
+/// [`Reader::value`]'s frame.
+#[inline(never)]
+fn from_tag(tag: &mut Tag<'_>) -> Result<Json, ProjectXmlError> {
+    let Some(kind) = tag.kind.as_deref() else {
+        let element = preview(tag.element);
+        return Err(shape(format!("<{element}> lacks type attribute")));
+    };
+    Ok(match kind {
+        "null" => Json::Null,
+        "bool" => Json::Bool(tag.value.as_deref() == Some("true")),
+        "number" => {
+            let raw = tag.value.as_deref();
+            let raw = raw.ok_or_else(|| shape("number without value".into()))?;
+            let n = raw.parse();
+            Json::Number(n.map_err(|_| shape(format!("bad number {}", preview(raw))))?)
+        }
+        "string" => Json::String(tag.value.take().map(Cow::into_owned).unwrap_or_default()),
+        "array" => Json::Array(Vec::new()),
+        "object" => Json::Object(Map::new()),
+        other => return Err(shape(format!("unknown type {}", preview(other)))),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn to_text(value: &Json) -> String {
+        let mut out = String::new();
+        write(&mut out, "project", None, value, 0);
+        out
+    }
+
+    fn string(s: &str) -> Json {
+        Json::String(s.into())
+    }
+
     #[test]
     fn writes_and_reparses_simple_trees() {
-        let node = XmlNode::new("project")
-            .attr("name", "demo")
-            .child(XmlNode::new("sprite").attr("name", "Cat"))
-            .child(XmlNode::new("note").with_text("hello <world> & \"friends\""));
-        let text = node.to_pretty_string();
-        let back = parse(&text).unwrap();
-        assert_eq!(back, node);
+        let mut sprite = Map::new();
+        sprite.insert("name".into(), string("Cat"));
+        let mut root = Map::new();
+        root.insert("name".into(), string("demo"));
+        root.insert("sprite".into(), Json::Object(sprite));
+        root.insert("note".into(), string("hello <world> & \"friends\""));
+        let root = Json::Object(root);
+        assert_eq!(read(&to_text(&root)).unwrap(), root);
     }
 
     #[test]
     fn self_closing_and_nested() {
-        let parsed = parse("<a x=\"1\"><b/><c y=\"2\"><d/></c></a>").unwrap();
-        assert_eq!(parsed.tag, "a");
-        assert_eq!(parsed.get_attr("x"), Some("1"));
-        assert_eq!(parsed.children.len(), 2);
-        assert_eq!(parsed.find("c").unwrap().children.len(), 1);
+        let parsed = read(
+            "<project type=\"object\" name=\"x\"><field type=\"array\" name=\"a\"/>\
+             <field type=\"array\" name=\"c\"><item type=\"number\" value=\"2\"/></field></project>",
+        )
+        .unwrap();
+        let map = parsed.as_object().unwrap();
+        assert_eq!(map.len(), 2);
+        assert_eq!(map.get("a"), Some(&Json::Array(vec![])));
+        let two = Json::Number(serde_json::Number::from_f64(2.0));
+        assert_eq!(map.get("c"), Some(&Json::Array(vec![two])));
     }
 
     #[test]
     fn xml_declaration_is_skipped() {
-        let parsed = parse("<?xml version=\"1.0\"?>\n<root/>").unwrap();
-        assert_eq!(parsed.tag, "root");
+        let parsed = read("<?xml version=\"1.0\"?>\n<project type=\"null\"/>").unwrap();
+        assert_eq!(parsed, Json::Null);
     }
 
     #[test]
     fn entities_roundtrip() {
-        let node = XmlNode::new("t").attr("v", "a&b<c>\"d\"\ne");
-        let back = parse(&node.to_pretty_string()).unwrap();
-        assert_eq!(back.get_attr("v"), Some("a&b<c>\"d\"\ne"));
+        let value = string("a&b<c>\"d\"\ne");
+        assert_eq!(read(&to_text(&value)).unwrap(), value);
+        let spelled = "<project type=\"string\" value=\"&apos;&#65;&amp;\"/>";
+        assert_eq!(read(spelled).unwrap(), string("'A&"));
+        for bad in ["&bogus;", "&#1114112;", "&amp"] {
+            let doc = format!("<project type=\"string\" value=\"{bad}\"/>");
+            assert!(
+                matches!(read(&doc), Err(ProjectXmlError::Xml(XmlError::BadEntity))),
+                "{bad}"
+            );
+        }
     }
 
     #[test]
     fn mismatched_tags_error() {
-        assert_eq!(
-            parse("<a></b>"),
-            Err(XmlError::MismatchedTag {
-                open: "a".into(),
-                close: "b".into()
-            })
-        );
+        match read("<project type=\"array\"></b>") {
+            Err(ProjectXmlError::Xml(e)) => assert_eq!(
+                e,
+                XmlError::MismatchedTag {
+                    open: "project".into(),
+                    close: "b".into()
+                }
+            ),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
     fn truncated_input_errors() {
-        assert!(parse("<a ").is_err());
-        assert!(parse("<a><b></b>").is_err());
-        assert!(parse("").is_err());
+        for doc in [
+            "",
+            "<",
+            "<project ",
+            "<project type=\"arr",
+            "<project type=\"array\"><item type=\"null\"></item>",
+            "<project type=\"array\"></",
+        ] {
+            assert!(
+                matches!(
+                    read(doc),
+                    Err(ProjectXmlError::Xml(XmlError::UnexpectedEof))
+                ),
+                "{doc:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn repeated_keys_keep_the_first_position_and_the_last_value() {
+        let doc = "<project type=\"object\"><field type=\"number\" value=\"1\" name=\"a\"/>\
+                   <field type=\"null\" name=\"b\"/><field type=\"number\" value=\"3\" name=\"a\"/>\
+                   </project>";
+        let three = Json::Number(serde_json::Number::from_f64(3.0));
+        let mut expected = Map::new();
+        expected.insert("a".into(), three);
+        expected.insert("b".into(), Json::Null);
+        assert_eq!(read(doc).unwrap(), Json::Object(expected));
     }
 }

@@ -10,9 +10,10 @@
 #
 # Usage: scripts/bench.sh [output.json]   (default: BENCH_BASELINE.json)
 #
-# Each entry carries the bench label, the median time in nanoseconds,
-# and the worker count the bench ran with (parsed from the label when
-# the label is the worker count, else the benches' WORKERS constant, 4).
+# Each entry carries the bench label, the median time in nanoseconds
+# with the fastest and slowest sample beside it (`lo_ns`, `hi_ns`), and
+# the worker count the bench ran with (parsed from the label when the
+# label is the worker count, else the benches' WORKERS constant, 4).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,11 +46,12 @@ awk -v date="$DATE" -v cpus="$CPUS" '
     name = $1
     lo = substr($3, 2)
     med = $5
+    hi = $7
     workers = (name ~ /\/[0-9]+$/) ? name : (name ~ /nested_latency/ ? "8" : "4")
     sub(/^.*\//, "", workers)
     if (workers !~ /^[0-9]+$/) workers = "4"
-    printf("%s\n    {\"name\": \"%s\", \"median_ns\": %.1f, \"workers\": %s}", \
-           sep, name, to_ns(med, $6), workers)
+    printf("%s\n    {\"name\": \"%s\", \"median_ns\": %.1f, \"lo_ns\": %.1f, \"hi_ns\": %.1f, \"workers\": %s}", \
+           sep, name, to_ns(med, $6), to_ns(lo, $4), to_ns(hi, $8), workers)
     sep = ","
   }
   END { printf("\n  ]\n}\n") }
