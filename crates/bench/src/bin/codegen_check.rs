@@ -2,7 +2,7 @@
 //! emitted C/OpenMP scenario (the PR 9 CI gate for the native tier).
 //!
 //! ```text
-//! codegen_check [--require-toolchain] [--persistent] [--out <dir>] [--trace <path>]
+//! codegen_check [--require-toolchain] [--out <dir>] [--trace <path>]
 //! ```
 //!
 //! For every scenario in [`snap_codegen::harness::scenarios`] —
@@ -18,13 +18,6 @@
 //!    columnar and scalar `ring_map` pipelines) and native ≡ VM
 //!    `mapReduce` within the documented reduction tolerance.
 //!
-//! `--persistent` swaps step 3 for the **warm-worker** transport: each
-//! map scenario's binary is spawned once in `--serve` mode and streamed
-//! multiple successive binary frames through the process-wide
-//! `NativePool` (MapReduce scenarios stream whole jobs the same way).
-//! The equivalence assertions are unchanged — the persistent transport
-//! earns no extra tolerance.
-//!
 //! Exit codes: `0` all green (or toolchain missing without
 //! `--require-toolchain` — an auto-skip with a visible
 //! `codegen.toolchain_missing` note so tier-1 stays green on bare
@@ -39,19 +32,16 @@ use std::sync::Arc;
 use snap_ast::{Ring, Value};
 use snap_codegen::harness::{self, compare_pairs, compare_values, Harness, Scenario, ScenarioKind};
 use snap_codegen::openmp::{emit_map_openmp, emit_mapreduce_openmp_protocol};
-use snap_codegen::worker::{compile_native_map, native_pool, NativeProgram, WorkerKind};
 use snap_data::corpus::generate_words;
 use snap_data::noaa::{generate as generate_noaa, NoaaConfig};
 use snap_workers::ring_fn::{ring_map, ColumnarPolicy, RingMapOptions};
 
 fn usage() -> String {
-    "usage: codegen_check [--require-toolchain] [--persistent] [--out <dir>] [--trace <path>]"
-        .to_owned()
+    "usage: codegen_check [--require-toolchain] [--out <dir>] [--trace <path>]".to_owned()
 }
 
 struct Opts {
     require_toolchain: bool,
-    persistent: bool,
     out: PathBuf,
     trace: Option<String>,
 }
@@ -59,7 +49,6 @@ struct Opts {
 fn parse_args() -> Result<Opts, String> {
     let mut opts = Opts {
         require_toolchain: false,
-        persistent: false,
         out: PathBuf::from("target/ci/codegen"),
         trace: None,
     };
@@ -68,7 +57,6 @@ fn parse_args() -> Result<Opts, String> {
     while i < args.len() {
         match args[i].as_str() {
             "--require-toolchain" => opts.require_toolchain = true,
-            "--persistent" => opts.persistent = true,
             "--out" => {
                 i += 1;
                 opts.out = PathBuf::from(args.get(i).ok_or_else(usage)?);
@@ -166,22 +154,6 @@ fn pooled_map(
     Ok(out.iter().map(Value::to_number).collect())
 }
 
-/// The persistent path for a map scenario: one warm worker, the input
-/// set streamed as three successive frames (so protocol resync is
-/// exercised, not just a single exchange), results re-concatenated.
-fn persistent_map(program: &NativeProgram, inputs: &[f64]) -> Result<Vec<f64>, String> {
-    let third = inputs.len().div_ceil(3).max(1);
-    let mut out = Vec::with_capacity(inputs.len());
-    for frame in inputs.chunks(third) {
-        out.extend(
-            native_pool()
-                .map_frame(program, frame)
-                .map_err(|e| format!("persistent map frame failed: {e}"))?,
-        );
-    }
-    Ok(out)
-}
-
 /// VM-side MapReduce via the paper's parallel block, normalized to
 /// `(key, value)` pairs.
 fn vm_mapreduce(
@@ -222,12 +194,7 @@ fn vm_mapreduce(
     Ok(out)
 }
 
-fn run_scenario(
-    h: &Harness,
-    scenario: &Scenario,
-    out: &Path,
-    persistent: bool,
-) -> Result<String, String> {
+fn run_scenario(h: &Harness, scenario: &Scenario, out: &Path) -> Result<String, String> {
     let name = scenario.name;
     match &scenario.kind {
         ScenarioKind::Run { source, openmp } => {
@@ -242,13 +209,9 @@ fn run_scenario(
             let source = emit_map_openmp(ring).map_err(|e| e.to_string())?;
             write_sources(out, name, &[("map_program.c", &source)]);
             let inputs = map_inputs();
-            let native = if persistent {
-                let program = compile_native_map(ring).map_err(|e| e.to_string())?;
-                persistent_map(&program, &inputs)?
-            } else {
-                h.run_map(name, &source, &inputs)
-                    .map_err(|e| e.to_string())?
-            };
+            let native = h
+                .run_map(name, &source, &inputs)
+                .map_err(|e| e.to_string())?;
             let tiers = harness::oracle_map_tiers(ring, &inputs).map_err(|e| e.to_string())?;
             compare_values("native vs tree-walk", &native, &tiers.treewalk)?;
             compare_values("native vs scalar", &native, &tiers.scalar)?;
@@ -260,9 +223,8 @@ fn run_scenario(
             compare_values("native vs pooled columnar", &native, &columnar)?;
             let scalar_pool = pooled_map(ring, &inputs, ColumnarPolicy::Disabled)?;
             compare_values("native vs pooled scalar", &native, &scalar_pool)?;
-            let frames = if persistent { " over 3 frames" } else { "" };
             Ok(format!(
-                "{} elements{frames} bit-for-bit across 4 tiers (+2 pooled pipelines)",
+                "{} elements bit-for-bit across 4 tiers (+2 pooled pipelines)",
                 inputs.len()
             ))
         }
@@ -283,37 +245,9 @@ fn run_scenario(
                 ],
             );
             let pairs = mapreduce_pairs(name);
-            let native = if persistent {
-                let compiled = h
-                    .compile(
-                        name,
-                        &[
-                            ("kvp.h", &program.kvp_h),
-                            ("mapred.c", &program.mapred_c),
-                            ("driver.c", &program.driver_c),
-                        ],
-                        true,
-                    )
-                    .map_err(|e| e.to_string())?;
-                let worker_program = NativeProgram {
-                    name: name.to_owned(),
-                    binary: compiled.binary,
-                    kind: WorkerKind::MapReduce,
-                };
-                // Two identical jobs through one warm worker: the second
-                // frame proves no state survives between jobs.
-                let first = native_pool()
-                    .mapreduce_frame(&worker_program, &pairs)
-                    .map_err(|e| format!("persistent mapreduce frame failed: {e}"))?;
-                let second = native_pool()
-                    .mapreduce_frame(&worker_program, &pairs)
-                    .map_err(|e| format!("persistent mapreduce reframe failed: {e}"))?;
-                compare_pairs("frame 2 vs frame 1", &second, &first, 0.0)?;
-                first
-            } else {
-                h.run_mapreduce(name, &program, &pairs)
-                    .map_err(|e| e.to_string())?
-            };
+            let native = h
+                .run_mapreduce(name, &program, &pairs)
+                .map_err(|e| e.to_string())?;
             let reference =
                 harness::reference_mapreduce(mapper, reducer, &pairs).map_err(|e| e.to_string())?;
             compare_pairs("native vs reference", &native, &reference, *rel_tol)?;
@@ -382,13 +316,9 @@ fn main() -> ExitCode {
         }
     );
 
-    if opts.persistent {
-        println!("mode: persistent (warm --serve workers, binary frames)");
-    }
-
     let mut failures = 0u32;
     for scenario in harness::scenarios() {
-        match run_scenario(&harness, &scenario, &opts.out, opts.persistent) {
+        match run_scenario(&harness, &scenario, &opts.out) {
             Ok(detail) => println!("PASS {:<24} {detail}", scenario.name),
             Err(detail) => {
                 failures += 1;
@@ -409,14 +339,6 @@ fn main() -> ExitCode {
         "codegen.cache_hits = {}, codegen.cache_misses = {}",
         wk::CODEGEN_CACHE_HITS.get(),
         wk::CODEGEN_CACHE_MISSES.get()
-    );
-    println!(
-        "codegen.worker_spawns = {}, codegen.worker_frames = {}, \
-         codegen.worker_restarts = {}, codegen.worker_reaped = {}",
-        wk::CODEGEN_WORKER_SPAWNS.get(),
-        wk::CODEGEN_WORKER_FRAMES.get(),
-        wk::CODEGEN_WORKER_RESTARTS.get(),
-        wk::CODEGEN_WORKER_REAPED.get()
     );
     finish_trace(&opts.trace);
 

@@ -24,7 +24,7 @@
 //! records its sample range). With `--baseline`, the fresh run is
 //! additionally compared against the committed baseline: the gated
 //! benches (see [`GATED_BENCHES`]; from `a1_job_churn/1` through
-//! `a10_native_amortized/persistent_deep_120000`) fail the check when
+//! `a9_native_vs_batch/batch_tier`) fail the check when
 //! missing from either file or more than 25% slower than the
 //! baseline, and the full comparison table is appended to
 //! `$GITHUB_STEP_SUMMARY` when that variable is set. Exits non-zero if
@@ -173,8 +173,8 @@ fn check_bench_json(path: &str) -> Result<(), String> {
 /// combiner: both are per-item/per-pair CPU work, stable on one core.
 /// The `a6` pair gates the columnar batch tier: the raw `eval_batch`
 /// lane loops and the end-to-end columnar `parallelMap` pipeline. The
-/// `a8` pair gates the streaming tier: whole-corpus streaming word
-/// count and the short-pipeline end-to-end latency.
+/// `a9` row gates the pooled columnar `ring_map` on the climate ring,
+/// the side of the native comparison that stays in process.
 const GATED_BENCHES: &[&str] = &[
     "a1_job_churn/1",
     "a1_nested_latency/outer2_inner8",
@@ -182,10 +182,7 @@ const GATED_BENCHES: &[&str] = &[
     "a5_word_count_combine/combiner_on",
     "a6_batch_eval/eval_batch",
     "a6_columnar_map/columnar_on",
-    "a8_stream_throughput/streaming",
-    "a8_stream_latency/numeric_2stage",
     "a9_native_vs_batch/batch_tier",
-    "a10_native_amortized/persistent_deep_120000",
 ];
 
 /// Regression tolerance for gated benches: fail when `current` is more

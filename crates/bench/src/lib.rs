@@ -4,6 +4,8 @@
 //! built here, so the two always agree on what an experiment means.
 //! See `DESIGN.md`'s experiment index for the paper mapping.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 use std::time::Duration;
 

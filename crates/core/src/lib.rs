@@ -25,6 +25,7 @@
 //! assert_eq!(session.said(), vec!["[30, 70, 80]"]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use snap_ast as ast;

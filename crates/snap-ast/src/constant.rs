@@ -96,6 +96,33 @@ mod tests {
     }
 
     #[test]
+    fn nested_lists_never_alias_and_rings_save_as_nothing() {
+        let c = Constant::List(vec![Constant::List(vec![1.into()]), "x".into()]);
+        let a = c.to_value();
+        let b = c.to_value();
+        let inner = |v: &Value| v.as_list().unwrap().item(1).unwrap();
+        inner(&a).as_list().unwrap().add(2.into());
+        assert_eq!(
+            inner(&b).as_list().unwrap().len(),
+            1,
+            "inner lists are fresh too"
+        );
+        assert_eq!(
+            Constant::from_value(&a),
+            Constant::List(vec![Constant::List(vec![1.into(), 2.into()]), "x".into()])
+        );
+        let ring = Value::Ring(std::sync::Arc::new(crate::Ring::reporter(
+            crate::Expr::EmptySlot,
+        )));
+        let list = Value::list(vec![ring.clone(), 7.into()]);
+        assert_eq!(Constant::from_value(&ring), Constant::Nothing);
+        assert_eq!(
+            Constant::from_value(&list),
+            Constant::List(vec![Constant::Nothing, 7.into()])
+        );
+    }
+
+    #[test]
     fn serde_roundtrip() {
         let c = Constant::List(vec![Constant::Number(1.5), Constant::Text("hi".into())]);
         let json = serde_json::to_string(&c).unwrap();

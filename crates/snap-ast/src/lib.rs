@@ -14,6 +14,7 @@
 //! The cooperative interpreter lives in `snap-vm`; the worker pool in
 //! `snap-workers`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod builder;

@@ -131,6 +131,21 @@ mod tests {
     }
 
     #[test]
+    fn only_reporter_and_predicate_rings_report() {
+        let predicate = Ring::predicate(gt(empty_slot(), num(0.0)));
+        assert!(predicate.is_reporter());
+        assert_eq!(predicate.describe(), "predicate");
+        assert!(Ring::reporter(empty_slot()).is_reporter());
+        let command = Ring::command_with_params(vec!["a".into(), "b".into()], vec![]);
+        assert!(!command.is_reporter());
+        assert_eq!(command.describe(), "command(a, b)");
+        assert_eq!(
+            Value::Ring(std::sync::Arc::new(command)).to_display_string(),
+            "<ring command(a, b)>"
+        );
+    }
+
+    #[test]
     fn captured_lookup_prefers_innermost() {
         let r = Ring::reporter(empty_slot()).with_captured(vec![
             ("x".into(), Value::Number(1.0)),

@@ -7,6 +7,7 @@
 //! wait, run, collect — with FIFO and EASY-backfill policies and
 //! walltime enforcement).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;

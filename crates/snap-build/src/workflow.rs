@@ -207,6 +207,43 @@ mod tests {
     }
 
     #[test]
+    fn a_busy_cluster_queues_the_job_until_nodes_free_up() {
+        let dir = std::env::temp_dir().join(format!("psnap-wf3-{}", std::process::id()));
+        let pipeline = BuildPipeline::new(dir).unwrap();
+        if !pipeline.has_compiler() {
+            eprintln!("skipping: no C compiler");
+            return;
+        }
+        let program = emit_mapreduce_openmp(
+            &climate_mapper(),
+            &averaging_reducer(),
+            &[("s".into(), 212.0)],
+        )
+        .unwrap();
+        let mut cluster = BatchScheduler::new(2, Policy::Fifo);
+        let blocker = cluster
+            .submit(JobSpec {
+                name: "blocker".into(),
+                nodes: 2,
+                walltime: 20,
+                runtime: 10,
+            })
+            .unwrap();
+        cluster.tick(); // the blocker takes both nodes at tick 0
+        let request = BatchRequest {
+            nodes: 2,
+            ..BatchRequest::default()
+        };
+        let report = run_on_cluster(&pipeline, &mut cluster, &program, &request).unwrap();
+        assert_eq!(cluster.job(blocker).unwrap().state, JobState::Completed);
+        // Submitted at tick 1, started when the blocker retired at 10.
+        assert_eq!(report.queue_wait, 9);
+        assert_eq!(report.state, JobState::Completed);
+        assert_eq!(report.results.len(), 1);
+        assert!((report.results[0].1 - 100.0).abs() < 1e-3);
+    }
+
+    #[test]
     fn oversubscribed_requests_are_rejected() {
         let dir = std::env::temp_dir().join(format!("psnap-wf2-{}", std::process::id()));
         let pipeline = BuildPipeline::new(dir).unwrap();

@@ -129,6 +129,24 @@ mod tests {
     }
 
     #[test]
+    fn headers_and_list_runtime_follow_what_the_script_uses() {
+        let plain = emit_c_program(&[set_var("x", add(num(1.0), num(2.0)))]).unwrap();
+        assert!(
+            plain.starts_with("#include <stdio.h>\n#include <stdlib.h>\n\nint main()\n{\n"),
+            "{plain}"
+        );
+        assert!(plain.ends_with("    return (0);\n}\n"), "{plain}");
+        assert!(!plain.contains("typedef struct node"));
+        for uses_math in [sqrt(num(2.0)), pow(num(2.0), num(3.0))] {
+            let code = emit_c_program(&[set_var("r", uses_math)]).unwrap();
+            assert!(code.contains("#include <math.h>"), "{code}");
+            assert!(!code.contains("typedef struct node"), "{code}");
+        }
+        // An empty slot outside a ring has no C meaning.
+        assert!(emit_c_program(&[set_var("x", empty_slot())]).is_err());
+    }
+
+    #[test]
     fn listing5_is_deterministic() {
         assert_eq!(emit_listing5(), emit_listing5());
     }

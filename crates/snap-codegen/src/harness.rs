@@ -876,6 +876,112 @@ mod tests {
     }
 
     #[test]
+    fn malformed_protocol_lines_are_errors() {
+        assert_eq!(decode_values("1.5\n\n  -2e0  \n").unwrap(), vec![1.5, -2.0]);
+        let err = decode_values("1\nabc\n").unwrap_err();
+        assert!(err.to_string().contains("\"abc\""), "{err}");
+        // Result keys may hold spaces: the value follows the last one.
+        assert_eq!(
+            decode_pairs("new york 2.5\nx 1\n\n").unwrap(),
+            vec![("new york".to_owned(), 2.5), ("x".to_owned(), 1.0)]
+        );
+        assert!(matches!(
+            decode_pairs("nospace\n"),
+            Err(HarnessError::Io(_))
+        ));
+        assert!(matches!(
+            decode_pairs("k notanumber\n"),
+            Err(HarnessError::Io(_))
+        ));
+    }
+
+    #[test]
+    fn compare_pairs_ignores_order_but_not_keys_or_values() {
+        let pairs = |rows: &[(&str, f64)]| -> Vec<(String, f64)> {
+            rows.iter().map(|(k, v)| (k.to_string(), *v)).collect()
+        };
+        let native = pairs(&[("b", 2.0), ("a", 1.0)]);
+        let tol = MAPREDUCE_REL_TOL;
+        assert!(compare_pairs("t", &native, &pairs(&[("a", 1.0), ("b", 2.0 + 1e-6)]), tol).is_ok());
+        let err = compare_pairs("t", &native, &pairs(&[("a", 1.0)]), tol).unwrap_err();
+        assert!(
+            err.contains("group count mismatch: native 2 vs oracle 1"),
+            "{err}"
+        );
+        let err = compare_pairs("t", &native, &pairs(&[("a", 1.0), ("c", 2.0)]), tol).unwrap_err();
+        assert!(
+            err.contains("key mismatch: native \"b\" vs oracle \"c\""),
+            "{err}"
+        );
+        let err = compare_pairs("t", &native, &pairs(&[("a", 1.0), ("b", 2.5)]), tol).unwrap_err();
+        assert!(err.contains("value mismatch for key \"b\""), "{err}");
+    }
+
+    #[test]
+    fn reference_word_count_sums_each_word_in_first_seen_order() {
+        let pairs: Vec<(String, f64)> = ["to", "be", "or", "not", "to", "be"]
+            .iter()
+            .map(|w| (w.to_string(), 0.0))
+            .collect();
+        let mapper = crate::openmp::word_count_mapper();
+        let out = reference_mapreduce(&mapper, &crate::openmp::summing_reducer(), &pairs).unwrap();
+        let want: Vec<(String, f64)> = [("to", 2.0), ("be", 2.0), ("or", 1.0), ("not", 1.0)]
+            .iter()
+            .map(|(k, v)| (k.to_string(), *v))
+            .collect();
+        assert_eq!(out, want);
+        // A reducer the emitter cannot translate has no reference either.
+        use snap_ast::builder::*;
+        let weird = Ring::reporter_with_params(vec!["vals".into()], num(42.0));
+        assert!(matches!(
+            reference_mapreduce(&mapper, &weird, &pairs),
+            Err(HarnessError::Io(m)) if m.contains("unrecognized mapreduce")
+        ));
+    }
+
+    #[test]
+    fn compile_and_run_failures_are_typed_errors() {
+        let Ok(harness) = Harness::detect() else {
+            eprintln!("codegen.toolchain_missing — skipping native compile test");
+            return;
+        };
+        let broken = "int main(void) { return undefined_name; }\n";
+        match harness.compile("broken", &[("main.c", broken)], false) {
+            Err(HarnessError::CompileFailed { name, stderr }) => {
+                assert_eq!(name, "broken");
+                assert!(stderr.contains("undefined_name"), "{stderr}");
+            }
+            other => panic!("expected CompileFailed, got {other:?}"),
+        }
+        let exits_3 = "#include <stdio.h>\n\
+                       int main(void) { fputs(\"bad input\\n\", stderr); return 3; }\n";
+        let program = harness
+            .compile("exits_3", &[("main.c", exits_3)], false)
+            .unwrap();
+        match program.run("") {
+            Err(HarnessError::RunFailed { name, message }) => {
+                assert_eq!(name, "exits_3");
+                assert!(message.starts_with("exit Some(3)"), "{message}");
+                assert!(message.contains("bad input"), "{message}");
+            }
+            other => panic!("expected RunFailed, got {other:?}"),
+        }
+        // A map program that answers fewer lines than it was sent.
+        let echoes_one = "#include <stdio.h>\n\
+                          int main(void) {\n\
+                          char line[64];\n\
+                          if (fgets(line, sizeof line, stdin) != NULL) printf(\"%s\", line);\n\
+                          return 0;\n\
+                          }\n";
+        match harness.run_map("echoes_one", echoes_one, &[1.0, 2.0]) {
+            Err(HarnessError::RunFailed { message, .. }) => {
+                assert_eq!(message, "expected 2 output lines, got 1")
+            }
+            other => panic!("expected RunFailed, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn nan_rule_and_tolerance() {
         assert!(bits_eq(f64::NAN, -f64::NAN));
         assert!(!bits_eq(0.0, -0.0) || 0.0_f64.to_bits() == (-0.0_f64).to_bits());
@@ -936,6 +1042,37 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing scenario {expected}");
         }
+    }
+
+    #[test]
+    fn equal_rings_compile_to_one_cached_program() {
+        use snap_ast::builder::*;
+        let Ok(harness) = Harness::detect() else {
+            eprintln!("codegen.toolchain_missing — skipping native compile test");
+            return;
+        };
+        // The cache is keyed on the emitted source, not on a ring's
+        // identity: two separately built equal rings share one binary,
+        // and a different ring gets its own.
+        let source = |k: f64| {
+            crate::openmp::emit_map_openmp(&Ring::reporter(mul(empty_slot(), num(k)))).unwrap()
+        };
+        let compile = |source: &str| {
+            harness
+                .compile("cache_key", &[("map_program.c", source)], true)
+                .unwrap()
+        };
+        let doubler = compile(&source(2.0));
+        let twin = compile(&source(2.0));
+        assert_eq!(twin.binary, doubler.binary);
+        assert!(twin.cached, "the second equal ring must hit the cache");
+        assert_ne!(compile(&source(3.0)).binary, doubler.binary);
+        assert_eq!(
+            harness
+                .run_map("cache_key", &source(2.0), &[1.5, -2.0, 0.0])
+                .unwrap(),
+            vec![3.0, -4.0, 0.0]
+        );
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! listings: the map example in C (Listing 5) and the MapReduce OpenMP
 //! program (`kvp.h`, Listings 6–7).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod c_program;
@@ -18,7 +19,6 @@ pub mod openmp;
 pub mod programs;
 pub mod template;
 pub mod types;
-pub mod worker;
 
 pub use c_program::{emit_c_program, emit_listing5, emit_listing5_runnable, map_example_script};
 pub use gen::{CodegenError, Generator};
@@ -32,10 +32,6 @@ pub use openmp::{
 };
 pub use programs::{emit_js_program, emit_python_program, emit_smalltalk_chunk};
 pub use template::Template;
-pub use worker::{
-    compile_native_map, native_pool, NativePool, NativeProgram, NativeWorker, WorkerKind,
-    NATIVE_IDLE_REAP, POISON_FRAME,
-};
 
 use snap_ast::Stmt;
 

@@ -418,16 +418,10 @@ pub fn emit_mapreduce_openmp_protocol(
 /// [`emit_mapreduce_openmp_protocol`]).
 pub const PROTOCOL_DRIVER_C: &str = r#"/* OpenMP driver for Parallel Snap! MapReduce code output.
    Protocol variant: the dataset arrives on stdin as `key,value` lines
-   (split on the last comma); results leave as `key value` lines.
-   `--serve` switches to the persistent binary frame loop: each request
-   is [u64 npairs] then npairs of [u32 klen][klen key bytes][f64 val]
-   in native endianness; the response uses the same framing for the
-   reduced groups. One frame is one complete MapReduce job. A count of
-   UINT64_MAX is the poison frame: the worker exits abruptly. */
+   (split on the last comma); results leave as `key value` lines. */
 #ifdef _OPENMP
 #include <omp.h>
 #endif
-#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 #include <stdio.h>
@@ -529,81 +523,11 @@ static int run_batch(KVP *inputlist, int nkvp, KVP **outputp, int *ngroupsp) {
     return 0;
 }
 
-/* Read one [u32 klen][key bytes][f64 val] record; keys longer than
-   MAXKEY-1 are truncated (matching the line protocol's behaviour) but
-   the full klen bytes are always consumed. */
-static int read_kvp(KVP *kvp) {
-    uint32_t klen;
-    uint32_t keep;
-    uint32_t skip;
-    double val;
-    if (fread(&klen, sizeof klen, 1, stdin) != 1) return 1;
-    keep = klen < MAXKEY ? klen : (MAXKEY - 1);
-    if (keep > 0 && fread(kvp->key, 1, keep, stdin) != keep) return 1;
-    kvp->key[keep] = '\0';
-    skip = klen - keep;
-    while (skip > 0) {
-        char waste[256];
-        uint32_t take = skip < sizeof waste ? skip : (uint32_t) sizeof waste;
-        if (fread(waste, 1, take, stdin) != take) return 1;
-        skip -= take;
-    }
-    if (fread(&val, sizeof val, 1, stdin) != 1) return 1;
-    kvp->val = (float) val;
-    return 0;
-}
-
-static int serve_loop(void) {
-    static char sinbuf[1 << 16];
-    static char soutbuf[1 << 16];
-    uint64_t npairs;
-    setvbuf(stdin, sinbuf, _IOFBF, sizeof sinbuf);
-    setvbuf(stdout, soutbuf, _IOFBF, sizeof soutbuf);
-    printf("snap-native-worker 1 mapreduce\n");
-    if (fflush(stdout) != 0) return 2;
-    while (fread(&npairs, sizeof npairs, 1, stdin) == 1) {
-        KVP *inputlist;
-        KVP *outputlist;
-        int ngroups;
-        uint64_t i;
-        uint64_t out_n;
-        int g;
-        if (npairs == UINT64_MAX) exit(86); /* poison frame */
-        if (npairs > ((uint64_t) 1 << 32)) return 2;
-        inputlist = malloc((size_t) (npairs > 0 ? npairs : 1) * sizeof(KVP));
-        if (inputlist == NULL) return 3;
-        for (i = 0; i < npairs; i++) {
-            if (read_kvp(&inputlist[i]) != 0) { free(inputlist); return 4; }
-        }
-        if (run_batch(inputlist, (int) npairs, &outputlist, &ngroups) != 0) {
-            free(inputlist);
-            return 3;
-        }
-        out_n = (uint64_t) ngroups;
-        if (fwrite(&out_n, sizeof out_n, 1, stdout) != 1) return 5;
-        for (g = 0; g < ngroups; g++) {
-            uint32_t klen = (uint32_t) strlen(outputlist[g].key);
-            double val = (double) outputlist[g].val;
-            if (fwrite(&klen, sizeof klen, 1, stdout) != 1) return 5;
-            if (klen > 0 && fwrite(outputlist[g].key, 1, klen, stdout) != klen)
-                return 5;
-            if (fwrite(&val, sizeof val, 1, stdout) != 1) return 5;
-        }
-        if (fflush(stdout) != 0) return 5;
-        free(inputlist);
-        free(outputlist);
-    }
-    return 0;
-}
-
-int main(int argc, char *argv[]) {
+int main(void) {
     int nkvp;
     KVP *inputlist, *outputlist;
     int ngroups;
 
-    if (argc > 1 && strcmp(argv[1], "--serve") == 0) {
-        return serve_loop();
-    }
     if (input(&nkvp, &inputlist) != 0) {
         return 1;
     }
@@ -650,66 +574,16 @@ pub fn emit_map_openmp(ring: &Ring) -> Result<String, CodegenError> {
     }
     let expr = gen.expr(body)?;
     Ok(format!(
-        r#"/* Generated OpenMP map program (stdin/stdout line protocol).
-   `--serve` switches to the persistent binary frame loop: length-
-   prefixed [u64 n][n x f64] frames in native endianness, one response
-   frame per request, until EOF on stdin. A frame count of UINT64_MAX
-   is the poison frame: the worker exits abruptly (the deterministic
-   crash hook the harness uses to test its recovery ladder). */
+        r#"/* Generated OpenMP map program (stdin/stdout line protocol). */
 #include <math.h>
-#include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
-#include <string.h>
 
 static double map_fn(double __x) {{
     return {expr};
 }}
 
-static int serve_loop(void) {{
-    static char inbuf[1 << 16];
-    static char outbuf[1 << 16];
-    uint64_t n;
-    size_t cap = 0;
-    double *in = NULL;
-    double *out = NULL;
-    setvbuf(stdin, inbuf, _IOFBF, sizeof inbuf);
-    setvbuf(stdout, outbuf, _IOFBF, sizeof outbuf);
-    printf("snap-native-worker 1 map\n");
-    if (fflush(stdout) != 0) return 2;
-    while (fread(&n, sizeof n, 1, stdin) == 1) {{
-        long i;
-        long count;
-        if (n == UINT64_MAX) exit(86); /* poison frame: crash on request */
-        if (n > ((uint64_t) 1 << 40)) return 2;
-        if ((size_t) n > cap) {{
-            free(in);
-            free(out);
-            cap = (size_t) n;
-            in = malloc(cap * sizeof(double));
-            out = malloc(cap * sizeof(double));
-            if (in == NULL || out == NULL) return 3;
-        }}
-        if (n > 0 && fread(in, sizeof(double), (size_t) n, stdin) != (size_t) n)
-            return 4;
-        count = (long) n;
-
-        #pragma omp parallel for
-        for (i = 0; i < count; i++) {{
-            out[i] = map_fn(in[i]);
-        }}
-
-        if (fwrite(&n, sizeof n, 1, stdout) != 1) return 5;
-        if (n > 0 && fwrite(out, sizeof(double), (size_t) n, stdout) != (size_t) n)
-            return 5;
-        if (fflush(stdout) != 0) return 5;
-    }}
-    free(in);
-    free(out);
-    return 0;
-}}
-
-int main(int argc, char *argv[]) {{
+int main(void) {{
     size_t cap = 1024;
     size_t n = 0;
     long i;
@@ -717,9 +591,6 @@ int main(int argc, char *argv[]) {{
     char line[256];
     double *in;
     double *out;
-    if (argc > 1 && strcmp(argv[1], "--serve") == 0) {{
-        return serve_loop();
-    }}
     in = malloc(cap * sizeof(double));
     if (in == NULL) return 1;
     while (fgets(line, sizeof line, stdin) != NULL) {{
@@ -797,6 +668,14 @@ mod tests {
     use super::*;
 
     #[test]
+    fn untranslatable_ring_is_an_error_before_any_compile() {
+        // A command ring has no C expression: the emitter refuses it,
+        // so the error is the same with or without a toolchain.
+        let err = emit_map_openmp(&Ring::command(vec![]));
+        assert!(err.is_err(), "got {err:?}");
+    }
+
+    #[test]
     fn climate_mapper_is_recognized() {
         let spec = recognize(&climate_mapper(), &averaging_reducer()).unwrap();
         assert_eq!(spec.key, KeySource::Constant("avg".into()));
@@ -824,6 +703,49 @@ mod tests {
         use snap_ast::builder::*;
         let weird = Ring::reporter_with_params(vec!["vals".into()], num(42.0));
         assert!(recognize_reducer(&weird).is_err());
+    }
+
+    #[test]
+    fn mapper_and_reducer_shapes_without_a_c_form_are_rejected() {
+        use snap_ast::builder::*;
+        let mapper_error =
+            |mapper: Ring| recognize(&mapper, &summing_reducer()).unwrap_err().message;
+        assert!(mapper_error(Ring::reporter(num(1.0))).contains("[key, value] pair"));
+        let computed_key = make_list(vec![add(var("w"), num(1.0)), num(1.0)]);
+        let computed_key = Ring::reporter_with_params(vec!["w".into()], computed_key);
+        assert!(mapper_error(computed_key).contains("unsupported mapper key expression"));
+        assert!(mapper_error(Ring::command(vec![])).contains("mapper must be a reporter ring"));
+
+        let sum_of = |list: Expr, op: fn(Expr, Expr) -> Expr| {
+            combine_using(list, ring_reporter(op(empty_slot(), empty_slot())))
+        };
+        let reducer = |body: Expr| Ring::reporter_with_params(vec!["vals".into()], body);
+        let kind = |body: Expr| recognize_reducer(&reducer(body)).ok();
+        // A mean divides by the length of the same list, nothing else.
+        assert_eq!(kind(div(sum_of(var("vals"), add), num(2.0))), None);
+        assert_eq!(
+            kind(div(sum_of(var("vals"), add), length_of(var("xs")))),
+            None
+        );
+        // Only `+` folds into a sum, and only over the parameter.
+        assert_eq!(kind(sum_of(var("vals"), mul)), None);
+        assert_eq!(kind(sum_of(var("xs"), add)), None);
+        // An empty slot stands for the parameter.
+        let by_slot = Ring::reporter(length_of(empty_slot()));
+        assert_eq!(recognize_reducer(&by_slot).ok(), Some(ReducerKind::Count));
+    }
+
+    #[test]
+    fn map_program_uses_floored_mod_on_the_named_parameter() {
+        use snap_ast::builder::*;
+        let ring = Ring::reporter_with_params(vec!["n".into()], modulo(var("n"), num(3.0)));
+        let source = emit_map_openmp(&ring).unwrap();
+        assert!(source.contains("static double map_fn(double __x) {"));
+        assert!(
+            source.contains("return (__x - (3e0 * floor(__x / 3e0)));"),
+            "{source}"
+        );
+        assert!(!source.contains(" % "), "C's truncating % must not appear");
     }
 
     #[test]

@@ -16,8 +16,12 @@ use std::sync::Arc;
 
 use snap_ast::builder::*;
 use snap_ast::{BinOp, Expr, Ring, UnOp};
-use snap_codegen::harness::{compare_values, detect_toolchain, oracle_map_tiers, Harness};
-use snap_codegen::openmp::emit_map_openmp;
+use snap_codegen::harness::{
+    compare_values, detect_toolchain, oracle_map_tiers, reference_mapreduce, Harness,
+};
+use snap_codegen::openmp::{
+    emit_map_openmp, emit_mapreduce_openmp_protocol, summing_reducer, word_count_mapper,
+};
 
 /// Constant pool: mundane values plus the edges where C `int`
 /// arithmetic or printf rounding would diverge from IEEE doubles.
@@ -180,6 +184,63 @@ fn ieee_specials_round_trip_through_compiled_identity_map() {
         .run_map("diff_identity", &source, &inputs)
         .expect("identity map compiles and runs");
     compare_values("identity round-trip", &native, &inputs).unwrap_or_else(|e| panic!("{e}"));
+}
+
+/// Input lengths short of, exactly at and one past the 64-lane
+/// `eval_batch` stride, a two-stride crossing and the empty list: the
+/// random-ring proptest runs 39 inputs per ring, so these boundaries
+/// need their own runs.
+#[test]
+fn empty_and_lane_boundary_lengths_match_all_tiers() {
+    let Ok(harness) = Harness::detect() else {
+        eprintln!("codegen.toolchain_missing — skipping lane-boundary lengths");
+        return;
+    };
+    let ring = Arc::new(Ring::reporter_with_params(
+        vec!["x".into()],
+        add(mul(var("x"), num(3.0)), num(1.5)),
+    ));
+    let source = emit_map_openmp(&ring).expect("ring translates");
+    for len in [0usize, 1, 63, 64, 65, 128, 130] {
+        let inputs: Vec<f64> = (0..len).map(|i| i as f64 * 0.37 - 11.0).collect();
+        let native = harness
+            .run_map("diff_lane_boundary", &source, &inputs)
+            .unwrap_or_else(|e| panic!("{len} inputs: native run failed: {e}"));
+        let tiers = oracle_map_tiers(&ring, &inputs).expect("oracle tiers");
+        compare_values(
+            &format!("len {len}: native vs treewalk"),
+            &native,
+            &tiers.treewalk,
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+        compare_values(
+            &format!("len {len}: native vs scalar"),
+            &native,
+            &tiers.scalar,
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+        let batch = tiers.batch.expect("the ring is batchable");
+        compare_values(&format!("len {len}: native vs batch"), &native, &batch)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+}
+
+/// A MapReduce job with no input pairs reduces to no groups, natively
+/// and in the f64 reference.
+#[test]
+fn empty_mapreduce_job_has_no_groups() {
+    let Ok(harness) = Harness::detect() else {
+        eprintln!("codegen.toolchain_missing — skipping empty mapreduce job");
+        return;
+    };
+    let (mapper, reducer) = (word_count_mapper(), summing_reducer());
+    let program = emit_mapreduce_openmp_protocol(&mapper, &reducer).expect("recognized pair");
+    let native = harness
+        .run_mapreduce("diff_empty_wordcount", &program, &[])
+        .expect("empty job runs");
+    let reference = reference_mapreduce(&mapper, &reducer, &[]).expect("reference semantics");
+    assert!(native.is_empty(), "native groups: {native:?}");
+    assert_eq!(native, reference);
 }
 
 /// The toolchain probe is stable: repeated detection returns the same

@@ -109,6 +109,18 @@ mod tests {
     }
 
     #[test]
+    fn word_values_are_the_words_as_text() {
+        let words = generate_words(300, 9);
+        let values = generate_word_values(300, 9);
+        assert_eq!(values.len(), words.len());
+        for (value, word) in values.iter().zip(&words) {
+            assert_eq!(value, &Value::text(word.as_str()));
+        }
+        assert!(generate_words(0, 9).is_empty());
+        assert!(reference_counts(&[]).is_empty());
+    }
+
+    #[test]
     fn sample_sentence_counts() {
         let words: Vec<String> = SAMPLE_SENTENCE.split(' ').map(String::from).collect();
         let counts = reference_counts(&words);

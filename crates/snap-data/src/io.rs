@@ -281,6 +281,49 @@ mod tests {
     }
 
     #[test]
+    fn csv_parsing_handles_blank_lines_crlf_and_quoted_cells() {
+        let rows = parse_csv("a,1\r\n\r\n   \nb,\"x,\"\"y\"\"\",,2.5\r\n");
+        assert_eq!(rows.len(), 2, "blank and whitespace-only lines are skipped");
+        assert_eq!(
+            rows.item(1).unwrap(),
+            Value::list(vec![Value::text("a"), 1.into()])
+        );
+        // A quoted cell keeps its comma, a doubled quote is one quote,
+        // and an empty cell stays an empty text cell.
+        assert_eq!(
+            rows.item(2).unwrap(),
+            Value::list(vec![
+                Value::text("b"),
+                Value::text("x,\"y\""),
+                Value::text(""),
+                2.5.into(),
+            ])
+        );
+    }
+
+    #[test]
+    fn nested_lists_are_written_in_display_form() {
+        let path = tmp("nested.txt");
+        let list = List::from_vec(vec![
+            Value::list(vec![1.into(), Value::list(vec!["a".into()])]),
+            true.into(),
+        ]);
+        write_list(&path, &list).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "[1, [a]]\ntrue\n");
+        // Read back, each line is one item: text unless it is a number.
+        let back = read_list(&path).unwrap();
+        assert_eq!(
+            back.to_vec(),
+            vec![Value::text("[1, [a]]"), Value::text("true")]
+        );
+        assert_eq!(
+            parse_list("5\r\nx\r\n").to_vec(),
+            vec![5.into(), Value::text("x")]
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn empty_file_is_an_empty_list() {
         let list = parse_list("");
         assert!(list.is_empty());

@@ -6,6 +6,7 @@
 //! survey cohort (→ [`survey`]). Each substitution is documented in
 //! `DESIGN.md`; all generators are pure functions of their seeds.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod corpus;

@@ -275,6 +275,43 @@ mod tests {
     }
 
     #[test]
+    fn summaries_of_a_hand_made_dataset() {
+        let reading = |station: &str, year: u32, temp_f: f64| Reading {
+            station: station.into(),
+            year,
+            day: 1,
+            temp_f,
+        };
+        let dataset = NoaaDataset {
+            stations: Vec::new(),
+            readings: vec![
+                reading("B", 2001, 50.0),
+                reading("A", 1999, 40.0),
+                reading("A", 2001, 70.0),
+                reading("B", 1999, 60.0),
+            ],
+        };
+        assert_eq!(dataset.mean_f(), 55.0);
+        // Years come out sorted, whatever order the readings are in.
+        assert_eq!(dataset.yearly_means_f(), vec![(1999, 50.0), (2001, 60.0)]);
+        assert_eq!(
+            dataset.station_temp_pairs(),
+            vec![
+                ("B".to_string(), 50.0),
+                ("A".to_string(), 40.0),
+                ("A".to_string(), 70.0),
+                ("B".to_string(), 60.0),
+            ]
+        );
+        let empty = NoaaDataset {
+            stations: Vec::new(),
+            readings: Vec::new(),
+        };
+        assert_eq!(empty.mean_f(), 0.0);
+        assert!(empty.yearly_means_f().is_empty());
+    }
+
+    #[test]
     fn f_to_c_fixed_points() {
         assert_eq!(f_to_c(32.0), 0.0);
         assert_eq!(f_to_c(212.0), 100.0);

@@ -416,6 +416,73 @@ mod tests {
     }
 
     #[test]
+    fn empty_lists_flow_through_every_block() {
+        let ring = Arc::new(Ring::reporter(mul(empty_slot(), num(10.0))));
+        assert_eq!(
+            parallel_map(ring, Vec::new(), 4).unwrap(),
+            Vec::<Value>::new()
+        );
+        let out = run_map_reduce(word_count_mapper(), word_count_reducer(), Vec::new(), 4);
+        assert_eq!(out.unwrap(), Vec::<Value>::new());
+        parallel_for_each(Vec::<i32>::new(), 4, |_| panic!("no item to visit"));
+    }
+
+    #[test]
+    fn eval_errors_surface_as_the_sequential_call_reports_them() {
+        use snap_ast::pure::compile_cached;
+        use snap_ast::EvalError;
+        // item 5 of a one-item list fails on whichever worker runs it.
+        let ring = Arc::new(Ring::reporter(item(num(5.0), empty_slot())));
+        let short = Value::list(vec![1.into()]);
+        let want = compile_cached(&ring)
+            .unwrap()
+            .call1(short.clone())
+            .unwrap_err();
+        let items: Vec<Value> = (0..40).map(|_| short.clone()).collect();
+        assert_eq!(parallel_map(ring.clone(), items, 4).unwrap_err(), want);
+
+        // A mapper must report a [key, value] pair.
+        let bare = Arc::new(Ring::reporter(empty_slot()));
+        assert_eq!(
+            run_map_reduce(bare, word_count_reducer(), vec![3.into()], 2).unwrap_err(),
+            EvalError::TypeMismatch {
+                expected: "[key, value] pair from the map function",
+                got: "3".into(),
+            }
+        );
+        // A failing reducer fails the block as well.
+        let bad_reducer = Arc::new(Ring::reporter_with_params(
+            vec!["vals".into()],
+            item(num(5.0), var("vals")),
+        ));
+        let words: Vec<Value> = vec!["a".into(), "b".into()];
+        assert!(run_map_reduce(word_count_mapper(), bad_reducer, words, 2).is_err());
+    }
+
+    #[test]
+    fn reducer_sees_each_keys_values_in_input_order() {
+        // Mapper [x mod 3, x]; the reducer reports its value list as is,
+        // so the output shows the order the shuffle handed over.
+        let mapper = Arc::new(Ring::reporter_with_params(
+            vec!["x".into()],
+            make_list(vec![modulo(var("x"), num(3.0)), var("x")]),
+        ));
+        let reducer = Arc::new(Ring::reporter_with_params(vec!["vals".into()], var("vals")));
+        let items: Vec<Value> = (0..90).map(|n| Value::Number(n as f64)).collect();
+        let out = run_map_reduce(mapper, reducer, items, 4).unwrap();
+        assert_eq!(out.len(), 3);
+        for (key, group) in out.iter().enumerate() {
+            let group = group.as_list().unwrap();
+            assert_eq!(group.item(1).unwrap(), Value::Number(key as f64));
+            let values = group.item(2).unwrap().as_list().unwrap().to_vec();
+            let want: Vec<Value> = (0..30)
+                .map(|i| Value::Number((key + 3 * i) as f64))
+                .collect();
+            assert_eq!(values, want, "key {key}");
+        }
+    }
+
+    #[test]
     fn parallel_for_each_runs_every_item() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let hits = AtomicUsize::new(0);

@@ -21,13 +21,13 @@
 //! assert_eq!(out, vec![30.into(), 70.into(), 80.into()]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;
 pub mod blocks;
 pub mod distributed;
 pub mod shuffle;
-pub mod stream;
 
 pub use backend::{install, install_with, WorkerBackend};
 pub use blocks::{
@@ -39,4 +39,3 @@ pub use distributed::{distributed_map, strong_scaling_sweep, ClusterSpec, Distri
 pub use shuffle::{
     combine_pairs, shuffle, shuffle_parallel, shuffle_seq, PARALLEL_SHUFFLE_THRESHOLD,
 };
-pub use stream::{Emitter, Pipeline, StreamConfig, StreamStats};

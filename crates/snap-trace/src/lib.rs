@@ -35,6 +35,7 @@
 //! assert!(trace.contains("\"traceEvents\""));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod export;
@@ -47,8 +48,8 @@ pub mod window;
 
 pub use export::{chrome_trace_json, chrome_trace_json_with_notes, spans_jsonl};
 pub use metrics::{
-    counter, gauge_owned, global_workers, histogram_owned, register_global_workers, well_known,
-    Counter, Gauge, Histogram, HistogramSnapshot, WorkerCounters,
+    counter, global_workers, histogram_owned, register_global_workers, well_known, Counter, Gauge,
+    Histogram, HistogramSnapshot, WorkerCounters,
 };
 pub use profile::{profile_for, register_thread, sample_once, Profile, ProfilerHandle};
 pub use report::{report, ExecutionReport, SpanSummary};

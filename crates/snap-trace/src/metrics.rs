@@ -5,8 +5,8 @@
 //! map, compile cache, shuffle, VM) are declared once, in the
 //! `metrics!` table below, as `static`s so call sites pay no lookup at
 //! all; ad-hoc metrics can be interned at runtime through [`counter`] /
-//! [`gauge_owned`] / [`histogram_owned`], which hand back `&'static`
-//! references from a leak-once registry.
+//! [`histogram_owned`], which hand back `&'static` references from a
+//! leak-once registry.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -485,23 +485,6 @@ metrics! {
         /// Distributed maps that fell back to the master (every node died).
         DIST_DEGRADED_RUNS = "distributed.degraded_runs";
 
-        /// Items pulled into a streaming pipeline by its source node.
-        STREAM_ITEMS_IN = "stream.items_in";
-        /// Items delivered to a streaming pipeline's sink.
-        STREAM_ITEMS_OUT = "stream.items_out";
-        /// Item-blocks that flowed through streaming channels (all stages).
-        STREAM_BLOCKS = "stream.blocks";
-        /// Reduce-by-key windows closed (including the end-of-stream flush).
-        STREAM_WINDOWS = "stream.windows";
-        /// Blocks that panicked past their retry budget and went through
-        /// the per-item salvage pass instead of killing the stream.
-        STREAM_BLOCKS_SALVAGED = "stream.blocks_salvaged";
-        /// Items dropped by salvage because they panicked on every attempt.
-        STREAM_ITEMS_DROPPED = "stream.items_dropped";
-        /// Times a stage blocked on a full downstream channel
-        /// (backpressure waits, not spin retries).
-        STREAM_BACKPRESSURE_WAITS = "stream.backpressure_waits";
-
         /// Emitted C/OpenMP programs compiled by the codegen harness.
         CODEGEN_COMPILES = "codegen.compiles";
         /// Compiled codegen binaries executed to completion.
@@ -514,15 +497,6 @@ metrics! {
         CODEGEN_CACHE_HITS = "codegen.cache_hits";
         /// Codegen compile-cache misses (fresh compile required).
         CODEGEN_CACHE_MISSES = "codegen.cache_misses";
-        /// Persistent native workers spawned (`--serve` processes started).
-        CODEGEN_WORKER_SPAWNS = "codegen.worker_spawns";
-        /// Batch frames processed by persistent native workers.
-        CODEGEN_WORKER_FRAMES = "codegen.worker_frames";
-        /// Dead native workers respawned (exactly-once crash recovery).
-        CODEGEN_WORKER_RESTARTS = "codegen.worker_restarts";
-        /// Warm workers retired: idle past the reap deadline, or holding a
-        /// binary whose content-addressed cache key went stale.
-        CODEGEN_WORKER_REAPED = "codegen.worker_reaped";
 
         /// VM frames executed (`step_frame` calls, stolen or not).
         VM_FRAMES = "vm.frames";
@@ -547,8 +521,6 @@ metrics! {
     Gauge in known_gauges {
         /// Jobs currently queued or running on the pool.
         POOL_QUEUE_DEPTH = "pool.queue_depth";
-        /// Blocks currently queued across all streaming channels.
-        STREAM_QUEUE_DEPTH = "stream.queue_depth";
         /// Live processes in the most recently stepped VM.
         VM_LIVE_PROCESSES = "vm.live_processes";
     }
@@ -558,9 +530,6 @@ metrics! {
         SHUFFLE_PARTITION_SIZE = "shuffle.partition_size";
         /// Wall-time of the parallel shuffle's k-way merge, nanoseconds.
         SHUFFLE_MERGE_NS = "shuffle.merge_ns";
-        /// End-to-end latency of each block, source pack to sink emit,
-        /// nanoseconds — feeds the windowed p50/p95/p99 on `/metrics`.
-        STREAM_LATENCY_NS = "stream.latency_ns";
         /// Wall-time of each VM frame step, nanoseconds.
         VM_FRAME_NS = "vm.frame_ns";
     }
@@ -571,7 +540,6 @@ metrics! {
 // ---------------------------------------------------------------------
 
 static DYNAMIC_COUNTERS: Mutex<Vec<&'static Counter>> = Mutex::new(Vec::new());
-static DYNAMIC_GAUGES: Mutex<Vec<&'static Gauge>> = Mutex::new(Vec::new());
 static DYNAMIC_HISTOGRAMS: Mutex<Vec<&'static Histogram>> = Mutex::new(Vec::new());
 
 /// The one intern path: the metric in `registry` named `name`, or a
@@ -606,13 +574,6 @@ pub fn counter(name: &'static str) -> &'static Counter {
     intern(&DYNAMIC_COUNTERS, name, Counter::name, Counter::new)
 }
 
-/// Intern a gauge under a runtime-built name. Used for per-stage
-/// streaming queue-depth gauges (`stream.stage<N>.queue_depth`), where
-/// the stage count is only known when a pipeline is built.
-pub fn gauge_owned(name: String) -> &'static Gauge {
-    intern(&DYNAMIC_GAUGES, &name, Gauge::name, Gauge::new)
-}
-
 /// Intern a histogram under a runtime-built name. Used for
 /// per-span-name duration histograms (`span.<name>.ns`), where the set
 /// of names is only known at runtime.
@@ -623,11 +584,6 @@ pub fn histogram_owned(name: String) -> &'static Histogram {
 /// Dynamically interned counters, for report enumeration.
 pub fn dynamic_counters() -> Vec<&'static Counter> {
     listed(&DYNAMIC_COUNTERS)
-}
-
-/// Dynamically interned gauges, for report enumeration.
-pub fn dynamic_gauges() -> Vec<&'static Gauge> {
-    listed(&DYNAMIC_GAUGES)
 }
 
 /// Dynamically interned histograms, for report enumeration.
@@ -756,6 +712,38 @@ mod tests {
         assert_eq!(workers.workers(), 2);
         assert_eq!(workers.snapshot(), vec![1, 2]);
         assert_eq!(workers.total(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "WorkerCounters capacity (2) exhausted")]
+    fn worker_counters_refuse_a_worker_past_capacity() {
+        let workers = WorkerCounters::new(2);
+        workers.add_worker();
+        workers.add_worker();
+        workers.add_worker();
+    }
+
+    #[test]
+    fn percentile_estimate_brackets_the_true_quantile() {
+        static H: Histogram = Histogram::new("test.histogram.quantiles");
+        for sample in 1..=1000u64 {
+            H.record(sample);
+        }
+        let snap = H.snapshot();
+        for p in [0.0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {
+            // The exact quantile of 1..=1000 at rank ceil(p * n).
+            let exact = ((p * 1000.0_f64).ceil() as u64).max(1);
+            let estimate = snap.percentile(p);
+            assert!(
+                exact <= estimate && estimate < 2 * exact.max(1),
+                "p={p}: estimate {estimate} is not within one bucket of {exact}"
+            );
+            assert!((snap.min..=snap.max).contains(&estimate));
+        }
+        // Out-of-range probabilities clamp instead of reading past the
+        // buckets.
+        assert_eq!(snap.percentile(-1.0), snap.percentile(0.0));
+        assert_eq!(snap.percentile(7.0), 1000);
     }
 
     /// Every table row as `(name, help)`, across all three kinds.

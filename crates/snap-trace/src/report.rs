@@ -11,8 +11,8 @@ use std::fmt::Write as _;
 use crate::export::escape_json;
 use crate::metrics::well_known::*;
 use crate::metrics::{
-    dynamic_counters, dynamic_gauges, dynamic_histograms, global_workers, known_counters,
-    known_gauges, known_histograms, Counter, HistogramSnapshot,
+    dynamic_counters, dynamic_histograms, global_workers, known_counters, known_gauges,
+    known_histograms, Counter, HistogramSnapshot,
 };
 use crate::span::{collect_notes, collect_spans, dropped_spans};
 
@@ -67,9 +67,7 @@ pub fn report() -> ExecutionReport {
 
     let mut gauges: Vec<(&'static str, i64)> = known_gauges()
         .iter()
-        .map(|k| k.metric)
-        .chain(dynamic_gauges())
-        .map(|g| (g.name(), g.get()))
+        .map(|k| (k.metric.name(), k.metric.get()))
         .collect();
     gauges.sort_by_key(|(name, _)| *name);
 
@@ -367,5 +365,83 @@ mod tests {
         assert!(json.contains("\"fault_messages\":["));
         assert!(json.contains("test.report_fault: worker panic recorded"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    /// A report built by hand, so renderings can be checked exactly
+    /// without the process-wide registry.
+    fn built(counters: Vec<(&'static str, u64)>, fault_messages: Vec<String>) -> ExecutionReport {
+        ExecutionReport {
+            counters,
+            gauges: vec![("test.gauge_row", -2)],
+            histograms: Vec::new(),
+            executed_per_worker: Vec::new(),
+            spans: vec![SpanSummary {
+                name: "test.span",
+                count: 2,
+                total_ns: 1_500_000,
+                max_ns: 999,
+            }],
+            dropped_spans: 0,
+            fault_messages,
+        }
+    }
+
+    #[test]
+    fn table_lists_only_counters_that_fired() {
+        let quiet = built(vec![("test.silent", 0)], Vec::new()).to_table();
+        assert!(quiet.contains("  counters\n    (none)\n"), "{quiet}");
+        assert!(!quiet.contains("test.silent"));
+        let busy = built(vec![("test.silent", 0), ("test.busy", 3)], Vec::new()).to_table();
+        assert!(busy.contains("test.busy"));
+        assert!(!busy.contains("test.silent"));
+        assert!(!busy.contains("(none)"));
+        // Gauges show at any value; spans render their durations in
+        // the unit that fits; no pool line without workers.
+        assert!(busy.contains("test.gauge_row"));
+        assert!(busy.contains("total=1.50ms"));
+        assert!(busy.contains("max=999ns"));
+        assert!(!busy.contains("pool workers"));
+    }
+
+    #[test]
+    fn table_keeps_only_the_last_sixteen_fault_messages() {
+        let messages: Vec<String> = (0..20)
+            .map(|i| format!("test.note: message {i:02}"))
+            .collect();
+        let table = built(Vec::new(), messages).to_table();
+        assert!(table.contains("… 4 earlier message(s) elided"));
+        for i in 0..4 {
+            assert!(!table.contains(&format!("message {i:02}")), "{table}");
+        }
+        for i in 4..20 {
+            assert!(table.contains(&format!("message {i:02}")), "{table}");
+        }
+        let last = table.find("message 19").unwrap();
+        assert!(table.find("message 04").unwrap() < last, "oldest first");
+    }
+
+    #[test]
+    fn durations_pick_the_unit_by_magnitude() {
+        assert_eq!(fmt_ns(0), "0ns");
+        assert_eq!(fmt_ns(999), "999ns");
+        assert_eq!(fmt_ns(1_000), "1.00µs");
+        assert_eq!(fmt_ns(2_500_000), "2.50ms");
+        assert_eq!(fmt_ns(3_000_000_000), "3.00s");
+    }
+
+    #[test]
+    fn json_of_a_built_report_is_exact() {
+        let mut report = built(vec![("test.a", 1)], vec!["n: \"q\"\tx".to_string()]);
+        report.executed_per_worker = vec![3, 4];
+        report.dropped_spans = 5;
+        assert_eq!(
+            report.to_json(),
+            "{\"counters\":{\"test.a\":1},\"gauges\":{\"test.gauge_row\":-2},\
+             \"histograms\":{},\"executed_per_worker\":[3,4],\
+             \"spans\":{\"test.span\":{\"count\":2,\"total_ns\":1500000,\"max_ns\":999}},\
+             \"dropped_spans\":5,\"fault_messages\":[\"n: \\\"q\\\"\\tx\"]}"
+        );
+        assert_eq!(report.pool_jobs_executed_total(), 7);
+        assert!(report.to_table().contains("dropped spans: 5"));
     }
 }

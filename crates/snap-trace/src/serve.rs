@@ -29,8 +29,8 @@ use std::time::{Duration, Instant};
 
 use crate::metrics::well_known::{TRACE_METRICS_SCRAPES, TRACE_OVERHEAD_NS};
 use crate::metrics::{
-    dynamic_counters, dynamic_gauges, dynamic_histograms, global_workers, known_counters,
-    known_gauges, known_histograms, HistogramSnapshot, Known,
+    dynamic_counters, dynamic_histograms, global_workers, known_counters, known_gauges,
+    known_histograms, HistogramSnapshot, Known,
 };
 
 /// Longest request head (request line + headers) we will read.
@@ -293,10 +293,10 @@ pub fn prometheus_text() -> String {
         push_head(&mut out, &name, help, "counter");
         let _ = writeln!(out, "{name} {}", counter.get());
     }
-    for (gauge, help) in with_help(known_gauges(), dynamic_gauges()) {
-        let name = prom_name(gauge.name());
-        push_head(&mut out, &name, help, "gauge");
-        let _ = writeln!(out, "{name} {}", gauge.get());
+    for known in known_gauges() {
+        let name = prom_name(known.metric.name());
+        push_head(&mut out, &name, Some(known.help), "gauge");
+        let _ = writeln!(out, "{name} {}", known.metric.get());
     }
     for (histogram, help) in with_help(known_histograms(), dynamic_histograms()) {
         let name = prom_name(histogram.name());
@@ -418,6 +418,65 @@ mod tests {
         );
         trickler.join().unwrap();
         server.shutdown();
+    }
+
+    /// Send `request` verbatim and return the status code.
+    fn raw_status(addr: SocketAddr, request: &[u8]) -> u16 {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(request).unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        response
+            .split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .expect("status code")
+    }
+
+    #[test]
+    fn non_get_and_malformed_requests_get_client_errors() {
+        let server = serve("127.0.0.1:0").expect("bind");
+        let addr = server.addr();
+        assert_eq!(raw_status(addr, b"POST /metrics HTTP/1.1\r\n\r\n"), 405);
+        assert_eq!(raw_status(addr, b"DELETE / HTTP/1.1\r\n\r\n"), 405);
+        assert_eq!(raw_status(addr, b"GET\r\n\r\n"), 400);
+        assert_eq!(raw_status(addr, b"\r\n\r\n"), 400);
+        // The listener survives the bad requests.
+        assert_eq!(get(addr, "/").0, 200);
+        server.shutdown();
+    }
+
+    #[test]
+    fn summary_and_window_lines_follow_the_snapshot() {
+        let mut buckets = [0u64; crate::metrics::HISTOGRAM_BUCKETS];
+        buckets[2] = 3; // three samples in [4, 8)
+        buckets[9] = 1; // one in [512, 1024)
+        let snap = HistogramSnapshot {
+            name: "test.latency",
+            count: 4,
+            sum: 615,
+            min: 5,
+            max: 600,
+            buckets,
+        };
+        let mut out = String::new();
+        push_summary(&mut out, "snap_test_latency", Some("how long"), &snap);
+        push_window(&mut out, "snap_test_latency", &snap);
+        assert_eq!(
+            out,
+            "# HELP snap_test_latency how long\n\
+             # TYPE snap_test_latency summary\n\
+             snap_test_latency{quantile=\"0.5\"} 7\n\
+             snap_test_latency{quantile=\"0.95\"} 600\n\
+             snap_test_latency{quantile=\"0.99\"} 600\n\
+             snap_test_latency_sum 615\n\
+             snap_test_latency_count 4\n\
+             # TYPE snap_test_latency_window gauge\n\
+             snap_test_latency_window{quantile=\"0.5\",window=\"60s\"} 7\n\
+             snap_test_latency_window{quantile=\"0.95\",window=\"60s\"} 600\n\
+             snap_test_latency_window{quantile=\"0.99\",window=\"60s\"} 600\n\
+             snap_test_latency_window_count{window=\"60s\"} 4\n"
+        );
     }
 
     #[test]

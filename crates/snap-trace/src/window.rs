@@ -227,4 +227,31 @@ mod tests {
         let stats = ring.merged(10_000, 1);
         assert_eq!(stats.count, 1);
     }
+
+    #[test]
+    fn windows_newer_than_the_reader_are_left_out() {
+        let ring = WindowRing::new();
+        ring.record(5, S);
+        ring.record(50, 3 * WINDOW_SECS * S);
+        // A reader whose clock is still in window 0 (it read the time
+        // before a racing recorder moved on) sees only window 0.
+        let stats = ring.merged(60, 2 * S);
+        assert_eq!(stats.count, 1);
+        assert_eq!(stats.sum, 5);
+        assert_eq!(stats.max, 5);
+    }
+
+    #[test]
+    fn extreme_samples_fill_the_first_and_last_buckets() {
+        let ring = WindowRing::new();
+        ring.record(0, 0);
+        ring.record(1, 0);
+        ring.record(u64::MAX, 0);
+        let stats = ring.merged(WINDOW_SECS, 0);
+        assert_eq!(stats.count, 3);
+        assert_eq!(stats.buckets[0], 2, "0 and 1 share bucket 0");
+        assert_eq!(stats.buckets[HISTOGRAM_BUCKETS - 1], 1);
+        assert_eq!(stats.buckets.iter().sum::<u64>(), 3);
+        assert_eq!((stats.min, stats.max), (0, u64::MAX));
+    }
 }

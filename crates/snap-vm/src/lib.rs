@@ -26,6 +26,7 @@
 //! assert_eq!(vm.world.said(), vec!["[30, 70, 80]"]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;

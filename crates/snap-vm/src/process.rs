@@ -302,6 +302,20 @@ mod tests {
     }
 
     #[test]
+    fn flatten_puts_outer_bindings_first_so_captures_see_the_innermost() {
+        let mut s = ScopeStack::new();
+        s.declare("x", Value::Number(1.0));
+        s.declare("y", Value::Number(5.0));
+        s.push(vec![("x".into(), Value::Number(2.0))]);
+        let flat = s.flatten();
+        let names: Vec<&str> = flat.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["x", "y", "x"]);
+        let ring = snap_ast::Ring::reporter(snap_ast::Expr::EmptySlot).with_captured(flat);
+        assert_eq!(ring.captured_var("x"), Some(&Value::Number(2.0)));
+        assert_eq!(ring.captured_var("y"), Some(&Value::Number(5.0)));
+    }
+
+    #[test]
     fn unwind_stops_at_boundary_and_pops_scopes() {
         let mut p = Process::new(1, 0, Arc::new(vec![]));
         p.scopes.push(vec![]); // owned by CallBoundary

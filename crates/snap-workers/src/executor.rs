@@ -212,7 +212,15 @@ struct SlotWriter<R> {
     len: usize,
 }
 
+// SAFETY: `slots` points into the caller's `out` buffer, which outlives
+// every task (`run_tasks` returns only after all of them finish, and
+// only then is `out` read or dropped); `len` is a plain bound. Other
+// threads only move owned `R` values into slots and never get a `&R`,
+// so `R: Send` is the whole requirement.
 unsafe impl<R: Send> Send for SlotWriter<R> {}
+// SAFETY: through a shared `&SlotWriter` the only operation is
+// `write`, whose callers claim disjoint indices, so concurrent writers
+// never touch the same slot; `len` is never written.
 unsafe impl<R: Send> Sync for SlotWriter<R> {}
 
 impl<R> SlotWriter<R> {
@@ -586,17 +594,13 @@ mod tests {
     fn try_map_with_zero_retries_matches_plain_map() {
         let items: Vec<i64> = (0..503).collect();
         let policy = FaultPolicy::default();
-        let out = try_map_slice_with(
-            &items,
-            4,
-            Strategy::Dynamic,
-            ExecMode::Pooled,
-            &policy,
-            |&n| n * 7,
-        )
-        .unwrap();
-        let plain = map_slice_with(&items, 4, Strategy::Dynamic, ExecMode::Pooled, |&n| n * 7);
-        assert_eq!(out, plain);
+        for strategy in [Strategy::Dynamic, Strategy::Static] {
+            let out =
+                try_map_slice_with(&items, 4, strategy, ExecMode::Pooled, &policy, |&n| n * 7)
+                    .unwrap();
+            let plain = map_slice_with(&items, 4, strategy, ExecMode::Pooled, |&n| n * 7);
+            assert_eq!(out, plain);
+        }
     }
 
     #[test]

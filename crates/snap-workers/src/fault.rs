@@ -139,6 +139,42 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
+/// A `SNAP_FAULT_*` variable whose value cannot configure an injector.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FaultEnvError {
+    /// The variable's name.
+    pub var: &'static str,
+    /// The value as read, quoted and cut after 32 characters.
+    pub value: String,
+    /// What the variable takes.
+    pub expected: &'static str,
+}
+
+/// How many characters of a bad value a [`FaultEnvError`] quotes.
+const PREVIEW_CHARS: usize = 32;
+
+impl FaultEnvError {
+    fn new(var: &'static str, value: &str, expected: &'static str) -> FaultEnvError {
+        let value = match value.char_indices().nth(PREVIEW_CHARS) {
+            Some((cut, _)) => format!("{:?}…", &value[..cut]),
+            None => format!("{value:?}"),
+        };
+        FaultEnvError {
+            var,
+            value,
+            expected,
+        }
+    }
+}
+
+impl fmt::Display for FaultEnvError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}={}: expected {}", self.var, self.value, self.expected)
+    }
+}
+
+impl std::error::Error for FaultEnvError {}
+
 /// Best-effort extraction of a panic payload's message (`&str` and
 /// `String` payloads cover `panic!` in practice).
 pub fn panic_message(payload: &(dyn Any + Send)) -> String {
@@ -237,31 +273,59 @@ impl FaultInjector {
         }
     }
 
-    /// Build an injector from `SNAP_FAULT_SEED` / `SNAP_FAULT_PANIC_P` /
-    /// `SNAP_FAULT_DELAY_P` / `SNAP_FAULT_DELAY_MS`. `None` unless
-    /// `SNAP_FAULT_SEED` is set and at least one probability is positive.
-    pub fn from_env() -> Option<FaultInjector> {
-        let seed: u64 = std::env::var("SNAP_FAULT_SEED").ok()?.trim().parse().ok()?;
-        let parse_f = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse::<f64>().ok())
-                .unwrap_or(0.0)
-        };
-        let panic_p = parse_f("SNAP_FAULT_PANIC_P");
-        let delay_p = parse_f("SNAP_FAULT_DELAY_P");
-        if panic_p <= 0.0 && delay_p <= 0.0 {
-            return None;
+    /// Build an injector from the process environment; see
+    /// [`FaultInjector::from_vars`].
+    pub fn from_env() -> Result<Option<FaultInjector>, FaultEnvError> {
+        FaultInjector::from_vars(|name| {
+            std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
+        })
+    }
+
+    /// Build an injector from `SNAP_FAULT_SEED` (a decimal `u64`),
+    /// `SNAP_FAULT_PANIC_P` / `SNAP_FAULT_DELAY_P` (probabilities in
+    /// `[0, 1]`) and `SNAP_FAULT_DELAY_MS` (whole milliseconds, default
+    /// 1), as `lookup` reads them. Every variable that is set must
+    /// parse, or the first bad one is the error. `Ok(None)` unless the
+    /// seed is set and at least one probability is positive.
+    pub fn from_vars(
+        lookup: impl Fn(&str) -> Option<String>,
+    ) -> Result<Option<FaultInjector>, FaultEnvError> {
+        fn read<T>(
+            lookup: &impl Fn(&str) -> Option<String>,
+            var: &'static str,
+            expected: &'static str,
+            parse: impl Fn(&str) -> Option<T>,
+        ) -> Result<Option<T>, FaultEnvError> {
+            let Some(value) = lookup(var) else {
+                return Ok(None);
+            };
+            match parse(value.trim()) {
+                Some(parsed) => Ok(Some(parsed)),
+                None => Err(FaultEnvError::new(var, &value, expected)),
+            }
         }
-        let delay_ms = std::env::var("SNAP_FAULT_DELAY_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(1);
-        Some(
-            FaultInjector::new(seed)
-                .panic_probability(panic_p)
-                .delay_probability(delay_p, Duration::from_millis(delay_ms)),
-        )
+        const PROBABILITY: &str = "a probability in [0, 1]";
+        let probability = |v: &str| v.parse::<f64>().ok().filter(|p| (0.0..=1.0).contains(p));
+        let seed = read(
+            &lookup,
+            "SNAP_FAULT_SEED",
+            "an unsigned decimal integer",
+            |v| v.parse::<u64>().ok(),
+        )?;
+        let panic_p = read(&lookup, "SNAP_FAULT_PANIC_P", PROBABILITY, probability)?.unwrap_or(0.0);
+        let delay_p = read(&lookup, "SNAP_FAULT_DELAY_P", PROBABILITY, probability)?.unwrap_or(0.0);
+        let delay_ms = read(&lookup, "SNAP_FAULT_DELAY_MS", "whole milliseconds", |v| {
+            v.parse::<u64>().ok()
+        })?
+        .unwrap_or(1);
+        match seed {
+            Some(seed) if panic_p > 0.0 || delay_p > 0.0 => Ok(Some(
+                FaultInjector::new(seed)
+                    .panic_probability(panic_p)
+                    .delay_probability(delay_p, Duration::from_millis(delay_ms)),
+            )),
+            _ => Ok(None),
+        }
     }
 }
 
@@ -280,13 +344,16 @@ pub fn install_injector(injector: Option<FaultInjector>) {
 }
 
 /// The currently active injector, if any. First call consults the
-/// `SNAP_FAULT_*` environment unless [`install_injector`] ran first.
+/// `SNAP_FAULT_*` environment unless [`install_injector`] ran first; a
+/// bad value there is reported on stderr once and leaves injection off.
 pub fn injector() -> Option<FaultInjector> {
-    ENV_INIT.get_or_init(|| {
-        if let Some(env) = FaultInjector::from_env() {
+    ENV_INIT.get_or_init(|| match FaultInjector::from_env() {
+        Ok(Some(env)) => {
             *INJECTOR.lock().unwrap_or_else(PoisonError::into_inner) = Some(env);
             INJECTOR_ACTIVE.store(true, Ordering::SeqCst);
         }
+        Ok(None) => {}
+        Err(err) => eprintln!("snap-workers: fault injection off: {err}"),
     });
     if !INJECTOR_ACTIVE.load(Ordering::SeqCst) {
         return None;
@@ -345,6 +412,130 @@ mod tests {
     fn zero_probability_never_fires() {
         let inj = FaultInjector::new(9);
         assert!((0..100u64).all(|k| !inj.should_panic(k, 0) && !inj.should_delay(k, 0)));
+    }
+
+    #[test]
+    fn fault_env_values_parse_or_name_the_bad_variable() {
+        type Vars<'a> = &'a [(&'a str, &'a str)];
+        let from = |vars: Vars| {
+            FaultInjector::from_vars(|name| {
+                vars.iter()
+                    .find(|(var, _)| *var == name)
+                    .map(|(_, value)| value.to_string())
+            })
+        };
+        let ms = Duration::from_millis;
+        let good: &[(Vars, Option<FaultInjector>)] = &[
+            (&[], None),
+            (&[("SNAP_FAULT_SEED", "42")], None),
+            (&[("SNAP_FAULT_PANIC_P", "0.5")], None),
+            (
+                &[("SNAP_FAULT_SEED", "42"), ("SNAP_FAULT_PANIC_P", "0")],
+                None,
+            ),
+            (
+                &[("SNAP_FAULT_SEED", "42"), ("SNAP_FAULT_PANIC_P", "0.2")],
+                Some(FaultInjector::new(42).panic_probability(0.2)),
+            ),
+            (
+                &[
+                    ("SNAP_FAULT_SEED", " 7 "),
+                    ("SNAP_FAULT_DELAY_P", "1"),
+                    ("SNAP_FAULT_DELAY_MS", "5"),
+                ],
+                Some(FaultInjector::new(7).delay_probability(1.0, ms(5))),
+            ),
+        ];
+        for (vars, want) in good {
+            assert_eq!(from(vars), Ok(*want), "{vars:?}");
+        }
+        let bad: &[(&str, &str)] = &[
+            ("SNAP_FAULT_SEED", "0x2a"),
+            ("SNAP_FAULT_SEED", "-1"),
+            ("SNAP_FAULT_SEED", ""),
+            ("SNAP_FAULT_PANIC_P", "nan"),
+            ("SNAP_FAULT_PANIC_P", "5"),
+            ("SNAP_FAULT_PANIC_P", "inf"),
+            ("SNAP_FAULT_PANIC_P", "0.2x"),
+            ("SNAP_FAULT_PANIC_P", "-0.1"),
+            ("SNAP_FAULT_DELAY_P", "1.5"),
+            ("SNAP_FAULT_DELAY_MS", "2.5"),
+            ("SNAP_FAULT_DELAY_MS", "-3"),
+        ];
+        for &(var, value) in bad {
+            // Listed first, the bad value hides the good one behind it.
+            let vars = [
+                (var, value),
+                ("SNAP_FAULT_SEED", "42"),
+                ("SNAP_FAULT_PANIC_P", "0.2"),
+            ];
+            let err = from(&vars).unwrap_err();
+            assert_eq!(err.var, var, "{var}={value:?}");
+            assert_eq!(err.value, format!("{value:?}"));
+            assert!(err
+                .to_string()
+                .starts_with(&format!("{var}={value:?}: expected ")));
+        }
+        let long = "9".repeat(10_000);
+        let err = from(&[("SNAP_FAULT_SEED", &long)]).unwrap_err();
+        assert_eq!(err.value, format!("{:?}…", &long[..PREVIEW_CHARS]));
+    }
+
+    #[test]
+    fn bad_value_preview_cuts_between_characters() {
+        // Three-byte characters: the preview keeps 32 characters, and
+        // byte 32 would fall inside one.
+        let value = "€".repeat(100);
+        let err =
+            FaultInjector::from_vars(|name| (name == "SNAP_FAULT_DELAY_MS").then(|| value.clone()))
+                .unwrap_err();
+        let preview: String = "€".repeat(PREVIEW_CHARS);
+        assert_eq!(err.value, format!("{preview:?}…"));
+        assert_eq!(err.expected, "whole milliseconds");
+        // Exactly the preview length is quoted whole, with no ellipsis.
+        let err = FaultInjector::from_vars(|name| {
+            (name == "SNAP_FAULT_DELAY_MS").then(|| preview.clone())
+        })
+        .unwrap_err();
+        assert_eq!(err.value, format!("{preview:?}"));
+    }
+
+    #[test]
+    fn builders_clamp_probabilities_into_the_unit_range() {
+        let always = FaultInjector::new(3)
+            .panic_probability(5.0)
+            .delay_probability(f64::INFINITY, Duration::ZERO);
+        assert_eq!((always.panic_p, always.delay_p), (1.0, 1.0));
+        let never = FaultInjector::new(3)
+            .panic_probability(-0.5)
+            .delay_probability(-1.0, Duration::ZERO);
+        assert_eq!((never.panic_p, never.delay_p), (0.0, 0.0));
+        for key in 0..500 {
+            assert!(always.should_panic(key, 0) && always.should_delay(key, 1));
+            assert!(!never.should_panic(key, 0) && !never.should_delay(key, 1));
+        }
+    }
+
+    #[test]
+    fn inject_panics_exactly_where_should_panic_says() {
+        let injector = FaultInjector::new(11)
+            .panic_probability(0.5)
+            .delay_probability(0.5, Duration::ZERO);
+        let mut fired = 0;
+        for key in 0..64 {
+            for attempt in 0..2 {
+                let outcome = std::panic::catch_unwind(|| injector.inject(key, attempt));
+                assert_eq!(outcome.is_err(), injector.should_panic(key, attempt));
+                if let Err(payload) = outcome {
+                    fired += 1;
+                    assert_eq!(
+                        panic_message(payload.as_ref()),
+                        format!("injected fault: item {key} attempt {attempt}")
+                    );
+                }
+            }
+        }
+        assert!((40..=88).contains(&fired), "{fired} of 128 attempts fired");
     }
 
     #[test]

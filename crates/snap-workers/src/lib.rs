@@ -15,10 +15,6 @@
 //!   compiled Snap! rings on workers with structured-clone isolation,
 //!   the analogue of Listing 2's `mappedCode()` → `new Function` →
 //!   `p.map(...)` pipeline.
-//! * [`channel`] — bounded MPMC blocking channels ([`bounded`]), the
-//!   inter-stage edges of the streaming tier: producers park when the
-//!   queue is full (backpressure), so streaming memory is set by
-//!   channel capacity rather than stream length.
 //! * [`FaultPolicy`] / [`FaultInjector`] — fault-tolerant execution
 //!   ([`fault`]): per-item retries with exponential backoff, cooperative
 //!   deadlines, and deterministic chaos injection — the recovery a
@@ -31,19 +27,19 @@
 
 #![warn(missing_docs)]
 
-pub mod channel;
 pub mod executor;
 pub mod fault;
 pub mod parallel;
 pub mod pool;
 pub mod ring_fn;
 
-pub use channel::{bounded, ChannelMonitor, Receiver, SendError, Sender};
 pub use executor::{
     columnar_chunk_size, global_pool, map_slice_with, try_map_slice_with, ExecMode,
     COLUMNAR_MIN_CHUNK,
 };
-pub use fault::{install_injector, panic_message, ExecError, FaultInjector, FaultPolicy};
+pub use fault::{
+    install_injector, panic_message, ExecError, FaultEnvError, FaultInjector, FaultPolicy,
+};
 pub use parallel::{default_workers, map_slice, Parallel, Strategy};
 pub use pool::{PoolClosed, WorkerPool};
 pub use ring_fn::{

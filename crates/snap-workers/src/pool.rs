@@ -923,6 +923,41 @@ mod tests {
     }
 
     #[test]
+    fn refused_scatter_gather_runs_every_index_inline_on_the_caller() {
+        let pool = WorkerPool::new(2);
+        pool.close();
+        let caller = std::thread::current().id();
+        let hits = Arc::new(Mutex::new(Vec::new()));
+        let h = hits.clone();
+        pool.scatter_gather(6, move |i| {
+            h.lock()
+                .unwrap()
+                .push((i, std::thread::current().id() == caller));
+        });
+        let hits = hits.lock().unwrap().clone();
+        assert_eq!(hits, (0..6).map(|i| (i, true)).collect::<Vec<_>>());
+        assert_eq!(pool.executed_per_worker().iter().sum::<u64>(), 0);
+    }
+
+    #[test]
+    fn on_worker_thread_tells_this_pool_from_another() {
+        let a = Arc::new(WorkerPool::new(1));
+        let b = Arc::new(WorkerPool::new(1));
+        assert!(!on_pool_thread());
+        assert!(!a.on_worker_thread() && !b.on_worker_thread());
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (a2, b2, s) = (a.clone(), b.clone(), seen.clone());
+        b.scatter_gather(2, move |_| {
+            s.lock().unwrap().push((
+                on_pool_thread(),
+                b2.on_worker_thread(),
+                a2.on_worker_thread(),
+            ));
+        });
+        assert_eq!(*seen.lock().unwrap(), vec![(true, true, false); 2]);
+    }
+
+    #[test]
     fn execute_with_policy_retries_until_success() {
         let pool = WorkerPool::new(2);
         let attempts = Arc::new(AtomicUsize::new(0));

@@ -565,6 +565,24 @@ mod tests {
     }
 
     #[test]
+    fn map_pairs_keep_the_first_two_items_and_reject_short_lists() {
+        let triple = Arc::new(Ring::reporter_with_params(
+            vec!["w".into()],
+            make_list(vec![var("w"), num(1.0), text("extra")]),
+        ));
+        let items = vec!["a".into(), "b".into()];
+        let pairs = ring_map_pairs(triple, items, RingMapOptions::default()).unwrap();
+        assert_eq!(pairs, vec![("a".into(), 1.into()), ("b".into(), 1.into())]);
+        assert_eq!(
+            as_map_pair(Value::list(vec!["a".into()])),
+            Err(snap_ast::EvalError::TypeMismatch {
+                expected: "[key, value] pair from the map function",
+                got: "[a]".into(),
+            })
+        );
+    }
+
+    #[test]
     fn ring_reduce_groups_reduces_each_key() {
         let sum = Arc::new(Ring::reporter_with_params(
             vec!["vals".into()],

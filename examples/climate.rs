@@ -19,10 +19,7 @@
 //! columnar batch tier engaging (`ring.batch_calls`, `ring.batch_elems`,
 //! `par.columnar_chunks`). With `--serve-metrics`, the MapReduce keeps
 //! re-running while live `/metrics`, `/report.json`, and `/profile` are
-//! served (see `examples/util/cli.rs`). With `--stream [chunk]`, the
-//! readings flow as continuous traffic through the streaming pipeline
-//! tier: a columnar °F→°C stage, a pairing stage, and a windowed
-//! averaging reduce — per-window means at bounded memory.
+//! served (see `examples/util/cli.rs`).
 
 use std::sync::Arc;
 
@@ -127,49 +124,6 @@ fn main() {
     let avg_c = out[0].as_list().unwrap().item(2).unwrap().to_number();
     let expected_c = f_to_c(dataset.mean_f());
     println!("mean temperature: {avg_c:.2} C via mapReduce (reference {expected_c:.2} C)\n");
-
-    // --stream: readings as continuous traffic. The first stage is the
-    // pure numeric °F→°C ring, which the streaming tier carries as
-    // columnar f64 blocks; the second pairs each °C with the "avg" key;
-    // the reduce averages every window of `chunk` readings.
-    if let Some(chunk) = opts.stream {
-        use snap_core::parallel::{Pipeline, StreamConfig};
-        let pair = Arc::new(Ring::reporter_with_params(
-            vec!["c".into()],
-            make_list(vec![text("avg"), var("c")]),
-        ));
-        let convert = Arc::new(Ring::reporter_with_params(
-            vec!["t".into()],
-            div(mul(num(5.0), sub(var("t"), num(32.0))), num(9.0)),
-        ));
-        let pipeline = Pipeline::new(StreamConfig {
-            block_items: chunk,
-            ..Default::default()
-        })
-        .map(convert)
-        .map(pair)
-        .reduce_by_key(reducer.clone(), chunk);
-        let (windows, stats) = pipeline
-            .run_with_stats(dataset.temps_f_values())
-            .expect("streaming climate runs");
-        let first = windows[0].as_list().unwrap().item(2).unwrap().to_number();
-        println!(
-            "streaming mean per {chunk}-reading window: {} windows from {} readings \
-             (first {first:.2} C, peak queue {} of {})",
-            stats.windows,
-            stats.items_in,
-            stats.peak_queue_depths.iter().max().copied().unwrap_or(0),
-            stats.queue_capacity,
-        );
-        opts.serve_and_rerun(|| {
-            let stats = pipeline
-                .run_each(dataset.temps_f_values(), |_| {})
-                .expect("streaming climate runs");
-            assert!(stats.items_out > 0);
-        });
-        opts.finish();
-        return;
-    }
 
     // Per-year means: the warming signal the students look for.
     println!("decadal means (C):");

@@ -16,12 +16,6 @@
 //!   and `/profile?seconds=N` catches the pool mid-flight.
 //! * `--serve-seconds <n>` — how long `--serve-metrics` keeps serving
 //!   before exiting (default 30; `0` means serve forever).
-//! * `--stream [chunk-items]` — run the workload through the streaming
-//!   pipeline tier instead of the batch blocks: items arrive in chunks
-//!   of `chunk-items` (default 64) and flow through bounded channels
-//!   with backpressure. Composes with `--trace` and `--serve-metrics`,
-//!   so a live scrape during a streaming run sees `snap_stream_*`
-//!   counters and windowed latency percentiles.
 
 // Each example compiles its own copy of this module and none uses every
 // helper; dead-code analysis is per-example.
@@ -32,9 +26,6 @@ use std::time::{Duration, Instant};
 /// Default bind address for `--serve-metrics` without an explicit one.
 pub const DEFAULT_METRICS_ADDR: &str = "127.0.0.1:9300";
 
-/// Default chunk size for `--stream` without an explicit one.
-pub const DEFAULT_STREAM_CHUNK: usize = 64;
-
 /// Parsed observability flags shared by the examples.
 pub struct TraceOpts {
     /// `--trace <path>`: Chrome trace output path.
@@ -43,9 +34,6 @@ pub struct TraceOpts {
     pub serve: Option<String>,
     /// `--serve-seconds <n>`: serving duration (0 = forever).
     pub serve_seconds: u64,
-    /// `--stream [chunk-items]`: streaming-tier chunk size, when the
-    /// example should run its workload through a `Pipeline`.
-    pub stream: Option<usize>,
 }
 
 impl TraceOpts {
@@ -69,12 +57,6 @@ impl TraceOpts {
         let serve_seconds = value_of("--serve-seconds")
             .and_then(|v| v.parse().ok())
             .unwrap_or(30);
-        let stream = args.iter().position(|a| a == "--stream").map(|i| {
-            args.get(i + 1)
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(DEFAULT_STREAM_CHUNK)
-                .max(1)
-        });
         if trace.is_some() {
             snap_core::trace::set_enabled(true);
         }
@@ -82,7 +64,6 @@ impl TraceOpts {
             trace,
             serve,
             serve_seconds,
-            stream,
         }
     }
 

@@ -8,7 +8,6 @@
 //! cargo run --release --example word_count
 //! cargo run --release --example word_count -- --trace target/word_count_trace.json
 //! cargo run --release --example word_count -- --serve-metrics 127.0.0.1:9300
-//! cargo run --release --example word_count -- --stream 64 --serve-metrics
 //! ```
 //!
 //! With `--trace <path>`, span recording is enabled; the run prints its
@@ -16,12 +15,7 @@
 //! to `<path>` plus the report JSON to `<path>.report.json`. With
 //! `--serve-metrics`, the process keeps re-running the MapReduce while
 //! serving live `/metrics`, `/report.json`, and `/profile` (see
-//! `examples/util/cli.rs`). With `--stream [chunk]`, the corpus runs
-//! through the streaming pipeline tier instead — one long-lived
-//! map → windowed-reduce pipeline over bounded channels — and the
-//! comparison printed is streaming vs the batch-restart loop; a live
-//! scrape then shows `snap_stream_items_out` and the windowed
-//! `snap_stream_latency_ns` percentiles moving.
+//! `examples/util/cli.rs`).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -70,64 +64,6 @@ fn main() {
         combine_using(var("vals"), ring_reporter(add(empty_slot(), empty_slot()))),
     ));
     let items: Vec<Value> = words.iter().map(|w| Value::text(w.clone())).collect();
-
-    // --stream: the same corpus as continuous traffic through the
-    // streaming tier — one pipeline, windowed reduces, bounded memory —
-    // against the pre-streaming alternative of one mapReduce per chunk.
-    if let Some(chunk) = opts.stream {
-        use snap_core::parallel::{Pipeline, StreamConfig};
-        println!("\nstreaming word count: chunks of {chunk} items");
-        let pipeline = Pipeline::new(StreamConfig {
-            block_items: chunk,
-            ..Default::default()
-        })
-        .map(mapper.clone())
-        .reduce_by_key(reducer.clone(), chunk);
-
-        let start = Instant::now();
-        let mut streamed_pairs = 0usize;
-        let stats = pipeline
-            .run_each(items.clone(), |_| streamed_pairs += 1)
-            .expect("streaming word count runs");
-        let streaming = start.elapsed();
-        println!(
-            "  streaming    : {streaming:>10.2?}  {:.0} items/s  ({} windows, {} blocks, \
-             peak queue {} of {})",
-            n as f64 / streaming.as_secs_f64(),
-            stats.windows,
-            stats.blocks,
-            stats.peak_queue_depths.iter().max().copied().unwrap_or(0),
-            stats.queue_capacity,
-        );
-
-        let start = Instant::now();
-        let mut batch_pairs = 0usize;
-        for c in items.chunks(chunk) {
-            batch_pairs +=
-                snap_core::parallel::map_reduce(mapper.clone(), reducer.clone(), c.to_vec(), 4)
-                    .expect("word count runs")
-                    .len();
-        }
-        let batch = start.elapsed();
-        println!(
-            "  batch-restart: {batch:>10.2?}  {:.0} items/s  (one mapReduce per chunk)",
-            n as f64 / batch.as_secs_f64()
-        );
-        println!(
-            "  streaming is {:.2}x the restart loop ({streamed_pairs} = {batch_pairs} pairs out)",
-            batch.as_secs_f64() / streaming.as_secs_f64()
-        );
-        assert_eq!(streamed_pairs, batch_pairs);
-
-        opts.serve_and_rerun(|| {
-            let stats = pipeline
-                .run_each(items.clone(), |_| {})
-                .expect("streaming word count runs");
-            assert!(stats.items_out > 0);
-        });
-        opts.finish();
-        return;
-    }
 
     let mut baseline = None;
     for workers in [1usize, 2, 4, 8] {

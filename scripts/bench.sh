@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # Perf-baseline runner: executes the scheduler benches (pool_reuse,
 # ablate_sched) plus the ring-evaluation benches (ring_eval,
-# word_count_combine, batch_eval) and the telemetry-overhead pair
-# (trace_overhead), the streaming-tier pair (stream_throughput,
-# stream_latency), and the native-tier comparisons (native_vs_batch,
-# native_amortized), and writes a machine-readable JSON of their median
-# per-iteration times, so future PRs can compare against this PR's
-# numbers without re-reading bench logs.
+# word_count_combine, batch_eval), the telemetry-overhead pair
+# (trace_overhead) and the native-tier comparison (native_vs_batch),
+# and writes a machine-readable JSON of their median per-iteration
+# times, so future PRs can compare against this PR's numbers without
+# re-reading bench logs.
 #
 # Usage: scripts/bench.sh [output.json]   (default: BENCH_BASELINE.json)
 #
@@ -25,7 +24,7 @@ RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
 for bench in pool_reuse ablate_sched ring_eval word_count_combine batch_eval trace_overhead \
-             stream_throughput stream_latency native_vs_batch native_amortized; do
+             native_vs_batch; do
   echo "==> cargo bench -p bench --bench $bench" >&2
   cargo bench -p bench --bench "$bench" 2>/dev/null | tee /dev/stderr | grep "time:" >>"$RAW"
 done
