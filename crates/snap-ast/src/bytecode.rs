@@ -20,7 +20,9 @@
 //! text, lists), higher-order or non-strict blocks, unbound variables,
 //! and rings wider than the register file — runs on the tree walk of
 //! [`crate::pure::PureFn`], which also serves as the differential-testing
-//! oracle for the compiled paths.
+//! oracle for the compiled paths. A MapReduce mapper whose body is a
+//! `[key, value]` list literal also lowers, half by half, to a
+//! [`PairProgram`] ([`lower_pair`]), which MapReduce runs as columns.
 //!
 //! Constant folding happens during lowering: literals, captured
 //! variables (immutable for the life of a ring), and operator nodes
@@ -183,6 +185,20 @@ impl NumProgram {
                 });
             }
         }
+        Ok(Value::Number(self.run(args)))
+    }
+
+    /// [`NumProgram::call`] on the single argument `arg`, unboxed. Only
+    /// for [`NumProgram::batchable`] programs, which take one argument,
+    /// so the arity check `call` makes cannot fail.
+    pub fn call1_f64(&self, arg: &Value) -> f64 {
+        debug_assert!(self.batchable(), "call1_f64 on a multi-argument program");
+        self.run(std::slice::from_ref(arg))
+    }
+
+    /// The register machine behind [`NumProgram::call`], past its arity
+    /// check.
+    fn run(&self, args: &[Value]) -> f64 {
         // Lowering declines programs wider than NUM_STACK_REGS, so the
         // register file is always this fixed stack array.
         debug_assert!(self.regs <= NUM_STACK_REGS);
@@ -209,7 +225,7 @@ impl NumProgram {
                 }
             }
         }
-        Ok(Value::Number(regs[self.out as usize]))
+        regs[self.out as usize]
     }
 
     /// `true` when [`NumProgram::eval_batch`] covers this program: every
@@ -424,10 +440,17 @@ impl<'a> NumBuilder<'a> {
 /// coercing operand position, and the program fits [`NUM_STACK_REGS`]
 /// registers. `None` means the caller keeps tree-walking the ring.
 pub fn lower(ring: &Ring) -> Option<NumProgram> {
-    let expr = match &ring.body {
-        RingBody::Reporter(e) | RingBody::Predicate(e) => e,
-        RingBody::Command(_) => return None,
-    };
+    match &ring.body {
+        RingBody::Reporter(e) | RingBody::Predicate(e) => lower_expr(ring, e),
+        RingBody::Command(_) => None,
+    }
+}
+
+/// [`lower`] applied to `expr`, a sub-expression of `ring`'s body, with
+/// the ring's parameters and captured bindings in scope. On a one-argument
+/// call the program reports what the tree walk evaluates `expr` to:
+/// every empty slot then reads that argument, wherever it sits.
+fn lower_expr(ring: &Ring, expr: &Expr) -> Option<NumProgram> {
     let root_is_numeric = match expr {
         Expr::Binary(op, _, _) => num_binop(*op, 0.0, 0.0).is_some(),
         Expr::Unary(op, _) => num_unop(*op, 0.0).is_some(),
@@ -455,6 +478,75 @@ pub fn lower(ring: &Ring) -> Option<NumProgram> {
         instrs: b.instrs,
         regs: b.next_reg,
         out,
+    })
+}
+
+// ---------------------------------------------------------------------
+// Pair lowering
+// ---------------------------------------------------------------------
+
+/// How a [`PairProgram`] computes an item's key.
+#[derive(Debug)]
+pub enum PairKey {
+    /// The mapper's argument itself: its one parameter, or an empty slot.
+    Arg,
+    /// One atomic value for every item: a literal or a captured binding.
+    Const(Value),
+    /// A numeric expression of the argument.
+    Num(NumProgram),
+}
+
+/// A `[key, value]` mapper lowered for MapReduce, so that its pairs can
+/// run as a key column and an `f64` column instead of boxed two-item
+/// lists (the paper's generated MapReduce keeps pairs flat too, as
+/// `kvp.h`'s `{key, val}` records, Listings 6–7).
+///
+/// On one argument `x` the mapper reports `[key(x), value(x)]`, where
+/// `key(x)` is `x` itself, the constant, or `Number` of the key program,
+/// and `value(x)` is `Number` of the value program — bit for bit what
+/// the tree walk builds, since both halves are [`NumProgram`]s or plain
+/// values. Neither half can raise.
+#[derive(Debug)]
+pub struct PairProgram {
+    /// How the key is computed.
+    pub key: PairKey,
+    /// The value.
+    pub value: NumProgram,
+}
+
+/// Lower a mapper whose body is a list literal of exactly two items into
+/// a [`PairProgram`]. Succeeds only when the ring takes at most one
+/// parameter, the value lowers as [`lower`] lowers a body (with the
+/// ring's parameters and captures in scope), and the key is the
+/// argument, an atomic literal or captured value, or an expression that
+/// lowers the same way. Everything else — a third item (which could
+/// raise on the tree walk), list keys, `join` keys, text values — is
+/// `None`, and the mapper keeps its boxed path.
+pub fn lower_pair(ring: &Ring) -> Option<PairProgram> {
+    let (RingBody::Reporter(Expr::MakeList(items)) | RingBody::Predicate(Expr::MakeList(items))) =
+        &ring.body
+    else {
+        return None;
+    };
+    let [key, value] = items.as_slice() else {
+        return None;
+    };
+    if ring.params.len() > 1 {
+        return None;
+    }
+    let atomic = |v: Value| (!matches!(v, Value::List(_) | Value::Ring(_))).then_some(v);
+    let key = match key {
+        Expr::EmptySlot => PairKey::Arg,
+        Expr::Var(name) => match resolve_var(ring, name)? {
+            Resolved::Param(_) => PairKey::Arg,
+            Resolved::Captured(v) => PairKey::Const(atomic(v.clone())?),
+        },
+        Expr::Literal(c) => PairKey::Const(atomic(c.to_value())?),
+        other => PairKey::Num(lower_expr(ring, other)?),
+    };
+    Some(PairProgram {
+        key,
+        value: lower_expr(ring, value)?,
     })
 }
 
@@ -617,6 +709,90 @@ mod tests {
             expr = add(expr, var("x"));
         }
         assert!(lower(&Ring::reporter_with_params(vec!["x".into()], expr)).is_none());
+    }
+
+    /// The tree walk's `[key, value]` for one argument, next to the pair
+    /// program's.
+    fn pair_of(ring: &Ring, p: &PairProgram, arg: Value) -> ((Value, Value), (Value, Value)) {
+        let walked = crate::pure::PureFn::compile(std::sync::Arc::new(ring.clone()))
+            .unwrap()
+            .call_treewalk(std::slice::from_ref(&arg))
+            .unwrap();
+        let walked = walked.as_list().unwrap().to_vec();
+        let key = match &p.key {
+            PairKey::Arg => arg.clone(),
+            PairKey::Const(k) => k.clone(),
+            PairKey::Num(k) => Value::Number(k.call1_f64(&arg)),
+        };
+        let lowered = (key, Value::Number(p.value.call1_f64(&arg)));
+        ((walked[0].clone(), walked[1].clone()), lowered)
+    }
+
+    #[test]
+    fn pair_mappers_lower_and_match_the_tree_walk() {
+        let captured = vec![("tag".into(), Value::text("avg"))];
+        let cases = [
+            // Fig. 11's word count and Fig. 13's climate mapper.
+            Ring::reporter_with_params(vec!["w".into()], make_list(vec![var("w"), num(1.0)])),
+            Ring::reporter_with_params(
+                vec!["t".into()],
+                make_list(vec![
+                    text("avg"),
+                    div(mul(num(5.0), sub(var("t"), num(32.0))), num(9.0)),
+                ]),
+            ),
+            // Slot key, captured key, numeric key.
+            Ring::reporter(make_list(vec![empty_slot(), mul(empty_slot(), num(2.0))])),
+            Ring::reporter(make_list(vec![var("tag"), add(empty_slot(), num(0.5))]))
+                .with_captured(captured),
+            Ring::reporter_with_params(
+                vec!["x".into()],
+                make_list(vec![modulo(var("x"), num(3.0)), abs(var("x"))]),
+            ),
+        ];
+        for ring in &cases {
+            let p = lower_pair(ring).unwrap_or_else(|| panic!("declined {ring:?}"));
+            for arg in [
+                Value::Number(-0.0),
+                Value::Number(7.25),
+                Value::text(" 12 "),
+                Value::text("Fox"),
+            ] {
+                let (walked, lowered) = pair_of(ring, &p, arg.clone());
+                assert_eq!(walked.0, lowered.0, "key of {arg:?} under {ring:?}");
+                assert_eq!(
+                    walked.1.to_number().to_bits(),
+                    lowered.1.to_number().to_bits(),
+                    "value of {arg:?} under {ring:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pair_lowering_declines_what_the_tree_walk_must_run() {
+        let declined = [
+            // A third item, a list key, a join key, a text value, an
+            // identity value, two parameters, a captured list key.
+            Ring::reporter(make_list(vec![empty_slot(), num(1.0), text("x")])),
+            Ring::reporter(make_list(vec![make_list(vec![empty_slot()]), num(1.0)])),
+            Ring::reporter(make_list(vec![
+                join(vec![empty_slot(), text("!")]),
+                num(1.0),
+            ])),
+            Ring::reporter(make_list(vec![empty_slot(), text("1")])),
+            Ring::reporter_with_params(vec!["x".into()], make_list(vec![var("x"), var("x")])),
+            Ring::reporter_with_params(
+                vec!["a".into(), "b".into()],
+                make_list(vec![var("a"), num(1.0)]),
+            ),
+            Ring::reporter(make_list(vec![var("xs"), num(1.0)]))
+                .with_captured(vec![("xs".into(), Value::list(vec![1.into()]))]),
+            Ring::reporter(make_list(vec![var("unbound"), num(1.0)])),
+        ];
+        for ring in &declined {
+            assert!(lower_pair(ring).is_none(), "lowered {ring:?}");
+        }
     }
 
     #[test]

@@ -11,13 +11,14 @@
 //! register program of [`crate::bytecode`] (scalar calls and the
 //! columnar batch tier); every other ring runs on the re-entrant
 //! tree-walking evaluator, which also serves as the differential-testing
-//! oracle ([`PureFn::call_treewalk`]). A `PureFn` is `Send + Sync`, so
-//! worker threads can share it.
+//! oracle ([`PureFn::call_treewalk`]). A `[key, value]` mapper also
+//! carries its [`PairProgram`] for MapReduce's keyed-columnar rung. A
+//! `PureFn` is `Send + Sync`, so worker threads can share it.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
-use crate::bytecode::{self, num_binop, num_unop, NumProgram};
+use crate::bytecode::{self, num_binop, num_unop, NumProgram, PairProgram};
 use crate::error::EvalError;
 use crate::expr::{BinOp, Expr, RingExprBody, UnOp};
 use crate::ring::{Ring, RingBody};
@@ -58,7 +59,8 @@ pub enum CompiledStrategy {
 #[derive(Clone)]
 enum Compiled {
     Numeric(Arc<NumProgram>),
-    TreeWalk,
+    /// Tree walk; a `[key, value]` mapper also keeps its pair program.
+    TreeWalk(Option<Arc<PairProgram>>),
 }
 
 /// A compiled, thread-safe view of a reporter ring.
@@ -74,7 +76,10 @@ pub struct PureFn {
 impl PureFn {
     /// Compile a ring into a callable pure function: purity check, then
     /// numeric lowering ([`crate::bytecode::lower`]), falling back to
-    /// the tree walk for every ring the numeric pass declines.
+    /// the tree walk for every ring the numeric pass declines. A ring
+    /// that tree-walks also gets pair lowering
+    /// ([`crate::bytecode::lower_pair`]); either lowering counts under
+    /// `ring.bytecode_compiles`.
     pub fn compile(ring: Arc<Ring>) -> Result<PureFn, EvalError> {
         let expr = match &ring.body {
             RingBody::Reporter(e) | RingBody::Predicate(e) => e,
@@ -82,12 +87,12 @@ impl PureFn {
         };
         check_pure(expr).map_err(EvalError::NotPure)?;
         let compiled = match bytecode::lower(&ring) {
-            Some(p) => {
-                snap_trace::well_known::RING_BYTECODE_COMPILES.incr();
-                Compiled::Numeric(Arc::new(p))
-            }
-            None => Compiled::TreeWalk,
+            Some(p) => Compiled::Numeric(Arc::new(p)),
+            None => Compiled::TreeWalk(bytecode::lower_pair(&ring).map(Arc::new)),
         };
+        if !matches!(compiled, Compiled::TreeWalk(None)) {
+            snap_trace::well_known::RING_BYTECODE_COMPILES.incr();
+        }
         Ok(PureFn { ring, compiled })
     }
 
@@ -100,7 +105,16 @@ impl PureFn {
     pub fn strategy(&self) -> CompiledStrategy {
         match &self.compiled {
             Compiled::Numeric(_) => CompiledStrategy::Numeric,
-            Compiled::TreeWalk => CompiledStrategy::TreeWalk,
+            Compiled::TreeWalk(_) => CompiledStrategy::TreeWalk,
+        }
+    }
+
+    /// The pair program of a `[key, value]` mapper, when it lowered (see
+    /// [`crate::bytecode::lower_pair`]).
+    pub fn pair_program(&self) -> Option<&PairProgram> {
+        match &self.compiled {
+            Compiled::TreeWalk(pair) => pair.as_deref(),
+            Compiled::Numeric(_) => None,
         }
     }
 
@@ -120,7 +134,7 @@ impl PureFn {
                 snap_trace::well_known::RING_FASTPATH_CALLS.incr();
                 p.call(args)
             }
-            Compiled::TreeWalk => {
+            Compiled::TreeWalk(_) => {
                 snap_trace::well_known::RING_TREEWALK_CALLS.incr();
                 self.call_treewalk(args)
             }

@@ -12,6 +12,7 @@
 //! ([`Value::deep_copy`]), mirroring how HTML5 Web Workers copy message
 //! payloads (paper §4.1).
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -151,6 +152,50 @@ impl List {
     pub fn sort(&self) {
         self.write().sort_by(Value::snap_cmp);
     }
+}
+
+/// Stable sort by `cmp`, which is [`Value::snap_cmp`] on each item's
+/// key (or a cached form of it). MapReduce's shuffles sort keys with
+/// this.
+///
+/// `snap_cmp` is not transitive across its two rules: NaN compares equal
+/// to every number, and numbers compare numerically with each other but
+/// textually with text, so `9 < 10`, `"10" < "5a"` and `"5a" < "9"`. The
+/// standard library's sorts may panic on such a comparator. This
+/// bottom-up merge sort never does: on a total preorder it returns what
+/// `slice::sort_by` would (a stable sort's result is unique), and
+/// otherwise some permutation of `items`.
+pub fn snap_sort_by<T>(items: Vec<T>, cmp: impl Fn(&T, &T) -> Ordering) -> Vec<T> {
+    let len = items.len();
+    let mut order: Vec<usize> = (0..len).collect();
+    let mut merged = order.clone();
+    let mut width = 1;
+    while width < len {
+        for start in (0..len).step_by(2 * width) {
+            let mid = (start + width).min(len);
+            let end = (start + 2 * width).min(len);
+            let (mut left, mut right) = (start, mid);
+            for slot in &mut merged[start..end] {
+                // The left run wins ties: that is what keeps it stable.
+                let take_right = right < end
+                    && (left >= mid || cmp(&items[order[right]], &items[order[left]]).is_lt());
+                if take_right {
+                    *slot = order[right];
+                    right += 1;
+                } else {
+                    *slot = order[left];
+                    left += 1;
+                }
+            }
+        }
+        std::mem::swap(&mut order, &mut merged);
+        width *= 2;
+    }
+    let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
+    order
+        .into_iter()
+        .map(|i| slots[i].take().expect("merging permutes the indices"))
+        .collect()
 }
 
 impl fmt::Debug for List {
@@ -307,19 +352,22 @@ impl Value {
         }
     }
 
+    /// The number [`Value::snap_cmp`] compares this value as: numbers,
+    /// numeric text (trimmed) and booleans have one; everything else
+    /// compares as text.
+    pub fn snap_number(&self) -> Option<f64> {
+        match self {
+            Value::Number(n) => Some(*n),
+            Value::Text(s) => s.trim().parse::<f64>().ok(),
+            Value::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
+            _ => None,
+        }
+    }
+
     /// Ordering used by `<`/`>` blocks and list sorting: numeric when both
     /// sides coerce to numbers, otherwise case-insensitive textual.
-    pub fn snap_cmp(&self, other: &Value) -> std::cmp::Ordering {
-        use std::cmp::Ordering;
-        let numeric = |v: &Value| -> Option<f64> {
-            match v {
-                Value::Number(n) => Some(*n),
-                Value::Text(s) => s.trim().parse::<f64>().ok(),
-                Value::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
-                _ => None,
-            }
-        };
-        match (numeric(self), numeric(other)) {
+    pub fn snap_cmp(&self, other: &Value) -> Ordering {
+        match (self.snap_number(), other.snap_number()) {
             (Some(a), Some(b)) => a.partial_cmp(&b).unwrap_or(Ordering::Equal),
             _ => self
                 .to_display_string()
@@ -529,6 +577,37 @@ mod tests {
         let l = List::from_vec(vec!["Apple".into()]);
         assert!(l.contains(&Value::text("apple")));
         assert!(!l.contains(&Value::text("pear")));
+    }
+
+    #[test]
+    fn snap_sort_matches_the_standard_sort_and_survives_snap_cmp() {
+        // On a total preorder: the standard stable sort's result, ties in
+        // input order.
+        let pairs: Vec<(i32, usize)> = (0..200).map(|i| ((i * 37) % 11, i as usize)).collect();
+        let mut want = pairs.clone();
+        want.sort_by_key(|p| p.0);
+        assert_eq!(snap_sort_by(pairs, |a, b| a.0.cmp(&b.0)), want);
+        // On snap_cmp over NaN and mixed numbers and text, which the
+        // standard sorts may panic on: a permutation, not a panic.
+        let keys: Vec<Value> = (0..300)
+            .map(|i| match i % 5 {
+                0 => Value::Number(f64::NAN),
+                1 => Value::Number((i % 13) as f64),
+                2 => Value::text(format!("{}a", i % 7)),
+                3 => Value::Bool(i % 2 == 0),
+                _ => Value::text(" 3 "),
+            })
+            .collect();
+        let sorted = snap_sort_by(keys.clone(), Value::snap_cmp);
+        assert_eq!(sorted.len(), keys.len());
+        for key in &keys {
+            let count = |vs: &[Value]| {
+                vs.iter()
+                    .filter(|v| v.to_display_string() == key.to_display_string())
+                    .count()
+            };
+            assert_eq!(count(&sorted), count(&keys));
+        }
     }
 
     #[test]

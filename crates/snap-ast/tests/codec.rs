@@ -192,6 +192,58 @@ fn golden_project() -> Project {
 }
 
 #[test]
+fn numbers_keep_their_sign_and_bits_through_both_formats() {
+    // `==` cannot tell -0 from 0, so compare the bits of what comes back.
+    let numbers = [
+        -0.0,
+        0.0,
+        1e300,
+        -1e300,
+        1e-300,
+        5e-324,
+        f64::MAX,
+        1e21,
+        1e-7,
+        9e15,
+        0.1,
+        -42.0,
+    ];
+    let project = Project::new("numbers").with_global(
+        "xs",
+        Constant::List(numbers.iter().copied().map(Constant::Number).collect()),
+    );
+    let bits = |p: &Project| -> Vec<u64> {
+        let Constant::List(items) = &p.globals[0].1 else {
+            panic!("the global is a list");
+        };
+        items
+            .iter()
+            .map(|c| match c {
+                Constant::Number(n) => n.to_bits(),
+                other => panic!("not a number: {other:?}"),
+            })
+            .collect()
+    };
+    let want: Vec<u64> = numbers.iter().map(|n| n.to_bits()).collect();
+    let xml = project.to_xml();
+    assert_eq!(bits(&Project::from_xml(&xml).unwrap()), want);
+    assert_eq!(bits(&Project::from_json(&project.to_json()).unwrap()), want);
+    // Exponent form only outside [1e-6, 1e21): typical values keep their
+    // plain form.
+    for written in [
+        "\"-0\"",
+        "\"1e300\"",
+        "\"1e-300\"",
+        "\"1e21\"",
+        "\"1e-7\"",
+        "\"9000000000000000\"",
+        "\"0.1\"",
+    ] {
+        assert!(xml.contains(written), "{written} missing from:\n{xml}");
+    }
+}
+
+#[test]
 fn to_xml_writes_the_pinned_text() {
     let golden = include_str!("golden/project.xml");
     let written = golden_project().to_xml();

@@ -13,14 +13,22 @@
 //! propagate as errors instead of being quietly absorbed by a slower
 //! sequential pass.
 //!
-//! Both `parallelMap` and the `mapReduce` map phase route through
-//! `ring_map_faulted`, which detects all-numeric lists at entry and runs
-//! them on the **columnar batch tier** (flat `f64` chunks, one
-//! `eval_batch` per chunk — see `snap_workers::ColumnarPolicy`). The
-//! `mapReduce` mapper typically produces `[key, value]` lists and so
-//! stays boxed, but a numeric mapper feeding the shuffle batches too:
-//! boxing happens at the pair-validation seam, never inside the map
-//! loop.
+//! `parallelMap` routes through `ring_map_faulted`, which detects
+//! all-numeric lists at entry and runs them on the **columnar batch
+//! tier** (flat `f64` chunks, one `eval_batch` per chunk — see
+//! `snap_workers::ColumnarPolicy`). `mapReduce` widens that rung: a
+//! `[key, value]` mapper with a numeric value runs as a key column and
+//! an `f64` column, with its keys interned and grouped by id instead of
+//! boxed, hashed and sorted (see the `keyed` module). Any other mapper,
+//! and any key column the keyed rung declines, takes the boxed path:
+//! `ring_map_pairs_faulted`, then `combine_pairs`, `shuffle` and the
+//! reduce. Which one a call took shows in the counters: the keyed rung
+//! moves `par.columnar_chunks` and never `ring.batch_fallbacks`; the
+//! boxed path moves `ring.batch_fallbacks` and the shuffle's own runs.
+//!
+//! No block copies its input to be able to degrade: every phase only
+//! reads the list (or the groups), and a degraded phase re-runs on the
+//! same one.
 
 use std::sync::Arc;
 
@@ -31,6 +39,7 @@ use snap_workers::{
     FaultPolicy, RingMapError, RingMapOptions,
 };
 
+use crate::keyed;
 use crate::shuffle::{combine_pairs, shuffle};
 
 /// Record one block-level degradation to sequential execution.
@@ -40,6 +49,27 @@ fn record_degraded(block: &'static str, err: &ExecError) {
         "blocks.degraded",
         format!("{block} degraded to sequential: {err}"),
     );
+}
+
+/// The blocks' rung of the fault ladder for one phase: an evaluation
+/// error or a missed deadline surfaces as an error; any other execution
+/// failure is recorded and `sequential` re-runs the phase.
+fn or_degrade<T>(
+    block: &'static str,
+    pooled: Result<T, RingMapError>,
+    sequential: impl FnOnce() -> Result<T, EvalError>,
+) -> Result<T, EvalError> {
+    match pooled {
+        Ok(out) => Ok(out),
+        Err(RingMapError::Eval(e)) => Err(e),
+        Err(RingMapError::Exec(e @ ExecError::DeadlineExceeded { .. })) => {
+            Err(EvalError::Other(e.to_string()))
+        }
+        Err(RingMapError::Exec(e)) => {
+            record_degraded(block, &e);
+            sequential()
+        }
+    }
 }
 
 /// Injector-free sequential map — the degraded path. Same structured
@@ -56,15 +86,15 @@ fn sequential_ring_map(ring: Arc<Ring>, items: &[Value]) -> Result<Vec<Value>, E
 /// path of the reduce phase.
 fn sequential_reduce_groups(
     ring: Arc<Ring>,
-    groups: Vec<(Value, Vec<Value>)>,
+    groups: &[(Value, Vec<Value>)],
 ) -> Result<Vec<Value>, EvalError> {
     let f = compile_cached(&ring)?;
     groups
-        .into_iter()
+        .iter()
         .map(|(key, values)| {
             let arg = Value::list(values.iter().map(Value::deep_copy).collect());
             f.call1(arg)
-                .map(|reduced| Value::list(vec![key, reduced.deep_copy()]))
+                .map(|reduced| Value::list(vec![key.clone(), reduced.deep_copy()]))
         })
         .collect()
 }
@@ -107,27 +137,18 @@ pub fn parallel_map_with_policy(
 /// [`parallel_map`] with full execution options, including the fault
 /// policy. This is the fault-degradation rung: execution-layer failures
 /// other than a missed deadline fall back to a sequential injector-free
-/// map instead of surfacing.
+/// map over the same items instead of surfacing.
 pub fn parallel_map_with_options(
     ring: Arc<Ring>,
     items: Vec<Value>,
     options: RingMapOptions,
 ) -> Result<Vec<Value>, EvalError> {
     let _span = snap_trace::span!("parallel_map", "items" => items.len());
-    // Values are cheap (shallow) to clone; keep a copy so the degraded
-    // path can re-run the map after the pooled attempt consumed `items`.
-    let fallback = items.clone();
-    match ring_map_faulted(ring.clone(), items, options) {
-        Ok(out) => Ok(out),
-        Err(RingMapError::Eval(e)) => Err(e),
-        Err(RingMapError::Exec(e @ ExecError::DeadlineExceeded { .. })) => {
-            Err(EvalError::Other(e.to_string()))
-        }
-        Err(RingMapError::Exec(e)) => {
-            record_degraded("parallel_map", &e);
-            sequential_ring_map(ring, &fallback)
-        }
-    }
+    or_degrade(
+        "parallel_map",
+        ring_map_faulted(ring.clone(), &items, options),
+        || sequential_ring_map(ring, &items),
+    )
 }
 
 /// `mapReduce <mapper> <reducer> over <list>` (paper §3.4): parallel map
@@ -259,6 +280,10 @@ pub fn map_reduce_with_options(
 /// pairs by key *before* the shuffle — shrinking shuffle volume from
 /// O(items) to O(workers × keys) with identical output (the reducer then
 /// folds per-chunk partials exactly as it would have folded raw values).
+///
+/// The map phase runs on the keyed-columnar rung when the mapper and its
+/// key column allow it (see the `keyed` module); its groups are
+/// bit-identical to the boxed path's, which every other call takes.
 pub fn map_reduce_with_combine(
     mapper: Arc<Ring>,
     reducer: Arc<Ring>,
@@ -267,43 +292,43 @@ pub fn map_reduce_with_combine(
     combine: CombinePolicy,
 ) -> Result<Vec<Value>, EvalError> {
     let _span = snap_trace::span!("map_reduce", "items" => items.len());
-    let fallback_items = items.clone();
-    let pairs = match ring_map_pairs_faulted(mapper.clone(), items, options) {
-        Ok(pairs) => pairs,
-        Err(RingMapError::Eval(e)) => return Err(e),
-        Err(RingMapError::Exec(e @ ExecError::DeadlineExceeded { .. })) => {
-            return Err(EvalError::Other(e.to_string()))
-        }
-        Err(RingMapError::Exec(e)) => {
-            record_degraded("map_reduce (map phase)", &e);
-            sequential_ring_map(mapper, &fallback_items)?
-                .into_iter()
-                .map(as_map_pair)
-                .collect::<Result<Vec<(Value, Value)>, EvalError>>()?
-        }
+    // The mapper emits one pair per item, so this is the pair count the
+    // combiner's threshold sees.
+    let fold = match combine {
+        CombinePolicy::Auto if items.len() >= COMBINE_MIN_PAIRS => associative_fold_op(&reducer),
+        _ => None,
     };
-    let pairs = match combine {
-        CombinePolicy::Auto if pairs.len() >= COMBINE_MIN_PAIRS => {
-            match associative_fold_op(&reducer) {
-                Some(op) => combine_pairs(pairs, op, options.workers, options.exec),
-                None => pairs,
-            }
-        }
-        _ => pairs,
+    let map_fn = compile_cached(&mapper)?;
+    let pairs = match keyed::map_groups(&map_fn, &items, &options, fold) {
+        Ok(Some(groups)) => return reduce_groups(reducer, &groups, options),
+        Ok(None) => ring_map_pairs_faulted(mapper.clone(), &items, options),
+        Err(e) => Err(RingMapError::Exec(e)),
     };
-    let groups = shuffle(pairs);
-    let fallback_groups = groups.clone();
-    match ring_reduce_groups_faulted(reducer.clone(), groups, options) {
-        Ok(out) => Ok(out),
-        Err(RingMapError::Eval(e)) => Err(e),
-        Err(RingMapError::Exec(e @ ExecError::DeadlineExceeded { .. })) => {
-            Err(EvalError::Other(e.to_string()))
-        }
-        Err(RingMapError::Exec(e)) => {
-            record_degraded("map_reduce (reduce phase)", &e);
-            sequential_reduce_groups(reducer, fallback_groups)
-        }
-    }
+    let pairs = or_degrade("map_reduce (map phase)", pairs, || {
+        sequential_ring_map(mapper, &items)?
+            .into_iter()
+            .map(as_map_pair)
+            .collect()
+    })?;
+    let pairs = match fold {
+        Some(op) => combine_pairs(pairs, op, options.workers, options.exec),
+        None => pairs,
+    };
+    reduce_groups(reducer, &shuffle(pairs), options)
+}
+
+/// The reduce phase of `mapReduce`, degrading to a sequential reduce of
+/// the same groups.
+fn reduce_groups(
+    reducer: Arc<Ring>,
+    groups: &[(Value, Vec<Value>)],
+    options: RingMapOptions,
+) -> Result<Vec<Value>, EvalError> {
+    or_degrade(
+        "map_reduce (reduce phase)",
+        ring_reduce_groups_faulted(reducer.clone(), groups, options),
+        || sequential_reduce_groups(reducer, groups),
+    )
 }
 
 /// `parallelForEach` over plain Rust data: run `f` once per item with

@@ -27,6 +27,7 @@
 pub mod backend;
 pub mod blocks;
 pub mod distributed;
+mod keyed;
 pub mod shuffle;
 
 pub use backend::{install, install_with, WorkerBackend};

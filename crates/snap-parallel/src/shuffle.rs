@@ -13,6 +13,7 @@
 //! sequential stable sort exactly, and the grouping pass is unchanged.
 
 use snap_ast::pure::eval_binop;
+use snap_ast::value::snap_sort_by;
 use snap_ast::{BinOp, Value};
 use snap_trace::well_known as metrics;
 use snap_workers::{default_workers, map_slice_with, ExecMode, Strategy};
@@ -43,13 +44,15 @@ pub fn shuffle(pairs: Vec<(Value, Value)>) -> Vec<(Value, Vec<Value>)> {
     }
 }
 
-/// The sequential shuffle: one stable sort, one grouping pass.
-pub fn shuffle_seq(mut pairs: Vec<(Value, Value)>) -> Vec<(Value, Vec<Value>)> {
+/// The sequential shuffle: one stable sort, one grouping pass. The sort
+/// is [`snap_sort_by`], which, unlike the standard sorts, cannot panic on
+/// keys that `snap_cmp` does not order totally (NaN, numbers mixed with
+/// text).
+pub fn shuffle_seq(pairs: Vec<(Value, Value)>) -> Vec<(Value, Vec<Value>)> {
     metrics::SHUFFLE_SEQ_RUNS.incr();
     metrics::SHUFFLE_PAIRS.add(pairs.len() as u64);
     let _span = snap_trace::span!("shuffle.seq", "pairs" => pairs.len());
-    pairs.sort_by(|a, b| a.0.snap_cmp(&b.0));
-    group_sorted(pairs)
+    group_sorted(snap_sort_by(pairs, |a, b| a.0.snap_cmp(&b.0)))
 }
 
 /// The parallel shuffle, with explicit worker count and execution mode.
@@ -96,10 +99,8 @@ pub fn shuffle_parallel(
     {
         let _span = snap_trace::span!("shuffle.sort", workers);
         map_slice_with(&buckets, workers, Strategy::Dynamic, exec, |bucket| {
-            bucket
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .sort_by(|a, b| a.0.cmp_canon(&b.0));
+            let mut bucket = bucket.lock().unwrap_or_else(PoisonError::into_inner);
+            *bucket = snap_sort_by(std::mem::take(&mut *bucket), |a, b| a.0.cmp_canon(&b.0));
         });
     }
 
@@ -197,11 +198,12 @@ fn group_sorted(pairs: Vec<(Value, Value)>) -> Vec<(Value, Vec<Value>)> {
 /// `Value::snap_cmp` re-derives the numeric coercion (trim + parse for
 /// text) and the lowercased display string on *every* comparison — an
 /// O(n log n) sort re-pays that per-key cost O(log n) times. `CanonKey`
-/// pays it once and the sort/merge compare the cached digest.
-struct CanonKey {
+/// pays it once and the sort/merge compare the cached digest. The
+/// keyed-columnar rung of `mapReduce` interns its keys through it too.
+pub(crate) struct CanonKey {
     /// The numeric coercion, when the key has one (the same rule
     /// `snap_cmp` uses: numbers, numeric text, booleans).
-    num: Option<f64>,
+    pub(crate) num: Option<f64>,
     /// Lowercased display string — `snap_cmp`'s textual branch. Always
     /// stored, even for numeric keys: a numeric key still compares
     /// *textually* against a non-numeric one, using its original
@@ -210,22 +212,16 @@ struct CanonKey {
 }
 
 impl CanonKey {
-    fn new(key: &Value) -> CanonKey {
-        let num = match key {
-            Value::Number(n) => Some(*n),
-            Value::Text(s) => s.trim().parse::<f64>().ok(),
-            Value::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
-            _ => None,
-        };
+    pub(crate) fn new(key: &Value) -> CanonKey {
         CanonKey {
-            num,
+            num: key.snap_number(),
             text: key.to_display_string().to_ascii_lowercase(),
         }
     }
 
     /// Mirrors [`Value::snap_cmp`] exactly: numeric when both sides
     /// coerce, case-insensitive textual otherwise.
-    fn cmp_canon(&self, other: &CanonKey) -> std::cmp::Ordering {
+    pub(crate) fn cmp_canon(&self, other: &CanonKey) -> std::cmp::Ordering {
         match (self.num, other.num) {
             (Some(a), Some(b)) => a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal),
             _ => self.text.cmp(&other.text),
@@ -235,7 +231,7 @@ impl CanonKey {
     /// Hash such that `cmp_canon == Equal` implies equal hashes: numeric
     /// keys hash their normalized value (`-0.0` folded to `0.0`, all
     /// NaNs coincide); all others hash the lowercased display string.
-    fn bucket_hash(&self) -> u64 {
+    pub(crate) fn bucket_hash(&self) -> u64 {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         match self.num {
             Some(n) => {

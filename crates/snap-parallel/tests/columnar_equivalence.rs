@@ -2,10 +2,14 @@
 //! with `ColumnarPolicy::Auto`, `parallelMap` and `mapReduce` must
 //! produce output — values *and* ordering — bit-for-bit identical to
 //! the per-element (`Disabled`) runs, on both the numeric climate
-//! workload (which batches) and the word-count corpus (whose
-//! list-producing mapper falls back to boxed per-element calls).
+//! workload and the word-count corpus. Both `[key, value]` mappers run
+//! on the keyed-columnar rung under `Auto`.
+//!
+//! The rung checks read the process-wide `par.columnar_chunks` and
+//! `ring.batch_fallbacks` counters, so every test holds
+//! [`counter_lock`].
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use snap_ast::builder::*;
 use snap_ast::{Ring, Value};
@@ -13,6 +17,32 @@ use snap_data::{generate_noaa, generate_words, NoaaConfig};
 use snap_parallel::{map_reduce_with_options, parallel_map_with_options};
 use snap_trace::well_known as metrics;
 use snap_workers::{ColumnarPolicy, RingMapOptions};
+
+static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+
+/// Serialize on the tier counters (a failed sibling's poison does not
+/// matter: the lock guards no data).
+fn counter_lock() -> MutexGuard<'static, ()> {
+    COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Run `f` and assert that it took the keyed-columnar rung: columnar
+/// chunks ran and no map declined the columnar tier.
+fn on_keyed_rung<R>(f: impl FnOnce() -> R) -> R {
+    let chunks_before = metrics::PAR_COLUMNAR_CHUNKS.get();
+    let fallback_before = metrics::RING_BATCH_FALLBACKS.get();
+    let out = f();
+    assert!(
+        metrics::PAR_COLUMNAR_CHUNKS.get() > chunks_before,
+        "the [key, value] mapper must run on the keyed-columnar rung"
+    );
+    assert_eq!(
+        metrics::RING_BATCH_FALLBACKS.get(),
+        fallback_before,
+        "the keyed rung never counts a columnar fallback"
+    );
+    out
+}
 
 fn options(columnar: ColumnarPolicy) -> RingMapOptions {
     RingMapOptions {
@@ -50,6 +80,7 @@ fn assert_numbers_bits_eq(a: &[Value], b: &[Value]) {
 
 #[test]
 fn climate_parallel_map_columnar_on_off_are_identical() {
+    let _serial = counter_lock();
     let dataset = generate_noaa(&NoaaConfig {
         stations: 10,
         years: 10,
@@ -73,6 +104,7 @@ fn climate_parallel_map_columnar_on_off_are_identical() {
 fn awkward_floats_survive_the_columnar_tier_bitwise() {
     // parallelMap over the IEEE specials: ordering and bits must match
     // the per-element path exactly.
+    let _serial = counter_lock();
     let mut inputs: Vec<Value> = (0..40).map(|i| Value::Number(i as f64 * 1.7)).collect();
     for special in [
         f64::NAN,
@@ -97,9 +129,10 @@ fn awkward_floats_survive_the_columnar_tier_bitwise() {
 
 #[test]
 fn word_count_map_reduce_columnar_on_off_are_identical() {
-    // The word-count mapper produces [word, 1] lists — not batchable —
-    // so Auto must fall back cleanly and change nothing, including key
-    // ordering.
+    // The word-count mapper [w, 1] lowers to a pair program, so Auto
+    // runs it on the keyed rung (text keys, constant values, combined
+    // per chunk) and must change nothing, including key ordering.
+    let _serial = counter_lock();
     let mapper = Arc::new(Ring::reporter_with_params(
         vec!["w".into()],
         make_list(vec![var("w"), num(1.0)]),
@@ -112,18 +145,15 @@ fn word_count_map_reduce_columnar_on_off_are_identical() {
         .into_iter()
         .map(Value::from)
         .collect();
-    let fallback_before = metrics::RING_BATCH_FALLBACKS.get();
-    let on = map_reduce_with_options(
-        mapper.clone(),
-        reducer.clone(),
-        words.clone(),
-        options(ColumnarPolicy::Auto),
-    )
-    .unwrap();
-    assert!(
-        metrics::RING_BATCH_FALLBACKS.get() > fallback_before,
-        "the boxed word-count mapper must count a columnar fallback"
-    );
+    let on = on_keyed_rung(|| {
+        map_reduce_with_options(
+            mapper.clone(),
+            reducer.clone(),
+            words.clone(),
+            options(ColumnarPolicy::Auto),
+        )
+        .unwrap()
+    });
     let off =
         map_reduce_with_options(mapper, reducer, words, options(ColumnarPolicy::Disabled)).unwrap();
     assert_eq!(on, off, "columnar fallback changed mapReduce output");
@@ -131,9 +161,10 @@ fn word_count_map_reduce_columnar_on_off_are_identical() {
 
 #[test]
 fn climate_map_reduce_columnar_on_off_are_identical() {
-    // The full climate pipeline (list-producing mapper, averaging
-    // reducer) under both policies: the map phase falls back, the
-    // output must be unchanged.
+    // The full climate pipeline (["avg", °C] mapper, averaging reducer)
+    // under both policies: Auto runs the map on the keyed rung (one
+    // constant key, batched values) and the output must be unchanged.
+    let _serial = counter_lock();
     let mapper = Arc::new(Ring::reporter_with_params(
         vec!["t".into()],
         make_list(vec![
@@ -155,13 +186,15 @@ fn climate_map_reduce_columnar_on_off_are_identical() {
         ..NoaaConfig::default()
     })
     .temps_f_values();
-    let on = map_reduce_with_options(
-        mapper.clone(),
-        reducer.clone(),
-        temps.clone(),
-        options(ColumnarPolicy::Auto),
-    )
-    .unwrap();
+    let on = on_keyed_rung(|| {
+        map_reduce_with_options(
+            mapper.clone(),
+            reducer.clone(),
+            temps.clone(),
+            options(ColumnarPolicy::Auto),
+        )
+        .unwrap()
+    });
     let off =
         map_reduce_with_options(mapper, reducer, temps, options(ColumnarPolicy::Disabled)).unwrap();
     assert_eq!(on, off);

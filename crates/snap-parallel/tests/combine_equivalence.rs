@@ -5,10 +5,13 @@
 //! output — values *and* group ordering — bit-for-bit identical to the
 //! uncombined run.
 //!
-//! The counter checks assert exact deltas of the process-wide
-//! `shuffle.pairs_combined` / `shuffle.combine_runs` counters, and every
-//! test here runs the combiner, so each test holds [`COUNTER_LOCK`]: no
-//! sibling can move the counters between a test's before and after.
+//! The word-count mapper runs on the keyed-columnar rung, which folds
+//! per key inside its map chunks; `combine_pairs` itself is checked
+//! directly. The counter checks assert exact deltas of the process-wide
+//! `shuffle.pairs_combined` / `shuffle.combine_runs` counters (which the
+//! keyed rung moves too), and every test here runs a combiner, so each
+//! test holds [`COUNTER_LOCK`]: no sibling can move the counters between
+//! a test's before and after.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -88,6 +91,8 @@ fn combined_map_reduce_output_is_identical_to_uncombined() {
             workers,
             ..Default::default()
         };
+        let chunks_before = metrics::PAR_COLUMNAR_CHUNKS.get();
+        let fallback_before = metrics::RING_BATCH_FALLBACKS.get();
         let on = map_reduce_with_combine(
             word_count_mapper(),
             word_count_reducer(),
@@ -104,6 +109,10 @@ fn combined_map_reduce_output_is_identical_to_uncombined() {
             CombinePolicy::Disabled,
         )
         .unwrap();
+        // Both runs took the keyed rung: its chunks ran and no map
+        // declined the columnar tier.
+        assert!(metrics::PAR_COLUMNAR_CHUNKS.get() >= chunks_before + 2);
+        assert_eq!(metrics::RING_BATCH_FALLBACKS.get(), fallback_before);
         assert_eq!(on, off, "workers={workers}");
     }
 }

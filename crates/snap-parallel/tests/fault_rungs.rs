@@ -1,0 +1,209 @@
+//! The fault ladder on the columnar rungs, run where CI's ASan job runs
+//! it: injected chunk panics in `mapReduce`'s keyed-columnar map are
+//! retried with identical output, a zero-retry exhaustion degrades once
+//! to the sequential path over the same input, a missed deadline is an
+//! error, and a degraded `parallelMap` equals the pooled one.
+//!
+//! The fault injector and the counters are process-wide, so every test
+//! holds [`injector_lock`] and uninstalls the injector before releasing
+//! it.
+
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
+
+use snap_ast::builder::*;
+use snap_ast::{Ring, Value};
+use snap_parallel::{map_reduce_with_options, parallel_map_with_options};
+use snap_trace::well_known as metrics;
+use snap_workers::{install_injector, FaultInjector, FaultPolicy, RingMapOptions};
+
+fn injector_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn word_count_mapper() -> Arc<Ring> {
+    Arc::new(Ring::reporter_with_params(
+        vec!["w".into()],
+        make_list(vec![var("w"), num(1.0)]),
+    ))
+}
+
+fn sum_reducer() -> Arc<Ring> {
+    Arc::new(Ring::reporter_with_params(
+        vec!["vals".into()],
+        combine_using(var("vals"), ring_reporter(add(empty_slot(), empty_slot()))),
+    ))
+}
+
+fn climate_mapper() -> Arc<Ring> {
+    Arc::new(Ring::reporter_with_params(
+        vec!["t".into()],
+        make_list(vec![
+            text("avg"),
+            div(mul(num(5.0), sub(var("t"), num(32.0))), num(9.0)),
+        ]),
+    ))
+}
+
+fn mean_reducer() -> Arc<Ring> {
+    Arc::new(Ring::reporter_with_params(
+        vec!["vals".into()],
+        div(
+            combine_using(var("vals"), ring_reporter(add(empty_slot(), empty_slot()))),
+            length_of(var("vals")),
+        ),
+    ))
+}
+
+fn words(n: usize) -> Vec<Value> {
+    let vocabulary = ["the", "The", "fox", "dog", "a", "über"];
+    (0..n)
+        .map(|i| Value::text(vocabulary[(i * 7) % 6]))
+        .collect()
+}
+
+fn temps(n: usize) -> Vec<Value> {
+    (0..n)
+        .map(|i| Value::Number(20.0 + (i % 97) as f64 * 0.37))
+        .collect()
+}
+
+fn options(workers: usize, policy: FaultPolicy) -> RingMapOptions {
+    RingMapOptions {
+        workers,
+        policy,
+        ..Default::default()
+    }
+}
+
+/// Bits-equal outputs of two runs (NaN payloads aside, though none
+/// arise here).
+fn assert_same(a: &[Value], b: &[Value]) {
+    assert_eq!(
+        format!("{a:?}"),
+        format!("{b:?}"),
+        "outputs differ in their values"
+    );
+}
+
+#[test]
+fn injected_chunk_panics_on_the_keyed_rung_are_retried_with_identical_output() {
+    let _guard = injector_lock();
+    install_injector(None);
+    let cases = [
+        (word_count_mapper(), sum_reducer(), words(5_000)),
+        (climate_mapper(), mean_reducer(), temps(5_000)),
+    ];
+    for (mapper, reducer, items) in cases {
+        let clean = map_reduce_with_options(
+            mapper.clone(),
+            reducer.clone(),
+            items.clone(),
+            options(3, FaultPolicy::default()),
+        )
+        .unwrap();
+        let retried_before = metrics::FAULT_RETRIES_SCHEDULED.get();
+        let fallbacks_before = metrics::RING_BATCH_FALLBACKS.get();
+        install_injector(Some(FaultInjector::new(0x5EED).panic_probability(0.5)));
+        let policy = FaultPolicy::with_retries(12).backoff(Duration::from_micros(10));
+        let faulted = map_reduce_with_options(mapper, reducer, items, options(3, policy));
+        install_injector(None);
+        assert_same(&faulted.unwrap(), &clean);
+        assert!(metrics::FAULT_RETRIES_SCHEDULED.get() > retried_before);
+        assert_eq!(
+            metrics::RING_BATCH_FALLBACKS.get(),
+            fallbacks_before,
+            "the retried map stayed on the keyed rung"
+        );
+    }
+}
+
+#[test]
+fn zero_retry_exhaustion_degrades_once_to_the_sequential_path() {
+    let _guard = injector_lock();
+    install_injector(None);
+    let items = temps(4_096);
+    let clean = map_reduce_with_options(
+        climate_mapper(),
+        mean_reducer(),
+        items.clone(),
+        options(2, FaultPolicy::default()),
+    )
+    .unwrap();
+    // A seed that fails the keyed map's second chunk but spares index 0,
+    // the one reduce group: the map degrades, the reduce does not.
+    let injector = (0..)
+        .map(|seed| FaultInjector::new(seed).panic_probability(0.5))
+        .find(|i| !i.should_panic(0, 0) && i.should_panic(1, 0))
+        .unwrap();
+    let degraded_before = metrics::FAULT_DEGRADED_RUNS.get();
+    let injected_before = metrics::FAULT_INJECTED_PANICS.get();
+    let chunks_before = metrics::PAR_COLUMNAR_CHUNKS.get();
+    install_injector(Some(injector));
+    let degraded = map_reduce_with_options(
+        climate_mapper(),
+        mean_reducer(),
+        items,
+        options(2, FaultPolicy::default()),
+    );
+    install_injector(None);
+    assert_same(&degraded.unwrap(), &clean);
+    assert_eq!(metrics::FAULT_DEGRADED_RUNS.get() - degraded_before, 1);
+    // The injected panics hit the keyed map's chunks (the degraded path
+    // injects nothing), and a keyed map whose result is dropped is not
+    // counted: the sequential path produced the output.
+    assert!(
+        metrics::FAULT_INJECTED_PANICS.get() > injected_before,
+        "the keyed rung ran before degrading"
+    );
+    assert_eq!(metrics::PAR_COLUMNAR_CHUNKS.get(), chunks_before);
+}
+
+#[test]
+fn deadline_errors_propagate_from_the_keyed_rung() {
+    let _guard = injector_lock();
+    let degraded_before = metrics::FAULT_DEGRADED_RUNS.get();
+    let fallbacks_before = metrics::RING_BATCH_FALLBACKS.get();
+    // Every chunk sleeps 20 ms before it runs; one worker walks two or
+    // more chunks, so the 5 ms deadline passes before the second.
+    install_injector(Some(
+        FaultInjector::new(3).delay_probability(1.0, Duration::from_millis(20)),
+    ));
+    let policy = FaultPolicy::default().deadline(Duration::from_millis(5));
+    let result = map_reduce_with_options(
+        climate_mapper(),
+        mean_reducer(),
+        temps(4_096),
+        options(1, policy),
+    );
+    install_injector(None);
+    let err = result.expect_err("the deadline must surface");
+    assert!(err.to_string().contains("deadline exceeded"), "{err}");
+    assert_eq!(metrics::FAULT_DEGRADED_RUNS.get(), degraded_before);
+    assert_eq!(
+        metrics::RING_BATCH_FALLBACKS.get(),
+        fallbacks_before,
+        "the deadline was the keyed rung's, not the boxed path's"
+    );
+}
+
+#[test]
+fn degraded_parallel_map_equals_the_pooled_map() {
+    let _guard = injector_lock();
+    install_injector(None);
+    let ring = Arc::new(Ring::reporter(mul(empty_slot(), num(10.0))));
+    let items: Vec<Value> = (0..10_000).map(|i| Value::Number(i as f64 * 0.5)).collect();
+    let pooled = parallel_map_with_options(
+        ring.clone(),
+        items.clone(),
+        options(4, FaultPolicy::default()),
+    )
+    .unwrap();
+    let degraded_before = metrics::FAULT_DEGRADED_RUNS.get();
+    install_injector(Some(FaultInjector::new(17).panic_probability(1.0)));
+    let degraded = parallel_map_with_options(ring, items, options(4, FaultPolicy::default()));
+    install_injector(None);
+    assert_same(&degraded.unwrap(), &pooled);
+    assert_eq!(metrics::FAULT_DEGRADED_RUNS.get() - degraded_before, 1);
+}

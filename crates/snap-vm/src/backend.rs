@@ -104,7 +104,7 @@ pub fn reduce_groups(
         kv.push((key, value));
     }
     // Stable sort on keys preserves mapper output order within a key.
-    kv.sort_by(|a, b| a.0.snap_cmp(&b.0));
+    let kv = snap_ast::value::snap_sort_by(kv, |a, b| a.0.snap_cmp(&b.0));
 
     let mut out = Vec::new();
     let mut i = 0;

@@ -14,7 +14,8 @@
 //! * [`ring_map`] / [`ring_map_pairs`] / [`ring_reduce_groups`] — apply
 //!   compiled Snap! rings on workers with structured-clone isolation,
 //!   the analogue of Listing 2's `mappedCode()` → `new Function` →
-//!   `p.map(...)` pipeline.
+//!   `p.map(...)` pipeline; [`ring_map_keyed`] runs a `[key, value]`
+//!   mapper as flat key and value columns for MapReduce.
 //! * [`FaultPolicy`] / [`FaultInjector`] — fault-tolerant execution
 //!   ([`fault`]): per-item retries with exponential backoff, cooperative
 //!   deadlines, and deterministic chaos injection — the recovery a
@@ -43,7 +44,7 @@ pub use fault::{
 pub use parallel::{default_workers, map_slice, Parallel, Strategy};
 pub use pool::{PoolClosed, WorkerPool};
 pub use ring_fn::{
-    as_map_pair, ring_map, ring_map_faulted, ring_map_pairs, ring_map_pairs_faulted,
-    ring_reduce_groups, ring_reduce_groups_faulted, ColumnarPolicy, Isolation, RingMapError,
-    RingMapOptions, COLUMNAR_MIN_ITEMS,
+    as_map_pair, ring_map, ring_map_faulted, ring_map_keyed, ring_map_pairs,
+    ring_map_pairs_faulted, ring_reduce_groups, ring_reduce_groups_faulted, ColumnarPolicy,
+    Isolation, KeyColumn, KeyedTally, RingMapError, RingMapOptions, COLUMNAR_MIN_ITEMS,
 };

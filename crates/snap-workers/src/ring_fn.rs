@@ -21,10 +21,15 @@
 //! [`ColumnarPolicy`]). The ladder is columnar batch → numeric scalar →
 //! tree walk; the `ring.batch_calls` / `ring.fastpath_calls` /
 //! `ring.treewalk_calls` counters show which tier a run used.
+//!
+//! The same rung covers MapReduce's `[key, value]` mappers:
+//! [`ring_map_keyed`] runs a mapper's [`PairProgram`] as a key column and
+//! an `f64` value column per chunk, so no two-item list is ever built.
 
 use std::fmt;
 use std::sync::Arc;
 
+use snap_ast::bytecode::{NumProgram, PairKey, PairProgram};
 use snap_ast::pure::{compile_cached, PureFn};
 use snap_ast::{EvalError, Ring, Value};
 
@@ -151,21 +156,22 @@ pub fn ring_map(
 /// fault-aware entry point for callers that degrade gracefully (the
 /// parallel blocks fall back to a sequential map on
 /// [`ExecError::RetriesExhausted`], but propagate deadline errors).
+/// Takes the items by reference or by value; either way it only reads
+/// them, so a caller that must be able to re-run the map keeps its own
+/// list instead of a copy.
 pub fn ring_map_faulted(
     ring: Arc<Ring>,
-    items: Vec<Value>,
+    items: impl AsRef<[Value]>,
     options: RingMapOptions,
 ) -> Result<Vec<Value>, RingMapError> {
+    let items = items.as_ref();
     let len = items.len();
     snap_trace::well_known::RING_MAP_CALLS.incr();
     snap_trace::well_known::RING_MAP_ITEMS.add(len as u64);
     let _span = snap_trace::span!("ring_map", len);
     let f = compile_cached(&ring).map_err(RingMapError::Eval)?;
-    if options.columnar == ColumnarPolicy::Auto
-        && options.latency.is_none()
-        && len >= COLUMNAR_MIN_ITEMS
-    {
-        if let Some(inputs) = f.is_batchable().then(|| columnar_f64(&items)).flatten() {
+    if columnar_applies(&options, len) {
+        if let Some(inputs) = f.is_batchable().then(|| columnar_f64(items)).flatten() {
             return columnar_map(&f, inputs, &options);
         }
         // A batch-sized map stayed on the per-element path: either the
@@ -173,7 +179,7 @@ pub fn ring_map_faulted(
         snap_trace::well_known::RING_BATCH_FALLBACKS.incr();
     }
     let results = try_map_slice_with(
-        &items,
+        items,
         options.workers,
         options.strategy,
         options.exec,
@@ -197,6 +203,15 @@ pub fn ring_map_faulted(
         .into_iter()
         .collect::<Result<Vec<Value>, EvalError>>()
         .map_err(RingMapError::Eval)
+}
+
+/// Whether `options` let a map of `len` items onto the columnar tier:
+/// `ColumnarPolicy::Auto`, no simulated latency, and enough items to pay
+/// for the detection scan.
+fn columnar_applies(options: &RingMapOptions, len: usize) -> bool {
+    options.columnar == ColumnarPolicy::Auto
+        && options.latency.is_none()
+        && len >= COLUMNAR_MIN_ITEMS
 }
 
 /// The columnar detection scan: `Some(flat f64s)` when every element is
@@ -233,11 +248,7 @@ fn columnar_map(
 ) -> Result<Vec<Value>, RingMapError> {
     let len = inputs.len();
     let _span = snap_trace::span!("columnar_map", len);
-    let chunk = columnar_chunk_size(len, options.workers);
-    let chunks: Vec<std::ops::Range<usize>> = (0..len)
-        .step_by(chunk)
-        .map(|start| start..(start + chunk).min(len))
-        .collect();
+    let chunks = chunk_ranges(len, columnar_chunk_size(len, options.workers));
     let outputs = try_map_slice_with(
         &chunks,
         options.workers,
@@ -260,6 +271,127 @@ fn columnar_map(
         values.extend(chunk.into_iter().map(Value::Number));
     }
     Ok(values)
+}
+
+/// `0..len` cut into consecutive ranges of `chunk` items (the last may
+/// be shorter).
+fn chunk_ranges(len: usize, chunk: usize) -> Vec<std::ops::Range<usize>> {
+    let chunk = chunk.max(1);
+    (0..len)
+        .step_by(chunk)
+        .map(|start| start..(start + chunk).min(len))
+        .collect()
+}
+
+/// One chunk's keys in [`ring_map_keyed`].
+#[derive(Debug)]
+pub enum KeyColumn<'a> {
+    /// The key is the argument: the chunk's items are its keys.
+    Items(&'a [Value]),
+    /// Every item has this key.
+    Const(&'a Value),
+    /// Keys computed by the pair's numeric key program, one per item.
+    Numbers(Vec<f64>),
+}
+
+/// What one [`ring_map_keyed`] call ran, kept off the counters until
+/// [`KeyedTally::count`]: a caller that declines the folds and maps the
+/// items again on another path drops it, so each item is counted by the
+/// one path whose result is used.
+#[derive(Debug, Clone, Copy, Default)]
+#[must_use = "a keyed map the caller keeps is counted by `count`"]
+pub struct KeyedTally {
+    chunks: u64,
+    batches: u64,
+    batch_elems: u64,
+    scalar_items: u64,
+}
+
+impl KeyedTally {
+    /// Count the map on the columnar tier's counters, as the columnar map
+    /// counts: one `par.columnar_chunks` per chunk, one
+    /// `ring.batch_calls` per all-number chunk with its items in
+    /// `ring.batch_elems`, and one `ring.fastpath_calls` per item of every
+    /// other chunk (one per item, however many of the pair's programs
+    /// ran on it).
+    pub fn count(self) {
+        snap_trace::well_known::PAR_COLUMNAR_CHUNKS.add(self.chunks);
+        snap_trace::well_known::RING_BATCH_CALLS.add(self.batches);
+        snap_trace::well_known::RING_BATCH_ELEMS.add(self.batch_elems);
+        snap_trace::well_known::RING_FASTPATH_CALLS.add(self.scalar_items);
+    }
+}
+
+/// The map of MapReduce's keyed-columnar rung: run a mapper's
+/// [`PairProgram`] over `items` in pool chunks of `chunk_len` items and
+/// hand each chunk's key column and `f64` value column to `fold`, inside
+/// the same pool task. Returns the folds in chunk order, with the
+/// [`KeyedTally`] the caller counts if it keeps them.
+///
+/// Numeric programs run as [`NumProgram::eval_batch`] over a chunk whose
+/// items are all numbers, and as scalar calls otherwise; either way the
+/// values are bit-identical to the tree walk's. The fault policy applies
+/// per chunk, as on the columnar map: an injected panic re-runs the whole
+/// chunk (so `fold` must be a pure function of its columns) and an
+/// exhausted budget or a missed deadline is the `Err`. `Ok(None)` means
+/// `options` keep this call off the columnar tier (see
+/// [`ColumnarPolicy`]); nothing ran.
+pub fn ring_map_keyed<R: Send>(
+    pair: &PairProgram,
+    items: &[Value],
+    chunk_len: usize,
+    options: &RingMapOptions,
+    fold: impl Fn(KeyColumn<'_>, Vec<f64>) -> R + Send + Sync,
+) -> Result<Option<(Vec<R>, KeyedTally)>, ExecError> {
+    let len = items.len();
+    if !columnar_applies(options, len) {
+        return Ok(None);
+    }
+    let _span = snap_trace::span!("keyed.map", len);
+    let ranges = chunk_ranges(len, chunk_len);
+    let chunks = try_map_slice_with(
+        &ranges,
+        options.workers,
+        options.strategy,
+        options.exec,
+        &options.policy,
+        |range| {
+            let items = &items[range.clone()];
+            let numbers = columnar_f64(items);
+            let keys = match &pair.key {
+                PairKey::Arg => KeyColumn::Items(items),
+                PairKey::Const(key) => KeyColumn::Const(key),
+                PairKey::Num(p) => KeyColumn::Numbers(eval_column(p, items, numbers.as_deref())),
+            };
+            let values = eval_column(&pair.value, items, numbers.as_deref());
+            (fold(keys, values), numbers.is_some())
+        },
+    )?;
+    let mut tally = KeyedTally::default();
+    let mut folds = Vec::with_capacity(chunks.len());
+    for ((folded, batched), range) in chunks.into_iter().zip(&ranges) {
+        tally.chunks += 1;
+        if batched {
+            tally.batches += 1;
+            tally.batch_elems += range.len() as u64;
+        } else {
+            tally.scalar_items += range.len() as u64;
+        }
+        folds.push(folded);
+    }
+    Ok(Some((folds, tally)))
+}
+
+/// One numeric program over one chunk: `eval_batch` over the unboxed
+/// column when the chunk is all numbers, a scalar call per item
+/// otherwise.
+fn eval_column(p: &NumProgram, items: &[Value], numbers: Option<&[f64]>) -> Vec<f64> {
+    let mut out = Vec::with_capacity(items.len());
+    match numbers {
+        Some(inputs) => p.eval_batch(inputs, &mut out),
+        None => out.extend(items.iter().map(|item| p.call1_f64(item))),
+    }
+    out
 }
 
 /// Validate one mapper output as a `[key, value]` pair (the shape the
@@ -291,7 +423,7 @@ pub fn ring_map_pairs(
 /// [`ring_map_pairs`] with the execution-layer failure kept distinct.
 pub fn ring_map_pairs_faulted(
     ring: Arc<Ring>,
-    items: Vec<Value>,
+    items: impl AsRef<[Value]>,
     options: RingMapOptions,
 ) -> Result<Vec<(Value, Value)>, RingMapError> {
     let mapped = ring_map_faulted(ring, items, options)?;
@@ -313,19 +445,20 @@ pub fn ring_reduce_groups(
 }
 
 /// [`ring_reduce_groups`] with the execution-layer failure kept
-/// distinct.
+/// distinct. Like [`ring_map_faulted`], it only reads the groups.
 pub fn ring_reduce_groups_faulted(
     ring: Arc<Ring>,
-    groups: Vec<(Value, Vec<Value>)>,
+    groups: impl AsRef<[(Value, Vec<Value>)]>,
     options: RingMapOptions,
 ) -> Result<Vec<Value>, RingMapError> {
+    let groups = groups.as_ref();
     let len = groups.len();
     snap_trace::well_known::RING_MAP_CALLS.incr();
     snap_trace::well_known::RING_MAP_ITEMS.add(len as u64);
     let _span = snap_trace::span!("ring_reduce_groups", len);
     let f = compile_cached(&ring).map_err(RingMapError::Eval)?;
     let results = try_map_slice_with(
-        &groups,
+        groups,
         options.workers,
         options.strategy,
         options.exec,

@@ -93,19 +93,37 @@ fn main() {
     println!("all worker counts agree with the sequential reference");
 
     // --serve-metrics: keep the shuffle hot so a live scrape always has
-    // fresh windowed percentiles for shuffle.merge_ns. The Zipf corpus's
-    // combined pair stream stays under the parallel-shuffle threshold
-    // (map-side combining collapses it to ~#unique keys), so the rerun
-    // uses a high-cardinality corpus whose combined stream still crosses
-    // it: 4 chunks × 700 keys ≥ PARALLEL_SHUFFLE_THRESHOLD.
+    // fresh windowed percentiles for shuffle.merge_ns. A word corpus runs
+    // on the keyed-columnar rung, which groups by key id and never
+    // shuffles, so the rerun uses keys that alternate between numbers
+    // and words: a column in two of `snap_cmp`'s regimes stays on the
+    // boxed path by rule, and its combined stream still crosses the
+    // parallel-shuffle threshold (4 chunks × 1400 keys).
     let hot_items: Vec<Value> = (0..3 * snap_core::parallel::PARALLEL_SHUFFLE_THRESHOLD)
+        .map(|i| match i % 2 {
+            0 => Value::Number(((i / 2) % 700) as f64),
+            _ => Value::text(format!("w{}", (i / 2) % 700)),
+        })
+        .collect();
+    let keyed_before = snap_core::trace::well_known::PAR_COLUMNAR_CHUNKS.get();
+    let parallel_before = snap_core::trace::well_known::SHUFFLE_PARALLEL_RUNS.get();
+    let words_700: Vec<Value> = (0..hot_items.len())
         .map(|i| Value::text(format!("w{}", i % 700)))
         .collect();
+    let out = snap_core::parallel::map_reduce(mapper.clone(), reducer.clone(), words_700, 4)
+        .expect("word count runs");
+    assert_eq!(out.len(), 700);
+    assert!(snap_core::trace::well_known::PAR_COLUMNAR_CHUNKS.get() > keyed_before);
+    assert_eq!(
+        snap_core::trace::well_known::SHUFFLE_PARALLEL_RUNS.get(),
+        parallel_before
+    );
+    println!("the word corpus ran on the keyed-columnar rung (no shuffle)");
     opts.serve_and_rerun(|| {
         let out =
             snap_core::parallel::map_reduce(mapper.clone(), reducer.clone(), hot_items.clone(), 4)
                 .expect("word count runs");
-        assert_eq!(out.len(), 700);
+        assert_eq!(out.len(), 1400);
     });
     opts.finish();
 }

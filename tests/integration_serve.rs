@@ -49,23 +49,34 @@ fn prom_value(body: &str, prefix: &str) -> f64 {
         .unwrap_or_else(|| panic!("unparseable sample line: {line}"))
 }
 
-/// One shuffle-threshold-crossing MapReduce iteration.
-fn run_workload() {
-    let mapper = Arc::new(Ring::reporter_with_params(
+fn word_count_mapper() -> Arc<Ring> {
+    Arc::new(Ring::reporter_with_params(
         vec!["w".into()],
         make_list(vec![var("w"), num(1.0)]),
-    ));
-    let reducer = Arc::new(Ring::reporter_with_params(
+    ))
+}
+
+fn sum_reducer() -> Arc<Ring> {
+    Arc::new(Ring::reporter_with_params(
         vec!["vals".into()],
         combine_using(var("vals"), ring_reporter(add(empty_slot(), empty_slot()))),
-    ));
+    ))
+}
+
+/// One shuffle-threshold-crossing MapReduce iteration.
+fn run_workload() {
     // High key cardinality so even the combined pair stream crosses the
-    // parallel-shuffle threshold (4 chunks × 700 keys ≥ 2048).
-    let words: Vec<Value> = (0..3 * PARALLEL_SHUFFLE_THRESHOLD)
-        .map(|i| Value::text(format!("w{}", i % 700)))
+    // parallel-shuffle threshold (4 chunks × 1400 keys ≥ 2048). Keys
+    // alternate between numbers and words, so the column spans two of
+    // `snap_cmp`'s regimes and stays on the boxed path's sort by rule.
+    let keys: Vec<Value> = (0..3 * PARALLEL_SHUFFLE_THRESHOLD)
+        .map(|i| match i % 2 {
+            0 => Value::Number(((i / 2) % 700) as f64),
+            _ => Value::text(format!("w{}", (i / 2) % 700)),
+        })
         .collect();
-    let groups = map_reduce(mapper, reducer, words, 4).expect("map_reduce runs");
-    assert_eq!(groups.len(), 700);
+    let groups = map_reduce(word_count_mapper(), sum_reducer(), keys, 4).expect("map_reduce runs");
+    assert_eq!(groups.len(), 1400);
 }
 
 #[test]
@@ -73,6 +84,22 @@ fn live_endpoint_serves_windows_profile_and_reconcilable_report() {
     // Span recording stays OFF: windows, counters, and the profiler are
     // the always-on tier this test accepts.
     assert!(!snap_trace::enabled());
+
+    // The plain word corpus takes the keyed-columnar rung, which never
+    // reaches the parallel shuffle: that is why the workload below
+    // mixes number and word keys.
+    let chunks_before = snap_trace::well_known::PAR_COLUMNAR_CHUNKS.get();
+    let parallel_before = snap_trace::well_known::SHUFFLE_PARALLEL_RUNS.get();
+    let words: Vec<Value> = (0..3 * PARALLEL_SHUFFLE_THRESHOLD)
+        .map(|i| Value::text(format!("w{}", i % 700)))
+        .collect();
+    let groups = map_reduce(word_count_mapper(), sum_reducer(), words, 4).expect("keyed run");
+    assert_eq!(groups.len(), 700);
+    assert!(snap_trace::well_known::PAR_COLUMNAR_CHUNKS.get() > chunks_before);
+    assert_eq!(
+        snap_trace::well_known::SHUFFLE_PARALLEL_RUNS.get(),
+        parallel_before
+    );
     let server = snap_trace::serve("127.0.0.1:0").expect("bind");
     let addr = server.addr();
 

@@ -32,7 +32,9 @@ fn traced_run_emits_reconcilable_trace_and_report() {
     // The associative `+` reducer triggers map-side combining, so the
     // key cardinality must be high enough that even the combined pair
     // stream (≤ workers × keys) still crosses the parallel-shuffle
-    // threshold: 4 chunks × 700 keys ≈ 2800 ≥ 2048.
+    // threshold. The keys alternate between numbers and words: a key
+    // column in two of `snap_cmp`'s regimes stays on the boxed path's
+    // combine and sort by rule, where 4 chunks × 1400 keys ≥ 2048.
     let mapper = Arc::new(Ring::reporter_with_params(
         vec!["w".into()],
         make_list(vec![var("w"), num(1.0)]),
@@ -41,11 +43,27 @@ fn traced_run_emits_reconcilable_trace_and_report() {
         vec!["vals".into()],
         combine_using(var("vals"), ring_reporter(add(empty_slot(), empty_slot()))),
     ));
+    let keys: Vec<Value> = (0..3 * PARALLEL_SHUFFLE_THRESHOLD)
+        .map(|i| match i % 2 {
+            0 => Value::Number(((i / 2) % 700) as f64),
+            _ => Value::text(format!("w{}", (i / 2) % 700)),
+        })
+        .collect();
+    let groups =
+        map_reduce(mapper.clone(), reducer.clone(), keys, 4).expect("traced map_reduce runs");
+    assert_eq!(groups.len(), 1400);
+
+    // The plain word corpus takes the keyed-columnar rung instead: its
+    // chunks run, and nothing reaches the parallel shuffle.
+    let chunks_before = metrics::PAR_COLUMNAR_CHUNKS.get();
+    let parallel_before = metrics::SHUFFLE_PARALLEL_RUNS.get();
     let words: Vec<Value> = (0..3 * PARALLEL_SHUFFLE_THRESHOLD)
         .map(|i| Value::text(format!("w{}", i % 700)))
         .collect();
-    let groups = map_reduce(mapper, reducer, words, 4).expect("traced map_reduce runs");
+    let groups = map_reduce(mapper, reducer, words, 4).expect("keyed map_reduce runs");
     assert_eq!(groups.len(), 700);
+    assert!(metrics::PAR_COLUMNAR_CHUNKS.get() > chunks_before);
+    assert_eq!(metrics::SHUFFLE_PARALLEL_RUNS.get(), parallel_before);
 
     trace::set_enabled(false);
 
@@ -114,8 +132,8 @@ fn traced_run_emits_reconcilable_trace_and_report() {
     // The ×10 map ring is numeric over an all-Number list → the run must
     // take the columnar batch tier: every one of its 10k elements flows
     // through eval_batch chunks, with no per-element dispatch. The
-    // word-count mapper's make_list body runs on the tree walk; the
-    // associative reducer engages the combiner.
+    // word-count mapper's make_list body runs on the tree walk over the
+    // mixed keys; the associative reducer engages the combiner.
     assert!(report.counter("ring.bytecode_compiles") >= 2);
     assert!(report.counter("ring.batch_elems") >= 10_000);
     assert!(report.counter("ring.batch_calls") >= 1);
