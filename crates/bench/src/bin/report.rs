@@ -422,6 +422,10 @@ fn e4() {
         "  {n}-word Zipf corpus: {} unique words, agrees with reference: {agree}",
         reference.len()
     );
+    assert!(
+        agree,
+        "E4: mapReduce disagrees with the reference word count"
+    );
     println!();
 }
 
@@ -551,13 +555,12 @@ fn e8() {
                     )
                     .unwrap();
                     let vm_avg = vm_side[0].as_list().unwrap().item(2).unwrap().to_number();
+                    let agree = (results[0].1 - vm_avg).abs() < 0.1;
                     println!(
-                        "  OpenMP binary: {} = {:.3} C | in-VM blocks: {:.3} C | agree: {}",
-                        results[0].0,
-                        results[0].1,
-                        vm_avg,
-                        (results[0].1 - vm_avg).abs() < 0.1
+                        "  OpenMP binary: {} = {:.3} C | in-VM blocks: {:.3} C | agree: {agree}",
+                        results[0].0, results[0].1, vm_avg,
                     );
+                    assert!(agree, "E8: the OpenMP binary and the in-VM blocks disagree");
                 }
                 Err(e) => println!("  build failed: {e}"),
             }

@@ -35,6 +35,9 @@ pub enum EvalError {
     NotAReporter,
     /// A custom block was called but no definition is visible.
     UnknownCustomBlock(String),
+    /// Ring applications (or custom-block calls) nested past the
+    /// recursion limit, `snap_ast::pure::MAX_DEPTH`.
+    TooMuchRecursion,
     /// Anything else, with a message.
     Other(String),
 }
@@ -64,6 +67,7 @@ impl fmt::Display for EvalError {
             EvalError::UnknownCustomBlock(name) => {
                 write!(f, "no definition for custom block '{name}'")
             }
+            EvalError::TooMuchRecursion => f.write_str("too much recursion"),
             EvalError::Other(msg) => f.write_str(msg),
         }
     }

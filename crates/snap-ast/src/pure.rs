@@ -14,15 +14,20 @@
 //! oracle ([`PureFn::call_treewalk`]). A `[key, value]` mapper also
 //! carries its [`PairProgram`] for MapReduce's keyed-columnar rung. A
 //! `PureFn` is `Send + Sync`, so worker threads can share it.
+//!
+//! The tree walk ([`eval`]) is the one evaluator of reporter blocks: it
+//! is generic over an environment ([`Env`]), and the VM's `EvalCtx` is
+//! its other environment besides a worker's. `mapReduce` has its one
+//! sequential path here too ([`map_reduce_with`]).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
 use crate::bytecode::{self, num_binop, num_unop, NumProgram, PairProgram};
 use crate::error::EvalError;
-use crate::expr::{BinOp, Expr, RingExprBody, UnOp};
+use crate::expr::{Attr, BinOp, Expr, RingExprBody, UnOp};
 use crate::ring::{Ring, RingBody};
-use crate::value::{List, Value};
+use crate::value::{snap_sort_by, List, Value};
 
 /// Check that `expr` only uses blocks a worker can evaluate without the
 /// VM. Returns the name of the first offending block on failure.
@@ -44,6 +49,11 @@ pub fn check_pure(expr: &Expr) -> Result<(), &'static str> {
         None => Ok(()),
     }
 }
+
+/// Ring applications nest at most this deep, on a worker and in the VM
+/// (which applies the same limit to custom-block calls); one more is
+/// [`EvalError::TooMuchRecursion`].
+pub const MAX_DEPTH: u32 = 64;
 
 /// How a [`PureFn`]'s calls execute, decided once at compile time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,15 +130,26 @@ impl PureFn {
 
     /// Apply the function to `args`.
     ///
-    /// Binding rules match Snap!: named formal parameters bind
-    /// positionally; with no formals, **empty slots** receive the
-    /// arguments left to right, and when exactly one argument is supplied
-    /// it fills *every* empty slot (this is how `map (( ) × 10)` works).
+    /// Named formal parameters bind by position, and a ring with formals
+    /// must get exactly one argument per formal. Empty slots take
+    /// arguments by one rule, formals or not ([`slot_input`]): a single
+    /// argument fills *every* empty slot (this is how `map (( ) × 10)`
+    /// works); otherwise slot `i` takes argument `i`, or nothing when
+    /// there is none.
     ///
     /// Dispatches to the numeric program when there is one; results are
     /// bit-for-bit those of [`PureFn::call_treewalk`] (enforced by the
     /// differential suite).
     pub fn call(&self, args: &[Value]) -> Result<Value, EvalError> {
+        self.call_at(args, 0)
+    }
+
+    /// [`PureFn::call`] from inside a walk `depth` ring applications
+    /// deep; fails with [`EvalError::TooMuchRecursion`] at [`MAX_DEPTH`].
+    fn call_at(&self, args: &[Value], depth: u32) -> Result<Value, EvalError> {
+        if depth >= MAX_DEPTH {
+            return Err(EvalError::TooMuchRecursion);
+        }
         match &self.compiled {
             Compiled::Numeric(p) => {
                 snap_trace::well_known::RING_FASTPATH_CALLS.incr();
@@ -136,7 +157,7 @@ impl PureFn {
             }
             Compiled::TreeWalk(_) => {
                 snap_trace::well_known::RING_TREEWALK_CALLS.incr();
-                self.call_treewalk(args)
+                self.walk(args, depth)
             }
         }
     }
@@ -146,12 +167,30 @@ impl PureFn {
     /// (the oracle of the differential tests, and the body of
     /// [`PureFn::call`] for rings the numeric pass declines).
     pub fn call_treewalk(&self, args: &[Value]) -> Result<Value, EvalError> {
+        self.walk(args, 0)
+    }
+
+    /// Evaluate the body on the tree walk as the application at `depth`.
+    fn walk(&self, args: &[Value], depth: u32) -> Result<Value, EvalError> {
         let expr = match &self.ring.body {
             RingBody::Reporter(e) | RingBody::Predicate(e) => e,
             RingBody::Command(_) => return Err(EvalError::NotAReporter),
         };
-        let mut ctx = PureCtx::for_ring(&self.ring, args)?;
-        ctx.eval(expr)
+        let params = &self.ring.params;
+        if !params.is_empty() && params.len() != args.len() {
+            return Err(EvalError::ArityMismatch {
+                expected: params.len(),
+                got: args.len(),
+            });
+        }
+        let mut ctx = PureCtx {
+            params,
+            args,
+            captured: &self.ring.captured,
+            next_slot: 0,
+            depth: depth + 1,
+        };
+        eval(&mut ctx, expr)
     }
 
     /// Apply to a single argument (the common `map` case).
@@ -308,36 +347,393 @@ pub fn compile_cache_stats() -> (u64, u64) {
     )
 }
 
-/// Evaluation context: the ring's parameters bound (by position) to the
-/// call's arguments, plus the empty-slot argument cursor. Everything is
-/// borrowed — a call allocates nothing for its bindings.
+/// What the tree walk ([`eval`]) asks of the place it runs in. A worker
+/// ([`PureFn`]'s context) and the VM (`snap_vm::EvalCtx`) are the two
+/// environments; everything else about evaluating a block is the walk's.
+pub trait Env: Sized {
+    /// The error a walk reports: [`EvalError`] on a worker.
+    type Error: From<EvalError>;
+    /// A ring made ready to apply: compiled on a worker, checked in the
+    /// VM. The walk prepares a ring once per block evaluation and applies
+    /// it per item.
+    type Prepared;
+
+    /// The value of the variable `name`.
+    fn lookup(&self, name: &str) -> Result<Value, Self::Error>;
+
+    /// The input of the next own empty slot of the ring application being
+    /// evaluated, by [`slot_input`]'s rule. The walk numbers slots in
+    /// evaluation order, which is the block's input order.
+    fn slot(&mut self) -> Value;
+
+    /// The bindings a ring literal evaluated here closes over, innermost
+    /// last.
+    fn capture(&self) -> Vec<(String, Value)>;
+
+    /// Make `ring` ready to apply.
+    fn prepare(&mut self, ring: Arc<Ring>) -> Result<Self::Prepared, Self::Error>;
+
+    /// Apply a prepared ring to `args`. Applications nest at most
+    /// [`MAX_DEPTH`] deep.
+    fn apply(&mut self, f: &Self::Prepared, args: &[Value]) -> Result<Value, Self::Error>;
+
+    /// `pick random lo to hi`; a worker has no random source.
+    fn pick_random(&mut self, _lo: f64, _hi: f64) -> Result<Value, Self::Error> {
+        Err(EvalError::NotPure("pick random").into())
+    }
+
+    /// A sprite attribute reporter; a worker has no sprite.
+    fn attribute(&self, _attr: Attr) -> Result<Value, Self::Error> {
+        Err(EvalError::NotPure("attribute reporter").into())
+    }
+
+    /// A custom reporter call; a worker has no block definitions.
+    fn call_custom(&mut self, name: &str, _args: Vec<Value>) -> Result<Value, Self::Error> {
+        Err(EvalError::UnknownCustomBlock(name.to_owned()).into())
+    }
+
+    /// `parallelMap`, with its `workers` input when it has one. On a
+    /// worker it runs as `map`, the degradation Snap! performs when no
+    /// workers are available.
+    fn parallel_map(
+        &mut self,
+        ring: Arc<Ring>,
+        items: Vec<Value>,
+        _workers: Option<f64>,
+    ) -> Result<Vec<Value>, Self::Error> {
+        let f = self.prepare(ring)?;
+        map_with(self, &f, items)
+    }
+
+    /// `mapReduce`. On a worker it runs sequentially
+    /// ([`map_reduce_with`]).
+    fn map_reduce(
+        &mut self,
+        mapper: Arc<Ring>,
+        reducer: Arc<Ring>,
+        items: Vec<Value>,
+    ) -> Result<Vec<Value>, Self::Error> {
+        let mapper = self.prepare(mapper)?;
+        let reducer = self.prepare(reducer)?;
+        map_reduce_with(self, &mapper, &reducer, items)
+    }
+}
+
+/// The input an own empty slot takes when a ring is applied to `args`:
+/// one input fills every slot; otherwise slot `i` (counted from 0) takes
+/// input `i`, or nothing when there is no input `i`. Formal parameters do
+/// not change this.
+pub fn slot_input(args: &[Value], i: usize) -> Value {
+    match args {
+        [only] => only.clone(),
+        _ => args.get(i).cloned().unwrap_or(Value::Nothing),
+    }
+}
+
+/// Evaluate a reporter block: the one tree walk, on a worker and in the
+/// VM. A block evaluates its inputs in input order, so the order of its
+/// own empty slots is the order [`Expr::map_own_empty_slots`] numbers.
+pub fn eval<E: Env>(env: &mut E, expr: &Expr) -> Result<Value, E::Error> {
+    match expr {
+        Expr::Literal(c) => Ok(c.to_value()),
+        Expr::MakeList(items) => Ok(Value::list(eval_all(env, items)?)),
+        Expr::Var(name) => env.lookup(name),
+        Expr::EmptySlot => Ok(env.slot()),
+        Expr::Binary(op, a, b) => {
+            let a = eval(env, a)?;
+            let b = eval(env, b)?;
+            Ok(eval_binop(*op, &a, &b))
+        }
+        Expr::Unary(op, a) => Ok(eval_unop(*op, &eval(env, a)?)),
+        Expr::Item(index, list) => {
+            let i = eval(env, index)?.to_number() as usize;
+            let list = eval_list(env, list)?;
+            list.item(i).ok_or_else(|| {
+                EvalError::IndexOutOfRange {
+                    index: i,
+                    len: list.len(),
+                }
+                .into()
+            })
+        }
+        Expr::LengthOf(list) => Ok(Value::Number(eval_list(env, list)?.len() as f64)),
+        Expr::Contains(list, value) => {
+            let list = eval_list(env, list)?;
+            let value = eval(env, value)?;
+            Ok(Value::Bool(list.contains(&value)))
+        }
+        Expr::Join(parts) => {
+            let mut out = String::new();
+            for part in parts {
+                out.push_str(&eval(env, part)?.to_display_string());
+            }
+            Ok(Value::Text(out))
+        }
+        Expr::Split(text, delim) => {
+            let text = eval(env, text)?.to_display_string();
+            let delim = eval(env, delim)?.to_display_string();
+            let items: Vec<Value> = if delim.is_empty() {
+                text.chars().map(|c| Value::Text(c.to_string())).collect()
+            } else {
+                text.split(&delim)
+                    .filter(|s| !s.is_empty())
+                    .map(|s| Value::Text(s.to_owned()))
+                    .collect()
+            };
+            Ok(Value::list(items))
+        }
+        Expr::LetterOf(index, text) => {
+            let i = eval(env, index)?.to_number() as usize;
+            let text = eval(env, text)?.to_display_string();
+            let letter = text
+                .chars()
+                .nth(i.saturating_sub(1))
+                .map(|c| c.to_string())
+                .unwrap_or_default();
+            Ok(Value::Text(letter))
+        }
+        Expr::TextLength(text) => {
+            let text = eval(env, text)?.to_display_string();
+            Ok(Value::Number(text.chars().count() as f64))
+        }
+        Expr::NumbersFromTo(a, b) => {
+            let a = eval(env, a)?.to_number();
+            let b = eval(env, b)?.to_number();
+            Ok(numbers_from_to(a, b))
+        }
+        Expr::PickRandom(lo, hi) => {
+            let lo = eval(env, lo)?.to_number();
+            let hi = eval(env, hi)?.to_number();
+            env.pick_random(lo, hi)
+        }
+        Expr::Attribute(attr) => env.attribute(*attr),
+        Expr::Ring(ring) => {
+            let body = match &ring.body {
+                RingExprBody::Reporter(e) => RingBody::Reporter((**e).clone()),
+                RingExprBody::Predicate(e) => RingBody::Predicate((**e).clone()),
+                RingExprBody::Command(s) => RingBody::Command(s.clone()),
+            };
+            Ok(Value::Ring(Arc::new(Ring {
+                params: ring.params.clone(),
+                body,
+                captured: env.capture(),
+            })))
+        }
+        Expr::CallRing(ring, args) => {
+            let ring = eval_ring(env, ring)?;
+            let args = eval_all(env, args)?;
+            let f = env.prepare(ring)?;
+            env.apply(&f, &args)
+        }
+        Expr::CallCustom(name, args) => {
+            let args = eval_all(env, args)?;
+            env.call_custom(name, args)
+        }
+        Expr::Map { ring, list } => {
+            let ring = eval_ring(env, ring)?;
+            let items = eval_list(env, list)?.to_vec();
+            let f = env.prepare(ring)?;
+            Ok(Value::list(map_with(env, &f, items)?))
+        }
+        Expr::Keep { pred, list } => {
+            let pred = eval_ring(env, pred)?;
+            let items = eval_list(env, list)?.to_vec();
+            let f = env.prepare(pred)?;
+            let mut out = Vec::new();
+            for item in items {
+                if env.apply(&f, std::slice::from_ref(&item))?.to_bool() {
+                    out.push(item);
+                }
+            }
+            Ok(Value::list(out))
+        }
+        Expr::Combine { list, ring } => {
+            let items = eval_list(env, list)?.to_vec();
+            let ring = eval_ring(env, ring)?;
+            let f = env.prepare(ring)?;
+            let mut items = items.into_iter();
+            let Some(mut acc) = items.next() else {
+                return Ok(Value::Number(0.0));
+            };
+            for item in items {
+                acc = env.apply(&f, &[acc, item])?;
+            }
+            Ok(acc)
+        }
+        Expr::ParallelMap {
+            ring,
+            list,
+            workers,
+        } => {
+            let ring = eval_ring(env, ring)?;
+            let items = eval_list(env, list)?.to_vec();
+            let workers = match workers {
+                Some(w) => Some(eval(env, w)?.to_number()),
+                None => None,
+            };
+            Ok(Value::list(env.parallel_map(ring, items, workers)?))
+        }
+        Expr::MapReduce {
+            mapper,
+            reducer,
+            list,
+        } => {
+            let mapper = eval_ring(env, mapper)?;
+            let reducer = eval_ring(env, reducer)?;
+            let items = eval_list(env, list)?.to_vec();
+            Ok(Value::list(env.map_reduce(mapper, reducer, items)?))
+        }
+    }
+}
+
+/// Evaluate each of `exprs`, in order.
+fn eval_all<E: Env>(env: &mut E, exprs: &[Expr]) -> Result<Vec<Value>, E::Error> {
+    let mut out = Vec::with_capacity(exprs.len());
+    for expr in exprs {
+        out.push(eval(env, expr)?);
+    }
+    Ok(out)
+}
+
+/// Evaluate an input that must report a list.
+pub fn eval_list<E: Env>(env: &mut E, expr: &Expr) -> Result<List, E::Error> {
+    match eval(env, expr)? {
+        Value::List(list) => Ok(list),
+        other => Err(EvalError::TypeMismatch {
+            expected: "list",
+            got: other.to_display_string(),
+        }
+        .into()),
+    }
+}
+
+/// Evaluate an input that must report a ring.
+pub fn eval_ring<E: Env>(env: &mut E, expr: &Expr) -> Result<Arc<Ring>, E::Error> {
+    match eval(env, expr)? {
+        Value::Ring(ring) => Ok(ring),
+        other => Err(EvalError::TypeMismatch {
+            expected: "ring",
+            got: other.to_display_string(),
+        }
+        .into()),
+    }
+}
+
+/// `map`: apply a prepared ring to each item, in order.
+pub fn map_with<E: Env>(
+    env: &mut E,
+    f: &E::Prepared,
+    items: Vec<Value>,
+) -> Result<Vec<Value>, E::Error> {
+    let mut out = Vec::with_capacity(items.len());
+    for item in items {
+        out.push(env.apply(f, &[item])?);
+    }
+    Ok(out)
+}
+
+/// The sequential `mapReduce` on prepared rings: map every item, check
+/// each output is a pair ([`as_map_pair`]), [`sort_and_group`] the pairs
+/// and reduce each group's value list. Mapper errors come before pair
+/// errors, in input order, as on the parallel backend.
+pub fn map_reduce_with<E: Env>(
+    env: &mut E,
+    mapper: &E::Prepared,
+    reducer: &E::Prepared,
+    items: Vec<Value>,
+) -> Result<Vec<Value>, E::Error> {
+    let mut mapped = Vec::with_capacity(items.len());
+    for item in items {
+        mapped.push(env.apply(mapper, &[item])?);
+    }
+    let pairs = mapped
+        .into_iter()
+        .map(as_map_pair)
+        .collect::<Result<Vec<_>, _>>()?;
+    sort_and_group(pairs)
+        .into_iter()
+        .map(|(key, values)| {
+            let reduced = env.apply(reducer, &[Value::list(values)])?;
+            Ok(Value::list(vec![key, reduced]))
+        })
+        .collect()
+}
+
+/// [`map_reduce_with`] on compiled rings, outside any walk: the
+/// sequential backend's `mapReduce`.
+pub fn map_reduce(
+    mapper: &PureFn,
+    reducer: &PureFn,
+    items: Vec<Value>,
+) -> Result<Vec<Value>, EvalError> {
+    let mut root = PureCtx {
+        params: &[],
+        args: &[],
+        captured: &[],
+        next_slot: 0,
+        depth: 0,
+    };
+    map_reduce_with(&mut root, mapper, reducer, items)
+}
+
+/// Validate one mapper output as a `[key, value]` pair: a list of at
+/// least two items, of which the first two are the key and the value.
+pub fn as_map_pair(pair: Value) -> Result<(Value, Value), EvalError> {
+    match pair.as_list() {
+        Some(list) if list.len() >= 2 => Ok((
+            list.item(1).unwrap_or(Value::Nothing),
+            list.item(2).unwrap_or(Value::Nothing),
+        )),
+        _ => Err(EvalError::TypeMismatch {
+            expected: "[key, value] pair from the map function",
+            got: pair.to_display_string(),
+        }),
+    }
+}
+
+/// The shuffle between `mapReduce`'s phases: sort `[key, value]` pairs by
+/// key, "as required by the semantics of MapReduce" (paper §3.4, footnote
+/// 6), and group equal keys. The sort is [`snap_sort_by`]: stable, so
+/// each key's values keep their input order, and unlike the standard
+/// sorts it cannot panic on keys `snap_cmp` does not order totally (NaN,
+/// numbers mixed with text).
+pub fn sort_and_group(pairs: Vec<(Value, Value)>) -> Vec<(Value, Vec<Value>)> {
+    group_sorted(snap_sort_by(pairs, |a, b| a.0.snap_cmp(&b.0)))
+}
+
+/// Group key-sorted pairs: each run of keys `loose_eq` to the run's first
+/// key becomes one group, under that first key.
+pub fn group_sorted(pairs: Vec<(Value, Value)>) -> Vec<(Value, Vec<Value>)> {
+    let mut groups: Vec<(Value, Vec<Value>)> = Vec::new();
+    for (key, value) in pairs {
+        match groups.last_mut() {
+            Some((k, values)) if k.loose_eq(&key) => values.push(value),
+            _ => groups.push((key, vec![value])),
+        }
+    }
+    groups
+}
+
+/// A worker's environment: the ring being applied, its parameters bound
+/// by position to the call's arguments, and the cursor over its own empty
+/// slots. Everything is borrowed, so a call allocates nothing for its
+/// bindings.
 struct PureCtx<'a> {
-    /// Formal parameter names; `params[i]` binds `args[i]`. Empty for
-    /// slot-style rings.
+    /// Formal parameter names; `params[i]` binds `args[i]`.
     params: &'a [String],
-    /// The call's arguments: parameter values and empty-slot fillers.
+    /// The call's arguments: parameter values and slot inputs.
     args: &'a [Value],
     /// Captured environment of the ring being applied.
     captured: &'a [(String, Value)],
-    /// Next slot argument to consume.
-    slot_cursor: usize,
+    /// Index of the next own empty slot.
+    next_slot: usize,
+    /// Ring applications this walk is nested in.
+    depth: u32,
 }
 
-impl<'a> PureCtx<'a> {
-    fn for_ring(ring: &'a Ring, args: &'a [Value]) -> Result<PureCtx<'a>, EvalError> {
-        if !ring.params.is_empty() && ring.params.len() != args.len() {
-            return Err(EvalError::ArityMismatch {
-                expected: ring.params.len(),
-                got: args.len(),
-            });
-        }
-        Ok(PureCtx {
-            params: &ring.params,
-            args,
-            captured: &ring.captured,
-            slot_cursor: 0,
-        })
-    }
+impl Env for PureCtx<'_> {
+    type Error = EvalError;
+    type Prepared = PureFn;
 
     fn lookup(&self, name: &str) -> Result<Value, EvalError> {
         // Last duplicate wins, as for any shadowing binding.
@@ -356,192 +752,24 @@ impl<'a> PureCtx<'a> {
         Err(EvalError::UnboundVariable(name.to_owned()))
     }
 
-    fn next_slot_arg(&mut self) -> Value {
-        if self.args.is_empty() {
-            return Value::Nothing;
-        }
-        if self.args.len() == 1 {
-            // Snap!: a single argument fills every empty slot.
-            return self.args[0].clone();
-        }
-        let v = self
-            .args
-            .get(self.slot_cursor)
-            .cloned()
-            .unwrap_or(Value::Nothing);
-        self.slot_cursor += 1;
-        v
+    fn slot(&mut self) -> Value {
+        let input = slot_input(self.args, self.next_slot);
+        self.next_slot += 1;
+        input
     }
 
-    fn expect_list(v: Value) -> Result<List, EvalError> {
-        match v {
-            Value::List(l) => Ok(l),
-            other => Err(EvalError::TypeMismatch {
-                expected: "list",
-                got: other.to_display_string(),
-            }),
-        }
+    fn capture(&self) -> Vec<(String, Value)> {
+        let mut captured = self.captured.to_vec();
+        captured.extend(self.params.iter().cloned().zip(self.args.iter().cloned()));
+        captured
     }
 
-    fn eval(&mut self, expr: &Expr) -> Result<Value, EvalError> {
-        match expr {
-            Expr::Literal(c) => Ok(c.to_value()),
-            Expr::MakeList(items) => {
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    out.push(self.eval(item)?);
-                }
-                Ok(Value::list(out))
-            }
-            Expr::Var(name) => self.lookup(name),
-            Expr::EmptySlot => Ok(self.next_slot_arg()),
-            Expr::Binary(op, a, b) => {
-                let a = self.eval(a)?;
-                let b = self.eval(b)?;
-                Ok(eval_binop(*op, &a, &b))
-            }
-            Expr::Unary(op, a) => {
-                let a = self.eval(a)?;
-                Ok(eval_unop(*op, &a))
-            }
-            Expr::Item(index, list) => {
-                let idx = self.eval(index)?.to_number();
-                let list = Self::expect_list(self.eval(list)?)?;
-                let i = idx as usize;
-                list.item(i).ok_or(EvalError::IndexOutOfRange {
-                    index: i,
-                    len: list.len(),
-                })
-            }
-            Expr::LengthOf(list) => {
-                let list = Self::expect_list(self.eval(list)?)?;
-                Ok(Value::Number(list.len() as f64))
-            }
-            Expr::Contains(list, value) => {
-                let list = Self::expect_list(self.eval(list)?)?;
-                let value = self.eval(value)?;
-                Ok(Value::Bool(list.contains(&value)))
-            }
-            Expr::Join(parts) => {
-                let mut out = String::new();
-                for part in parts {
-                    out.push_str(&self.eval(part)?.to_display_string());
-                }
-                Ok(Value::Text(out))
-            }
-            Expr::Split(text, delim) => {
-                let text = self.eval(text)?.to_display_string();
-                let delim = self.eval(delim)?.to_display_string();
-                let items: Vec<Value> = if delim.is_empty() {
-                    text.chars().map(|c| Value::Text(c.to_string())).collect()
-                } else {
-                    text.split(&delim)
-                        .filter(|s| !s.is_empty())
-                        .map(|s| Value::Text(s.to_owned()))
-                        .collect()
-                };
-                Ok(Value::list(items))
-            }
-            Expr::LetterOf(index, text) => {
-                let i = self.eval(index)?.to_number() as usize;
-                let text = self.eval(text)?.to_display_string();
-                let letter = text
-                    .chars()
-                    .nth(i.saturating_sub(1))
-                    .map(|c| c.to_string())
-                    .unwrap_or_default();
-                Ok(Value::Text(letter))
-            }
-            Expr::TextLength(text) => {
-                let text = self.eval(text)?.to_display_string();
-                Ok(Value::Number(text.chars().count() as f64))
-            }
-            Expr::NumbersFromTo(a, b) => {
-                let a = self.eval(a)?.to_number();
-                let b = self.eval(b)?.to_number();
-                Ok(numbers_from_to(a, b))
-            }
-            Expr::Ring(ring_expr) => {
-                // A nested ring closes over the current bindings.
-                let mut captured: Vec<(String, Value)> = self.captured.to_vec();
-                captured.extend(self.params.iter().cloned().zip(self.args.iter().cloned()));
-                let body = match &ring_expr.body {
-                    RingExprBody::Reporter(e) => RingBody::Reporter((**e).clone()),
-                    RingExprBody::Predicate(e) => RingBody::Predicate((**e).clone()),
-                    RingExprBody::Command(s) => RingBody::Command(s.clone()),
-                };
-                Ok(Value::Ring(Arc::new(Ring {
-                    params: ring_expr.params.clone(),
-                    body,
-                    captured,
-                })))
-            }
-            Expr::CallRing(ring, args) => {
-                let ring_value = self.eval(ring)?;
-                let ring = ring_value.as_ring().ok_or(EvalError::TypeMismatch {
-                    expected: "ring",
-                    got: ring_value.to_display_string(),
-                })?;
-                let mut arg_values = Vec::with_capacity(args.len());
-                for arg in args {
-                    arg_values.push(self.eval(arg)?);
-                }
-                PureFn::compile(ring.clone())?.call(&arg_values)
-            }
-            Expr::Map { ring, list } | Expr::ParallelMap { ring, list, .. } => {
-                // In a pure context, parallelMap degrades to a sequential
-                // map — the same degradation Snap! performs when no
-                // workers are available.
-                let f = self.eval_ring_arg(ring)?;
-                let list = Self::expect_list(self.eval(list)?)?;
-                let mut out = Vec::with_capacity(list.len());
-                for item in list.to_vec() {
-                    out.push(f.call1(item)?);
-                }
-                Ok(Value::list(out))
-            }
-            Expr::Keep { pred, list } => {
-                let f = self.eval_ring_arg(pred)?;
-                let list = Self::expect_list(self.eval(list)?)?;
-                let mut out = Vec::new();
-                for item in list.to_vec() {
-                    if f.call1(item.clone())?.to_bool() {
-                        out.push(item);
-                    }
-                }
-                Ok(Value::list(out))
-            }
-            Expr::Combine { list, ring } => {
-                let f = self.eval_ring_arg(ring)?;
-                let list = Self::expect_list(self.eval(list)?)?;
-                let items = list.to_vec();
-                match items.split_first() {
-                    None => Ok(Value::Number(0.0)),
-                    Some((first, rest)) => {
-                        let mut acc = first.clone();
-                        for item in rest {
-                            acc = f.call(&[acc, item.clone()])?;
-                        }
-                        Ok(acc)
-                    }
-                }
-            }
-            Expr::MapReduce { .. } => Err(EvalError::NotPure("mapReduce")),
-            Expr::PickRandom(_, _) => Err(EvalError::NotPure("pick random")),
-            Expr::Attribute(_) => Err(EvalError::NotPure("attribute reporter")),
-            Expr::CallCustom(name, _) => Err(EvalError::UnknownCustomBlock(name.clone())),
-        }
+    fn prepare(&mut self, ring: Arc<Ring>) -> Result<PureFn, EvalError> {
+        PureFn::compile(ring)
     }
 
-    /// Evaluate an expression that must produce a reporter ring, and
-    /// compile it.
-    fn eval_ring_arg(&mut self, expr: &Expr) -> Result<PureFn, EvalError> {
-        let v = self.eval(expr)?;
-        let ring = v.as_ring().ok_or(EvalError::TypeMismatch {
-            expected: "ring",
-            got: v.to_display_string(),
-        })?;
-        PureFn::compile(ring.clone())
+    fn apply(&mut self, f: &PureFn, args: &[Value]) -> Result<Value, EvalError> {
+        f.call_at(args, self.depth)
     }
 }
 

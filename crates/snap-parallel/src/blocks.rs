@@ -32,11 +32,11 @@
 
 use std::sync::Arc;
 
-use snap_ast::pure::compile_cached;
+use snap_ast::pure::{as_map_pair, compile_cached};
 use snap_ast::{BinOp, EvalError, Expr, Ring, RingBody, RingExprBody, Value};
 use snap_workers::{
-    as_map_pair, ring_map_faulted, ring_map_pairs_faulted, ring_reduce_groups_faulted, ExecError,
-    FaultPolicy, RingMapError, RingMapOptions,
+    ring_map_faulted, ring_map_pairs_faulted, ring_reduce_groups_faulted, ExecError, FaultPolicy,
+    RingMapError, RingMapOptions,
 };
 
 use crate::keyed;

@@ -12,7 +12,7 @@
 //! can never sit in different buckets, the merge reproduces the
 //! sequential stable sort exactly, and the grouping pass is unchanged.
 
-use snap_ast::pure::eval_binop;
+use snap_ast::pure::{eval_binop, group_sorted, sort_and_group};
 use snap_ast::value::snap_sort_by;
 use snap_ast::{BinOp, Value};
 use snap_trace::well_known as metrics;
@@ -44,15 +44,13 @@ pub fn shuffle(pairs: Vec<(Value, Value)>) -> Vec<(Value, Vec<Value>)> {
     }
 }
 
-/// The sequential shuffle: one stable sort, one grouping pass. The sort
-/// is [`snap_sort_by`], which, unlike the standard sorts, cannot panic on
-/// keys that `snap_cmp` does not order totally (NaN, numbers mixed with
-/// text).
+/// The sequential shuffle: the one sort-and-group every sequential
+/// `mapReduce` runs ([`sort_and_group`]), counted.
 pub fn shuffle_seq(pairs: Vec<(Value, Value)>) -> Vec<(Value, Vec<Value>)> {
     metrics::SHUFFLE_SEQ_RUNS.incr();
     metrics::SHUFFLE_PAIRS.add(pairs.len() as u64);
     let _span = snap_trace::span!("shuffle.seq", "pairs" => pairs.len());
-    group_sorted(snap_sort_by(pairs, |a, b| a.0.snap_cmp(&b.0)))
+    sort_and_group(pairs)
 }
 
 /// The parallel shuffle, with explicit worker count and execution mode.
@@ -180,18 +178,6 @@ impl PartialEq for MergeHead {
 }
 
 impl Eq for MergeHead {}
-
-/// Group a key-sorted pair list into per-key value lists.
-fn group_sorted(pairs: Vec<(Value, Value)>) -> Vec<(Value, Vec<Value>)> {
-    let mut groups: Vec<(Value, Vec<Value>)> = Vec::new();
-    for (key, value) in pairs {
-        match groups.last_mut() {
-            Some((k, values)) if k.loose_eq(&key) => values.push(value),
-            _ => groups.push((key, vec![value])),
-        }
-    }
-    groups
-}
 
 /// A key's canonical comparison form, derived once per pair.
 ///

@@ -19,9 +19,6 @@
 //! * **Reports** — [`report()`] snapshots everything into an
 //!   [`ExecutionReport`] with table and JSON renderings.
 //!
-//! Building the crate with `--no-default-features` compiles every
-//! instrumentation site down to a no-op (the `enabled` feature).
-//!
 //! ```
 //! snap_trace::set_enabled(true);
 //! {

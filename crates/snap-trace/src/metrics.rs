@@ -43,10 +43,7 @@ impl Counter {
     /// Add `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "enabled")]
         self.value.fetch_add(n, Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
     }
 
     /// Current value.
@@ -79,10 +76,7 @@ impl Gauge {
     /// Add `n` (may be negative).
     #[inline]
     pub fn add(&self, n: i64) {
-        #[cfg(feature = "enabled")]
         self.value.fetch_add(n, Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
     }
 
     /// Increment by one.
@@ -100,10 +94,7 @@ impl Gauge {
     /// Overwrite the value.
     #[inline]
     pub fn set(&self, n: i64) {
-        #[cfg(feature = "enabled")]
         self.value.store(n, Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
     }
 
     /// Current value.
@@ -154,10 +145,7 @@ impl Histogram {
     /// window placement).
     #[inline]
     pub fn record(&self, sample: u64) {
-        #[cfg(feature = "enabled")]
         self.record_at(sample, crate::span::now_ns());
-        #[cfg(not(feature = "enabled"))]
-        let _ = sample;
     }
 
     /// Record one sample observed at `now_ns` (nanoseconds since the
@@ -165,18 +153,13 @@ impl Histogram {
     /// guards) use this to skip a second clock read.
     #[inline]
     pub fn record_at(&self, sample: u64, now_ns: u64) {
-        #[cfg(feature = "enabled")]
-        {
-            let bucket = (64 - sample.leading_zeros() as usize).saturating_sub(1);
-            self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(sample, Ordering::Relaxed);
-            self.min.fetch_min(sample, Ordering::Relaxed);
-            self.max.fetch_max(sample, Ordering::Relaxed);
-            self.window.record(sample, now_ns);
-        }
-        #[cfg(not(feature = "enabled"))]
-        let _ = (sample, now_ns);
+        let bucket = (64 - sample.leading_zeros() as usize).saturating_sub(1);
+        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(sample, Ordering::Relaxed);
+        self.min.fetch_min(sample, Ordering::Relaxed);
+        self.max.fetch_max(sample, Ordering::Relaxed);
+        self.window.record(sample, now_ns);
     }
 
     /// A point-in-time copy of the histogram's summary statistics.

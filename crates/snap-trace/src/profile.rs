@@ -126,9 +126,6 @@ fn with_stack(f: impl FnOnce(&ThreadStack)) {
 /// after the OS thread), so it appears in folded output even before —
 /// or without ever — opening a span. Pool workers call this at spawn.
 pub fn register_thread() {
-    if !cfg!(feature = "enabled") {
-        return;
-    }
     with_stack(|_| {});
 }
 
@@ -164,7 +161,7 @@ static ACTIVE_PROFILERS: AtomicUsize = AtomicUsize::new(0);
 /// is off.
 #[inline]
 pub fn profiling() -> bool {
-    cfg!(feature = "enabled") && ACTIVE_PROFILERS.load(Ordering::Relaxed) > 0
+    ACTIVE_PROFILERS.load(Ordering::Relaxed) > 0
 }
 
 /// Take one sample of every registered thread's span stack, folding

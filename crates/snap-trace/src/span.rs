@@ -7,8 +7,7 @@
 //!
 //! Recording is off until [`set_enabled`]`(true)`: a disabled span is
 //! one relaxed atomic load and no clock read, so instrumented code left
-//! in place costs effectively nothing (the `enabled` cargo feature
-//! removes even that).
+//! in place costs effectively nothing.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -55,7 +54,7 @@ pub fn set_enabled(on: bool) {
 /// Is span recording currently on?
 #[inline]
 pub fn enabled() -> bool {
-    cfg!(feature = "enabled") && ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 fn epoch() -> Instant {
@@ -347,12 +346,8 @@ fn note_buffer() -> &'static NoteBuffer {
 }
 
 /// Record a diagnostic note. Notes are always on (failures are rare and
-/// the message is precious), independent of the span toggle; only the
-/// `enabled` cargo feature compiles them out.
+/// the message is precious), independent of the span toggle.
 pub fn note(name: &'static str, message: impl Into<String>) {
-    if !cfg!(feature = "enabled") {
-        return;
-    }
     let ts_ns = Instant::now().duration_since(epoch()).as_nanos() as u64;
     let buffer = note_buffer();
     let mut notes = buffer.notes.lock().unwrap_or_else(PoisonError::into_inner);

@@ -70,55 +70,12 @@ impl ParallelBackend for SequentialBackend {
     ) -> Result<Vec<Value>, EvalError> {
         let map_fn = compile_cached(&mapper)?;
         let reduce_fn = compile_cached(&reducer)?;
-        let pairs = items
-            .into_iter()
-            .map(|item| map_fn.call1(item))
-            .collect::<Result<Vec<_>, _>>()?;
-        reduce_groups(pairs, |values| reduce_fn.call1(Value::list(values)))
+        snap_ast::pure::map_reduce(&map_fn, &reduce_fn, items)
     }
 
     fn name(&self) -> &'static str {
         "sequential"
     }
-}
-
-/// Shared shuffle + reduce logic: sort the `[key, value]` pairs by key
-/// (the sort "required by the semantics of MapReduce", paper §3.4
-/// footnote 6), group equal keys, and reduce each group's value list.
-///
-/// `reduce_one` receives the values for one key and returns the reduced
-/// value. The output is a list of `[key, reduced]` pairs in key order.
-pub fn reduce_groups(
-    pairs: Vec<Value>,
-    mut reduce_one: impl FnMut(Vec<Value>) -> Result<Value, EvalError>,
-) -> Result<Vec<Value>, EvalError> {
-    // Split each mapper output into (key, value).
-    let mut kv: Vec<(Value, Value)> = Vec::with_capacity(pairs.len());
-    for pair in pairs {
-        let list = pair.as_list().ok_or_else(|| EvalError::TypeMismatch {
-            expected: "[key, value] pair from the map function",
-            got: pair.to_display_string(),
-        })?;
-        let key = list.item(1).unwrap_or(Value::Nothing);
-        let value = list.item(2).unwrap_or(Value::Nothing);
-        kv.push((key, value));
-    }
-    // Stable sort on keys preserves mapper output order within a key.
-    let kv = snap_ast::value::snap_sort_by(kv, |a, b| a.0.snap_cmp(&b.0));
-
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < kv.len() {
-        let key = kv[i].0.clone();
-        let mut values = Vec::new();
-        while i < kv.len() && kv[i].0.loose_eq(&key) {
-            values.push(kv[i].1.clone());
-            i += 1;
-        }
-        let reduced = reduce_one(values)?;
-        out.push(Value::list(vec![key, reduced]));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -137,18 +94,20 @@ mod tests {
     }
 
     #[test]
-    fn reduce_groups_sorts_and_groups() {
+    fn sequential_map_reduce_sorts_and_groups() {
+        // mapper: the item itself is the pair; reducer: sum of values.
+        let backend = SequentialBackend;
+        let identity = Arc::new(Ring::reporter(empty_slot()));
+        let sum = Arc::new(Ring::reporter(combine_using(
+            empty_slot(),
+            ring_reporter(add(empty_slot(), empty_slot())),
+        )));
         let pairs = vec![
             Value::list(vec!["b".into(), 1.into()]),
             Value::list(vec!["a".into(), 2.into()]),
             Value::list(vec!["b".into(), 3.into()]),
         ];
-        let out = reduce_groups(pairs, |values| {
-            Ok(Value::Number(
-                values.iter().map(Value::to_number).sum::<f64>(),
-            ))
-        })
-        .unwrap();
+        let out = backend.map_reduce(identity, sum, pairs, 1).unwrap();
         assert_eq!(
             out,
             vec![
@@ -159,9 +118,17 @@ mod tests {
     }
 
     #[test]
-    fn reduce_groups_rejects_non_pairs() {
-        let err = reduce_groups(vec![Value::Number(3.0)], |_| Ok(Value::Nothing));
-        assert!(err.is_err());
+    fn sequential_map_reduce_rejects_non_pairs() {
+        // A number and a one-item list are not pairs, on this backend as
+        // on the worker backend.
+        let backend = SequentialBackend;
+        let identity = Arc::new(Ring::reporter(empty_slot()));
+        for bad in [Value::Number(3.0), Value::list(vec!["w".into()])] {
+            let err = backend
+                .map_reduce(identity.clone(), identity.clone(), vec![bad], 1)
+                .unwrap_err();
+            assert!(matches!(err, EvalError::TypeMismatch { .. }), "{err:?}");
+        }
     }
 
     #[test]

@@ -22,8 +22,6 @@ pub enum VmError {
     ReportOutsideReporter,
     /// A custom reporter finished without reporting.
     NoReport(String),
-    /// The process exceeded the configured recursion depth.
-    TooMuchRecursion,
     /// The parallel backend failed.
     Backend(String),
 }
@@ -40,7 +38,6 @@ impl fmt::Display for VmError {
             VmError::NoReport(name) => {
                 write!(f, "custom reporter '{name}' finished without reporting")
             }
-            VmError::TooMuchRecursion => write!(f, "too much recursion"),
             VmError::Backend(msg) => write!(f, "parallel backend error: {msg}"),
         }
     }

@@ -1,27 +1,29 @@
-//! The full expression evaluator — reporter blocks with world access.
+//! The VM's environment for the tree walk — reporter blocks with world
+//! access.
 //!
-//! Unlike the pure evaluator in `snap-ast` (which is what worker threads
-//! run), this evaluator sees the whole [`World`]: variables in every
-//! scope, sprite attributes, the timer, the RNG, and custom reporter
-//! blocks. Expressions evaluate synchronously and never yield — Snap!'s
-//! scheduler switches processes between *statements*, and so does ours.
+//! Expressions evaluate on the one tree walk in `snap-ast`
+//! ([`snap_ast::pure::eval`]), the walk worker threads run too. What
+//! differs in the VM is the environment [`EvalCtx`] supplies: variables in
+//! every scope, rings that capture them, the RNG for `pick random`, sprite
+//! attributes and the timer, custom reporter blocks, and the parallel
+//! backend for `parallelMap` and `mapReduce`. Expressions evaluate
+//! synchronously and never yield — Snap!'s scheduler switches processes
+//! between *statements*, and so does ours.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use rand::RngExt;
 
-use snap_ast::pure::{eval_binop, eval_unop, numbers_from_to};
+use snap_ast::pure::{self, slot_input, Env, MAX_DEPTH};
 use snap_ast::{
-    Attr, BlockKind, EvalError, Expr, List, PureFn, Ring, RingBody, RingExprBody, Stmt, Value,
+    compile_cached, Attr, BlockKind, EvalError, Expr, List, Ring, RingBody, Stmt, Value,
 };
 
 use crate::error::VmError;
 use crate::process::ScopeStack;
 use crate::world::{SpriteId, World};
 
-/// Recursion limit for ring application and custom-block calls.
-const MAX_DEPTH: u32 = 64;
 /// Statement budget for synchronous (reporter-body) execution.
 const SYNC_OP_BUDGET: u64 = 50_000_000;
 
@@ -40,6 +42,11 @@ pub struct EvalCtx<'a> {
     pub depth: u32,
     /// Remaining synchronous statement budget.
     pub ops_left: u64,
+    /// Inputs of the ring application being evaluated, which its own
+    /// empty slots take; none outside a ring.
+    slots: Vec<Value>,
+    /// Index of the next own empty slot.
+    next_slot: usize,
 }
 
 impl<'a> EvalCtx<'a> {
@@ -57,22 +64,9 @@ impl<'a> EvalCtx<'a> {
             timestep,
             depth: 0,
             ops_left: SYNC_OP_BUDGET,
+            slots: Vec::new(),
+            next_slot: 0,
         }
-    }
-
-    /// Look up a variable: process scopes, then sprite variables, then
-    /// globals.
-    pub fn lookup(&self, name: &str) -> Result<Value, VmError> {
-        if let Some(v) = self.scopes.get(name) {
-            return Ok(v.clone());
-        }
-        if let Some(v) = self.world.sprites[self.sprite].vars.get(name) {
-            return Ok(v.clone());
-        }
-        if let Some(v) = self.world.globals.get(name) {
-            return Ok(v.clone());
-        }
-        Err(EvalError::UnboundVariable(name.to_owned()).into())
     }
 
     /// Assign a variable: innermost scope binding, else sprite variable,
@@ -92,349 +86,35 @@ impl<'a> EvalCtx<'a> {
 
     /// Evaluate a reporter block.
     pub fn eval(&mut self, expr: &Expr) -> Result<Value, VmError> {
-        match expr {
-            Expr::Literal(c) => Ok(c.to_value()),
-            Expr::MakeList(items) => {
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    out.push(self.eval(item)?);
-                }
-                Ok(Value::list(out))
-            }
-            Expr::Var(name) => self.lookup(name),
-            Expr::EmptySlot => Ok(Value::Nothing),
-            Expr::Binary(op, a, b) => {
-                let a = self.eval(a)?;
-                let b = self.eval(b)?;
-                Ok(eval_binop(*op, &a, &b))
-            }
-            Expr::Unary(op, a) => {
-                let a = self.eval(a)?;
-                Ok(eval_unop(*op, &a))
-            }
-            Expr::Item(index, list) => {
-                let i = self.eval(index)?.to_number() as usize;
-                let list = self.eval_list(list)?;
-                list.item(i).ok_or_else(|| {
-                    EvalError::IndexOutOfRange {
-                        index: i,
-                        len: list.len(),
-                    }
-                    .into()
-                })
-            }
-            Expr::LengthOf(list) => Ok(Value::Number(self.eval_list(list)?.len() as f64)),
-            Expr::Contains(list, value) => {
-                let list = self.eval_list(list)?;
-                let value = self.eval(value)?;
-                Ok(Value::Bool(list.contains(&value)))
-            }
-            Expr::Join(parts) => {
-                let mut out = String::new();
-                for part in parts {
-                    out.push_str(&self.eval(part)?.to_display_string());
-                }
-                Ok(Value::Text(out))
-            }
-            Expr::Split(text, delim) => {
-                let text = self.eval(text)?.to_display_string();
-                let delim = self.eval(delim)?.to_display_string();
-                let items: Vec<Value> = if delim.is_empty() {
-                    text.chars().map(|c| Value::Text(c.to_string())).collect()
-                } else {
-                    text.split(&delim)
-                        .filter(|s| !s.is_empty())
-                        .map(|s| Value::Text(s.to_owned()))
-                        .collect()
-                };
-                Ok(Value::list(items))
-            }
-            Expr::LetterOf(index, text) => {
-                let i = self.eval(index)?.to_number() as usize;
-                let text = self.eval(text)?.to_display_string();
-                Ok(Value::Text(
-                    text.chars()
-                        .nth(i.saturating_sub(1))
-                        .map(|c| c.to_string())
-                        .unwrap_or_default(),
-                ))
-            }
-            Expr::TextLength(text) => {
-                let text = self.eval(text)?.to_display_string();
-                Ok(Value::Number(text.chars().count() as f64))
-            }
-            Expr::PickRandom(a, b) => {
-                let a = self.eval(a)?.to_number();
-                let b = self.eval(b)?.to_number();
-                let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-                let v = if lo.fract() == 0.0 && hi.fract() == 0.0 {
-                    self.world.rng.random_range(lo as i64..=hi as i64) as f64
-                } else {
-                    self.world.rng.random_range(lo..=hi)
-                };
-                Ok(Value::Number(v))
-            }
-            Expr::NumbersFromTo(a, b) => {
-                let a = self.eval(a)?.to_number();
-                let b = self.eval(b)?.to_number();
-                Ok(numbers_from_to(a, b))
-            }
-            Expr::Attribute(attr) => Ok(self.eval_attribute(*attr)),
-            Expr::Ring(ring_expr) => Ok(Value::Ring(Arc::new(self.ringify(ring_expr)))),
-            Expr::CallRing(ring, args) => {
-                let ring = self.eval_ring(ring)?;
-                let mut values = Vec::with_capacity(args.len());
-                for arg in args {
-                    values.push(self.eval(arg)?);
-                }
-                self.apply_ring(&ring, &values)
-            }
-            Expr::CallCustom(name, args) => {
-                let mut values = Vec::with_capacity(args.len());
-                for arg in args {
-                    values.push(self.eval(arg)?);
-                }
-                self.call_custom_reporter(name, values)
-            }
-            Expr::Map { ring, list } => {
-                let f = self.eval_ring(ring)?;
-                let items = self.eval_list(list)?.to_vec();
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    out.push(self.apply_ring(&f, &[item])?);
-                }
-                Ok(Value::list(out))
-            }
-            Expr::Keep { pred, list } => {
-                let f = self.eval_ring(pred)?;
-                let items = self.eval_list(list)?.to_vec();
-                let mut out = Vec::new();
-                for item in items {
-                    if self.apply_ring(&f, std::slice::from_ref(&item))?.to_bool() {
-                        out.push(item);
-                    }
-                }
-                Ok(Value::list(out))
-            }
-            Expr::Combine { list, ring } => {
-                let f = self.eval_ring(ring)?;
-                let items = self.eval_list(list)?.to_vec();
-                match items.split_first() {
-                    None => Ok(Value::Number(0.0)),
-                    Some((first, rest)) => {
-                        let mut acc = first.clone();
-                        for item in rest {
-                            acc = self.apply_ring(&f, &[acc, item.clone()])?;
-                        }
-                        Ok(acc)
-                    }
-                }
-            }
-            Expr::ParallelMap {
-                ring,
-                list,
-                workers,
-            } => {
-                let ring = self.eval_ring(ring)?;
-                let items = self.eval_list(list)?.to_vec();
-                let workers = self.worker_count(workers.as_deref())?;
-                // Pure rings go to the parallel backend — the paper's Web
-                // Worker path. Impure rings degrade to in-thread
-                // application, as browser Snap! degrades when the ring
-                // can't be shipped to a worker.
-                if PureFn::compile(ring.clone()).is_ok() {
-                    let out = self
-                        .world
-                        .backend
-                        .parallel_map(ring, items, workers)
-                        .map_err(VmError::Eval)?;
-                    Ok(Value::list(out))
-                } else {
-                    let mut out = Vec::with_capacity(items.len());
-                    for item in items {
-                        out.push(self.apply_ring(&ring, &[item])?);
-                    }
-                    Ok(Value::list(out))
-                }
-            }
-            Expr::MapReduce {
-                mapper,
-                reducer,
-                list,
-            } => {
-                let mapper = self.eval_ring(mapper)?;
-                let reducer = self.eval_ring(reducer)?;
-                let items = self.eval_list(list)?.to_vec();
-                let workers = self.world.default_workers;
-                if PureFn::compile(mapper.clone()).is_ok()
-                    && PureFn::compile(reducer.clone()).is_ok()
-                {
-                    let out = self
-                        .world
-                        .backend
-                        .map_reduce(mapper, reducer, items, workers)
-                        .map_err(VmError::Eval)?;
-                    Ok(Value::list(out))
-                } else {
-                    // In-thread MapReduce with full-evaluator rings.
-                    let mut pairs = Vec::with_capacity(items.len());
-                    for item in items {
-                        pairs.push(self.apply_ring(&mapper, &[item])?);
-                    }
-                    let mut result: Result<Vec<Value>, VmError> = Ok(Vec::new());
-                    let groups = crate::backend::reduce_groups(pairs, |values| {
-                        match self.apply_ring(&reducer, &[Value::list(values)]) {
-                            Ok(v) => Ok(v),
-                            Err(e) => {
-                                result = Err(e);
-                                Err(EvalError::Other("reduce failed".into()))
-                            }
-                        }
-                    });
-                    match groups {
-                        Ok(g) => Ok(Value::list(g)),
-                        Err(e) => match result {
-                            Err(vm) => Err(vm),
-                            Ok(_) => Err(VmError::Eval(e)),
-                        },
-                    }
-                }
-            }
-        }
+        pure::eval(self, expr)
     }
 
     /// Evaluate an expression that must report a list.
     pub fn eval_list(&mut self, expr: &Expr) -> Result<List, VmError> {
-        let v = self.eval(expr)?;
-        match v {
-            Value::List(l) => Ok(l),
-            other => Err(EvalError::TypeMismatch {
-                expected: "list",
-                got: other.to_display_string(),
-            }
-            .into()),
-        }
+        pure::eval_list(self, expr)
     }
 
     /// Evaluate an expression that must report a ring.
     pub fn eval_ring(&mut self, expr: &Expr) -> Result<Arc<Ring>, VmError> {
-        let v = self.eval(expr)?;
-        match v {
-            Value::Ring(r) => Ok(r),
-            other => Err(EvalError::TypeMismatch {
-                expected: "ring",
-                got: other.to_display_string(),
-            }
-            .into()),
-        }
+        pure::eval_ring(self, expr)
     }
 
-    /// The worker count for a `parallelMap`: the explicit input if given,
-    /// else the world default (`hardwareConcurrency || 4` in the paper).
-    fn worker_count(&mut self, workers: Option<&Expr>) -> Result<usize, VmError> {
-        match workers {
-            Some(expr) => {
-                let n = self.eval(expr)?.to_number();
-                Ok(if n >= 1.0 {
-                    n as usize
-                } else {
-                    self.world.default_workers
-                })
-            }
-            None => Ok(self.world.default_workers),
-        }
-    }
-
-    fn eval_attribute(&self, attr: Attr) -> Value {
-        let sprite = &self.world.sprites[self.sprite];
-        match attr {
-            Attr::Timer => {
-                Value::Number(self.timestep.saturating_sub(self.world.timer_reset_at) as f64)
-            }
-            Attr::XPosition => Value::Number(sprite.x),
-            Attr::YPosition => Value::Number(sprite.y),
-            Attr::Direction => Value::Number(sprite.heading),
-            Attr::CostumeNumber => Value::Number(sprite.costume as f64),
-            Attr::SpriteName => Value::Text(sprite.name.clone()),
-            Attr::IsClone => Value::Bool(sprite.is_clone),
-        }
-    }
-
-    /// Turn a ring literal into a runtime [`Ring`], capturing the
-    /// environment visible at this point: globals, then sprite variables,
-    /// then the process scopes (innermost last, so they shadow on
-    /// lookup). This is the VM's analogue of "ringification".
-    pub fn ringify(&self, ring_expr: &snap_ast::RingExpr) -> Ring {
-        let mut captured: Vec<(String, Value)> = Vec::new();
-        for (name, value) in &self.world.globals {
-            captured.push((name.clone(), value.clone()));
-        }
-        for (name, value) in &self.world.sprites[self.sprite].vars {
-            captured.push((name.clone(), value.clone()));
-        }
-        captured.extend(self.scopes.flatten());
-        let body = match &ring_expr.body {
-            RingExprBody::Reporter(e) => RingBody::Reporter((**e).clone()),
-            RingExprBody::Predicate(e) => RingBody::Predicate((**e).clone()),
-            RingExprBody::Command(s) => RingBody::Command(s.clone()),
-        };
-        Ring {
-            params: ring_expr.params.clone(),
-            body,
-            captured,
-        }
-    }
-
-    /// Apply a reporter ring with the *full* evaluator (the ring may use
-    /// impure blocks like `pick random`). Command rings are rejected —
-    /// they run via `run`/`launch` statements.
-    pub fn apply_ring(&mut self, ring: &Arc<Ring>, args: &[Value]) -> Result<Value, VmError> {
-        if self.depth >= MAX_DEPTH {
-            return Err(VmError::TooMuchRecursion);
-        }
-        let body_expr = match &ring.body {
-            RingBody::Reporter(e) | RingBody::Predicate(e) => e,
-            RingBody::Command(_) => return Err(EvalError::NotAReporter.into()),
-        };
-
-        let mut frame: Vec<(String, Value)> = ring.captured.clone();
-        let expr_owned;
-        let expr: &Expr = if ring.params.is_empty() {
-            // Implicit parameters: substitute empty slots with synthetic
-            // argument variables. A single argument fills every slot.
-            expr_owned = body_expr.map_own_empty_slots(&mut |i| {
-                let idx = if args.len() <= 1 { 0 } else { i };
-                Expr::Var(format!("%arg{idx}"))
-            });
-            if args.len() <= 1 {
-                frame.push((
-                    "%arg0".to_owned(),
-                    args.first().cloned().unwrap_or(Value::Nothing),
-                ));
-            } else {
-                for (i, arg) in args.iter().enumerate() {
-                    frame.push((format!("%arg{i}"), arg.clone()));
-                }
-            }
-            &expr_owned
-        } else {
-            if ring.params.len() != args.len() {
-                return Err(EvalError::ArityMismatch {
-                    expected: ring.params.len(),
-                    got: args.len(),
-                }
-                .into());
-            }
-            for (name, value) in ring.params.iter().zip(args) {
-                frame.push((name.clone(), value.clone()));
-            }
-            body_expr
-        };
-
+    /// Run `body` one call deeper, with `frame` pushed on the scopes and
+    /// `slots` as the inputs of own empty slots; both are restored after.
+    fn enter<T>(
+        &mut self,
+        frame: Vec<(String, Value)>,
+        slots: Vec<Value>,
+        body: impl FnOnce(&mut Self) -> T,
+    ) -> T {
         self.scopes.push(frame);
+        let outer_slots = std::mem::replace(&mut self.slots, slots);
+        let outer_next = std::mem::replace(&mut self.next_slot, 0);
         self.depth += 1;
-        let result = self.eval(expr);
+        let result = body(self);
         self.depth -= 1;
+        self.slots = outer_slots;
+        self.next_slot = outer_next;
         self.scopes.pop();
         result
     }
@@ -442,7 +122,7 @@ impl<'a> EvalCtx<'a> {
     /// Call a custom reporter/predicate block synchronously.
     pub fn call_custom_reporter(&mut self, name: &str, args: Vec<Value>) -> Result<Value, VmError> {
         if self.depth >= MAX_DEPTH {
-            return Err(VmError::TooMuchRecursion);
+            return Err(EvalError::TooMuchRecursion.into());
         }
         let block = self
             .world
@@ -459,12 +139,7 @@ impl<'a> EvalCtx<'a> {
             .into());
         }
         let frame: Vec<(String, Value)> = block.params.iter().cloned().zip(args).collect();
-        self.scopes.push(frame);
-        self.depth += 1;
-        let result = self.run_sync(&block.body);
-        self.depth -= 1;
-        self.scopes.pop();
-        match result? {
+        match self.enter(frame, Vec::new(), |ctx| ctx.run_sync(&block.body))? {
             Some(value) => Ok(value),
             None => Err(VmError::NoReport(name.to_owned())),
         }
@@ -636,6 +311,156 @@ impl<'a> EvalCtx<'a> {
     }
 }
 
+impl Env for EvalCtx<'_> {
+    type Error = VmError;
+    type Prepared = Arc<Ring>;
+
+    /// Look up a variable: process scopes, then sprite variables, then
+    /// globals.
+    fn lookup(&self, name: &str) -> Result<Value, VmError> {
+        if let Some(v) = self.scopes.get(name) {
+            return Ok(v.clone());
+        }
+        if let Some(v) = self.world.sprites[self.sprite].vars.get(name) {
+            return Ok(v.clone());
+        }
+        if let Some(v) = self.world.globals.get(name) {
+            return Ok(v.clone());
+        }
+        Err(EvalError::UnboundVariable(name.to_owned()).into())
+    }
+
+    fn slot(&mut self) -> Value {
+        let input = slot_input(&self.slots, self.next_slot);
+        self.next_slot += 1;
+        input
+    }
+
+    /// Capture the environment visible here: globals, then sprite
+    /// variables, then the process scopes (innermost last, so they shadow
+    /// on lookup). This is the VM's analogue of "ringification".
+    fn capture(&self) -> Vec<(String, Value)> {
+        let mut captured: Vec<(String, Value)> = Vec::new();
+        for (name, value) in &self.world.globals {
+            captured.push((name.clone(), value.clone()));
+        }
+        for (name, value) in &self.world.sprites[self.sprite].vars {
+            captured.push((name.clone(), value.clone()));
+        }
+        captured.extend(self.scopes.flatten());
+        captured
+    }
+
+    /// A reporter ring applies as it is, in this environment (it may use
+    /// impure blocks like `pick random`). Command rings are rejected —
+    /// they run via `run`/`launch` statements.
+    fn prepare(&mut self, ring: Arc<Ring>) -> Result<Arc<Ring>, VmError> {
+        match ring.body {
+            RingBody::Command(_) => Err(EvalError::NotAReporter.into()),
+            _ => Ok(ring),
+        }
+    }
+
+    fn apply(&mut self, ring: &Arc<Ring>, args: &[Value]) -> Result<Value, VmError> {
+        if self.depth >= MAX_DEPTH {
+            return Err(EvalError::TooMuchRecursion.into());
+        }
+        let body = match &ring.body {
+            RingBody::Reporter(e) | RingBody::Predicate(e) => e,
+            RingBody::Command(_) => return Err(EvalError::NotAReporter.into()),
+        };
+        if !ring.params.is_empty() && ring.params.len() != args.len() {
+            return Err(EvalError::ArityMismatch {
+                expected: ring.params.len(),
+                got: args.len(),
+            }
+            .into());
+        }
+        let mut frame = ring.captured.clone();
+        frame.extend(ring.params.iter().cloned().zip(args.iter().cloned()));
+        // The body sees what the ring captured, as on a worker, and not
+        // the scopes of whatever applies it.
+        let caller = std::mem::take(&mut *self.scopes);
+        let result = self.enter(frame, args.to_vec(), |ctx| ctx.eval(body));
+        *self.scopes = caller;
+        result
+    }
+
+    fn pick_random(&mut self, a: f64, b: f64) -> Result<Value, VmError> {
+        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+        let v = if lo.fract() == 0.0 && hi.fract() == 0.0 {
+            self.world.rng.random_range(lo as i64..=hi as i64) as f64
+        } else {
+            self.world.rng.random_range(lo..=hi)
+        };
+        Ok(Value::Number(v))
+    }
+
+    fn attribute(&self, attr: Attr) -> Result<Value, VmError> {
+        let sprite = &self.world.sprites[self.sprite];
+        Ok(match attr {
+            Attr::Timer => {
+                Value::Number(self.timestep.saturating_sub(self.world.timer_reset_at) as f64)
+            }
+            Attr::XPosition => Value::Number(sprite.x),
+            Attr::YPosition => Value::Number(sprite.y),
+            Attr::Direction => Value::Number(sprite.heading),
+            Attr::CostumeNumber => Value::Number(sprite.costume as f64),
+            Attr::SpriteName => Value::Text(sprite.name.clone()),
+            Attr::IsClone => Value::Bool(sprite.is_clone),
+        })
+    }
+
+    fn call_custom(&mut self, name: &str, args: Vec<Value>) -> Result<Value, VmError> {
+        self.call_custom_reporter(name, args)
+    }
+
+    /// A ring a worker can run goes to the parallel backend — the paper's
+    /// Web Worker path — on `workers` workers, else the world default
+    /// (`hardwareConcurrency || 4` in the paper). Any other ring runs as
+    /// `map` in this thread, as browser Snap! degrades when the ring
+    /// can't be shipped to a worker. The purity test compiles through the
+    /// cache, so the backend's own compile of the ring hits it.
+    fn parallel_map(
+        &mut self,
+        ring: Arc<Ring>,
+        items: Vec<Value>,
+        workers: Option<f64>,
+    ) -> Result<Vec<Value>, VmError> {
+        let workers = match workers {
+            Some(n) if n >= 1.0 => n as usize,
+            _ => self.world.default_workers,
+        };
+        if compile_cached(&ring).is_ok() {
+            Ok(self.world.backend.parallel_map(ring, items, workers)?)
+        } else {
+            let f = self.prepare(ring)?;
+            pure::map_with(self, &f, items)
+        }
+    }
+
+    /// Rings a worker can run go to the parallel backend; otherwise the
+    /// sequential `mapReduce` runs in this thread.
+    fn map_reduce(
+        &mut self,
+        mapper: Arc<Ring>,
+        reducer: Arc<Ring>,
+        items: Vec<Value>,
+    ) -> Result<Vec<Value>, VmError> {
+        if compile_cached(&mapper).is_ok() && compile_cached(&reducer).is_ok() {
+            let workers = self.world.default_workers;
+            Ok(self
+                .world
+                .backend
+                .map_reduce(mapper, reducer, items, workers)?)
+        } else {
+            let mapper = self.prepare(mapper)?;
+            let reducer = self.prepare(reducer)?;
+            pure::map_reduce_with(self, &mapper, &reducer, items)
+        }
+    }
+}
+
 /// Human-readable block name for error messages.
 pub fn stmt_name(stmt: &Stmt) -> &'static str {
     match stmt {
@@ -800,7 +625,7 @@ mod tests {
         let err = EvalCtx::new(&mut world, 0, &mut scopes, 0)
             .eval(&call_custom("loop", vec![]))
             .unwrap_err();
-        assert_eq!(err, VmError::TooMuchRecursion);
+        assert_eq!(err, VmError::Eval(EvalError::TooMuchRecursion));
     }
 
     #[test]

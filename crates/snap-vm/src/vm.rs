@@ -22,6 +22,7 @@
 
 use std::sync::Arc;
 
+use snap_ast::pure::Env;
 use snap_ast::{
     BlockKind, EvalError, Expr, HatBlock, Project, Ring, RingBody, Stmt, StopKind, Value,
 };
@@ -768,7 +769,7 @@ impl Vm {
                         // Running a reporter ring evaluates and discards.
                         let mut ctx =
                             EvalCtx::new(&mut self.world, p.sprite, &mut p.scopes, self.timestep);
-                        ctx.apply_ring(&ring, &values)?;
+                        ctx.apply(&ring, &values)?;
                         Ok(Flow::Continue)
                     }
                 }

@@ -44,7 +44,7 @@ pub use fault::{
 pub use parallel::{default_workers, map_slice, Parallel, Strategy};
 pub use pool::{PoolClosed, WorkerPool};
 pub use ring_fn::{
-    as_map_pair, ring_map, ring_map_faulted, ring_map_keyed, ring_map_pairs,
-    ring_map_pairs_faulted, ring_reduce_groups, ring_reduce_groups_faulted, ColumnarPolicy,
-    Isolation, KeyColumn, KeyedTally, RingMapError, RingMapOptions, COLUMNAR_MIN_ITEMS,
+    ring_map, ring_map_faulted, ring_map_keyed, ring_map_pairs, ring_map_pairs_faulted,
+    ring_reduce_groups, ring_reduce_groups_faulted, ColumnarPolicy, Isolation, KeyColumn,
+    KeyedTally, RingMapError, RingMapOptions, COLUMNAR_MIN_ITEMS,
 };

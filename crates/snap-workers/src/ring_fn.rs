@@ -30,7 +30,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use snap_ast::bytecode::{NumProgram, PairKey, PairProgram};
-use snap_ast::pure::{compile_cached, PureFn};
+use snap_ast::pure::{as_map_pair, compile_cached, PureFn};
 use snap_ast::{EvalError, Ring, Value};
 
 use crate::executor::{columnar_chunk_size, try_map_slice_with, ExecMode};
@@ -394,24 +394,9 @@ fn eval_column(p: &NumProgram, items: &[Value], numbers: Option<&[f64]>) -> Vec<
     out
 }
 
-/// Validate one mapper output as a `[key, value]` pair (the shape the
-/// MapReduce shuffle expects).
-pub fn as_map_pair(pair: Value) -> Result<(Value, Value), EvalError> {
-    match pair.as_list() {
-        Some(list) if list.len() >= 2 => Ok((
-            list.item(1).unwrap_or(Value::Nothing),
-            list.item(2).unwrap_or(Value::Nothing),
-        )),
-        _ => Err(EvalError::TypeMismatch {
-            expected: "[key, value] pair from the map function",
-            got: pair.to_display_string(),
-        }),
-    }
-}
-
 /// Apply a reporter ring to every item, returning `[key, value]` pairs —
 /// the worker half of the MapReduce map phase. Identical to [`ring_map`]
-/// but validates each result is a pair.
+/// but validates each result is a pair (`snap_ast::pure::as_map_pair`).
 pub fn ring_map_pairs(
     ring: Arc<Ring>,
     items: Vec<Value>,
