@@ -1,5 +1,7 @@
-//! A2: structured-clone isolation ablation — what the Web-Worker copy
-//! semantics cost versus shared storage, by payload size.
+//! A2: what the Web-Worker structured clone costs, by payload size: a
+//! ring that reads its whole input list, over 64 lists of 10, 100 and
+//! 1 000 numbers. The shared-storage side this group once compared
+//! against is gone; EXPERIMENTS.md (A2) keeps what the comparison found.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -7,7 +9,7 @@ use std::sync::Arc;
 
 use snap_ast::builder::*;
 use snap_ast::{Ring, Value};
-use snap_workers::{ring_map, Isolation, RingMapOptions};
+use snap_workers::{ring_map, RingMapOptions};
 
 fn nested_items(count: usize, payload: usize) -> Vec<Value> {
     (0..count)
@@ -26,24 +28,21 @@ fn bench_isolation(c: &mut Criterion) {
     ));
     for payload in [10usize, 100, 1_000] {
         let items = nested_items(64, payload);
-        for (name, isolation) in [("copy", Isolation::Copy), ("share", Isolation::Share)] {
-            group.bench_with_input(BenchmarkId::new(name, payload), &items, |b, items| {
-                b.iter(|| {
-                    black_box(
-                        ring_map(
-                            ring.clone(),
-                            items.clone(),
-                            RingMapOptions {
-                                workers: 4,
-                                isolation,
-                                ..Default::default()
-                            },
-                        )
-                        .unwrap(),
+        group.bench_with_input(BenchmarkId::new("copy", payload), &items, |b, items| {
+            b.iter(|| {
+                black_box(
+                    ring_map(
+                        ring.clone(),
+                        items.clone(),
+                        RingMapOptions {
+                            workers: 4,
+                            ..Default::default()
+                        },
                     )
-                })
-            });
-        }
+                    .unwrap(),
+                )
+            })
+        });
     }
     group.finish();
 }

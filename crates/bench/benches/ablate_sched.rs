@@ -1,11 +1,14 @@
-//! A1: work-distribution ablation — dynamic claiming vs static blocks
-//! on a skewed workload, and per-call spawn vs persistent pool.
+//! A1: the scheduler's cost on a skewed workload, on tiny maps, on
+//! bursts of tiny maps and on nested latency-bound maps. Every row runs
+//! the one chunk loop on the persistent pool; the static-block and
+//! per-call-spawn sides these groups once compared are gone, and
+//! EXPERIMENTS.md (A1) keeps what they measured.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
-use snap_workers::{map_slice, map_slice_with, ExecMode, Strategy};
+use snap_workers::map_slice_with;
 
 /// Skewed per-item cost: every 8th item is 20× more expensive.
 fn skewed_cost(i: &u64) -> u64 {
@@ -18,36 +21,24 @@ fn bench_strategy(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.sample_size(15);
     let items: Vec<u64> = (0..512).collect();
-    for (name, strategy) in [("dynamic", Strategy::Dynamic), ("static", Strategy::Static)] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(name),
-            &strategy,
-            |b, &strategy| b.iter(|| black_box(map_slice(&items, 4, strategy, skewed_cost))),
-        );
-    }
+    group.bench_function("dynamic", |b| {
+        b.iter(|| black_box(map_slice_with(&items, 4, skewed_cost)))
+    });
     group.finish();
 }
 
 fn bench_spawn_vs_pool(c: &mut Criterion) {
-    // Parallel.js spawns workers per call (faithful); the pool amortizes
-    // thread creation. This quantifies the gap on short jobs.
+    // A tiny 64-item map, where scheduling cost dominates: what one call
+    // costs on the persistent pool, which never spawns a thread per call
+    // as Parallel.js does.
     let mut group = c.benchmark_group("a1_spawn_vs_pool");
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.sample_size(15);
     group.measurement_time(Duration::from_secs(2));
     let items: Vec<u64> = (0..64).collect();
-    for (name, exec) in [
-        ("per_call_spawn", ExecMode::SpawnPerCall),
-        ("persistent_pool", ExecMode::Pooled),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                black_box(map_slice_with(&items, 4, Strategy::Dynamic, exec, |&n| {
-                    n * 2
-                }))
-            })
-        });
-    }
+    group.bench_function("persistent_pool", |b| {
+        b.iter(|| black_box(map_slice_with(&items, 4, |&n| n * 2)))
+    });
     group.finish();
 }
 
@@ -70,13 +61,7 @@ fn bench_job_churn(c: &mut Criterion) {
             |b, &workers| {
                 b.iter(|| {
                     for _ in 0..16 {
-                        black_box(map_slice_with(
-                            &items,
-                            workers,
-                            Strategy::Dynamic,
-                            ExecMode::Pooled,
-                            |&n| n.wrapping_mul(3),
-                        ));
+                        black_box(map_slice_with(&items, workers, |&n| n.wrapping_mul(3)));
                     }
                 })
             },
@@ -102,21 +87,15 @@ fn bench_nested_latency(c: &mut Criterion) {
     let outer: Vec<u64> = (0..2).collect();
     group.bench_function("outer2_inner8", |b| {
         b.iter(|| {
-            black_box(map_slice_with(
-                &outer,
-                8,
-                Strategy::Dynamic,
-                ExecMode::Pooled,
-                |&o| {
-                    let inner: Vec<u64> = (0..8).map(|i| o * 8 + i).collect();
-                    map_slice_with(&inner, 8, Strategy::Dynamic, ExecMode::Pooled, |&n| {
-                        std::thread::sleep(Duration::from_micros(200));
-                        n.wrapping_mul(3)
-                    })
-                    .iter()
-                    .sum::<u64>()
-                },
-            ))
+            black_box(map_slice_with(&outer, 8, |&o| {
+                let inner: Vec<u64> = (0..8).map(|i| o * 8 + i).collect();
+                map_slice_with(&inner, 8, |&n| {
+                    std::thread::sleep(Duration::from_micros(200));
+                    n.wrapping_mul(3)
+                })
+                .iter()
+                .sum::<u64>()
+            }))
         })
     });
     group.finish();

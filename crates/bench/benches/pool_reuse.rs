@@ -1,15 +1,10 @@
-//! Pool-reuse ablation: the acceptance bench for the persistent pooled
-//! executor. Runs the same 1 000-item `parallelMap` of a cheap ring
-//! (`(( ) × 10)`) under both execution modes:
-//!
-//! * `pooled` — the shared process-wide `WorkerPool` (threads created
-//!   once, reused for every call);
-//! * `spawn_per_call` — the paper-faithful Parallel.js behaviour, four
-//!   fresh OS threads per map, joined before returning.
-//!
-//! On a cheap ring the per-item work is tiny, so the per-call thread
-//! spawn/join tax dominates `spawn_per_call`; the pooled mode pays only
-//! the channel send + wait-group handshake.
+//! Pool-reuse bench: the acceptance bench for the persistent pooled
+//! executor. Runs a 1 000-item `parallelMap` of a cheap ring
+//! (`(( ) × 10)`) on the shared process-wide `WorkerPool`, whose threads
+//! are created once and reused for every call, so a call pays only the
+//! batch hand-off and the wait-group handshake. The spawn-per-call side
+//! this group once compared against is gone; EXPERIMENTS.md (A5) keeps
+//! what it measured.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -18,7 +13,7 @@ use std::time::Duration;
 
 use snap_ast::builder::{empty_slot, mul, num};
 use snap_ast::{Ring, Value};
-use snap_workers::{ring_map, ExecMode, RingMapOptions};
+use snap_workers::{ring_map, RingMapOptions};
 
 const ITEMS: usize = 1_000;
 const WORKERS: usize = 4;
@@ -42,23 +37,15 @@ fn bench_pool_reuse(c: &mut Criterion) {
     let ring = cheap_ring();
     let items = inputs();
 
-    for (name, exec) in [
-        ("pooled", ExecMode::Pooled),
-        ("spawn_per_call", ExecMode::SpawnPerCall),
-    ] {
-        let ring = ring.clone();
-        let items = items.clone();
-        group.bench_function(name, move |b| {
-            b.iter(|| {
-                let options = RingMapOptions {
-                    workers: WORKERS,
-                    exec,
-                    ..RingMapOptions::default()
-                };
-                black_box(ring_map(ring.clone(), black_box(items.clone()), options).unwrap())
-            })
-        });
-    }
+    group.bench_function("pooled", move |b| {
+        b.iter(|| {
+            let options = RingMapOptions {
+                workers: WORKERS,
+                ..RingMapOptions::default()
+            };
+            black_box(ring_map(ring.clone(), black_box(items.clone()), options).unwrap())
+        })
+    });
     group.finish();
 }
 

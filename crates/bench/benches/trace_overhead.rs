@@ -23,19 +23,13 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
-use snap_workers::{map_slice_with, ExecMode, Strategy};
+use snap_workers::map_slice_with;
 
 /// One iteration of the churn workload: 16 consecutive tiny pooled maps
 /// (the `a1_job_churn/4` shape).
 fn churn(items: &[u64]) {
     for _ in 0..16 {
-        black_box(map_slice_with(
-            items,
-            4,
-            Strategy::Dynamic,
-            ExecMode::Pooled,
-            |&n| n.wrapping_mul(3),
-        ));
+        black_box(map_slice_with(items, 4, |&n| n.wrapping_mul(3)));
     }
 }
 

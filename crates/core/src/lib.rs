@@ -48,7 +48,7 @@ pub mod prelude {
         Stmt, StopKind, Value,
     };
     pub use snap_vm::{Interference, Vm, VmConfig};
-    pub use snap_workers::{Parallel, Strategy};
+    pub use snap_workers::Parallel;
 
     pub use crate::Session;
 }

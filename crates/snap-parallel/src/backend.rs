@@ -8,44 +8,20 @@ use std::sync::Arc;
 
 use snap_ast::{EvalError, Ring, Value};
 use snap_vm::{ParallelBackend, Vm};
-use snap_workers::{ExecMode, FaultPolicy, Isolation, RingMapOptions, Strategy};
+use snap_workers::{FaultPolicy, RingMapOptions};
 
 use crate::blocks;
 
-/// [`ParallelBackend`] implementation on OS-thread workers.
-#[derive(Debug, Clone, Copy)]
+/// [`ParallelBackend`] implementation on OS-thread workers: every call
+/// runs on the shared pool, with structured-clone isolation.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerBackend {
-    /// Work-distribution strategy.
-    pub strategy: Strategy,
-    /// Boundary-crossing semantics (Copy = Web Worker structured clone).
-    pub isolation: Isolation,
-    /// Pooled (default) or spawn-per-call execution.
-    pub exec: ExecMode,
     /// Fault policy applied to every block this backend runs. The
     /// default reproduces the pre-fault-tolerance behaviour.
     pub policy: FaultPolicy,
 }
 
-impl Default for WorkerBackend {
-    fn default() -> Self {
-        WorkerBackend {
-            strategy: Strategy::Dynamic,
-            isolation: Isolation::Copy,
-            exec: ExecMode::Pooled,
-            policy: FaultPolicy::default(),
-        }
-    }
-}
-
 impl WorkerBackend {
-    /// The paper-faithful configuration: fresh workers per call.
-    pub fn spawn_per_call() -> WorkerBackend {
-        WorkerBackend {
-            exec: ExecMode::SpawnPerCall,
-            ..Default::default()
-        }
-    }
-
     /// Builder: run every block under `policy`.
     pub fn with_policy(mut self, policy: FaultPolicy) -> WorkerBackend {
         self.policy = policy;
@@ -55,9 +31,6 @@ impl WorkerBackend {
     fn options(&self, workers: usize) -> RingMapOptions {
         RingMapOptions {
             workers,
-            strategy: self.strategy,
-            isolation: self.isolation,
-            exec: self.exec,
             policy: self.policy,
             ..Default::default()
         }
@@ -97,20 +70,9 @@ pub fn install(vm: &mut Vm) {
     vm.world.set_backend(Arc::new(WorkerBackend::default()));
 }
 
-/// Install a specific backend configuration (execution mode, strategy,
-/// isolation) on a VM.
+/// Install a specific backend configuration (its fault policy) on a VM.
 pub fn install_with(vm: &mut Vm, backend: WorkerBackend) {
     vm.world.set_backend(Arc::new(backend));
-}
-
-/// Convenience: run a ring over items with the default backend (used by
-/// benches that bypass the VM).
-pub fn backend_parallel_map(
-    ring: Arc<Ring>,
-    items: Vec<Value>,
-    workers: usize,
-) -> Result<Vec<Value>, EvalError> {
-    blocks::parallel_map(ring, items, workers)
 }
 
 #[cfg(test)]

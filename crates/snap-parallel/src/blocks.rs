@@ -35,8 +35,8 @@ use std::sync::Arc;
 use snap_ast::pure::{as_map_pair, compile_cached};
 use snap_ast::{BinOp, EvalError, Expr, Ring, RingBody, RingExprBody, Value};
 use snap_workers::{
-    ring_map_faulted, ring_map_pairs_faulted, ring_reduce_groups_faulted, ExecError, FaultPolicy,
-    RingMapError, RingMapOptions,
+    ring_map_faulted, ring_map_pairs_faulted, ring_reduce_groups_faulted, ExecError, ExecMode,
+    FaultPolicy, RingMapError, RingMapOptions,
 };
 
 use crate::keyed;
@@ -311,7 +311,7 @@ pub fn map_reduce_with_combine(
             .collect()
     })?;
     let pairs = match fold {
-        Some(op) => combine_pairs(pairs, op, options.workers, options.exec),
+        Some(op) => combine_pairs(pairs, op, options.workers, ExecMode::Pooled),
         None => pairs,
     };
     reduce_groups(reducer, &shuffle(pairs), options)

@@ -16,7 +16,7 @@ use snap_ast::pure::{eval_binop, group_sorted, sort_and_group};
 use snap_ast::value::snap_sort_by;
 use snap_ast::{BinOp, Value};
 use snap_trace::well_known as metrics;
-use snap_workers::{default_workers, map_slice_with, ExecMode, Strategy};
+use snap_workers::{default_workers, map_slice_with, ExecMode};
 
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::{Hash, Hasher};
@@ -38,7 +38,7 @@ type KeyedPair = (CanonKey, (Value, Value));
 /// pool simply oversubscribes).
 pub fn shuffle(pairs: Vec<(Value, Value)>) -> Vec<(Value, Vec<Value>)> {
     if pairs.len() >= PARALLEL_SHUFFLE_THRESHOLD {
-        shuffle_parallel(pairs, default_workers().max(2), ExecMode::Pooled)
+        shuffle_parallel(pairs, default_workers().max(2))
     } else {
         shuffle_seq(pairs)
     }
@@ -53,12 +53,8 @@ pub fn shuffle_seq(pairs: Vec<(Value, Value)>) -> Vec<(Value, Vec<Value>)> {
     sort_and_group(pairs)
 }
 
-/// The parallel shuffle, with explicit worker count and execution mode.
-pub fn shuffle_parallel(
-    pairs: Vec<(Value, Value)>,
-    workers: usize,
-    exec: ExecMode,
-) -> Vec<(Value, Vec<Value>)> {
+/// The parallel shuffle, with an explicit worker count.
+pub fn shuffle_parallel(pairs: Vec<(Value, Value)>, workers: usize) -> Vec<(Value, Vec<Value>)> {
     let workers = workers.max(1);
     if workers == 1 || pairs.len() <= 1 {
         return shuffle_seq(pairs);
@@ -96,7 +92,7 @@ pub fn shuffle_parallel(
     let buckets: Vec<Mutex<Vec<KeyedPair>>> = buckets.into_iter().map(Mutex::new).collect();
     {
         let _span = snap_trace::span!("shuffle.sort", workers);
-        map_slice_with(&buckets, workers, Strategy::Dynamic, exec, |bucket| {
+        map_slice_with(&buckets, workers, |bucket| {
             let mut bucket = bucket.lock().unwrap_or_else(PoisonError::into_inner);
             *bucket = snap_sort_by(std::mem::take(&mut *bucket), |a, b| a.0.cmp_canon(&b.0));
         });
@@ -257,11 +253,14 @@ fn canonical_key_hash(key: &Value) -> u64 {
 /// the reduce phase sees the same fold it would have computed itself —
 /// word count's integer `+` is bit-exact; float reassociation across
 /// chunk boundaries is inherent to map-side combining.
+///
+/// The chunks run on the shared pool; `_exec` is ignored (see
+/// [`ExecMode`]).
 pub fn combine_pairs(
     pairs: Vec<(Value, Value)>,
     op: BinOp,
     workers: usize,
-    exec: ExecMode,
+    _exec: ExecMode,
 ) -> Vec<(Value, Value)> {
     let workers = workers.max(1);
     let before = pairs.len();
@@ -271,9 +270,7 @@ pub fn combine_pairs(
     let _span = snap_trace::span!("shuffle.combine", "pairs" => before);
     let chunk_len = before.div_ceil(workers).max(1);
     let chunks: Vec<&[(Value, Value)]> = pairs.chunks(chunk_len).collect();
-    let combined = map_slice_with(&chunks, workers, Strategy::Dynamic, exec, |chunk| {
-        combine_chunk(chunk, op)
-    });
+    let combined = map_slice_with(&chunks, workers, |chunk| combine_chunk(chunk, op));
     let out: Vec<(Value, Value)> = combined.into_iter().flatten().collect();
     metrics::SHUFFLE_COMBINE_RUNS.incr();
     metrics::SHUFFLE_PAIRS_COMBINED.add((before - out.len()) as u64);
@@ -365,10 +362,8 @@ mod tests {
         let pairs = mixed_pairs(5000);
         let seq = shuffle_seq(pairs.clone());
         for workers in [2, 3, 4, 8] {
-            for exec in [ExecMode::Pooled, ExecMode::SpawnPerCall] {
-                let par = shuffle_parallel(pairs.clone(), workers, exec);
-                assert_eq!(par, seq, "workers={workers} exec={exec:?}");
-            }
+            let par = shuffle_parallel(pairs.clone(), workers);
+            assert_eq!(par, seq, "workers={workers}");
         }
     }
 
@@ -383,7 +378,7 @@ mod tests {
         let mut pairs = mixed_pairs(4096);
         pairs.push((Value::Number(0.0), Value::text("pos")));
         pairs.push((Value::Number(-0.0), Value::text("neg")));
-        let par = shuffle_parallel(pairs.clone(), 4, ExecMode::Pooled);
+        let par = shuffle_parallel(pairs.clone(), 4);
         assert_eq!(par, shuffle_seq(pairs));
     }
 

@@ -28,7 +28,7 @@ use snap_parallel::{
 use snap_trace::well_known as metrics;
 use snap_vm::Vm;
 use snap_workers::{
-    ring_map_pairs_faulted, ring_reduce_groups_faulted, ColumnarPolicy, RingMapOptions,
+    ring_map_pairs_faulted, ring_reduce_groups_faulted, ColumnarPolicy, ExecMode, RingMapOptions,
     COLUMNAR_MIN_ITEMS,
 };
 
@@ -319,7 +319,7 @@ impl Case {
         let pairs = ring_map_pairs_faulted(self.mapper(), self.items.clone(), options)?;
         let pairs = match associative_fold_op(&reducer) {
             Some(op) if self.combine == CombinePolicy::Auto && pairs.len() >= COMBINE_MIN_PAIRS => {
-                combine_pairs(pairs, op, options.workers, options.exec)
+                combine_pairs(pairs, op, options.workers, ExecMode::Pooled)
             }
             _ => pairs,
         };

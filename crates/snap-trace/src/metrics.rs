@@ -407,13 +407,12 @@ metrics! {
         /// fail (retry exhaustion, pool shutdown, or a pooled panic).
         FAULT_DEGRADED_RUNS = "fault.degraded_runs";
 
-        /// `run_tasks` invocations that went through the pooled mode.
+        /// `run_tasks` invocations that ran on the pool.
         EXEC_POOLED_CALLS = "exec.pooled_calls";
-        /// `run_tasks` invocations that spawned per-call threads.
-        EXEC_SPAWN_CALLS = "exec.spawn_calls";
         /// Re-entrant pooled calls that ran inline to avoid deadlock.
         EXEC_REENTRANT_INLINE = "exec.reentrant_inline";
-        /// Dynamic-scheduling chunks claimed via `fetch_add`.
+        /// Chunks claimed by the executor's chunk loop, one `fetch_add`
+        /// each.
         EXEC_CHUNKS_CLAIMED = "exec.chunks_claimed";
 
         /// `ring_map` / `ring_reduce_groups` calls.

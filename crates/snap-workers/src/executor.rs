@@ -1,21 +1,16 @@
 //! The pooled execution engine behind every parallel primitive.
 //!
-//! The paper's Parallel.js model spawns fresh Web Workers per call; the
-//! seed mirrored that with one `std::thread::scope` per map. This module
-//! is the persistent alternative: a process-wide [`WorkerPool`] is
-//! created lazily on first use and every later `parallel map` reuses its
-//! threads. Spawn-per-call survives as [`ExecMode::SpawnPerCall`] so the
-//! `ablate_sched` / `pool_reuse` benches can quantify the spawn tax.
+//! The paper's Parallel.js model spawns fresh Web Workers per call; here
+//! a process-wide [`WorkerPool`] is created lazily on first use and every
+//! later `parallel map` reuses its threads.
 //!
-//! Two more scheduler changes over the seed live here:
-//!
-//! * **Chunked dynamic claiming** — workers grab blocks of
-//!   `max(1, len / (workers * 4))` indices per atomic `fetch_add` instead
-//!   of one, cutting contention on the claim counter by the chunk factor
-//!   while still leaving enough blocks (≈4 per worker) for load balance.
-//! * **Disjoint gather** — each claimed index is written straight into
-//!   its own result slot. Index ownership is exclusive by construction
-//!   (chunks partition the range), so no mutex guards the output.
+//! Both maps, [`map_slice_with`] and [`try_map_slice_with`], run one
+//! chunk loop. Its tasks claim blocks of [`chunk_size`] indices with one
+//! atomic `fetch_add` each ("the workers systematically process the
+//! remaining elements from the list until completed", paper §3.2), and
+//! each claimed block writes its results into its own `&mut` slice of
+//! the output, so no two tasks can reach the same slot and no lock is
+//! shared between tasks.
 //!
 //! The pool itself schedules by work-stealing (see [`crate::pool`]): a
 //! call from a worker of the global pool pushes its task jobs onto that
@@ -31,20 +26,18 @@ use std::time::Instant;
 use snap_trace::well_known as metrics;
 
 use crate::fault::{injector, panic_message, ExecError, FaultPolicy};
-use crate::parallel::{default_workers, Strategy};
-use crate::pool::{on_pool_thread, Job, WaitGroup, WorkerPool};
+use crate::parallel::default_workers;
+use crate::pool::{on_pool_thread, Job, WaitGroup, WorkerPool, MAX_POOL_WORKERS};
 
-/// How a parallel call obtains its worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The last parameter of `snap_parallel::combine_pairs`, which ignores
+/// it: every parallel call runs on the shared pool, so this one value
+/// selects nothing. It stays only because perfbench's traced replay
+/// passes `ExecMode::Pooled` to `combine_pairs`; once that call drops
+/// the argument, the type goes too.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Run on the shared, lazily created process-wide pool. Steady-state
-    /// parallel calls create no threads.
-    #[default]
+    /// Run on the shared, lazily created process-wide pool.
     Pooled,
-    /// Spawn scoped threads for this one call and join them before
-    /// returning — the paper-faithful Parallel.js behaviour, kept for
-    /// ablation.
-    SpawnPerCall,
 }
 
 static GLOBAL_POOL: OnceLock<WorkerPool> = OnceLock::new();
@@ -61,12 +54,13 @@ pub fn global_pool() -> &'static WorkerPool {
     })
 }
 
-/// Dynamic-scheduling block size: ~2 blocks per worker, never zero.
+/// Block size of the chunk loop: ~2 blocks per worker, never zero.
 ///
 /// Two blocks per worker (down from the original four) still gives
 /// dynamic claiming one round of rebalancing slack while halving the
-/// per-block claim overhead — the a1_strategy_skewed ablation showed
-/// four blocks losing to static scheduling on uniform numeric work.
+/// per-block claim overhead; with four, the `a1_strategy_skewed` bench
+/// measured dynamic claiming slower than one fixed block per worker on
+/// uniform numeric work.
 pub fn chunk_size(len: usize, workers: usize) -> usize {
     (len / (workers.max(1) * 2)).max(1)
 }
@@ -85,15 +79,16 @@ pub fn columnar_chunk_size(len: usize, workers: usize) -> usize {
     chunk_size(len, workers).max(COLUMNAR_MIN_CHUNK)
 }
 
-/// Run `body(0..tasks)` concurrently and return once all calls finish.
+/// Run `body(0..tasks)` concurrently on the global pool and return once
+/// all calls finish.
 ///
-/// `body` may borrow from the caller's stack: in pooled mode its
-/// lifetime is erased for submission, which is sound because this
-/// function never returns before every submitted job has completed
-/// (completion tokens are dropped even when a job panics). A panic in
-/// any `body` call is re-raised on the caller's thread after all tasks
-/// finish, matching scoped-thread join semantics.
-pub fn run_tasks(tasks: usize, mode: ExecMode, body: &(dyn Fn(usize) + Sync)) {
+/// `body` may borrow from the caller's stack: its lifetime is erased for
+/// submission, which is sound because this function never returns before
+/// every submitted job has completed (completion tokens are dropped even
+/// when a job panics). A panic in any `body` call is re-raised on the
+/// caller's thread after all tasks finish, matching scoped-thread join
+/// semantics.
+fn run_tasks(tasks: usize, body: &(dyn Fn(usize) + Sync)) {
     if tasks == 0 {
         return;
     }
@@ -101,41 +96,28 @@ pub fn run_tasks(tasks: usize, mode: ExecMode, body: &(dyn Fn(usize) + Sync)) {
         body(0);
         return;
     }
-    match mode {
-        ExecMode::SpawnPerCall => {
-            metrics::EXEC_SPAWN_CALLS.incr();
-            let _span = snap_trace::span!("exec.spawn_per_call", tasks);
-            std::thread::scope(|scope| {
-                for w in 0..tasks {
-                    scope.spawn(move || body(w));
-                }
-            });
+    let pool = global_pool();
+    if on_pool_thread() && !pool.on_worker_thread() {
+        // Re-entrant parallel call from a worker of some *other* pool: we
+        // cannot help-drain a foreign pool's queues, so run inline rather
+        // than block one pool on another.
+        metrics::EXEC_REENTRANT_INLINE.incr();
+        for w in 0..tasks {
+            body(w);
         }
-        ExecMode::Pooled => {
-            let pool = global_pool();
-            if on_pool_thread() && !pool.on_worker_thread() {
-                // Re-entrant parallel call from a worker of some *other*
-                // pool: we cannot help-drain a foreign pool's queues, so
-                // run inline rather than block one pool on another.
-                metrics::EXEC_REENTRANT_INLINE.incr();
-                for w in 0..tasks {
-                    body(w);
-                }
-                return;
-            }
-            // From a worker of the global pool itself, submissions land
-            // on this worker's own deque and the wait below helps run
-            // them (work-stealing), so nested calls parallelize instead
-            // of inlining serially.
-            metrics::EXEC_POOLED_CALLS.incr();
-            let _span = snap_trace::span!("exec.pooled", tasks);
-            // Honour explicit oversubscription (latency-bound maps ask
-            // for more workers than cores); growth is permanent, so the
-            // steady state still spawns nothing.
-            pool.ensure_workers(tasks);
-            run_scoped_on_pool(pool, tasks, body);
-        }
+        return;
     }
+    // From a worker of the global pool itself, submissions land on this
+    // worker's own deque and the wait below helps run them
+    // (work-stealing), so nested calls parallelize instead of inlining
+    // serially.
+    metrics::EXEC_POOLED_CALLS.incr();
+    let _span = snap_trace::span!("exec.pooled", tasks);
+    // Honour explicit oversubscription (latency-bound maps ask for more
+    // workers than cores); growth is permanent, so the steady state still
+    // spawns nothing.
+    pool.ensure_workers(tasks);
+    run_scoped_on_pool(pool, tasks, body);
 }
 
 /// Count and trace a panic caught at the scoped-executor level. These
@@ -158,7 +140,11 @@ fn run_scoped_on_pool(pool: &WorkerPool, tasks: usize, body: &(dyn Fn(usize) + S
     // the wait group before returning — `wait_helping` only returns
     // between jobs, once the group is done, and every inline run below
     // is wrapped in `catch_unwind` so no panic can unwind past the wait
-    // — so no job can observe `body` after this frame is gone.
+    // — so no job can observe `body` after this frame is gone. That
+    // covers everything `body` borrows, including the chunk loop's
+    // output slices: they are `&mut` borrows of the caller's result
+    // buffer, which `map_chunks` reads (or drops) only after `run_tasks`
+    // has returned, so no job writes a slot after its buffer is gone.
     let body_static: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(body) };
     let wg = WaitGroup::new();
     let panicked = Arc::new(AtomicBool::new(false));
@@ -201,103 +187,82 @@ fn run_scoped_on_pool(pool: &WorkerPool, tasks: usize, body: &(dyn Fn(usize) + S
     }
 }
 
-/// Pointer to the result slots, shareable across worker tasks.
+/// The one chunk loop behind [`map_slice_with`] and
+/// [`try_map_slice_with`]: on up to `workers` pool tasks (never more than
+/// [`MAX_POOL_WORKERS`], the most threads the pool ever has), sets each
+/// item's result slot to `fill(index, item)` and returns the slots in
+/// input order.
 ///
-/// Soundness rests on the scheduler: every index in `0..len` is claimed
-/// by exactly one task (dynamic chunks come from a shared `fetch_add`;
-/// static blocks partition the range), so writes are disjoint and the
-/// caller does not read until all tasks have finished.
-struct SlotWriter<R> {
-    slots: *mut Option<R>,
-    len: usize,
-}
-
-// SAFETY: `slots` points into the caller's `out` buffer, which outlives
-// every task (`run_tasks` returns only after all of them finish, and
-// only then is `out` read or dropped); `len` is a plain bound. Other
-// threads only move owned `R` values into slots and never get a `&R`,
-// so `R: Send` is the whole requirement.
-unsafe impl<R: Send> Send for SlotWriter<R> {}
-// SAFETY: through a shared `&SlotWriter` the only operation is
-// `write`, whose callers claim disjoint indices, so concurrent writers
-// never touch the same slot; `len` is never written.
-unsafe impl<R: Send> Sync for SlotWriter<R> {}
-
-impl<R> SlotWriter<R> {
-    fn new(out: &mut [Option<R>]) -> SlotWriter<R> {
-        SlotWriter {
-            slots: out.as_mut_ptr(),
-            len: out.len(),
-        }
-    }
-
-    /// Write the result for `index`.
-    ///
-    /// # Safety
-    /// `index` must be in range and claimed by exactly one task.
-    unsafe fn write(&self, index: usize, value: R) {
-        debug_assert!(index < self.len);
-        *self.slots.add(index) = Some(value);
-    }
-}
-
-/// Parallel map over a borrowed slice with an explicit execution mode.
-/// Results come back in input order.
-pub fn map_slice_with<T: Send + Sync, R: Send>(
+/// A task claims its next chunk with one `fetch_add` on the chunk index
+/// and then locks that chunk's output slice. Only the claiming task ever
+/// locks it, so the lock is never contended and never shared between
+/// tasks; it is what hands the task a safe `&mut` slice. `stop` is asked
+/// after each claim: when it says so, the task ends and leaves the
+/// claimed chunk's slots empty (`try_map_slice_with`'s deadline).
+fn map_chunks<T: Sync, R: Send>(
     items: &[T],
     workers: usize,
-    strategy: Strategy,
-    mode: ExecMode,
-    f: impl Fn(&T) -> R + Send + Sync,
-) -> Vec<R> {
-    let workers = workers.max(1).min(items.len().max(1));
-    if workers <= 1 || items.len() <= 1 {
-        return items.iter().map(f).collect();
-    }
+    span: &'static str,
+    stop: impl Fn() -> bool + Sync,
+    fill: impl Fn(usize, &T) -> Option<R> + Sync,
+) -> Vec<Option<R>> {
+    let len = items.len();
+    let tasks = workers.clamp(1, MAX_POOL_WORKERS).min(len);
+    let chunk = chunk_size(len, tasks);
     // The innermost span open on the *calling* thread (a `ring_map`, a
     // shuffle stage, …): chunk spans executed on pool workers link back
     // to it, so the scatter is causally stitched in the Chrome trace.
     let origin = snap_trace::current_span_id();
-    let len = items.len();
     let mut out: Vec<Option<R>> = Vec::with_capacity(len);
     out.resize_with(len, || None);
-    let slots = SlotWriter::new(&mut out);
+    let slices: Vec<Mutex<&mut [Option<R>]>> = out.chunks_mut(chunk).map(Mutex::new).collect();
     let next = AtomicUsize::new(0);
-    let chunk = chunk_size(len, workers);
-
-    let worker_body = |w: usize| match strategy {
-        Strategy::Dynamic => loop {
-            let start = next.fetch_add(chunk, Ordering::Relaxed);
-            if start >= len {
-                break;
-            }
-            metrics::EXEC_CHUNKS_CLAIMED.incr();
-            let end = (start + chunk).min(len);
-            let _span = snap_trace::span_linked_with("exec.chunk", "start", start as u64, origin);
-            for (i, item) in items[start..end].iter().enumerate() {
-                // SAFETY: fetch_add hands each block to one task.
-                unsafe { slots.write(start + i, f(item)) };
-            }
-        },
-        Strategy::Static => {
-            let block = len.div_ceil(workers);
-            let start = (w * block).min(len);
-            let end = ((w + 1) * block).min(len);
-            metrics::EXEC_CHUNKS_CLAIMED.incr();
-            let _span = snap_trace::span_linked_with("exec.chunk", "start", start as u64, origin);
-            for (i, item) in items[start..end].iter().enumerate() {
-                // SAFETY: static blocks are disjoint per task index.
-                unsafe { slots.write(start + i, f(item)) };
-            }
+    let task = |_: usize| loop {
+        let claimed = next.fetch_add(1, Ordering::Relaxed);
+        let Some(slice) = slices.get(claimed) else {
+            break;
+        };
+        if stop() {
+            break;
+        }
+        metrics::EXEC_CHUNKS_CLAIMED.incr();
+        let start = claimed * chunk;
+        let _span = snap_trace::span_linked_with("exec.chunk", "start", start as u64, origin);
+        let mut slots = slice
+            .lock()
+            .expect("a chunk's slice is locked only by the one task that claimed it");
+        for (i, (slot, item)) in slots.iter_mut().zip(&items[start..]).enumerate() {
+            *slot = fill(start + i, item);
         }
     };
-    let map_span = snap_trace::span!("exec.map_slice", len);
-    run_tasks(workers, mode, &worker_body);
+    let map_span = snap_trace::span!(span, len);
+    run_tasks(tasks, &task);
     drop(map_span);
+    drop(slices);
+    out
+}
 
-    out.into_iter()
-        .map(|slot| slot.expect("every index processed exactly once"))
-        .collect()
+/// Parallel map over a borrowed slice on the shared pool. Results come
+/// back in input order; a panic in `f` reaches the caller once every
+/// task has finished.
+pub fn map_slice_with<T: Send + Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(&T) -> R + Send + Sync,
+) -> Vec<R> {
+    if workers <= 1 || items.len() <= 1 {
+        return items.iter().map(f).collect();
+    }
+    map_chunks(
+        items,
+        workers,
+        "exec.map_slice",
+        || false,
+        |_, item| Some(f(item)),
+    )
+    .into_iter()
+    .map(|slot| slot.expect("every index processed exactly once"))
+    .collect()
 }
 
 /// Fault-aware parallel map: like [`map_slice_with`], but each item runs
@@ -321,8 +286,6 @@ pub fn map_slice_with<T: Send + Sync, R: Send>(
 pub fn try_map_slice_with<T: Send + Sync, R: Send>(
     items: &[T],
     workers: usize,
-    strategy: Strategy,
-    mode: ExecMode,
     policy: &FaultPolicy,
     f: impl Fn(&T) -> R + Send + Sync,
 ) -> Result<Vec<R>, ExecError> {
@@ -333,12 +296,9 @@ pub fn try_map_slice_with<T: Send + Sync, R: Send>(
     let started = Instant::now();
     let injector = injector();
     let expired = || matches!(policy.deadline, Some(d) if started.elapsed() >= d);
-    let workers = workers.max(1).min(len);
-    // Causal anchor for chunk, retry, and salvage spans (see
-    // `map_slice_with`): the innermost span open on the calling thread.
+    // Causal anchor for retry and salvage spans (as for the chunk spans,
+    // see `map_chunks`): the innermost span open on the calling thread.
     let origin = snap_trace::current_span_id();
-    let mut out: Vec<Option<R>> = Vec::with_capacity(len);
-    out.resize_with(len, || None);
     let failed: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
     let deadline_hit = AtomicBool::new(false);
 
@@ -390,77 +350,30 @@ pub fn try_map_slice_with<T: Send + Sync, R: Send>(
         }
     };
 
-    if workers <= 1 || len <= 1 {
+    let mut out = if workers <= 1 || len <= 1 {
+        let mut out: Vec<Option<R>> = Vec::with_capacity(len);
+        out.resize_with(len, || None);
         for (index, item) in items.iter().enumerate() {
             if expired() {
                 deadline_hit.store(true, Ordering::SeqCst);
                 break;
             }
-            if let Some(value) = attempt_item(index, item) {
-                out[index] = Some(value);
-            }
+            out[index] = attempt_item(index, item);
         }
+        out
     } else {
-        let slots = SlotWriter::new(&mut out);
-        let next = AtomicUsize::new(0);
-        let chunk = chunk_size(len, workers);
-        let worker_body = |w: usize| match strategy {
-            Strategy::Dynamic => loop {
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= len {
-                    break;
-                }
-                // Deadline check after the claim: a skipped claimed chunk
-                // guarantees unfilled slots, so a deadline error is never
-                // reported for a run that actually completed everything.
-                if expired() {
-                    deadline_hit.store(true, Ordering::SeqCst);
-                    break;
-                }
-                metrics::EXEC_CHUNKS_CLAIMED.incr();
-                let end = (start + chunk).min(len);
-                let _span =
-                    snap_trace::span_linked_with("exec.chunk", "start", start as u64, origin);
-                for (i, item) in items[start..end].iter().enumerate() {
-                    if let Some(value) = attempt_item(start + i, item) {
-                        // SAFETY: fetch_add hands each block to one task.
-                        unsafe { slots.write(start + i, value) };
-                    }
-                }
-            },
-            Strategy::Static => {
-                let block = len.div_ceil(workers);
-                let start = (w * block).min(len);
-                let end = ((w + 1) * block).min(len);
-                if start < end {
-                    metrics::EXEC_CHUNKS_CLAIMED.incr();
-                }
-                let _span =
-                    snap_trace::span_linked_with("exec.chunk", "start", start as u64, origin);
-                // A static block is one worker's whole share; walk it in
-                // chunk-sized strides so the deadline is still observed
-                // at a useful granularity.
-                let mut cursor = start;
-                while cursor < end {
-                    if expired() {
-                        deadline_hit.store(true, Ordering::SeqCst);
-                        break;
-                    }
-                    let stop = (cursor + chunk).min(end);
-                    for (i, item) in items[cursor..stop].iter().enumerate() {
-                        if let Some(value) = attempt_item(cursor + i, item) {
-                            // SAFETY: static blocks are disjoint per task.
-                            unsafe { slots.write(cursor + i, value) };
-                        }
-                    }
-                    cursor = stop;
-                }
+        // The deadline is checked after each claim: a skipped claimed
+        // chunk guarantees unfilled slots, so a deadline error is never
+        // reported for a run that actually completed everything.
+        let stop = || {
+            let hit = expired();
+            if hit {
+                deadline_hit.store(true, Ordering::SeqCst);
             }
+            hit
         };
-        let map_span = snap_trace::span!("exec.try_map_slice", len);
-        run_tasks(workers, mode, &worker_body);
-        drop(map_span);
-    }
+        map_chunks(items, workers, "exec.try_map_slice", stop, attempt_item)
+    };
 
     if deadline_hit.load(Ordering::SeqCst) {
         let completed = out.iter().filter(|slot| slot.is_some()).count();
@@ -540,32 +453,26 @@ mod tests {
     }
 
     #[test]
-    fn pooled_matches_spawn_per_call() {
+    fn pooled_map_matches_sequential_map() {
         let items: Vec<i64> = (0..503).collect();
-        for strategy in [Strategy::Dynamic, Strategy::Static] {
-            let pooled = map_slice_with(&items, 4, strategy, ExecMode::Pooled, |&n| n * 7);
-            let spawned = map_slice_with(&items, 4, strategy, ExecMode::SpawnPerCall, |&n| n * 7);
-            assert_eq!(pooled, spawned);
-            assert_eq!(pooled, items.iter().map(|n| n * 7).collect::<Vec<_>>());
-        }
+        let pooled = map_slice_with(&items, 4, |&n| n * 7);
+        assert_eq!(pooled, items.iter().map(|n| n * 7).collect::<Vec<_>>());
     }
 
     #[test]
     fn pooled_map_borrows_stack_data() {
         let base = [10i64, 20, 30];
         let items: Vec<usize> = (0..base.len()).collect();
-        let out = map_slice_with(&items, 2, Strategy::Dynamic, ExecMode::Pooled, |&i| {
-            base[i] + 1
-        });
+        let out = map_slice_with(&items, 2, |&i| base[i] + 1);
         assert_eq!(out, vec![11, 21, 31]);
     }
 
     #[test]
     fn reentrant_pooled_map_does_not_deadlock() {
         let outer: Vec<i64> = (0..8).collect();
-        let out = map_slice_with(&outer, 4, Strategy::Dynamic, ExecMode::Pooled, |&n| {
+        let out = map_slice_with(&outer, 4, |&n| {
             let inner: Vec<i64> = (0..50).collect();
-            map_slice_with(&inner, 4, Strategy::Dynamic, ExecMode::Pooled, |&m| m + n)
+            map_slice_with(&inner, 4, |&m| m + n)
                 .into_iter()
                 .sum::<i64>()
         });
@@ -577,7 +484,7 @@ mod tests {
     fn panic_in_pooled_task_propagates_and_pool_survives() {
         let items: Vec<i64> = (0..64).collect();
         let result = catch_unwind(|| {
-            map_slice_with(&items, 4, Strategy::Dynamic, ExecMode::Pooled, |&n| {
+            map_slice_with(&items, 4, |&n| {
                 if n == 13 {
                     panic!("boom");
                 }
@@ -586,21 +493,55 @@ mod tests {
         });
         assert!(result.is_err(), "panic must reach the caller");
         // The pool is still healthy afterwards.
-        let ok = map_slice_with(&items, 4, Strategy::Dynamic, ExecMode::Pooled, |&n| n + 1);
+        let ok = map_slice_with(&items, 4, |&n| n + 1);
         assert_eq!(ok, items.iter().map(|n| n + 1).collect::<Vec<_>>());
+    }
+
+    /// Heap-owning results: a slot written twice, leaked, or written
+    /// after its buffer is freed shows under AddressSanitizer here,
+    /// where integer results would hide it. The panicking call leaves
+    /// some slots filled and some empty when its buffer is dropped.
+    #[test]
+    fn string_results_survive_a_panicking_call() {
+        let items: Vec<usize> = (0..1000).collect();
+        let result = catch_unwind(|| {
+            map_slice_with(&items, 4, |&i| {
+                if i == 613 {
+                    panic!("boom-613");
+                }
+                format!("item-{i}")
+            })
+        });
+        assert!(result.is_err(), "panic must reach the caller");
+        let out = map_slice_with(&items, 4, |&i| format!("item-{i}"));
+        let expected: Vec<String> = items.iter().map(|i| format!("item-{i}")).collect();
+        assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn string_results_survive_a_retried_item() {
+        use std::sync::atomic::AtomicU32;
+        let attempts = AtomicU32::new(0);
+        let items: Vec<usize> = (0..1000).collect();
+        let policy = FaultPolicy::with_retries(1).backoff(std::time::Duration::ZERO);
+        let out = try_map_slice_with(&items, 4, &policy, |&i| {
+            if i == 389 && attempts.fetch_add(1, Ordering::SeqCst) == 0 {
+                panic!("first attempt of item 389");
+            }
+            format!("item-{i}")
+        })
+        .unwrap();
+        let expected: Vec<String> = items.iter().map(|i| format!("item-{i}")).collect();
+        assert_eq!(out, expected);
+        assert_eq!(attempts.load(Ordering::SeqCst), 2, "one retry, no salvage");
     }
 
     #[test]
     fn try_map_with_zero_retries_matches_plain_map() {
         let items: Vec<i64> = (0..503).collect();
         let policy = FaultPolicy::default();
-        for strategy in [Strategy::Dynamic, Strategy::Static] {
-            let out =
-                try_map_slice_with(&items, 4, strategy, ExecMode::Pooled, &policy, |&n| n * 7)
-                    .unwrap();
-            let plain = map_slice_with(&items, 4, strategy, ExecMode::Pooled, |&n| n * 7);
-            assert_eq!(out, plain);
-        }
+        let out = try_map_slice_with(&items, 4, &policy, |&n| n * 7).unwrap();
+        assert_eq!(out, map_slice_with(&items, 4, |&n| n * 7));
     }
 
     #[test]
@@ -609,20 +550,13 @@ mod tests {
         let attempts: Vec<AtomicU32> = (0..100).map(|_| AtomicU32::new(0)).collect();
         let items: Vec<usize> = (0..100).collect();
         let policy = FaultPolicy::with_retries(2).backoff(std::time::Duration::ZERO);
-        let out = try_map_slice_with(
-            &items,
-            4,
-            Strategy::Dynamic,
-            ExecMode::Pooled,
-            &policy,
-            |&i| {
-                let n = attempts[i].fetch_add(1, Ordering::SeqCst);
-                if i % 7 == 0 && n == 0 {
-                    panic!("flaky item");
-                }
-                i * 3
-            },
-        )
+        let out = try_map_slice_with(&items, 4, &policy, |&i| {
+            let n = attempts[i].fetch_add(1, Ordering::SeqCst);
+            if i % 7 == 0 && n == 0 {
+                panic!("flaky item");
+            }
+            i * 3
+        })
         .unwrap();
         assert_eq!(out, items.iter().map(|i| i * 3).collect::<Vec<_>>());
     }
@@ -631,19 +565,12 @@ mod tests {
     fn zero_retry_failure_reports_retries_exhausted() {
         let items: Vec<i64> = (0..64).collect();
         let policy = FaultPolicy::default();
-        let err = try_map_slice_with(
-            &items,
-            4,
-            Strategy::Dynamic,
-            ExecMode::Pooled,
-            &policy,
-            |&n| {
-                if n == 13 {
-                    panic!("boom-13");
-                }
-                n
-            },
-        )
+        let err = try_map_slice_with(&items, 4, &policy, |&n| {
+            if n == 13 {
+                panic!("boom-13");
+            }
+            n
+        })
         .unwrap_err();
         match err {
             ExecError::RetriesExhausted {
@@ -661,16 +588,9 @@ mod tests {
     fn deadline_exceeded_is_reported_not_hung() {
         let items: Vec<u64> = (0..64).collect();
         let policy = FaultPolicy::default().deadline(std::time::Duration::from_millis(5));
-        let err = try_map_slice_with(
-            &items,
-            2,
-            Strategy::Dynamic,
-            ExecMode::Pooled,
-            &policy,
-            |_| {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            },
-        )
+        let err = try_map_slice_with(&items, 2, &policy, |_| {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        })
         .unwrap_err();
         match err {
             ExecError::DeadlineExceeded { completed, total } => {
@@ -690,20 +610,13 @@ mod tests {
         // Items 3, 13, 23, 33, 43 fail on both in-worker attempts (the
         // whole retry budget) and only succeed on the third call — which
         // can only be the sequential salvage pass.
-        let out = try_map_slice_with(
-            &items,
-            4,
-            Strategy::Dynamic,
-            ExecMode::Pooled,
-            &policy,
-            |&i| {
-                let n = attempts[i].fetch_add(1, Ordering::SeqCst);
-                if i % 10 == 3 && n < 2 {
-                    panic!("needs salvage");
-                }
-                i + 1000
-            },
-        )
+        let out = try_map_slice_with(&items, 4, &policy, |&i| {
+            let n = attempts[i].fetch_add(1, Ordering::SeqCst);
+            if i % 10 == 3 && n < 2 {
+                panic!("needs salvage");
+            }
+            i + 1000
+        })
         .unwrap();
         assert_eq!(out, (0..50).map(|i| i + 1000).collect::<Vec<_>>());
     }
@@ -711,13 +624,7 @@ mod tests {
     #[test]
     fn global_pool_is_created_once() {
         let first = global_pool() as *const WorkerPool;
-        let _ = map_slice_with(
-            &(0..100).collect::<Vec<i64>>(),
-            4,
-            Strategy::Dynamic,
-            ExecMode::Pooled,
-            |&n| n,
-        );
+        let _ = map_slice_with(&(0..100).collect::<Vec<i64>>(), 4, |&n| n);
         let second = global_pool() as *const WorkerPool;
         assert_eq!(first, second);
     }

@@ -26,6 +26,8 @@
 //! report always reconciles:
 //! `jobs_panicked == retries_scheduled + failures_final`.
 
+#![forbid(unsafe_code)]
+
 use std::any::Any;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -5,12 +5,11 @@
 //! OS threads:
 //!
 //! * [`Parallel`] — the Parallel.js-shaped builder API (Listing 1):
-//!   results in input order, running on the shared pool by default.
+//!   results in input order, running on the shared pool.
 //! * [`WorkerPool`] / [`executor`] — the persistent pooled execution
-//!   engine (our extension): one lazily created process-wide pool,
-//!   chunked dynamic scheduling, and an [`ExecMode`] switch so the
-//!   `ablate_sched`/`pool_reuse` benches can compare against the
-//!   paper-faithful spawn-per-call behaviour.
+//!   engine (our extension): one lazily created process-wide pool and
+//!   one chunk loop, in which tasks claim chunks dynamically and write
+//!   each chunk's results through its own `&mut` output slice.
 //! * [`ring_map`] / [`ring_map_pairs`] / [`ring_reduce_groups`] — apply
 //!   compiled Snap! rings on workers with structured-clone isolation,
 //!   the analogue of Listing 2's `mappedCode()` → `new Function` →
@@ -25,8 +24,12 @@
 //! only the compiled ring and the values posted to it, exactly as a Web
 //! Worker sees only the function source and the structured-cloned
 //! message data.
+//!
+//! The crate's one `unsafe` block is the lifetime-erased job submission
+//! in the executor; every other module forbids `unsafe` code.
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod executor;
 pub mod fault;
@@ -41,10 +44,10 @@ pub use executor::{
 pub use fault::{
     install_injector, panic_message, ExecError, FaultEnvError, FaultInjector, FaultPolicy,
 };
-pub use parallel::{default_workers, map_slice, Parallel, Strategy};
+pub use parallel::{default_workers, Parallel};
 pub use pool::{PoolClosed, WorkerPool};
 pub use ring_fn::{
     ring_map, ring_map_faulted, ring_map_keyed, ring_map_pairs, ring_map_pairs_faulted,
-    ring_reduce_groups, ring_reduce_groups_faulted, ColumnarPolicy, Isolation, KeyColumn,
-    KeyedTally, RingMapError, RingMapOptions, COLUMNAR_MIN_ITEMS,
+    ring_reduce_groups, ring_reduce_groups_faulted, ColumnarPolicy, KeyColumn, KeyedTally,
+    RingMapError, RingMapOptions, COLUMNAR_MIN_ITEMS,
 };

@@ -19,34 +19,18 @@
 //! ```
 //!
 //! Unlike Parallel.js — which spawns its Web Workers afresh per call —
-//! execution runs on the shared process-wide pool by default
-//! ([`ExecMode::Pooled`]); the paper-faithful spawn-per-call behaviour
-//! stays available through [`ExecMode::SpawnPerCall`]. Results always
-//! come back in input order.
+//! execution runs on the shared process-wide pool. Results always come
+//! back in input order.
 
-use crate::executor::{map_slice_with, ExecMode};
+#![forbid(unsafe_code)]
 
-/// How items are handed to workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Strategy {
-    /// Workers repeatedly claim the next unprocessed item ("the workers
-    /// systematically process the remaining elements from the list until
-    /// completed", paper §3.2). Balances skewed workloads.
-    #[default]
-    Dynamic,
-    /// Each worker takes one contiguous block of `len / workers` items up
-    /// front. Cheaper coordination, poor balance under skew — the
-    /// `ablate_sched` bench quantifies the difference.
-    Static,
-}
+use crate::executor::map_slice_with;
 
 /// Builder mirroring `new Parallel(data, opts)`.
 #[derive(Debug)]
 pub struct Parallel<T> {
     data: Vec<T>,
     max_workers: usize,
-    strategy: Strategy,
-    exec: ExecMode,
 }
 
 /// The default worker count: hardware concurrency if known, else 4 —
@@ -63,8 +47,6 @@ impl<T: Send + Sync> Parallel<T> {
         Parallel {
             data,
             max_workers: default_workers(),
-            strategy: Strategy::Dynamic,
-            exec: ExecMode::Pooled,
         }
     }
 
@@ -74,27 +56,9 @@ impl<T: Send + Sync> Parallel<T> {
         self
     }
 
-    /// Select the work-distribution strategy.
-    pub fn with_strategy(mut self, strategy: Strategy) -> Parallel<T> {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Select pooled or spawn-per-call execution.
-    pub fn with_exec_mode(mut self, exec: ExecMode) -> Parallel<T> {
-        self.exec = exec;
-        self
-    }
-
     /// Apply `f` to every item in parallel; results in input order.
     pub fn map<R: Send>(self, f: impl Fn(&T) -> R + Send + Sync) -> Vec<R> {
-        let Parallel {
-            data,
-            max_workers,
-            strategy,
-            exec,
-        } = self;
-        map_slice_with(&data, max_workers, strategy, exec, f)
+        map_slice_with(&self.data, self.max_workers, f)
     }
 
     /// Run `f` on every item in parallel, for its effects.
@@ -113,17 +77,6 @@ impl<T: Send + Sync> Parallel<T> {
     ) -> A {
         self.map(f).into_iter().fold(init, fold)
     }
-}
-
-/// Parallel map over a borrowed slice (no move of the input), using the
-/// default execution mode. See [`map_slice_with`] to pick the mode.
-pub fn map_slice<T: Send + Sync, R: Send>(
-    items: &[T],
-    workers: usize,
-    strategy: Strategy,
-    f: impl Fn(&T) -> R + Send + Sync,
-) -> Vec<R> {
-    map_slice_with(items, workers, strategy, ExecMode::default(), f)
 }
 
 #[cfg(test)]
@@ -145,14 +98,6 @@ mod tests {
             .with_max_workers(8)
             .map(|&n| n * 3);
         assert_eq!(out, items.iter().map(|n| n * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn static_strategy_matches_dynamic_results() {
-        let items: Vec<i64> = (0..257).collect();
-        let a = map_slice(&items, 4, Strategy::Dynamic, |&n| n * n);
-        let b = map_slice(&items, 4, Strategy::Static, |&n| n * n);
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -196,15 +141,14 @@ mod tests {
     }
 
     #[test]
-    fn skewed_work_completes_under_both_strategies() {
+    fn skewed_work_matches_sequential_map() {
         let items: Vec<u64> = (0..64).collect();
         // Item 0 is 100× more expensive.
         let cost = |&n: &u64| {
             let reps = if n == 0 { 10_000 } else { 100 };
             (0..reps).fold(n, |acc, _| acc.wrapping_mul(31).wrapping_add(7))
         };
-        let a = map_slice(&items, 4, Strategy::Dynamic, cost);
-        let b = map_slice(&items, 4, Strategy::Static, cost);
-        assert_eq!(a, b);
+        let out = Parallel::new(items.clone()).with_max_workers(4).map(cost);
+        assert_eq!(out, items.iter().map(cost).collect::<Vec<_>>());
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Parallel.js creates its Web Workers anew for every `Parallel` object
 //! (paper Listing 1/2). That is faithful but wasteful; this pool is the
-//! long-lived alternative the parallel backend uses, and the
-//! `ablate_sched`/`pool_reuse` benches compare the two. Workers are OS
+//! long-lived alternative every parallel call runs on (EXPERIMENTS.md
+//! A1 and A5 record what spawning per call cost). Workers are OS
 //! threads — the share-nothing, message-passing shape of HTML5 Web
 //! Workers — but the job queue is no longer one mpsc channel behind a
 //! mutex shared by every worker. Scheduling is work-stealing:
@@ -33,6 +33,8 @@
 //! *dequeue*, not completion: waiters wake the instant a job's
 //! completion token drops (inside the job), so counting before the run
 //! keeps every finished job in the totals a quiescent observer reads.
+
+#![forbid(unsafe_code)]
 
 use std::cell::RefCell;
 use std::collections::VecDeque;

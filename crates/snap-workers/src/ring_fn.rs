@@ -12,9 +12,9 @@
 //! Compilation goes further than the paper's `new Function`: a numeric
 //! ring's `PureFn` from [`compile_cached`] carries an unboxed `f64`
 //! register program (see `snap_ast::bytecode`), so every execution path
-//! that flows through here — pooled, work-stolen, fault-retried,
-//! spawn-per-call — runs it per item; every other ring runs on the tree
-//! walk. On top of that sits the **columnar batch tier**: when the ring
+//! that flows through here — pooled, work-stolen, fault-retried — runs
+//! it per item; every other ring runs on the tree walk. On top of that
+//! sits the **columnar batch tier**: when the ring
 //! is batchable and every list element is a `Value::Number`, the map
 //! unboxes the list once, moves flat `f64` chunks through the pool, and
 //! runs `eval_batch` per chunk with no per-element dispatch at all (see
@@ -26,6 +26,8 @@
 //! [`ring_map_keyed`] runs a mapper's [`PairProgram`] as a key column and
 //! an `f64` value column per chunk, so no two-item list is ever built.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::sync::Arc;
 
@@ -33,22 +35,8 @@ use snap_ast::bytecode::{NumProgram, PairKey, PairProgram};
 use snap_ast::pure::{as_map_pair, compile_cached, PureFn};
 use snap_ast::{EvalError, Ring, Value};
 
-use crate::executor::{columnar_chunk_size, try_map_slice_with, ExecMode};
+use crate::executor::{columnar_chunk_size, try_map_slice_with};
 use crate::fault::{ExecError, FaultPolicy};
-use crate::parallel::Strategy;
-
-/// Whether values crossing the worker boundary are structured-cloned
-/// (the Web Worker model) or shared (what raw threads allow). `Share` is
-/// only for the `ablate_copy` bench — it quantifies what the copy costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Isolation {
-    /// Deep-copy inputs into the worker and results out of it.
-    #[default]
-    Copy,
-    /// Share list storage across threads (safe in Rust — `List` is a
-    /// lock-protected `Arc` — but not what Web Workers do).
-    Share,
-}
 
 /// Whether [`ring_map`] may route all-numeric lists through the
 /// columnar batch tier (flat `f64` chunks + `eval_batch`, boxing
@@ -74,12 +62,6 @@ pub const COLUMNAR_MIN_ITEMS: usize = 16;
 pub struct RingMapOptions {
     /// Worker count (clamped to ≥ 1).
     pub workers: usize,
-    /// Work-distribution strategy.
-    pub strategy: Strategy,
-    /// Boundary-crossing semantics.
-    pub isolation: Isolation,
-    /// Pooled (default) or spawn-per-call execution.
-    pub exec: ExecMode,
     /// Simulated per-item service time, slept by the worker before
     /// evaluating. Models latency-bound items (a drink takes time to
     /// pour, a request takes time to answer) so worker scaling is
@@ -96,9 +78,6 @@ impl Default for RingMapOptions {
     fn default() -> Self {
         RingMapOptions {
             workers: crate::parallel::default_workers(),
-            strategy: Strategy::Dynamic,
-            isolation: Isolation::Copy,
-            exec: ExecMode::Pooled,
             latency: None,
             policy: FaultPolicy::default(),
             columnar: ColumnarPolicy::default(),
@@ -178,26 +157,14 @@ pub fn ring_map_faulted(
         // ring is not batchable or the list is not all-numeric.
         snap_trace::well_known::RING_BATCH_FALLBACKS.incr();
     }
-    let results = try_map_slice_with(
-        items,
-        options.workers,
-        options.strategy,
-        options.exec,
-        &options.policy,
-        |item| {
-            if let Some(latency) = options.latency {
-                std::thread::sleep(latency);
-            }
-            let input = match options.isolation {
-                Isolation::Copy => item.deep_copy(),
-                Isolation::Share => item.clone(),
-            };
-            f.call1(input).map(|v| match options.isolation {
-                Isolation::Copy => v.deep_copy(),
-                Isolation::Share => v,
-            })
-        },
-    )
+    // Structured clone, as `postMessage` does for a Web Worker: the item
+    // is deep-copied into the worker and the result out of it.
+    let results = try_map_slice_with(items, options.workers, &options.policy, |item| {
+        if let Some(latency) = options.latency {
+            std::thread::sleep(latency);
+        }
+        f.call1(item.deep_copy()).map(|v| v.deep_copy())
+    })
     .map_err(RingMapError::Exec)?;
     results
         .into_iter()
@@ -239,8 +206,8 @@ fn columnar_f64(items: &[Value]) -> Option<Vec<f64>> {
 /// overhead. The fault policy still applies — at chunk granularity: an
 /// injected panic retries the whole chunk, and exhausted budgets surface
 /// as [`RingMapError::Exec`] so callers degrade exactly as they do for
-/// the per-element path. Isolation needs no handling here: numbers are
-/// plain copies either way.
+/// the per-element path. Numbers are plain copies, so the structured
+/// clone needs no work here.
 fn columnar_map(
     f: &PureFn,
     inputs: Vec<f64>,
@@ -249,20 +216,13 @@ fn columnar_map(
     let len = inputs.len();
     let _span = snap_trace::span!("columnar_map", len);
     let chunks = chunk_ranges(len, columnar_chunk_size(len, options.workers));
-    let outputs = try_map_slice_with(
-        &chunks,
-        options.workers,
-        options.strategy,
-        options.exec,
-        &options.policy,
-        |range| {
-            snap_trace::well_known::PAR_COLUMNAR_CHUNKS.incr();
-            let mut out = Vec::with_capacity(range.len());
-            let batched = f.eval_batch(&inputs[range.clone()], &mut out);
-            debug_assert!(batched, "columnar_map requires a batchable ring");
-            out
-        },
-    )
+    let outputs = try_map_slice_with(&chunks, options.workers, &options.policy, |range| {
+        snap_trace::well_known::PAR_COLUMNAR_CHUNKS.incr();
+        let mut out = Vec::with_capacity(range.len());
+        let batched = f.eval_batch(&inputs[range.clone()], &mut out);
+        debug_assert!(batched, "columnar_map requires a batchable ring");
+        out
+    })
     .map_err(RingMapError::Exec)?;
     // The boxing seam: flat chunk outputs become Values exactly once,
     // in input order.
@@ -349,24 +309,17 @@ pub fn ring_map_keyed<R: Send>(
     }
     let _span = snap_trace::span!("keyed.map", len);
     let ranges = chunk_ranges(len, chunk_len);
-    let chunks = try_map_slice_with(
-        &ranges,
-        options.workers,
-        options.strategy,
-        options.exec,
-        &options.policy,
-        |range| {
-            let items = &items[range.clone()];
-            let numbers = columnar_f64(items);
-            let keys = match &pair.key {
-                PairKey::Arg => KeyColumn::Items(items),
-                PairKey::Const(key) => KeyColumn::Const(key),
-                PairKey::Num(p) => KeyColumn::Numbers(eval_column(p, items, numbers.as_deref())),
-            };
-            let values = eval_column(&pair.value, items, numbers.as_deref());
-            (fold(keys, values), numbers.is_some())
-        },
-    )?;
+    let chunks = try_map_slice_with(&ranges, options.workers, &options.policy, |range| {
+        let items = &items[range.clone()];
+        let numbers = columnar_f64(items);
+        let keys = match &pair.key {
+            PairKey::Arg => KeyColumn::Items(items),
+            PairKey::Const(key) => KeyColumn::Const(key),
+            PairKey::Num(p) => KeyColumn::Numbers(eval_column(p, items, numbers.as_deref())),
+        };
+        let values = eval_column(&pair.value, items, numbers.as_deref());
+        (fold(keys, values), numbers.is_some())
+    })?;
     let mut tally = KeyedTally::default();
     let mut folds = Vec::with_capacity(chunks.len());
     for ((folded, batched), range) in chunks.into_iter().zip(&ranges) {
@@ -442,28 +395,11 @@ pub fn ring_reduce_groups_faulted(
     snap_trace::well_known::RING_MAP_ITEMS.add(len as u64);
     let _span = snap_trace::span!("ring_reduce_groups", len);
     let f = compile_cached(&ring).map_err(RingMapError::Eval)?;
-    let results = try_map_slice_with(
-        groups,
-        options.workers,
-        options.strategy,
-        options.exec,
-        &options.policy,
-        |(key, values)| {
-            let arg = match options.isolation {
-                Isolation::Copy => Value::list(values.iter().map(Value::deep_copy).collect()),
-                Isolation::Share => Value::list(values.clone()),
-            };
-            f.call1(arg).map(|reduced| {
-                Value::list(vec![
-                    key.clone(),
-                    match options.isolation {
-                        Isolation::Copy => reduced.deep_copy(),
-                        Isolation::Share => reduced,
-                    },
-                ])
-            })
-        },
-    )
+    let results = try_map_slice_with(groups, options.workers, &options.policy, |(key, values)| {
+        let arg = Value::list(values.iter().map(Value::deep_copy).collect());
+        f.call1(arg)
+            .map(|reduced| Value::list(vec![key.clone(), reduced.deep_copy()]))
+    })
     .map_err(RingMapError::Exec)?;
     results
         .into_iter()
@@ -532,7 +468,6 @@ mod tests {
             items,
             RingMapOptions {
                 workers: 4,
-                exec: ExecMode::Pooled,
                 ..Default::default()
             },
         )
@@ -636,23 +571,6 @@ mod tests {
         .unwrap();
         shared.add(2.into());
         assert_eq!(out[0].as_list().unwrap().len(), 1, "worker saw a copy");
-    }
-
-    #[test]
-    fn share_isolation_aliases() {
-        let identity = Arc::new(Ring::reporter(empty_slot()));
-        let shared = snap_ast::List::from_vec(vec![1.into()]);
-        let out = ring_map(
-            identity,
-            vec![Value::List(shared.clone())],
-            RingMapOptions {
-                isolation: Isolation::Share,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        shared.add(2.into());
-        assert_eq!(out[0].as_list().unwrap().len(), 2, "worker shared storage");
     }
 
     #[test]

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use snap_ast::builder::*;
 use snap_ast::{Ring, Value};
-use snap_workers::{map_slice, ring_map, Isolation, RingMapOptions, Strategy};
+use snap_workers::{map_slice_with, ring_map, RingMapOptions};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -14,23 +14,23 @@ proptest! {
     #[test]
     fn map_slice_matches_sequential_for_any_worker_count(
         items in prop::collection::vec(any::<i64>(), 0..200),
-        workers in 1usize..16,
-        dynamic in any::<bool>()
+        workers in 1usize..16
     ) {
-        let strategy = if dynamic { Strategy::Dynamic } else { Strategy::Static };
         let expected: Vec<i64> = items.iter().map(|n| n.wrapping_mul(3)).collect();
-        let got = map_slice(&items, workers, strategy, |n| n.wrapping_mul(3));
+        let got = map_slice_with(&items, workers, |n| n.wrapping_mul(3));
         prop_assert_eq!(got, expected);
     }
 
     #[test]
-    fn dynamic_and_static_strategies_agree(
+    fn pooled_map_of_strings_matches_sequential_map(
         items in prop::collection::vec(any::<u32>(), 0..150),
         workers in 1usize..9
     ) {
-        let a = map_slice(&items, workers, Strategy::Dynamic, |n| n.rotate_left(7));
-        let b = map_slice(&items, workers, Strategy::Static, |n| n.rotate_left(7));
-        prop_assert_eq!(a, b);
+        // Heap-owning results over every chunk layout: each slot must
+        // receive exactly one value, in input order.
+        let expected: Vec<String> = items.iter().map(|n| n.rotate_left(7).to_string()).collect();
+        let got = map_slice_with(&items, workers, |n| n.rotate_left(7).to_string());
+        prop_assert_eq!(got, expected);
     }
 
     #[test]
@@ -53,27 +53,23 @@ proptest! {
     }
 
     #[test]
-    fn copy_and_share_isolation_agree_on_results(
+    fn read_only_ring_matches_sequential_map(
         xs in prop::collection::vec(-1e3f64..1e3, 1..40),
         workers in 1usize..6
     ) {
-        // A read-only ring must produce identical output either way.
+        // The structured clone must not change what a read-only ring
+        // reports.
         let ring = Arc::new(Ring::reporter_with_params(
             vec!["v".into()],
             add(var("v"), num(1.0)),
         ));
         let items: Vec<Value> = xs.iter().map(|&x| Value::Number(x)).collect();
-        let copy = ring_map(ring.clone(), items.clone(), RingMapOptions {
+        let expected: Vec<Value> = xs.iter().map(|&x| Value::Number(x + 1.0)).collect();
+        let got = ring_map(ring, items, RingMapOptions {
             workers,
-            isolation: Isolation::Copy,
             ..Default::default()
         }).unwrap();
-        let share = ring_map(ring, items, RingMapOptions {
-            workers,
-            isolation: Isolation::Share,
-            ..Default::default()
-        }).unwrap();
-        prop_assert_eq!(copy, share);
+        prop_assert_eq!(got, expected);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use snap_trace::well_known as metrics;
-use snap_workers::{map_slice_with, ExecMode, Strategy, WorkerPool};
+use snap_workers::{map_slice_with, WorkerPool};
 
 #[test]
 fn scheduler_survives_panics_nesting_and_growth() {
@@ -96,9 +96,9 @@ fn scheduler_survives_panics_nesting_and_growth() {
     // deque and helps (no serial inlining); results and counters must
     // still reconcile.
     let outer: Vec<u64> = (0..32).collect();
-    let out = map_slice_with(&outer, 4, Strategy::Dynamic, ExecMode::Pooled, |&n| {
+    let out = map_slice_with(&outer, 4, |&n| {
         let inner: Vec<u64> = (0..64).collect();
-        map_slice_with(&inner, 4, Strategy::Dynamic, ExecMode::Pooled, |&m| m + n)
+        map_slice_with(&inner, 4, |&m| m + n)
             .into_iter()
             .sum::<u64>()
     });

@@ -21,8 +21,8 @@ use snap_ast::{Ring, Value};
 use snap_parallel::{map_reduce_with_policy, parallel_map_with_options, parallel_map_with_policy};
 use snap_trace::well_known as metrics;
 use snap_workers::{
-    install_injector, try_map_slice_with, ColumnarPolicy, ExecError, ExecMode, FaultInjector,
-    FaultPolicy, RingMapOptions, Strategy,
+    install_injector, try_map_slice_with, ColumnarPolicy, ExecError, FaultInjector, FaultPolicy,
+    RingMapOptions,
 };
 
 /// Serializes tests that install the process-global fault injector.
@@ -126,17 +126,10 @@ fn deadline_exceeded_is_a_typed_error_not_a_hang() {
 
     let items: Vec<u64> = (0..64).collect();
     let policy = FaultPolicy::default().deadline(Duration::from_millis(2));
-    let result = try_map_slice_with(
-        &items,
-        2,
-        Strategy::Dynamic,
-        ExecMode::Pooled,
-        &policy,
-        |n| {
-            std::thread::sleep(Duration::from_millis(1));
-            n * 2
-        },
-    );
+    let result = try_map_slice_with(&items, 2, &policy, |n| {
+        std::thread::sleep(Duration::from_millis(1));
+        n * 2
+    });
     match result {
         Err(ExecError::DeadlineExceeded { completed, total }) => {
             assert_eq!(total, 64);
@@ -189,14 +182,7 @@ fn zero_retry_policy_fails_fast_on_first_panic() {
     install_injector(Some(FaultInjector::new(7).panic_probability(1.0)));
 
     let items: Vec<u64> = (0..32).collect();
-    let result = try_map_slice_with(
-        &items,
-        2,
-        Strategy::Dynamic,
-        ExecMode::Pooled,
-        &FaultPolicy::default(),
-        |n| n + 1,
-    );
+    let result = try_map_slice_with(&items, 2, &FaultPolicy::default(), |n| n + 1);
     install_injector(None);
 
     match result {
@@ -221,15 +207,8 @@ fn zero_retry_policy_is_equivalent_to_seed_on_the_happy_path() {
     let before = FaultCounters::snapshot();
 
     let items: Vec<u64> = (0..1000).collect();
-    let out = try_map_slice_with(
-        &items,
-        4,
-        Strategy::Dynamic,
-        ExecMode::Pooled,
-        &FaultPolicy::default(),
-        |n| n * 3,
-    )
-    .expect("no injector, no faults");
+    let out = try_map_slice_with(&items, 4, &FaultPolicy::default(), |n| n * 3)
+        .expect("no injector, no faults");
     assert_eq!(out, items.iter().map(|n| n * 3).collect::<Vec<_>>());
 
     let delta = FaultCounters::snapshot().delta_since(&before);
@@ -248,14 +227,7 @@ fn exhausted_retries_salvage_sequentially_in_order() {
     install_injector(Some(FaultInjector::new(11).panic_probability(1.0)));
     let items: Vec<u64> = (0..64).collect();
     let policy = FaultPolicy::with_retries(2).backoff(Duration::from_micros(10));
-    let out = try_map_slice_with(
-        &items,
-        2,
-        Strategy::Dynamic,
-        ExecMode::Pooled,
-        &policy,
-        |n| n + 100,
-    );
+    let out = try_map_slice_with(&items, 2, &policy, |n| n + 100);
     install_injector(None);
 
     let out = out.expect("salvage pass completes every exhausted item");
