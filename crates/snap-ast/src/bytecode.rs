@@ -201,20 +201,58 @@ impl NumProgram {
     fn run(&self, args: &[Value]) -> f64 {
         // Lowering declines programs wider than NUM_STACK_REGS, so the
         // register file is always this fixed stack array.
-        debug_assert!(self.regs <= NUM_STACK_REGS);
         let mut stack = [0.0f64; NUM_STACK_REGS];
+        self.exec(
+            &mut stack,
+            |i| args[i as usize].to_number(),
+            |i| match args.len() {
+                0 => 0.0,
+                1 => args[0].to_number(),
+                _ => args.get(i as usize).map(Value::to_number).unwrap_or(0.0),
+            },
+        )
+    }
+
+    /// `combine`'s left fold over `items`, in one pass: the result of
+    /// `acc = call(&[Number(acc), Number(item)])` from the first item on,
+    /// bit for bit, since `to_number` of a `Number` is the identity and
+    /// the same [`num_binop`]s run in the same order. `None` for an
+    /// empty slice, or when the program does not take two inputs (a
+    /// named arity other than 2), where `call` would raise.
+    pub fn fold(&self, items: &[f64]) -> Option<f64> {
+        if !matches!(self.arity, None | Some(2)) {
+            return None;
+        }
+        let (&first, rest) = items.split_first()?;
+        // Registers are written before they are read, so one file serves
+        // every step.
+        let mut stack = [0.0f64; NUM_STACK_REGS];
+        Some(rest.iter().fold(first, |acc, &item| {
+            let args = [acc, item];
+            self.exec(
+                &mut stack,
+                |i| args[i as usize],
+                |i| args.get(i as usize).copied().unwrap_or(0.0),
+            )
+        }))
+    }
+
+    /// Run the program on the register file `stack`, loading parameter
+    /// `i` with `arg(i)` and own empty slot `i` with `slot(i)`.
+    #[inline(always)]
+    fn exec(
+        &self,
+        stack: &mut [f64; NUM_STACK_REGS],
+        arg: impl Fn(u16) -> f64,
+        slot: impl Fn(u16) -> f64,
+    ) -> f64 {
+        debug_assert!(self.regs <= NUM_STACK_REGS);
         let regs: &mut [f64] = &mut stack[..self.regs];
         for instr in &self.instrs {
             match *instr {
                 NumInstr::Const(v, dst) => regs[dst as usize] = v,
-                NumInstr::Arg(i, dst) => regs[dst as usize] = args[i as usize].to_number(),
-                NumInstr::Slot(i, dst) => {
-                    regs[dst as usize] = match args.len() {
-                        0 => 0.0,
-                        1 => args[0].to_number(),
-                        _ => args.get(i as usize).map(Value::to_number).unwrap_or(0.0),
-                    }
-                }
+                NumInstr::Arg(i, dst) => regs[dst as usize] = arg(i),
+                NumInstr::Slot(i, dst) => regs[dst as usize] = slot(i),
                 NumInstr::Bin(op, a, b, dst) => {
                     let (x, y) = (regs[a as usize], regs[b as usize]);
                     regs[dst as usize] = num_binop(op, x, y).expect("arith op");
@@ -628,6 +666,66 @@ mod tests {
             Value::Number(13.0)
         );
         assert_eq!(p.call(&[]).unwrap(), Value::Number(0.0));
+    }
+
+    /// `acc = p(acc, x)` from the first item, one call per step.
+    fn fold_by_calls(p: &NumProgram, items: &[f64]) -> Option<f64> {
+        let (&first, rest) = items.split_first()?;
+        Some(rest.iter().fold(first, |acc, &x| {
+            p.call(&[Value::Number(acc), Value::Number(x)])
+                .unwrap()
+                .to_number()
+        }))
+    }
+
+    #[test]
+    fn fold_matches_step_by_step_calls() {
+        let named = lower(&Ring::reporter_with_params(
+            vec!["acc".into(), "x".into()],
+            sub(mul(var("acc"), num(0.5)), var("x")),
+        ))
+        .unwrap();
+        // Three slots: the third reads nothing, so it is 0 at each step.
+        let slots = lower(&Ring::reporter(add(
+            add(empty_slot(), empty_slot()),
+            mul(empty_slot(), num(9.0)),
+        )))
+        .unwrap();
+        let items = [3.0, -0.0, 1e300, 7.25, f64::NAN, -4.0, 0.1];
+        for p in [&named, &slots] {
+            for n in 0..=items.len() {
+                let (want, got) = (fold_by_calls(p, &items[..n]), p.fold(&items[..n]));
+                assert_eq!(want.map(f64::to_bits), got.map(f64::to_bits), "{n} items");
+            }
+        }
+        assert_eq!(slots.fold(&[1.0, 2.0, 3.0]), Some(6.0));
+    }
+
+    #[test]
+    fn fold_declines_rings_that_do_not_take_two_inputs() {
+        let one = lower(&Ring::reporter_with_params(
+            vec!["x".into()],
+            add(var("x"), num(1.0)),
+        ))
+        .unwrap();
+        let three = lower(&Ring::reporter_with_params(
+            vec!["a".into(), "b".into(), "c".into()],
+            add(var("a"), var("c")),
+        ))
+        .unwrap();
+        // `call` raises the arity error on two inputs; `fold` leaves it.
+        for p in [&one, &three] {
+            assert!(p.call(&[1.into(), 2.into()]).is_err());
+            assert_eq!(p.fold(&[1.0, 2.0]), None);
+        }
+    }
+
+    #[test]
+    fn fold_of_no_items_is_none_and_of_one_is_that_item() {
+        let p = lower(&Ring::reporter(div(empty_slot(), empty_slot()))).unwrap();
+        assert_eq!(p.fold(&[]), None);
+        assert_eq!(p.fold(&[-0.0]).map(f64::to_bits), Some((-0.0f64).to_bits()));
+        assert_eq!(p.fold(&[6.0, 3.0, 2.0]), Some(1.0));
     }
 
     #[test]

@@ -27,7 +27,8 @@ pub enum Constant {
 
 impl Constant {
     /// Materialize a fresh runtime value. List constants produce *new*
-    /// list storage every time, so two materializations never alias.
+    /// list storage every time, so two materializations never alias; a
+    /// list of numbers only is stored unboxed (see [`Value::list`]).
     pub fn to_value(&self) -> Value {
         match self {
             Constant::Nothing => Value::Nothing,
@@ -120,6 +121,34 @@ mod tests {
             Constant::from_value(&list),
             Constant::List(vec![Constant::Nothing, 7.into()])
         );
+    }
+
+    #[test]
+    fn number_list_constants_materialize_numeric() {
+        let numeric = |c: Constant| c.to_value().as_list().unwrap().is_numeric();
+        assert!(numeric(Constant::List(vec![1.into(), 2.5.into()])));
+        assert!(numeric(Constant::List(vec![])));
+        assert!(!numeric(Constant::List(vec![1.into(), "2".into()])));
+        assert!(!numeric(Constant::List(vec![1.into(), true.into()])));
+        // A nested list of numbers is numeric inside a boxed outer list.
+        let nested = Constant::List(vec![Constant::List(vec![1.into()]), 2.into()]).to_value();
+        let outer = nested.as_list().unwrap();
+        assert!(!outer.is_numeric());
+        assert!(outer.item(1).unwrap().as_list().unwrap().is_numeric());
+        // Either form saves back as the same constant.
+        let c = Constant::List(vec![(-0.0).into(), f64::NAN.into()]);
+        let Constant::List(back) = Constant::from_value(&c.to_value()) else {
+            panic!("a list saves as a list");
+        };
+        let Constant::List(items) = &c else {
+            unreachable!()
+        };
+        for (a, b) in back.iter().zip(items) {
+            let (Constant::Number(a), Constant::Number(b)) = (a, b) else {
+                panic!("numbers save as numbers");
+            };
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]

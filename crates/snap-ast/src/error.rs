@@ -38,6 +38,12 @@ pub enum EvalError {
     /// Ring applications (or custom-block calls) nested past the
     /// recursion limit, `snap_ast::pure::MAX_DEPTH`.
     TooMuchRecursion,
+    /// A block would build a list of more items than the budget allows
+    /// (`snap_ast::pure::MAX_LIST_ITEMS`), or of endlessly many.
+    ListTooLong {
+        /// The budget.
+        limit: usize,
+    },
     /// Anything else, with a message.
     Other(String),
 }
@@ -68,6 +74,9 @@ impl fmt::Display for EvalError {
                 write!(f, "no definition for custom block '{name}'")
             }
             EvalError::TooMuchRecursion => f.write_str("too much recursion"),
+            EvalError::ListTooLong { limit } => {
+                write!(f, "a list of more than {limit} items is too long to build")
+            }
             EvalError::Other(msg) => f.write_str(msg),
         }
     }

@@ -41,5 +41,5 @@ pub use ring::{Ring, RingBody};
 pub use script::{BlockKind, CustomBlock, HatBlock, Script};
 pub use sprite::{Project, SpriteDef};
 pub use stmt::{Stmt, StopKind};
-pub use value::{List, Value};
+pub use value::{List, ListView, Value};
 pub use xml::XmlError;

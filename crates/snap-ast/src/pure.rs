@@ -19,6 +19,11 @@
 //! is generic over an environment ([`Env`]), and the VM's `EvalCtx` is
 //! its other environment besides a worker's. `mapReduce` has its one
 //! sequential path here too ([`map_reduce_with`]).
+//!
+//! The walk hands `parallelMap` and `mapReduce` their input list by
+//! handle, so the environment reads it in place (a numeric list as
+//! `f64`s), and `combine` over a numeric list runs one left fold over
+//! its `f64`s ([`NumProgram::fold`]) when its ring lowers.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
@@ -27,7 +32,7 @@ use crate::bytecode::{self, num_binop, num_unop, NumProgram, PairProgram};
 use crate::error::EvalError;
 use crate::expr::{Attr, BinOp, Expr, RingExprBody, UnOp};
 use crate::ring::{Ring, RingBody};
-use crate::value::{snap_sort_by, List, Value};
+use crate::value::{snap_sort_by, List, ListView, Value};
 
 /// Check that `expr` only uses blocks a worker can evaluate without the
 /// VM. Returns the name of the first offending block on failure.
@@ -125,6 +130,14 @@ impl PureFn {
         match &self.compiled {
             Compiled::TreeWalk(pair) => pair.as_deref(),
             Compiled::Numeric(_) => None,
+        }
+    }
+
+    /// The numeric program calls run, when the ring lowered to one.
+    pub fn num_program(&self) -> Option<&NumProgram> {
+        match &self.compiled {
+            Compiled::Numeric(p) => Some(p),
+            Compiled::TreeWalk(_) => None,
         }
     }
 
@@ -392,30 +405,42 @@ pub trait Env: Sized {
         Err(EvalError::UnknownCustomBlock(name.to_owned()).into())
     }
 
-    /// `parallelMap`, with its `workers` input when it has one. On a
-    /// worker it runs as `map`, the degradation Snap! performs when no
-    /// workers are available.
+    /// `combine` over the numbers of a numeric list: the left fold of
+    /// `numbers` under `f` in one pass, when applying `f` here would run
+    /// a numeric program that takes two inputs ([`NumProgram::fold`]).
+    /// `None` leaves the fold to one [`Env::apply`] per step, which also
+    /// raises whatever error applying `f` raises.
+    fn fold_numbers(&mut self, f: &Self::Prepared, numbers: &[f64]) -> Option<f64>;
+
+    /// `parallelMap` over `list`, with its `workers` input when it has
+    /// one. On a worker it runs as `map` over a snapshot of the list, the
+    /// degradation Snap! performs when no workers are available.
     fn parallel_map(
         &mut self,
         ring: Arc<Ring>,
-        items: Vec<Value>,
+        list: &List,
         _workers: Option<f64>,
-    ) -> Result<Vec<Value>, Self::Error> {
+    ) -> Result<Value, Self::Error> {
         let f = self.prepare(ring)?;
-        map_with(self, &f, items)
+        Ok(Value::list(map_with(self, &f, list.to_vec())?))
     }
 
-    /// `mapReduce`. On a worker it runs sequentially
-    /// ([`map_reduce_with`]).
+    /// `mapReduce` over `list`. On a worker it runs sequentially
+    /// ([`map_reduce_with`]) over a snapshot of the list.
     fn map_reduce(
         &mut self,
         mapper: Arc<Ring>,
         reducer: Arc<Ring>,
-        items: Vec<Value>,
-    ) -> Result<Vec<Value>, Self::Error> {
+        list: &List,
+    ) -> Result<Value, Self::Error> {
         let mapper = self.prepare(mapper)?;
         let reducer = self.prepare(reducer)?;
-        map_reduce_with(self, &mapper, &reducer, items)
+        Ok(Value::list(map_reduce_with(
+            self,
+            &mapper,
+            &reducer,
+            list.to_vec(),
+        )?))
     }
 }
 
@@ -499,7 +524,7 @@ pub fn eval<E: Env>(env: &mut E, expr: &Expr) -> Result<Value, E::Error> {
         Expr::NumbersFromTo(a, b) => {
             let a = eval(env, a)?.to_number();
             let b = eval(env, b)?.to_number();
-            Ok(numbers_from_to(a, b))
+            Ok(numbers_from_to(a, b)?)
         }
         Expr::PickRandom(lo, hi) => {
             let lo = eval(env, lo)?.to_number();
@@ -548,10 +573,23 @@ pub fn eval<E: Env>(env: &mut E, expr: &Expr) -> Result<Value, E::Error> {
             Ok(Value::list(out))
         }
         Expr::Combine { list, ring } => {
-            let items = eval_list(env, list)?.to_vec();
+            let list = eval_list(env, list)?;
             let ring = eval_ring(env, ring)?;
             let f = env.prepare(ring)?;
-            let mut items = items.into_iter();
+            // A lowered ring cannot write a list, so the fold reads the
+            // numbers in place; any other ring walks a snapshot, since a
+            // VM ring may change the list it folds.
+            let folded = list.with_view(|view| match view {
+                ListView::Numbers(numbers) => env
+                    .fold_numbers(&f, numbers)
+                    .map(|acc| (acc, numbers.len())),
+                ListView::Values(_) => None,
+            });
+            if let Some((acc, len)) = folded {
+                snap_trace::well_known::RING_FASTPATH_CALLS.add(len as u64 - 1);
+                return Ok(Value::Number(acc));
+            }
+            let mut items = list.to_vec().into_iter();
             let Some(mut acc) = items.next() else {
                 return Ok(Value::Number(0.0));
             };
@@ -560,18 +598,20 @@ pub fn eval<E: Env>(env: &mut E, expr: &Expr) -> Result<Value, E::Error> {
             }
             Ok(acc)
         }
+        // The parallel blocks get their list by handle and read it when
+        // they run, after every input is evaluated, as Snap! does.
         Expr::ParallelMap {
             ring,
             list,
             workers,
         } => {
             let ring = eval_ring(env, ring)?;
-            let items = eval_list(env, list)?.to_vec();
+            let list = eval_list(env, list)?;
             let workers = match workers {
                 Some(w) => Some(eval(env, w)?.to_number()),
                 None => None,
             };
-            Ok(Value::list(env.parallel_map(ring, items, workers)?))
+            env.parallel_map(ring, &list, workers)
         }
         Expr::MapReduce {
             mapper,
@@ -580,8 +620,8 @@ pub fn eval<E: Env>(env: &mut E, expr: &Expr) -> Result<Value, E::Error> {
         } => {
             let mapper = eval_ring(env, mapper)?;
             let reducer = eval_ring(env, reducer)?;
-            let items = eval_list(env, list)?.to_vec();
-            Ok(Value::list(env.map_reduce(mapper, reducer, items)?))
+            let list = eval_list(env, list)?;
+            env.map_reduce(mapper, reducer, &list)
         }
     }
 }
@@ -640,9 +680,10 @@ pub fn map_reduce_with<E: Env>(
     env: &mut E,
     mapper: &E::Prepared,
     reducer: &E::Prepared,
-    items: Vec<Value>,
+    items: impl IntoIterator<Item = Value>,
 ) -> Result<Vec<Value>, E::Error> {
-    let mut mapped = Vec::with_capacity(items.len());
+    let items = items.into_iter();
+    let mut mapped = Vec::with_capacity(items.size_hint().0);
     for item in items {
         mapped.push(env.apply(mapper, &[item])?);
     }
@@ -664,7 +705,7 @@ pub fn map_reduce_with<E: Env>(
 pub fn map_reduce(
     mapper: &PureFn,
     reducer: &PureFn,
-    items: Vec<Value>,
+    items: impl IntoIterator<Item = Value>,
 ) -> Result<Vec<Value>, EvalError> {
     let mut root = PureCtx {
         params: &[],
@@ -771,25 +812,76 @@ impl Env for PureCtx<'_> {
     fn apply(&mut self, f: &PureFn, args: &[Value]) -> Result<Value, EvalError> {
         f.call_at(args, self.depth)
     }
+
+    fn fold_numbers(&mut self, f: &PureFn, numbers: &[f64]) -> Option<f64> {
+        // At the depth limit `apply` raises; leave that to it.
+        (self.depth < MAX_DEPTH)
+            .then(|| f.num_program()?.fold(numbers))
+            .flatten()
+    }
 }
 
-/// `numbers from a to b`, counting down when `a > b` like Snap!.
-pub fn numbers_from_to(a: f64, b: f64) -> Value {
-    let mut out = Vec::new();
-    if a <= b {
-        let mut x = a;
-        while x <= b {
-            out.push(Value::Number(x));
-            x += 1.0;
-        }
-    } else {
-        let mut x = a;
-        while x >= b {
-            out.push(Value::Number(x));
-            x -= 1.0;
-        }
+/// The most items `numbers from a to b` builds into one list: 2^26
+/// numbers, 512 MiB unboxed. A longer range reports
+/// [`EvalError::ListTooLong`] before anything is reserved, where stepping
+/// it would run until an allocation failed and aborted the process
+/// (`numbers from 1 to 1e12` asks for 8 TB).
+pub const MAX_LIST_ITEMS: usize = 1 << 26;
+
+/// 2^53: from an integer within ±2^53, every step of 1 is exact up to
+/// ±2^53, where `x ± 1` rounds back to `x`.
+const EXACT_STEPS: f64 = 9_007_199_254_740_992.0;
+
+/// `numbers from a to b`, counting down when `a > b` like Snap!: `a`,
+/// then `x + 1` (or `x − 1`) for as long as it stays within `b`. The
+/// items are bit for bit those of stepping `x` one at a time; the range
+/// is counted first and its numeric list reserved exactly. It ends early
+/// where a step no longer changes `x` (from 2^53 up), so `numbers from
+/// 1e16 to 1e16` is one item. A NaN bound gives an empty list; an
+/// infinite bound, or a count past [`MAX_LIST_ITEMS`], is
+/// [`EvalError::ListTooLong`].
+pub fn numbers_from_to(a: f64, b: f64) -> Result<Value, EvalError> {
+    let too_long = EvalError::ListTooLong {
+        limit: MAX_LIST_ITEMS,
+    };
+    if a.is_nan() || b.is_nan() {
+        return Ok(Value::number_list([]));
     }
-    Value::list(out)
+    if a.is_infinite() || b.is_infinite() {
+        return Err(too_long);
+    }
+    let step = if a <= b { 1.0 } else { -1.0 };
+    let mut numbers;
+    if a.fract() == 0.0 && a.abs() <= EXACT_STEPS {
+        // Every item is exactly `a ± k`, so the count is closed-form and
+        // the items need no chain of dependent additions.
+        let last = if step > 0.0 {
+            b.floor().min(EXACT_STEPS)
+        } else {
+            b.ceil().max(-EXACT_STEPS)
+        };
+        let len = (last - a).abs() + 1.0;
+        if len > MAX_LIST_ITEMS as f64 {
+            return Err(too_long);
+        }
+        let len = len as usize;
+        numbers = Vec::with_capacity(len);
+        // `a` itself first: `-0 + 0` would turn its sign.
+        numbers.push(a);
+        numbers.extend((1..len).map(|k| a + step * k as f64));
+    } else {
+        let walk = || {
+            std::iter::successors(Some(a), move |&x| Some(x + step).filter(|&next| next != x))
+                .take_while(move |&x| if step > 0.0 { x <= b } else { x >= b })
+        };
+        let len = walk().take(MAX_LIST_ITEMS + 1).count();
+        if len > MAX_LIST_ITEMS {
+            return Err(too_long);
+        }
+        numbers = Vec::with_capacity(len);
+        numbers.extend(walk());
+    }
+    Ok(Value::List(List::from_numbers(numbers)))
 }
 
 /// Evaluate a binary operator block on two values with Snap! coercions.
@@ -929,11 +1021,128 @@ mod tests {
     fn numbers_from_to_counts_both_ways() {
         assert_eq!(
             super::numbers_from_to(1.0, 4.0),
-            Value::number_list([1.0, 2.0, 3.0, 4.0])
+            Ok(Value::number_list([1.0, 2.0, 3.0, 4.0]))
         );
         assert_eq!(
             super::numbers_from_to(3.0, 1.0),
-            Value::number_list([3.0, 2.0, 1.0])
+            Ok(Value::number_list([3.0, 2.0, 1.0]))
+        );
+    }
+
+    /// The numbers of `numbers from a to b`, checking the list is numeric.
+    fn range(a: f64, b: f64) -> Vec<f64> {
+        let list = super::numbers_from_to(a, b).unwrap();
+        let list = list.as_list().unwrap();
+        assert!(list.is_numeric(), "{a} to {b} is boxed");
+        list.to_vec().iter().map(Value::to_number).collect()
+    }
+
+    #[test]
+    fn numbers_from_to_equal_bounds_give_one_item() {
+        assert_eq!(range(2.0, 2.0), vec![2.0]);
+        assert_eq!(range(-0.5, -0.5), vec![-0.5]);
+        assert_eq!(range(1e16, 1e16), vec![1e16]);
+    }
+
+    #[test]
+    fn numbers_from_to_steps_a_fractional_start_by_one() {
+        assert_eq!(range(0.5, 3.0), vec![0.5, 1.5, 2.5]);
+        assert_eq!(range(3.5, 1.0), vec![3.5, 2.5, 1.5]);
+        assert_eq!(range(0.25, 0.75), vec![0.25]);
+        // The end is not reached: the list stops at the last step within it.
+        assert_eq!(range(0.5, 0.25), vec![0.5]);
+    }
+
+    #[test]
+    fn numbers_from_to_stops_within_a_fractional_end() {
+        assert_eq!(range(1.0, 3.9), vec![1.0, 2.0, 3.0]);
+        assert_eq!(range(1.0, -0.5), vec![1.0, 0.0]);
+        assert_eq!(range(-1.0, -3.5), vec![-1.0, -2.0, -3.0]);
+        assert_eq!(range(-2.0, 0.5), vec![-2.0, -1.0, 0.0]);
+    }
+
+    #[test]
+    fn numbers_from_to_refuses_a_count_past_the_budget_either_way() {
+        let too_long = Err(EvalError::ListTooLong {
+            limit: MAX_LIST_ITEMS,
+        });
+        let budget = MAX_LIST_ITEMS as f64;
+        assert_eq!(super::numbers_from_to(0.0, budget), too_long);
+        assert_eq!(super::numbers_from_to(0.0, -budget), too_long);
+        assert_eq!(super::numbers_from_to(-1e15, 1e15), too_long);
+        assert_eq!(
+            super::numbers_from_to(0.0, 1e300).unwrap_err().to_string(),
+            format!("a list of more than {MAX_LIST_ITEMS} items is too long to build")
+        );
+    }
+
+    /// `ring(xs) = combine xs using inner`.
+    fn combine_with(inner: crate::expr::RingExpr) -> PureFn {
+        PureFn::compile(Arc::new(Ring::reporter_with_params(
+            vec!["xs".into()],
+            Expr::Combine {
+                list: Box::new(var("xs")),
+                ring: Box::new(Expr::Ring(inner)),
+            },
+        )))
+        .unwrap()
+    }
+
+    #[test]
+    fn combine_folds_left_in_order_in_both_forms() {
+        let f = combine_with(crate::expr::RingExpr::reporter(sub(
+            empty_slot(),
+            empty_slot(),
+        )));
+        let numbers = [10.0, 1.0, 2.0, 3.0];
+        let boxed = List::boxed(numbers.iter().map(|&n| n.into()).collect());
+        for list in [List::from_numbers(numbers.to_vec()), boxed] {
+            assert_eq!(f.call1(Value::List(list)).unwrap(), Value::Number(4.0));
+        }
+    }
+
+    #[test]
+    fn combine_of_one_item_reports_it_without_a_call() {
+        // `x / 0` would make any call report infinity or NaN.
+        let f = combine_with(crate::expr::RingExpr::reporter(div(empty_slot(), num(0.0))));
+        let one = f.call1(Value::number_list([-0.0])).unwrap();
+        assert_eq!(one.to_number().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(f.call1(Value::list(vec!["x".into()])).unwrap(), "x".into());
+    }
+
+    #[test]
+    fn combine_over_numbers_with_a_text_ring_walks_each_step() {
+        // `join` reports text, so the ring has no numeric program.
+        let f = combine_with(crate::expr::RingExpr::reporter(crate::builder::join(vec![
+            empty_slot(),
+            empty_slot(),
+        ])));
+        assert_eq!(
+            f.call1(Value::number_list([1.0, 2.0, 3.0])).unwrap(),
+            Value::text("123")
+        );
+    }
+
+    #[test]
+    fn combine_over_a_counted_range_sums_it() {
+        let sum = Expr::Ring(crate::expr::RingExpr::reporter(add(
+            empty_slot(),
+            empty_slot(),
+        )));
+        let f = PureFn::compile(Arc::new(Ring::reporter_with_params(
+            vec!["n".into()],
+            Expr::Combine {
+                list: Box::new(crate::builder::numbers_from_to(num(1.0), var("n"))),
+                ring: Box::new(sum),
+            },
+        )))
+        .unwrap();
+        assert_eq!(f.call1(100.into()).unwrap(), Value::Number(5050.0));
+        assert_eq!(
+            f.call1(1e12.into()),
+            Err(EvalError::ListTooLong {
+                limit: MAX_LIST_ITEMS
+            })
         );
     }
 

@@ -16,10 +16,17 @@
 //! non-batchable rather than mis-evaluate, and the scalar paths must
 //! still agree — the whole fallback ladder is exercised from one
 //! generator.
+//!
+//! `combine` over a list stored as numbers folds it in one pass
+//! (`NumProgram::fold`); over the same numbers boxed it applies its ring
+//! step by step. Both must give what step-by-step scalar calls give.
 
 use proptest::prelude::*;
 
-use snap_ast::{CompiledStrategy, Constant, Expr, PureFn, Ring, UnOp, Value};
+use snap_ast::{
+    CompiledStrategy, Constant, EvalError, Expr, List, PureFn, Ring, RingExpr, RingExprBody, UnOp,
+    Value,
+};
 use std::sync::Arc;
 
 /// Bit-exact number equality, modulo NaN payloads (any NaN == any NaN;
@@ -160,6 +167,68 @@ proptest! {
     ) {
         let ring = Ring::reporter_with_params(vec!["x".into()], body);
         assert_batch_matches(Arc::new(ring), &inputs);
+    }
+}
+
+/// `combine xs using ring` on `xs` as numbers, on `xs` boxed, and as
+/// scalar calls `acc = ring(acc, x)` from the first item, must agree.
+fn assert_combine_matches(params: &[&str], body: Expr, inputs: &[f64]) {
+    let inner = RingExpr {
+        params: params.iter().map(|p| p.to_string()).collect(),
+        body: RingExprBody::Reporter(Box::new(body.clone())),
+    };
+    let combine = Ring::reporter_with_params(
+        vec!["xs".into()],
+        Expr::Combine {
+            list: Box::new(Expr::Var("xs".into())),
+            ring: Box::new(Expr::Ring(inner)),
+        },
+    );
+    let f = PureFn::compile(Arc::new(combine)).unwrap();
+    let boxed: Vec<Value> = inputs.iter().map(|&x| Value::Number(x)).collect();
+    let on_numbers = f.call1(Value::List(List::from_numbers(inputs.to_vec())));
+    let on_boxed = f.call1(Value::List(List::boxed(boxed.clone())));
+    let ring = Ring::reporter_with_params(params.iter().map(|p| p.to_string()).collect(), body);
+    let step = PureFn::compile(Arc::new(ring)).unwrap();
+    let mut items = boxed.into_iter();
+    let by_steps: Result<Value, EvalError> = match items.next() {
+        None => Ok(Value::Number(0.0)),
+        Some(first) => items.try_fold(first, |acc, x| step.call(&[acc, x])),
+    };
+    for (how, got) in [("numeric list", &on_numbers), ("boxed list", &on_boxed)] {
+        match (got, &by_steps) {
+            (Ok(a), Ok(b)) => assert!(bits_eq(a, b), "{how}: {a:?} vs steps {b:?}"),
+            (a, b) => assert_eq!(a, b, "{how}"),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Slot-style combining rings: the accumulator fills the first slot,
+    /// the item the second, and any further slot reads nothing.
+    #[test]
+    fn combine_over_numbers_folds_as_step_by_step_calls(
+        body in numeric_expr_strategy(false),
+        inputs in prop::collection::vec(input_f64(), 0..60),
+    ) {
+        assert_combine_matches(&[], body, &inputs);
+    }
+
+    /// Named combining rings: two parameters fold; one parameter raises
+    /// the arity error at the first step, on both forms.
+    #[test]
+    fn named_combine_over_numbers_folds_as_step_by_step_calls(
+        body in numeric_expr_strategy(true),
+        params in prop_oneof![
+            Just(vec!["acc", "x"]),
+            Just(vec!["x", "item"]),
+            Just(vec!["x"]),
+        ],
+        inputs in prop::collection::vec(input_f64(), 0..60),
+    ) {
+        assert_combine_matches(&params, body, &inputs);
     }
 }
 

@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 
 use snap_ast::pure::compile_cached;
-use snap_ast::{BinOp, CompiledStrategy, Constant, Expr, PureFn, Ring, UnOp, Value};
+use snap_ast::{BinOp, CompiledStrategy, Constant, Expr, List, PureFn, Ring, UnOp, Value};
 use std::sync::Arc;
 
 /// Bit-exact value equality: `Value`'s `PartialEq` uses `f64 ==`, under
@@ -58,9 +58,16 @@ fn assert_paths_agree(ring: Arc<Ring>, args: &[Value]) {
 }
 
 /// Random argument values, covering every coercion edge the VM has to
-/// reproduce: NaN, ±0.0, numeric text, booleans, Nothing, nested lists.
+/// reproduce: NaN, ±0.0, numeric text, booleans, Nothing, nested lists,
+/// and lists of numbers in both storage forms (`Value::list` stores them
+/// unboxed, `List::boxed` boxed).
 fn value_strategy() -> impl Strategy<Value = Value> {
+    let number = prop_oneof![-1e3f64..1e3, Just(f64::NAN), Just(-0.0)];
+    let numbers = prop::collection::vec(number, 0..5);
     let leaf = prop_oneof![
+        numbers.clone().prop_map(Value::number_list),
+        numbers
+            .prop_map(|ns| Value::List(List::boxed(ns.into_iter().map(Value::Number).collect()))),
         Just(Value::Nothing),
         (-1e6f64..1e6).prop_map(Value::Number),
         Just(Value::Number(f64::NAN)),

@@ -134,7 +134,7 @@ proptest! {
 
     #[test]
     fn numbers_from_to_has_right_length(a in -100i64..100, b in -100i64..100) {
-        let v = numbers_from_to(a as f64, b as f64);
+        let v = numbers_from_to(a as f64, b as f64).unwrap();
         let len = v.as_list().unwrap().len() as i64;
         prop_assert_eq!(len, (a - b).abs() + 1);
     }

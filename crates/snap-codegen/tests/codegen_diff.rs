@@ -157,6 +157,7 @@ fn check_ring(harness: &Harness, seed: u64) -> Result<(), String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
+    #[test]
     fn random_rings_native_matches_all_tiers(seed in 0u64..1_000_000u64) {
         let Ok(harness) = Harness::detect() else {
             eprintln!("codegen.toolchain_missing — skipping differential proptest");

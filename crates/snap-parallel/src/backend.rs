@@ -3,14 +3,17 @@
 //! Installing a [`WorkerBackend`] on a [`snap_vm::Vm`] switches its
 //! `parallelMap`/`mapReduce` blocks from the sequential fallback to true
 //! parallelism — the moment the paper's extended Snap! gains Web Workers.
+//! The VM's by-handle calls read the list in place under its read lock
+//! (see the `blocks` module); the `Vec` methods build a list and run the
+//! same block code.
 
 use std::sync::Arc;
 
-use snap_ast::{EvalError, Ring, Value};
+use snap_ast::{EvalError, List, Ring, Value};
 use snap_vm::{ParallelBackend, Vm};
 use snap_workers::{FaultPolicy, RingMapOptions};
 
-use crate::blocks;
+use crate::blocks::{self, CombinePolicy};
 
 /// [`ParallelBackend`] implementation on OS-thread workers: every call
 /// runs on the shared pool, with structured-clone isolation.
@@ -62,6 +65,27 @@ impl ParallelBackend for WorkerBackend {
 
     fn name(&self) -> &'static str {
         "worker-pool"
+    }
+
+    fn parallel_map_list(
+        &self,
+        ring: Arc<Ring>,
+        list: &List,
+        workers: usize,
+    ) -> Result<Value, EvalError> {
+        blocks::parallel_map_list(ring, list, self.options(workers)).map(Value::List)
+    }
+
+    fn map_reduce_list(
+        &self,
+        mapper: Arc<Ring>,
+        reducer: Arc<Ring>,
+        list: &List,
+        workers: usize,
+    ) -> Result<Value, EvalError> {
+        let options = self.options(workers);
+        blocks::map_reduce_list(mapper, reducer, list, options, CombinePolicy::Auto)
+            .map(Value::List)
     }
 }
 
@@ -124,6 +148,47 @@ mod tests {
         vm.green_flag();
         vm.run_until_idle();
         assert_eq!(vm.world.said(), vec!["[[a, 1], [b, 2]]"]);
+    }
+
+    #[test]
+    fn worker_backend_keeps_a_numeric_list_numeric() {
+        let ring = Arc::new(Ring::reporter(mul(empty_slot(), num(10.0))));
+        let list = List::from_numbers((0..64).map(f64::from).collect());
+        let backend = WorkerBackend::default();
+        let out = backend.parallel_map_list(ring.clone(), &list, 2).unwrap();
+        assert!(out.as_list().unwrap().is_numeric());
+        let by_vec = backend.parallel_map(ring, list.to_vec(), 2).unwrap();
+        assert_eq!(out, Value::list(by_vec));
+    }
+
+    #[test]
+    fn worker_and_sequential_list_methods_agree() {
+        use snap_vm::SequentialBackend;
+        let mapper = Arc::new(Ring::reporter_with_params(
+            vec!["x".into()],
+            make_list(vec![
+                floor(div(var("x"), num(10.0))),
+                mul(var("x"), var("x")),
+            ]),
+        ));
+        let reducer = Arc::new(Ring::reporter_with_params(
+            vec!["vals".into()],
+            combine_using(var("vals"), ring_reporter(add(empty_slot(), empty_slot()))),
+        ));
+        let numbers: Vec<f64> = (0..50).map(|n| n as f64 * 0.5).collect();
+        for list in [
+            List::from_numbers(numbers.clone()),
+            List::boxed(numbers.iter().map(|&n| n.into()).collect()),
+        ] {
+            let par = WorkerBackend::default()
+                .map_reduce_list(mapper.clone(), reducer.clone(), &list, 3)
+                .unwrap();
+            let seq = SequentialBackend
+                .map_reduce_list(mapper.clone(), reducer.clone(), &list, 3)
+                .unwrap();
+            assert_eq!(par, seq);
+            assert_eq!(par.as_list().unwrap().len(), 3);
+        }
     }
 
     #[test]

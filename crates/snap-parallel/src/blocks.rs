@@ -13,29 +13,40 @@
 //! propagate as errors instead of being quietly absorbed by a slower
 //! sequential pass.
 //!
-//! `parallelMap` routes through `ring_map_faulted`, which detects
-//! all-numeric lists at entry and runs them on the **columnar batch
-//! tier** (flat `f64` chunks, one `eval_batch` per chunk — see
+//! Each block reads its input list in place, under the list's read lock
+//! for the whole call ([`parallel_map_list`], [`map_reduce_list`]); the
+//! `Vec` entry points build a list and run the same code. `parallelMap`
+//! routes through `ring_map_view`, which runs a numeric list on the
+//! **columnar batch tier** (its `f64`s in pool chunks, one `eval_batch`
+//! per chunk, reporting a numeric list — see
 //! `snap_workers::ColumnarPolicy`). `mapReduce` widens that rung: a
 //! `[key, value]` mapper with a numeric value runs as a key column and
 //! an `f64` column, with its keys interned and grouped by id instead of
-//! boxed, hashed and sorted (see the `keyed` module). Any other mapper,
-//! and any key column the keyed rung declines, takes the boxed path:
-//! `ring_map_pairs_faulted`, then `combine_pairs`, `shuffle` and the
-//! reduce. Which one a call took shows in the counters: the keyed rung
-//! moves `par.columnar_chunks` and never `ring.batch_fallbacks`; the
-//! boxed path moves `ring.batch_fallbacks` and the shuffle's own runs.
+//! boxed, hashed and sorted, and each group reaches the reducer as a
+//! numeric list (see the `keyed` module). Any other mapper, and any key
+//! column the keyed rung declines, takes the boxed path:
+//! `ring_map_pairs_view`, then `combine_pairs`, `shuffle` and the reduce.
+//! Which one a call took shows in the counters: the keyed rung moves
+//! `par.columnar_chunks` and never `ring.batch_fallbacks`; the boxed path
+//! moves `ring.batch_fallbacks` and the shuffle's own runs.
 //!
 //! No block copies its input to be able to degrade: every phase only
 //! reads the list (or the groups), and a degraded phase re-runs on the
 //! same one.
+//!
+//! Holding the read lock is safe because every ring a block runs passed
+//! `compile_cached`'s purity check, so none can write a list, on the pool
+//! or on the calling thread. A pure ring may read the same list again
+//! (`item (i) of xs` with `xs` captured); that takes a second read lock,
+//! which only a waiting writer could block, and no writer can be waiting:
+//! the VM thread that owns the list is inside this call.
 
 use std::sync::Arc;
 
 use snap_ast::pure::{as_map_pair, compile_cached};
-use snap_ast::{BinOp, EvalError, Expr, Ring, RingBody, RingExprBody, Value};
+use snap_ast::{BinOp, EvalError, Expr, List, ListView, Ring, RingBody, RingExprBody, Value};
 use snap_workers::{
-    ring_map_faulted, ring_map_pairs_faulted, ring_reduce_groups_faulted, ExecError, ExecMode,
+    ring_map_pairs_view, ring_map_view, ring_reduce_lists_faulted, ExecError, ExecMode,
     FaultPolicy, RingMapError, RingMapOptions,
 };
 
@@ -72,28 +83,28 @@ fn or_degrade<T>(
     }
 }
 
-/// Injector-free sequential map — the degraded path. Same structured
-/// clone semantics as the pooled Copy isolation.
-fn sequential_ring_map(ring: Arc<Ring>, items: &[Value]) -> Result<Vec<Value>, EvalError> {
-    let f = compile_cached(&ring)?;
+/// Injector-free sequential map over the same view — the degraded path:
+/// one call per item with the pooled path's structured clones.
+fn sequential_ring_map(ring: &Arc<Ring>, items: ListView<'_>) -> Result<List, EvalError> {
+    let f = compile_cached(ring)?;
     items
         .iter()
         .map(|item| f.call1(item.deep_copy()).map(|v| v.deep_copy()))
-        .collect()
+        .collect::<Result<Vec<_>, _>>()
+        .map(List::from_vec)
 }
 
-/// Injector-free sequential reduce over shuffled groups — the degraded
+/// Injector-free sequential reduce over the same groups — the degraded
 /// path of the reduce phase.
 fn sequential_reduce_groups(
-    ring: Arc<Ring>,
-    groups: &[(Value, Vec<Value>)],
+    ring: &Arc<Ring>,
+    groups: &[(Value, List)],
 ) -> Result<Vec<Value>, EvalError> {
-    let f = compile_cached(&ring)?;
+    let f = compile_cached(ring)?;
     groups
         .iter()
         .map(|(key, values)| {
-            let arg = Value::list(values.iter().map(Value::deep_copy).collect());
-            f.call1(arg)
+            f.call1(Value::List(values.clone()))
                 .map(|reduced| Value::list(vec![key.clone(), reduced.deep_copy()]))
         })
         .collect()
@@ -135,20 +146,33 @@ pub fn parallel_map_with_policy(
 }
 
 /// [`parallel_map`] with full execution options, including the fault
-/// policy. This is the fault-degradation rung: execution-layer failures
-/// other than a missed deadline fall back to a sequential injector-free
-/// map over the same items instead of surfacing.
+/// policy: [`parallel_map_list`] over a list of `items`.
 pub fn parallel_map_with_options(
     ring: Arc<Ring>,
     items: Vec<Value>,
     options: RingMapOptions,
 ) -> Result<Vec<Value>, EvalError> {
-    let _span = snap_trace::span!("parallel_map", "items" => items.len());
-    or_degrade(
-        "parallel_map",
-        ring_map_faulted(ring.clone(), &items, options),
-        || sequential_ring_map(ring, &items),
-    )
+    parallel_map_list(ring, &List::from_vec(items), options).map(List::into_vec)
+}
+
+/// `parallelMap` over `list`, read in place under its read lock (see the
+/// module docs), reporting the mapped list. This is the
+/// fault-degradation rung: execution-layer failures other than a missed
+/// deadline fall back to a sequential injector-free map over the same
+/// items instead of surfacing.
+pub fn parallel_map_list(
+    ring: Arc<Ring>,
+    list: &List,
+    options: RingMapOptions,
+) -> Result<List, EvalError> {
+    list.with_view(|items| {
+        let _span = snap_trace::span!("parallel_map", "items" => items.len());
+        or_degrade(
+            "parallel_map",
+            ring_map_view(ring.clone(), items, options),
+            || sequential_ring_map(&ring, items),
+        )
+    })
 }
 
 /// `mapReduce <mapper> <reducer> over <list>` (paper §3.4): parallel map
@@ -275,19 +299,45 @@ pub fn map_reduce_with_options(
 }
 
 /// [`map_reduce`] with full execution options and an explicit
-/// [`CombinePolicy`]. Under `Auto`, when [`associative_fold_op`]
-/// recognizes the reducer, each worker partially reduces its chunk's
-/// pairs by key *before* the shuffle — shrinking shuffle volume from
-/// O(items) to O(workers × keys) with identical output (the reducer then
-/// folds per-chunk partials exactly as it would have folded raw values).
-///
-/// The map phase runs on the keyed-columnar rung when the mapper and its
-/// key column allow it (see the `keyed` module); its groups are
-/// bit-identical to the boxed path's, which every other call takes.
+/// [`CombinePolicy`]: [`map_reduce_list`] over a list of `items`.
 pub fn map_reduce_with_combine(
     mapper: Arc<Ring>,
     reducer: Arc<Ring>,
     items: Vec<Value>,
+    options: RingMapOptions,
+    combine: CombinePolicy,
+) -> Result<Vec<Value>, EvalError> {
+    let list = List::from_vec(items);
+    list.with_view(|items| map_reduce_view(mapper, reducer, items, options, combine))
+}
+
+/// `mapReduce` over `list`, read in place under its read lock (see the
+/// module docs), reporting the `[key, reduced]` list. Under
+/// [`CombinePolicy::Auto`], when [`associative_fold_op`] recognizes the
+/// reducer, each worker partially reduces its chunk's pairs by key
+/// *before* the shuffle — shrinking shuffle volume from O(items) to
+/// O(workers × keys) with identical output (the reducer then folds
+/// per-chunk partials exactly as it would have folded raw values).
+///
+/// The map phase runs on the keyed-columnar rung when the mapper and its
+/// key column allow it (see the `keyed` module); its groups are
+/// bit-identical to the boxed path's, which every other call takes.
+pub fn map_reduce_list(
+    mapper: Arc<Ring>,
+    reducer: Arc<Ring>,
+    list: &List,
+    options: RingMapOptions,
+    combine: CombinePolicy,
+) -> Result<List, EvalError> {
+    list.with_view(|items| map_reduce_view(mapper, reducer, items, options, combine))
+        .map(List::from_vec)
+}
+
+/// The one `mapReduce` of this crate, over a list's items in place.
+fn map_reduce_view(
+    mapper: Arc<Ring>,
+    reducer: Arc<Ring>,
+    items: ListView<'_>,
     options: RingMapOptions,
     combine: CombinePolicy,
 ) -> Result<Vec<Value>, EvalError> {
@@ -299,13 +349,14 @@ pub fn map_reduce_with_combine(
         _ => None,
     };
     let map_fn = compile_cached(&mapper)?;
-    let pairs = match keyed::map_groups(&map_fn, &items, &options, fold) {
-        Ok(Some(groups)) => return reduce_groups(reducer, &groups, options),
-        Ok(None) => ring_map_pairs_faulted(mapper.clone(), &items, options),
+    let pairs = match keyed::map_groups(&map_fn, items, &options, fold) {
+        Ok(Some(groups)) => return reduce_groups(&reducer, &groups, options),
+        Ok(None) => ring_map_pairs_view(mapper.clone(), items, options),
         Err(e) => Err(RingMapError::Exec(e)),
     };
     let pairs = or_degrade("map_reduce (map phase)", pairs, || {
-        sequential_ring_map(mapper, &items)?
+        sequential_ring_map(&mapper, items)?
+            .into_vec()
             .into_iter()
             .map(as_map_pair)
             .collect()
@@ -314,19 +365,23 @@ pub fn map_reduce_with_combine(
         Some(op) => combine_pairs(pairs, op, options.workers, ExecMode::Pooled),
         None => pairs,
     };
-    reduce_groups(reducer, &shuffle(pairs), options)
+    let groups: Vec<(Value, List)> = shuffle(pairs)
+        .into_iter()
+        .map(|(key, values)| (key, List::from_vec(values)))
+        .collect();
+    reduce_groups(&reducer, &groups, options)
 }
 
 /// The reduce phase of `mapReduce`, degrading to a sequential reduce of
 /// the same groups.
 fn reduce_groups(
-    reducer: Arc<Ring>,
-    groups: &[(Value, Vec<Value>)],
+    reducer: &Arc<Ring>,
+    groups: &[(Value, List)],
     options: RingMapOptions,
 ) -> Result<Vec<Value>, EvalError> {
     or_degrade(
         "map_reduce (reduce phase)",
-        ring_reduce_groups_faulted(reducer.clone(), groups, options),
+        ring_reduce_lists_faulted(reducer.clone(), groups, options),
         || sequential_reduce_groups(reducer, groups),
     )
 }
@@ -640,6 +695,102 @@ mod tests {
                 "worker count {workers} changed the result"
             );
         }
+    }
+
+    fn options(workers: usize) -> snap_workers::RingMapOptions {
+        snap_workers::RingMapOptions {
+            workers,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn parallel_map_list_reads_a_numeric_list_and_reports_numbers() {
+        use super::parallel_map_list;
+        use snap_ast::List;
+        let ring = Arc::new(Ring::reporter(sub(mul(empty_slot(), num(3.0)), num(0.5))));
+        let numbers: Vec<f64> = (0..100).map(|n| n as f64 * 0.25).collect();
+        let numeric = List::from_numbers(numbers.clone());
+        let boxed = List::boxed(numbers.iter().map(|&n| n.into()).collect());
+        let from_numeric = parallel_map_list(ring.clone(), &numeric, options(3)).unwrap();
+        let from_boxed = parallel_map_list(ring, &boxed, options(3)).unwrap();
+        assert!(from_numeric.is_numeric());
+        let want: Vec<Value> = numbers.iter().map(|n| (n * 3.0 - 0.5).into()).collect();
+        assert_eq!(from_numeric.to_vec(), want);
+        assert_eq!(from_boxed.to_vec(), want);
+        // Read, not changed, and free to write once the block returns.
+        assert_eq!(numeric.len(), 100);
+        numeric.add(1.into());
+        boxed.add(1.into());
+        assert_eq!((numeric.len(), boxed.len()), (101, 101));
+    }
+
+    #[test]
+    fn a_failed_parallel_map_list_releases_the_list() {
+        use super::parallel_map_list;
+        use snap_ast::List;
+        // `item 5 of` a number fails on whichever worker runs it.
+        let ring = Arc::new(Ring::reporter(item(num(5.0), empty_slot())));
+        let list = List::from_numbers((0..40).map(f64::from).collect());
+        assert!(parallel_map_list(ring, &list, options(2)).is_err());
+        list.set_item(1, "written".into());
+        assert_eq!(list.item(1), Some(Value::text("written")));
+    }
+
+    #[test]
+    fn map_reduce_list_hands_each_group_over_as_a_numeric_list() {
+        use super::{map_reduce_list, CombinePolicy};
+        use snap_ast::List;
+        // Mapper [x mod 3, x]; the reducer reports its value list.
+        let mapper = Arc::new(Ring::reporter_with_params(
+            vec!["x".into()],
+            make_list(vec![modulo(var("x"), num(3.0)), var("x")]),
+        ));
+        let reducer = Arc::new(Ring::reporter_with_params(vec!["vals".into()], var("vals")));
+        let list = List::from_numbers((0..60).map(f64::from).collect());
+        let out = map_reduce_list(mapper, reducer, &list, options(2), CombinePolicy::Auto).unwrap();
+        assert_eq!(out.len(), 3);
+        for (k, pair) in out.to_vec().iter().enumerate() {
+            let pair = pair.as_list().unwrap();
+            assert_eq!(pair.item(1), Some(Value::Number(k as f64)));
+            let group = pair.item(2).unwrap();
+            let group = group.as_list().unwrap();
+            assert!(group.is_numeric(), "group {k}");
+            let want: Vec<Value> = (0..20).map(|i| ((3 * i + k) as f64).into()).collect();
+            assert_eq!(group.to_vec(), want);
+        }
+    }
+
+    #[test]
+    fn map_reduce_list_matches_the_vec_entry_point_on_words() {
+        use super::{map_reduce_list, map_reduce_with_combine, CombinePolicy};
+        use snap_ast::List;
+        let words: Vec<Value> = "b a c a b a".split(' ').map(Value::from).collect();
+        let list = List::from_vec(words.clone());
+        for combine in [CombinePolicy::Auto, CombinePolicy::Disabled] {
+            let by_list = map_reduce_list(
+                word_count_mapper(),
+                word_count_reducer(),
+                &list,
+                options(2),
+                combine,
+            )
+            .unwrap();
+            let by_vec = map_reduce_with_combine(
+                word_count_mapper(),
+                word_count_reducer(),
+                words.clone(),
+                options(2),
+                combine,
+            )
+            .unwrap();
+            assert_eq!(by_list.to_vec(), by_vec);
+            assert_eq!(
+                Value::List(by_list).to_display_string(),
+                "[[a, 3], [b, 2], [c, 1]]"
+            );
+        }
+        assert_eq!(list.len(), 6);
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! A mapper whose body is `[key, value]` with a numeric value lowers to a
 //! `PairProgram` (`snap_ast::bytecode::lower_pair`). On this rung its
 //! pairs are never built as lists. [`ring_map_keyed`] runs the program as
-//! a key column and an `f64` value column per pool chunk. Each chunk
-//! interns its keys and, when the reducer is an associative fold, folds
-//! its values per key in the same task. The calling thread then merges
-//! the chunks' few distinct keys into canonical ids, sorts those, and
-//! groups the values by id. Values are boxed only for the reducer.
+//! a key column and an `f64` value column per pool chunk, reading a
+//! numeric input list's `f64`s in place. Each chunk interns its keys and,
+//! when the reducer is an associative fold, folds its values per key in
+//! the same task. The calling thread then merges the chunks' few distinct
+//! keys into canonical ids, sorts those, and groups the values by id.
+//! Each group's `f64`s move into a numeric list, which is what the
+//! reducer receives: no value is ever boxed.
 //!
 //! The groups are bit-identical to the boxed path's (`ring_map_pairs` →
 //! [`crate::combine_pairs`] → [`crate::shuffle`]): in `snap_cmp` order,
@@ -22,14 +24,14 @@
 use std::collections::HashMap;
 
 use snap_ast::bytecode::num_binop;
-use snap_ast::{BinOp, PureFn, Value};
+use snap_ast::{BinOp, List, ListView, PureFn, Value};
 use snap_trace::well_known as metrics;
 use snap_workers::{columnar_chunk_size, ring_map_keyed, ExecError, KeyColumn, RingMapOptions};
 
 use crate::shuffle::CanonKey;
 
 /// Groups as the reducer receives them: each key with its value list.
-type Groups = Vec<(Value, Vec<Value>)>;
+type Groups = Vec<(Value, List)>;
 
 /// Which of `snap_cmp`'s two comparison rules a key follows. Within one
 /// regime `snap_cmp` is a total order and its `Equal` is `loose_eq`;
@@ -276,7 +278,7 @@ fn merge(chunks: Vec<ChunkGroups>) -> Option<Vec<(Value, Vec<f64>)>> {
 /// the chunks are then exactly `combine_pairs`'s, one per worker.
 pub(crate) fn map_groups(
     mapper: &PureFn,
-    items: &[Value],
+    items: ListView<'_>,
     options: &RingMapOptions,
     fold: Option<BinOp>,
 ) -> Result<Option<Groups>, ExecError> {
@@ -311,11 +313,10 @@ pub(crate) fn map_groups(
         metrics::SHUFFLE_COMBINE_RUNS.incr();
         metrics::SHUFFLE_PAIRS_COMBINED.add((items.len() - pairs) as u64);
     }
-    // The boxing seam: values become `Value`s only for the reducer.
     Ok(Some(
         groups
             .into_iter()
-            .map(|(key, values)| (key, values.into_iter().map(Value::Number).collect()))
+            .map(|(key, values)| (key, List::from_numbers(values)))
             .collect(),
     ))
 }

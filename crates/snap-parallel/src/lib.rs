@@ -32,9 +32,10 @@ pub mod shuffle;
 
 pub use backend::{install, install_with, WorkerBackend};
 pub use blocks::{
-    associative_fold_op, map_reduce, map_reduce_with_combine, map_reduce_with_options,
-    map_reduce_with_policy, parallel_for_each, parallel_map, parallel_map_with_options,
-    parallel_map_with_policy, CombinePolicy, COMBINE_MIN_PAIRS,
+    associative_fold_op, map_reduce, map_reduce_list, map_reduce_with_combine,
+    map_reduce_with_options, map_reduce_with_policy, parallel_for_each, parallel_map,
+    parallel_map_list, parallel_map_with_options, parallel_map_with_policy, CombinePolicy,
+    COMBINE_MIN_PAIRS,
 };
 pub use distributed::{distributed_map, strong_scaling_sweep, ClusterSpec, DistributedOutcome};
 pub use shuffle::{

@@ -12,9 +12,12 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use snap_ast::builder::*;
-use snap_ast::{Ring, Value};
+use snap_ast::{List, Ring, Value};
 use snap_data::{generate_noaa, generate_words, NoaaConfig};
-use snap_parallel::{map_reduce_with_options, parallel_map_with_options};
+use snap_parallel::{
+    map_reduce_list, map_reduce_with_options, parallel_map_list, parallel_map_with_options,
+    CombinePolicy,
+};
 use snap_trace::well_known as metrics;
 use snap_workers::{ColumnarPolicy, RingMapOptions};
 
@@ -198,4 +201,67 @@ fn climate_map_reduce_columnar_on_off_are_identical() {
     let off =
         map_reduce_with_options(mapper, reducer, temps, options(ColumnarPolicy::Disabled)).unwrap();
     assert_eq!(on, off);
+}
+
+#[test]
+fn numeric_lists_match_disabled_runs_over_boxed_lists() {
+    // The blocks over a list stored as numbers, on the columnar tier and
+    // the keyed rung, against the per-element path over the same numbers
+    // held boxed: bit for bit, and the numeric list stays numeric.
+    let _serial = counter_lock();
+    let temps: Vec<f64> = generate_noaa(&NoaaConfig {
+        stations: 8,
+        years: 6,
+        readings_per_year: 40,
+        ..NoaaConfig::default()
+    })
+    .readings
+    .iter()
+    .map(|r| r.temp_f)
+    .collect();
+    let numeric = List::from_numbers(temps.clone());
+    let boxed = List::boxed(temps.iter().map(|&t| Value::Number(t)).collect());
+
+    let chunks_before = metrics::PAR_COLUMNAR_CHUNKS.get();
+    let on = parallel_map_list(f_to_c_ring(), &numeric, options(ColumnarPolicy::Auto)).unwrap();
+    assert!(metrics::PAR_COLUMNAR_CHUNKS.get() > chunks_before);
+    assert!(on.is_numeric(), "a numeric map reports a numeric list");
+    let off = parallel_map_list(f_to_c_ring(), &boxed, options(ColumnarPolicy::Disabled)).unwrap();
+    assert_numbers_bits_eq(&on.to_vec(), &off.to_vec());
+
+    let mapper = Arc::new(Ring::reporter_with_params(
+        vec!["t".into()],
+        make_list(vec![
+            modulo(floor(var("t")), num(4.0)),
+            div(mul(num(5.0), sub(var("t"), num(32.0))), num(9.0)),
+        ]),
+    ));
+    let reducer = Arc::new(Ring::reporter_with_params(
+        vec!["vals".into()],
+        div(
+            combine_using(var("vals"), ring_reporter(add(empty_slot(), empty_slot()))),
+            length_of(var("vals")),
+        ),
+    ));
+    let on = on_keyed_rung(|| {
+        map_reduce_list(
+            mapper.clone(),
+            reducer.clone(),
+            &numeric,
+            options(ColumnarPolicy::Auto),
+            CombinePolicy::Auto,
+        )
+        .unwrap()
+    });
+    let off = map_reduce_list(
+        mapper,
+        reducer,
+        &boxed,
+        options(ColumnarPolicy::Disabled),
+        CombinePolicy::Disabled,
+    )
+    .unwrap();
+    assert_eq!(on.len(), 4);
+    assert_eq!(format!("{on:?}"), format!("{off:?}"));
+    assert!(numeric.is_numeric() && !boxed.is_numeric());
 }

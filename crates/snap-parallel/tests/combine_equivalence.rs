@@ -16,9 +16,9 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use snap_ast::builder::*;
-use snap_ast::{BinOp, Ring, Value};
+use snap_ast::{BinOp, List, Ring, Value};
 use snap_data::generate_words;
-use snap_parallel::{combine_pairs, map_reduce_with_combine, CombinePolicy};
+use snap_parallel::{combine_pairs, map_reduce_list, map_reduce_with_combine, CombinePolicy};
 use snap_trace::well_known as metrics;
 use snap_workers::{ExecMode, RingMapOptions};
 
@@ -114,6 +114,47 @@ fn combined_map_reduce_output_is_identical_to_uncombined() {
         assert!(metrics::PAR_COLUMNAR_CHUNKS.get() >= chunks_before + 2);
         assert_eq!(metrics::RING_BATCH_FALLBACKS.get(), fallback_before);
         assert_eq!(on, off, "workers={workers}");
+    }
+}
+
+#[test]
+fn combined_output_on_number_lists_is_identical_in_both_forms() {
+    let _guard = counter_lock();
+    // Integer readings keyed by `x mod 7` and summed: the combiner folds
+    // a numeric list's `f64`s per chunk and the reducer folds each group
+    // as a numeric list; held boxed, or uncombined, nothing changes.
+    let mapper = Arc::new(Ring::reporter_with_params(
+        vec!["x".into()],
+        make_list(vec![modulo(var("x"), num(7.0)), var("x")]),
+    ));
+    let numbers: Vec<f64> = (0..6_000).map(|i| ((i * 37) % 1_000) as f64).collect();
+    let numeric = List::from_numbers(numbers.clone());
+    let boxed = List::boxed(numbers.iter().map(|&n| Value::Number(n)).collect());
+    let run = |list: &List, workers: usize, combine: CombinePolicy| {
+        let options = RingMapOptions {
+            workers,
+            ..Default::default()
+        };
+        map_reduce_list(mapper.clone(), word_count_reducer(), list, options, combine)
+            .unwrap()
+            .to_vec()
+    };
+    let want = run(&boxed, 1, CombinePolicy::Disabled);
+    assert_eq!(want.len(), 7);
+    for workers in [1, 2, 4] {
+        let combined_before = metrics::SHUFFLE_PAIRS_COMBINED.get();
+        assert_eq!(
+            run(&numeric, workers, CombinePolicy::Auto),
+            want,
+            "workers={workers}"
+        );
+        assert!(metrics::SHUFFLE_PAIRS_COMBINED.get() > combined_before);
+        assert_eq!(
+            run(&boxed, workers, CombinePolicy::Auto),
+            want,
+            "workers={workers}"
+        );
+        assert_eq!(run(&numeric, workers, CombinePolicy::Disabled), want);
     }
 }
 

@@ -2,7 +2,10 @@
 //! it: injected chunk panics in `mapReduce`'s keyed-columnar map are
 //! retried with identical output, a zero-retry exhaustion degrades once
 //! to the sequential path over the same input, a missed deadline is an
-//! error, and a degraded `parallelMap` equals the pooled one.
+//! error, and a degraded `parallelMap` equals the pooled one. Blocks
+//! whose rings read the very list they map, held as numbers and held
+//! boxed, go through a degraded call and a retried chunk while the block
+//! holds the list's read lock, and leave the list as it was.
 //!
 //! The fault injector and the counters are process-wide, so every test
 //! holds [`injector_lock`] and uninstalls the injector before releasing
@@ -12,8 +15,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use snap_ast::builder::*;
-use snap_ast::{Ring, Value};
-use snap_parallel::{map_reduce_with_options, parallel_map_with_options};
+use snap_ast::{List, Ring, Value};
+use snap_parallel::{
+    map_reduce_list, map_reduce_with_options, parallel_map_list, parallel_map_with_options,
+    CombinePolicy,
+};
 use snap_trace::well_known as metrics;
 use snap_workers::{install_injector, FaultInjector, FaultPolicy, RingMapOptions};
 
@@ -206,4 +212,106 @@ fn degraded_parallel_map_equals_the_pooled_map() {
     install_injector(None);
     assert_same(&degraded.unwrap(), &pooled);
     assert_eq!(metrics::FAULT_DEGRADED_RUNS.get() - degraded_before, 1);
+}
+
+/// `(x + length of xs)`, with `xs` captured: every call reads `xs`.
+fn plus_length_of(xs: &List) -> Arc<Ring> {
+    Arc::new(
+        Ring::reporter(add(empty_slot(), length_of(var("xs"))))
+            .with_captured(vec![("xs".into(), Value::List(xs.clone()))]),
+    )
+}
+
+/// `(combine vals using +) + (length of xs)`, with `xs` captured.
+fn sum_plus_length_of(xs: &List) -> Arc<Ring> {
+    Arc::new(
+        Ring::reporter_with_params(
+            vec!["vals".into()],
+            add(
+                combine_using(var("vals"), ring_reporter(add(empty_slot(), empty_slot()))),
+                length_of(var("xs")),
+            ),
+        )
+        .with_captured(vec![("xs".into(), Value::List(xs.clone()))]),
+    )
+}
+
+/// `[x mod 3, x]`: a mapper the keyed rung runs.
+fn mod_three_mapper() -> Arc<Ring> {
+    Arc::new(Ring::reporter_with_params(
+        vec!["x".into()],
+        make_list(vec![modulo(var("x"), num(3.0)), var("x")]),
+    ))
+}
+
+#[test]
+fn blocks_whose_rings_read_the_list_they_map_survive_faults_in_both_forms() {
+    let _guard = injector_lock();
+    install_injector(None);
+    let numbers: Vec<f64> = (0..3_000).map(|i| i as f64 * 0.25).collect();
+    let values: Vec<Value> = numbers.iter().map(|&n| Value::Number(n)).collect();
+    // A seed whose injector fails item 0's first attempt only: a retry.
+    let retried_once = (0..)
+        .map(|seed| FaultInjector::new(seed).panic_probability(0.5))
+        .find(|i| i.should_panic(0, 0) && !i.should_panic(0, 1))
+        .unwrap();
+    let mut outputs = Vec::new();
+    for list in [
+        List::from_numbers(numbers.clone()),
+        List::boxed(values.clone()),
+    ] {
+        let numeric = list.is_numeric();
+        let map = |policy: FaultPolicy| {
+            parallel_map_list(plus_length_of(&list), &list, options(2, policy)).map(List::into_vec)
+        };
+        let map_reduce = |policy: FaultPolicy| {
+            let reducer = sum_plus_length_of(&list);
+            let options = options(2, policy);
+            map_reduce_list(
+                mod_three_mapper(),
+                reducer,
+                &list,
+                options,
+                CombinePolicy::Auto,
+            )
+            .map(List::into_vec)
+        };
+        let clean = (
+            map(FaultPolicy::default()).unwrap(),
+            map_reduce(FaultPolicy::default()).unwrap(),
+        );
+        assert_eq!(clean.0[4], Value::Number(1.0 + 3_000.0));
+
+        // Every attempt panics and none is retried: both blocks degrade
+        // to the sequential path over the same list, on this thread.
+        install_injector(Some(FaultInjector::new(9).panic_probability(1.0)));
+        let degraded_before = metrics::FAULT_DEGRADED_RUNS.get();
+        let degraded = (
+            map(FaultPolicy::default()),
+            map_reduce(FaultPolicy::default()),
+        );
+        install_injector(None);
+        assert!(metrics::FAULT_DEGRADED_RUNS.get() - degraded_before >= 2);
+        assert_same(&degraded.0.unwrap(), &clean.0);
+        assert_same(&degraded.1.unwrap(), &clean.1);
+
+        // One chunk's first attempt panics and its retry succeeds.
+        let policy = FaultPolicy::with_retries(2).backoff(Duration::from_micros(10));
+        let retries_before = metrics::FAULT_RETRIES_SCHEDULED.get();
+        install_injector(Some(retried_once));
+        let retried = (map(policy), map_reduce(policy));
+        install_injector(None);
+        assert!(metrics::FAULT_RETRIES_SCHEDULED.get() > retries_before);
+        assert_same(&retried.0.unwrap(), &clean.0);
+        assert_same(&retried.1.unwrap(), &clean.1);
+
+        // The list is as it was, in its form, and free to read and write.
+        assert_eq!(list.is_numeric(), numeric);
+        assert_same(&list.to_vec(), &values);
+        list.add(Value::text("unlocked"));
+        assert_eq!(list.delete(list.len()), Some(Value::text("unlocked")));
+        outputs.push(clean);
+    }
+    assert_same(&outputs[0].0, &outputs[1].0);
+    assert_same(&outputs[0].1, &outputs[1].1);
 }

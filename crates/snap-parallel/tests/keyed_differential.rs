@@ -3,12 +3,14 @@
 //! programs).
 //!
 //! Each seeded case builds a mapper `[key, value]`, a reducer and an
-//! input list, and runs the `mapReduce` three ways that must agree bit
+//! input list, and runs the `mapReduce` four ways that must agree bit
 //! for bit: the block under `ColumnarPolicy::Auto` (the keyed rung when
-//! it applies), the block under `ColumnarPolicy::Disabled` (the boxed
-//! per-element path), and the public phases composed by hand, as
-//! perfbench's traced replay composes them (`ring_map_pairs_faulted` →
-//! `combine_pairs` → `shuffle` → `ring_reduce_groups_faulted`). The only
+//! it applies) on the list as built, which stores numbers only as `f64`s,
+//! the same on the list held boxed, the block under
+//! `ColumnarPolicy::Disabled` (the boxed per-element path), and the
+//! public phases composed by hand, as perfbench's traced replay composes
+//! them (`ring_map_pairs_faulted` → `combine_pairs` → `shuffle` →
+//! `ring_reduce_groups_faulted`). The only
 //! slack is a NaN's payload bits. The rung's counters must match an
 //! independent prediction of whether it applies, and every way of
 //! declining it must occur. A VM-level twin runs the keyed cases as
@@ -20,10 +22,10 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use snap_ast::builder::*;
-use snap_ast::{Constant, EvalError, Expr, Project, Ring, Script, SpriteDef, Value};
+use snap_ast::{Constant, EvalError, Expr, List, Project, Ring, Script, SpriteDef, Value};
 use snap_parallel::{
-    associative_fold_op, combine_pairs, map_reduce_with_combine, shuffle, CombinePolicy,
-    WorkerBackend, COMBINE_MIN_PAIRS,
+    associative_fold_op, combine_pairs, map_reduce_list, map_reduce_with_combine, shuffle,
+    CombinePolicy, WorkerBackend, COMBINE_MIN_PAIRS,
 };
 use snap_trace::well_known as metrics;
 use snap_vm::Vm;
@@ -340,6 +342,19 @@ impl Case {
         )
     }
 
+    /// The block over the items held boxed, whatever they are: a list of
+    /// numbers only runs numeric through [`Case::block`] and boxed here.
+    fn block_on_boxed_list(&self) -> Result<Vec<Value>, EvalError> {
+        map_reduce_list(
+            self.mapper(),
+            self.reducer(),
+            &List::boxed(self.items.clone()),
+            self.options(ColumnarPolicy::Auto),
+            self.combine,
+        )
+        .map(List::into_vec)
+    }
+
     /// Whether the keyed rung should run this case, judged from the
     /// mapper's shape and the keys the boxed map reports, without the
     /// rung's own code.
@@ -442,6 +457,7 @@ fn keyed_rung_equals_the_boxed_path_and_the_public_phases_bit_for_bit() {
 
         let (keyed, on_auto) = moved(|| case.block(ColumnarPolicy::Auto));
         let (boxed, on_disabled) = moved(|| case.block(ColumnarPolicy::Disabled));
+        let (keyed_boxed, on_boxed_input) = moved(|| case.block_on_boxed_list());
         let (chunks, fallbacks) = (on_auto[CHUNKS], on_auto[FALLBACKS]);
         let composed = case.composed();
         assert!(
@@ -451,6 +467,15 @@ fn keyed_rung_equals_the_boxed_path_and_the_public_phases_bit_for_bit() {
         assert!(
             same_results(&keyed, &composed),
             "seed {seed}: Auto {keyed:?} vs composed phases {composed:?} for {case:?}"
+        );
+        assert!(
+            same_results(&keyed, &keyed_boxed),
+            "seed {seed}: Auto {keyed:?} vs Auto on a boxed list {keyed_boxed:?} for {case:?}"
+        );
+        assert_eq!(
+            (on_boxed_input[CHUNKS] > 0, on_boxed_input[FALLBACKS]),
+            (chunks > 0, fallbacks),
+            "seed {seed}: the two forms took different rungs for {case:?}"
         );
         match expect {
             Expect::Keyed => assert!(

@@ -11,7 +11,9 @@
 //! `SequentialBackend`, `parallelMap` under `WorkerBackend` with 1, 2 and
 //! 4 workers, and `PureFn::call` and `PureFn::call_treewalk` per item.
 //! The ring is also called with 0–3 inputs through the VM's `call` and
-//! both `PureFn` entry points.
+//! both `PureFn` entry points. The VM's blocks map the input list twice,
+//! once stored as numbers where its items allow and once boxed (see
+//! `snap_ast::value`), and every path agrees on both.
 //!
 //! Values agree bit for bit; any NaN matches any NaN, and rings compare
 //! by parameters and body. The one exception is a body with a
@@ -25,13 +27,16 @@
 
 use snap_ast::builder::*;
 use snap_ast::{
-    BinOp, Constant, EvalError, Expr, Project, PureFn, RingExpr, RingExprBody, SpriteDef, UnOp,
-    Value,
+    BinOp, Constant, EvalError, Expr, List, Project, PureFn, RingExpr, RingExprBody, SpriteDef,
+    UnOp, Value,
 };
 use snap_vm::{Vm, VmError};
 
 /// The global every ring may read; ring literals capture it.
 const GLOBAL: &str = "k";
+
+/// The global holding the list the blocks map, in one form or the other.
+const INPUT: &str = "input list";
 
 /// One oracle case.
 #[derive(Debug, Clone)]
@@ -122,7 +127,6 @@ fn run(case: &Case) -> Result<Outcome, String> {
             .collect()
     };
     let items = values(&mut seq, &case.items)?;
-    let list = make_list(case.items.clone());
     let per_item = |call: &dyn Fn(&Value) -> Outcome| -> Outcome {
         items
             .iter()
@@ -131,30 +135,42 @@ fn run(case: &Case) -> Result<Outcome, String> {
             .map(Value::list)
     };
     let want = per_item(&|x| f.call_treewalk(std::slice::from_ref(x)));
-    let mut got: Vec<(String, Outcome)> = vec![
-        ("PureFn::call".into(), per_item(&|x| f.call1(x.clone()))),
-        (
-            "VM map, sequential backend".into(),
-            eval(&mut seq, &map_over(case.ring.clone(), list.clone())),
-        ),
-        (
-            "VM map, worker backend".into(),
-            eval(&mut par, &map_over(case.ring.clone(), list.clone())),
-        ),
-        (
-            "parallelMap, sequential backend".into(),
-            eval(
-                &mut seq,
-                &parallel_map_over(case.ring.clone(), list.clone()),
+    let mut got: Vec<(String, Outcome)> =
+        vec![("PureFn::call".into(), per_item(&|x| f.call1(x.clone())))];
+    let list = var(INPUT);
+    for (form, input) in [
+        ("as built", List::from_vec(items.clone())),
+        ("boxed", List::boxed(items.clone())),
+    ] {
+        for vm in [&mut seq, &mut par] {
+            vm.world
+                .globals
+                .insert(INPUT.into(), Value::List(input.clone()));
+        }
+        got.extend([
+            (
+                format!("VM map, sequential backend, list {form}"),
+                eval(&mut seq, &map_over(case.ring.clone(), list.clone())),
             ),
-        ),
-    ];
-    for workers in [1.0, 2.0, 4.0] {
-        let block = parallel_map_with_workers(case.ring.clone(), list.clone(), num(workers));
-        got.push((
-            format!("parallelMap, worker backend, {workers} workers"),
-            eval(&mut par, &block),
-        ));
+            (
+                format!("VM map, worker backend, list {form}"),
+                eval(&mut par, &map_over(case.ring.clone(), list.clone())),
+            ),
+            (
+                format!("parallelMap, sequential backend, list {form}"),
+                eval(
+                    &mut seq,
+                    &parallel_map_over(case.ring.clone(), list.clone()),
+                ),
+            ),
+        ]);
+        for workers in [1.0, 2.0, 4.0] {
+            let block = parallel_map_with_workers(case.ring.clone(), list.clone(), num(workers));
+            got.push((
+                format!("parallelMap, worker backend, {workers} workers, list {form}"),
+                eval(&mut par, &block),
+            ));
+        }
     }
     for args in &case.calls {
         let args_values = values(&mut seq, args)?;

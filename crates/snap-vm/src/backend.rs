@@ -10,12 +10,21 @@
 //! Two implementations exist:
 //! * [`SequentialBackend`] (here) — evaluates in-thread; what Snap! does
 //!   when no workers are available. Installed by default.
-//! * `WorkerPoolBackend` (in `snap-parallel`) — real OS threads standing
-//!   in for Web Workers.
+//! * `WorkerBackend` (in `snap-parallel`) — real OS threads standing in
+//!   for Web Workers.
+//!
+//! The VM hands a block its input list by handle
+//! ([`ParallelBackend::parallel_map_list`],
+//! [`ParallelBackend::map_reduce_list`]). Both backends read it in place
+//! under its read lock (the worker backend's batch tier reads a numeric
+//! list as `f64`s) while the VM thread waits for the call; the rings
+//! they run passed `compile_cached`'s purity check, so no ring can write
+//! a list meanwhile. A backend that implements only the `Vec` methods
+//! gets a snapshot of the list.
 
 use std::sync::Arc;
 
-use snap_ast::{compile_cached, EvalError, Ring, Value};
+use snap_ast::{compile_cached, EvalError, List, Ring, Value};
 
 /// Implementation of the truly parallel blocks.
 pub trait ParallelBackend: Send + Sync {
@@ -41,6 +50,40 @@ pub trait ParallelBackend: Send + Sync {
 
     /// Human-readable backend name (shows up in diagnostics).
     fn name(&self) -> &'static str;
+
+    /// `parallelMap` over `list` as the VM calls it: the result is the
+    /// reported list. By default, [`ParallelBackend::parallel_map`] on a
+    /// snapshot of the list.
+    fn parallel_map_list(
+        &self,
+        ring: Arc<Ring>,
+        list: &List,
+        workers: usize,
+    ) -> Result<Value, EvalError> {
+        self.parallel_map(ring, list.to_vec(), workers)
+            .map(Value::list)
+    }
+
+    /// `mapReduce` over `list` as the VM calls it. By default,
+    /// [`ParallelBackend::map_reduce`] on a snapshot of the list.
+    fn map_reduce_list(
+        &self,
+        mapper: Arc<Ring>,
+        reducer: Arc<Ring>,
+        list: &List,
+        workers: usize,
+    ) -> Result<Value, EvalError> {
+        self.map_reduce(mapper, reducer, list.to_vec(), workers)
+            .map(Value::list)
+    }
+}
+
+/// The items of the list a by-handle method reported.
+fn reported_items(reported: Value) -> Vec<Value> {
+    match reported {
+        Value::List(list) => list.into_vec(),
+        other => vec![other],
+    }
 }
 
 /// In-thread fallback backend: the degradation Snap! performs when Web
@@ -53,12 +96,10 @@ impl ParallelBackend for SequentialBackend {
         &self,
         ring: Arc<Ring>,
         items: Vec<Value>,
-        _workers: usize,
+        workers: usize,
     ) -> Result<Vec<Value>, EvalError> {
-        // Memoized on ring identity: a parallelMap block inside a loop
-        // re-verifies purity only on its first evaluation.
-        let f = compile_cached(&ring)?;
-        items.into_iter().map(|item| f.call1(item)).collect()
+        self.parallel_map_list(ring, &List::from_vec(items), workers)
+            .map(reported_items)
     }
 
     fn map_reduce(
@@ -66,15 +107,49 @@ impl ParallelBackend for SequentialBackend {
         mapper: Arc<Ring>,
         reducer: Arc<Ring>,
         items: Vec<Value>,
-        _workers: usize,
+        workers: usize,
     ) -> Result<Vec<Value>, EvalError> {
-        let map_fn = compile_cached(&mapper)?;
-        let reduce_fn = compile_cached(&reducer)?;
-        snap_ast::pure::map_reduce(&map_fn, &reduce_fn, items)
+        self.map_reduce_list(mapper, reducer, &List::from_vec(items), workers)
+            .map(reported_items)
     }
 
     fn name(&self) -> &'static str {
         "sequential"
+    }
+
+    /// One call per item, over the list in place.
+    fn parallel_map_list(
+        &self,
+        ring: Arc<Ring>,
+        list: &List,
+        _workers: usize,
+    ) -> Result<Value, EvalError> {
+        // Memoized on ring identity: a parallelMap block inside a loop
+        // re-verifies purity only on its first evaluation.
+        let f = compile_cached(&ring)?;
+        // The read guard is held for the call. `f` is pure, so it cannot
+        // write a list; reading this one again only takes a second read
+        // lock, and no writer can be waiting while the VM thread is here.
+        list.with_view(|view| {
+            view.iter()
+                .map(|item| f.call1(item))
+                .collect::<Result<_, _>>()
+                .map(Value::list)
+        })
+    }
+
+    fn map_reduce_list(
+        &self,
+        mapper: Arc<Ring>,
+        reducer: Arc<Ring>,
+        list: &List,
+        _workers: usize,
+    ) -> Result<Value, EvalError> {
+        let map_fn = compile_cached(&mapper)?;
+        let reduce_fn = compile_cached(&reducer)?;
+        // Under the read guard, as in `parallel_map_list`.
+        list.with_view(|view| snap_ast::pure::map_reduce(&map_fn, &reduce_fn, view.iter()))
+            .map(Value::list)
     }
 }
 
@@ -129,6 +204,124 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, EvalError::TypeMismatch { .. }), "{err:?}");
         }
+    }
+
+    #[test]
+    fn sequential_parallel_map_list_keeps_numbers_unboxed() {
+        let ring = Arc::new(Ring::reporter(mul(empty_slot(), num(10.0))));
+        let numbers: Vec<f64> = (0..40).map(|i| i as f64 - 0.5).collect();
+        let want: Vec<Value> = numbers.iter().map(|&n| (n * 10.0).into()).collect();
+        let numeric = List::from_numbers(numbers.clone());
+        let boxed = List::boxed(numbers.iter().map(|&n| n.into()).collect());
+        for input in [numeric, boxed] {
+            let out = SequentialBackend
+                .parallel_map_list(ring.clone(), &input, 2)
+                .unwrap();
+            let out = out.as_list().unwrap();
+            assert!(out.is_numeric());
+            assert_eq!(out.to_vec(), want);
+            // The input is read, not changed.
+            assert_eq!(input.len(), numbers.len());
+        }
+    }
+
+    #[test]
+    fn sequential_parallel_map_list_with_a_text_ring_reports_text() {
+        let ring = Arc::new(Ring::reporter(join(vec![empty_slot(), text("!")])));
+        let out = SequentialBackend
+            .parallel_map_list(ring, &List::from_numbers(vec![1.0, 2.5]), 1)
+            .unwrap();
+        assert_eq!(out, Value::list(vec!["1!".into(), "2.5!".into()]));
+    }
+
+    #[test]
+    fn sequential_list_methods_reject_impure_rings() {
+        let impure = Arc::new(Ring::reporter(pick_random(num(1.0), empty_slot())));
+        let list = List::from_numbers(vec![1.0, 2.0]);
+        assert!(SequentialBackend
+            .parallel_map_list(impure.clone(), &list, 1)
+            .is_err());
+        let pure = Arc::new(Ring::reporter(empty_slot()));
+        assert!(SequentialBackend
+            .map_reduce_list(impure, pure, &list, 1)
+            .is_err());
+    }
+
+    #[test]
+    fn sequential_map_reduce_list_groups_a_numeric_list() {
+        // mapper: x -> [x mod 3, x]; reducer: sum of values.
+        let mapper = Arc::new(Ring::reporter_with_params(
+            vec!["x".into()],
+            make_list(vec![modulo(var("x"), num(3.0)), var("x")]),
+        ));
+        let reducer = Arc::new(Ring::reporter_with_params(
+            vec!["vals".into()],
+            combine_using(var("vals"), ring_reporter(add(empty_slot(), empty_slot()))),
+        ));
+        let list = List::from_numbers((1..=9).map(f64::from).collect());
+        let out = SequentialBackend
+            .map_reduce_list(mapper.clone(), reducer.clone(), &list, 2)
+            .unwrap();
+        let pair = |k: f64, v: f64| Value::number_list([k, v]);
+        let want = Value::list(vec![pair(0.0, 18.0), pair(1.0, 12.0), pair(2.0, 15.0)]);
+        assert_eq!(out, want);
+        // The `Vec` method is the same block.
+        let by_vec = SequentialBackend
+            .map_reduce(mapper, reducer, list.to_vec(), 2)
+            .unwrap();
+        assert_eq!(Value::list(by_vec), want);
+    }
+
+    /// A backend with only the `Vec` methods, recording what it received.
+    #[derive(Default)]
+    struct VecOnly {
+        received: std::sync::Mutex<Vec<Vec<Value>>>,
+    }
+
+    impl ParallelBackend for VecOnly {
+        fn parallel_map(
+            &self,
+            ring: Arc<Ring>,
+            items: Vec<Value>,
+            workers: usize,
+        ) -> Result<Vec<Value>, EvalError> {
+            self.received.lock().unwrap().push(items.clone());
+            SequentialBackend.parallel_map(ring, items, workers)
+        }
+
+        fn map_reduce(
+            &self,
+            mapper: Arc<Ring>,
+            reducer: Arc<Ring>,
+            items: Vec<Value>,
+            workers: usize,
+        ) -> Result<Vec<Value>, EvalError> {
+            self.received.lock().unwrap().push(items.clone());
+            SequentialBackend.map_reduce(mapper, reducer, items, workers)
+        }
+
+        fn name(&self) -> &'static str {
+            "vec-only"
+        }
+    }
+
+    #[test]
+    fn default_list_methods_hand_the_vec_methods_a_snapshot() {
+        let backend = VecOnly::default();
+        let list = List::from_numbers(vec![1.0, 2.0]);
+        let double = Arc::new(Ring::reporter(mul(empty_slot(), num(2.0))));
+        let out = backend.parallel_map_list(double, &list, 3).unwrap();
+        assert_eq!(out, Value::number_list([2.0, 4.0]));
+        let pairs = List::from_vec(vec![Value::list(vec!["k".into(), 5.into()])]);
+        let identity = Arc::new(Ring::reporter(empty_slot()));
+        let first = Arc::new(Ring::reporter(item(num(1.0), empty_slot())));
+        let out = backend.map_reduce_list(identity, first, &pairs, 3).unwrap();
+        assert_eq!(
+            out,
+            Value::list(vec![Value::list(vec!["k".into(), 5.into()])])
+        );
+        let received = backend.received.lock().unwrap();
+        assert_eq!(*received, vec![list.to_vec(), pairs.to_vec()]);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use rand::RngExt;
 
 use snap_ast::pure::{self, slot_input, Env, MAX_DEPTH};
 use snap_ast::{
-    compile_cached, Attr, BlockKind, EvalError, Expr, List, Ring, RingBody, Stmt, Value,
+    bytecode, compile_cached, Attr, BlockKind, EvalError, Expr, List, Ring, RingBody, Stmt, Value,
 };
 
 use crate::error::VmError;
@@ -139,7 +139,13 @@ impl<'a> EvalCtx<'a> {
             .into());
         }
         let frame: Vec<(String, Value)> = block.params.iter().cloned().zip(args).collect();
-        match self.enter(frame, Vec::new(), |ctx| ctx.run_sync(&block.body))? {
+        // The body sees its inputs, its own script variables, sprite
+        // variables and globals, and not the caller's script variables,
+        // as in Snap!; `apply` sets them aside for rings the same way.
+        let caller = std::mem::take(&mut *self.scopes);
+        let result = self.enter(frame, Vec::new(), |ctx| ctx.run_sync(&block.body));
+        *self.scopes = caller;
+        match result? {
             Some(value) => Ok(value),
             None => Err(VmError::NoReport(name.to_owned())),
         }
@@ -415,48 +421,69 @@ impl Env for EvalCtx<'_> {
         self.call_custom_reporter(name, args)
     }
 
+    /// A ring that lowers applies here as its numeric program, so the
+    /// fold runs that program; the lowering is the ring's tree walk, bit
+    /// for bit.
+    fn fold_numbers(&mut self, ring: &Arc<Ring>, numbers: &[f64]) -> Option<f64> {
+        // At the depth limit `apply` raises; leave that to it.
+        if self.depth >= MAX_DEPTH {
+            return None;
+        }
+        let program = bytecode::lower(ring)?;
+        snap_trace::well_known::RING_BYTECODE_COMPILES.incr();
+        program.fold(numbers)
+    }
+
     /// A ring a worker can run goes to the parallel backend — the paper's
     /// Web Worker path — on `workers` workers, else the world default
     /// (`hardwareConcurrency || 4` in the paper). Any other ring runs as
     /// `map` in this thread, as browser Snap! degrades when the ring
     /// can't be shipped to a worker. The purity test compiles through the
     /// cache, so the backend's own compile of the ring hits it.
+    ///
+    /// The backend reads `list` in place, under its read lock, while this
+    /// thread waits for the call: the rings it runs passed the purity
+    /// test, so none can write a list. The in-thread `map` walks a
+    /// snapshot instead, since its ring may call a custom block that
+    /// changes the list.
     fn parallel_map(
         &mut self,
         ring: Arc<Ring>,
-        items: Vec<Value>,
+        list: &List,
         workers: Option<f64>,
-    ) -> Result<Vec<Value>, VmError> {
+    ) -> Result<Value, VmError> {
         let workers = match workers {
             Some(n) if n >= 1.0 => n as usize,
             _ => self.world.default_workers,
         };
         if compile_cached(&ring).is_ok() {
-            Ok(self.world.backend.parallel_map(ring, items, workers)?)
+            Ok(self.world.backend.parallel_map_list(ring, list, workers)?)
         } else {
             let f = self.prepare(ring)?;
-            pure::map_with(self, &f, items)
+            Ok(Value::list(pure::map_with(self, &f, list.to_vec())?))
         }
     }
 
-    /// Rings a worker can run go to the parallel backend; otherwise the
-    /// sequential `mapReduce` runs in this thread.
+    /// Rings a worker can run go to the parallel backend, which reads
+    /// `list` in place (see [`EvalCtx::parallel_map`]); otherwise the
+    /// sequential `mapReduce` runs in this thread over a snapshot.
     fn map_reduce(
         &mut self,
         mapper: Arc<Ring>,
         reducer: Arc<Ring>,
-        items: Vec<Value>,
-    ) -> Result<Vec<Value>, VmError> {
+        list: &List,
+    ) -> Result<Value, VmError> {
         if compile_cached(&mapper).is_ok() && compile_cached(&reducer).is_ok() {
             let workers = self.world.default_workers;
             Ok(self
                 .world
                 .backend
-                .map_reduce(mapper, reducer, items, workers)?)
+                .map_reduce_list(mapper, reducer, list, workers)?)
         } else {
             let mapper = self.prepare(mapper)?;
             let reducer = self.prepare(reducer)?;
-            pure::map_reduce_with(self, &mapper, &reducer, items)
+            let pairs = pure::map_reduce_with(self, &mapper, &reducer, list.to_vec())?;
+            Ok(Value::list(pairs))
         }
     }
 }
@@ -502,8 +529,9 @@ pub fn round_robin_assign(items: Vec<Value>, k: usize) -> Vec<VecDeque<Value>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Vm;
     use snap_ast::builder::*;
-    use snap_ast::{Constant, CustomBlock, Project, SpriteDef};
+    use snap_ast::{Constant, CustomBlock, Project, Script, SpriteDef};
 
     fn ctx_fixture() -> (World, ScopeStack) {
         let project = Project::new("t")
@@ -589,6 +617,236 @@ mod tests {
             eval_on_cat(&mut world, &mut scopes, &e),
             Value::Number(42.0)
         );
+    }
+
+    #[test]
+    fn custom_reporter_cannot_see_its_callers_script_variables() {
+        // `peek` reports `x`; its caller has a script variable `x`. Snap!
+        // reports that `x` does not exist.
+        let project = Project::new("t")
+            .with_global_block(CustomBlock::reporter_expr("peek", vec![], var("x")))
+            .with_sprite(SpriteDef::new("S").with_script(Script::on_green_flag(vec![
+                script_variables(vec!["x"]),
+                set_var("x", num(5.0)),
+                say(call_custom("peek", vec![])),
+            ])));
+        let mut vm = Vm::new(project);
+        vm.green_flag();
+        vm.run_until_idle();
+        assert!(vm.world.said().is_empty());
+        let errors: Vec<&VmError> = vm.world.errors.iter().map(|(_, e)| e).collect();
+        assert_eq!(
+            errors,
+            vec![&VmError::Eval(EvalError::UnboundVariable("x".into()))]
+        );
+    }
+
+    #[test]
+    fn custom_reporter_sees_its_inputs_locals_sprite_variables_and_globals() {
+        // report n + local + lives + g, with a local the body declares.
+        let project = Project::new("t")
+            .with_global("g", Constant::Number(1000.0))
+            .with_global_block(CustomBlock::reporter(
+                "sum",
+                vec!["n".into()],
+                vec![
+                    script_variables(vec!["local"]),
+                    set_var("local", num(100.0)),
+                    report(add(
+                        add(var("n"), var("local")),
+                        add(var("lives"), var("g")),
+                    )),
+                ],
+            ))
+            .with_sprite(SpriteDef::new("Cat").with_variable("lives", Constant::Number(9.0)));
+        let mut world = World::new(Arc::new(project));
+        let mut scopes = ScopeStack::new();
+        // The caller's own `local` is neither seen nor changed.
+        scopes.declare("local", Value::Number(-1.0));
+        let v = EvalCtx::new(&mut world, 1, &mut scopes, 0)
+            .eval(&call_custom("sum", vec![num(20000.0)]))
+            .unwrap();
+        assert_eq!(v, Value::Number(21109.0));
+        assert_eq!(scopes.get("local"), Some(&Value::Number(-1.0)));
+    }
+
+    #[test]
+    fn custom_reporter_script_variables_do_not_leak_into_the_caller() {
+        let project = Project::new("t").with_global_block(CustomBlock::reporter(
+            "seven",
+            vec![],
+            vec![
+                script_variables(vec!["y"]),
+                set_var("y", num(7.0)),
+                report(var("y")),
+            ],
+        ));
+        let mut world = World::new(Arc::new(project));
+        let mut scopes = ScopeStack::new();
+        let mut ctx = EvalCtx::new(&mut world, 0, &mut scopes, 0);
+        assert_eq!(
+            ctx.eval(&call_custom("seven", vec![])),
+            Ok(Value::Number(7.0))
+        );
+        assert_eq!(
+            ctx.eval(&var("y")),
+            Err(VmError::Eval(EvalError::UnboundVariable("y".into())))
+        );
+    }
+
+    #[test]
+    fn a_failing_custom_reporter_gives_the_caller_its_variables_back() {
+        let project = Project::new("t").with_global_block(CustomBlock::reporter_expr(
+            "broken",
+            vec!["n".into()],
+            add(var("n"), var("nope")),
+        ));
+        let mut world = World::new(Arc::new(project));
+        let mut scopes = ScopeStack::new();
+        scopes.declare("local", Value::Number(-1.0));
+        let err = EvalCtx::new(&mut world, 0, &mut scopes, 0)
+            .eval(&call_custom("broken", vec![num(1.0)]))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            VmError::Eval(EvalError::UnboundVariable("nope".into()))
+        );
+        assert_eq!(scopes.get("local"), Some(&Value::Number(-1.0)));
+        assert_eq!(scopes.get("n"), None);
+    }
+
+    #[test]
+    fn nested_custom_reporters_see_only_their_own_inputs() {
+        // outer(n) = inner() + n, where inner() reports `n`: Snap! says
+        // inner's `n` does not exist, although outer's caller frame has it.
+        let project = Project::new("t")
+            .with_global_block(CustomBlock::reporter_expr(
+                "outer",
+                vec!["n".into()],
+                add(call_custom("inner", vec![]), var("n")),
+            ))
+            .with_global_block(CustomBlock::reporter_expr("inner", vec![], var("n")))
+            .with_global_block(CustomBlock::reporter_expr(
+                "twice",
+                vec!["n".into()],
+                add(call_custom("double", vec![var("n")]), var("n")),
+            ))
+            .with_global_block(CustomBlock::reporter_expr(
+                "double",
+                vec!["n".into()],
+                add(var("n"), var("n")),
+            ));
+        let mut world = World::new(Arc::new(project));
+        let mut scopes = ScopeStack::new();
+        let mut ctx = EvalCtx::new(&mut world, 0, &mut scopes, 0);
+        assert_eq!(
+            ctx.eval(&call_custom("outer", vec![num(1.0)])),
+            Err(VmError::Eval(EvalError::UnboundVariable("n".into())))
+        );
+        // Each call binds its own `n`, and the caller's is back after.
+        assert_eq!(
+            ctx.eval(&call_custom("twice", vec![num(5.0)])),
+            Ok(Value::Number(15.0))
+        );
+    }
+
+    #[test]
+    fn combine_folds_numbers_left_in_order_in_both_forms() {
+        let (mut world, mut scopes) = ctx_fixture();
+        let numbers = [10.0, 1.0, 2.0, 3.0];
+        scopes.declare("numeric", Value::number_list(numbers));
+        let boxed = numbers.iter().map(|&n| n.into()).collect();
+        scopes.declare("boxed", Value::List(List::boxed(boxed)));
+        for name in ["numeric", "boxed"] {
+            let e = combine_using(var(name), ring_reporter(sub(empty_slot(), empty_slot())));
+            assert_eq!(
+                eval_on_cat(&mut world, &mut scopes, &e),
+                Value::Number(4.0),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn combine_walks_a_snapshot_when_its_ring_changes_the_list() {
+        // `grow` adds 100 to the global `xs` it is folding over and
+        // reports the sum of its inputs.
+        let project = Project::new("t")
+            .with_global("xs", Constant::List(vec![1.into(), 2.into(), 3.into()]))
+            .with_global_block(CustomBlock::reporter(
+                "grow",
+                vec!["a".into(), "b".into()],
+                vec![
+                    add_to_list(num(100.0), var("xs")),
+                    report(add(var("a"), var("b"))),
+                ],
+            ));
+        let mut world = World::new(Arc::new(project));
+        let mut scopes = ScopeStack::new();
+        let e = combine_using(
+            var("xs"),
+            ring_reporter(call_custom("grow", vec![empty_slot(), empty_slot()])),
+        );
+        let mut ctx = EvalCtx::new(&mut world, 0, &mut scopes, 0);
+        assert_eq!(ctx.eval(&e), Ok(Value::Number(6.0)));
+        // Two steps, two additions; the fold saw neither.
+        assert_eq!(
+            ctx.eval(&var("xs")),
+            Ok(Value::number_list([1.0, 2.0, 3.0, 100.0, 100.0]))
+        );
+    }
+
+    #[test]
+    fn parallel_map_over_a_counted_range_reports_a_numeric_list() {
+        let (mut world, mut scopes) = ctx_fixture();
+        let e = parallel_map_over(
+            ring_reporter(mul(empty_slot(), num(2.0))),
+            numbers_from_to(num(1.0), num(40.0)),
+        );
+        let v = eval_on_cat(&mut world, &mut scopes, &e);
+        let list = v.as_list().unwrap();
+        assert!(list.is_numeric());
+        assert_eq!(v, Value::number_list((1..=40).map(|i| 2.0 * i as f64)));
+    }
+
+    #[test]
+    fn a_range_past_the_budget_is_a_script_error() {
+        let project = Project::new("t").with_sprite(SpriteDef::new("S").with_script(
+            Script::on_green_flag(vec![
+                say(length_of(numbers_from_to(num(1.0), num(1e12)))),
+                say(length_of(numbers_from_to(num(1e16), num(1e16)))),
+            ]),
+        ));
+        let mut vm = Vm::new(project);
+        vm.green_flag();
+        vm.run_until_idle();
+        let errors: Vec<&VmError> = vm.world.errors.iter().map(|(_, e)| e).collect();
+        assert_eq!(
+            errors,
+            vec![&VmError::Eval(EvalError::ListTooLong {
+                limit: pure::MAX_LIST_ITEMS
+            })]
+        );
+        // The error stops the script before its second `say`.
+        assert!(vm.world.said().is_empty());
+    }
+
+    #[test]
+    fn parallel_map_ring_may_read_the_list_it_maps() {
+        // parallelMap (() + item 1 of xs) over xs, on the sequential
+        // backend: the ring reads `xs` while the block holds it.
+        let (mut world, mut scopes) = ctx_fixture();
+        scopes.declare("xs", Value::number_list((1..=20).map(f64::from)));
+        let e = parallel_map_over(
+            ring_reporter(add(empty_slot(), item(num(1.0), var("xs")))),
+            var("xs"),
+        );
+        let v = eval_on_cat(&mut world, &mut scopes, &e);
+        assert_eq!(v, Value::number_list((1..=20).map(|i| f64::from(i) + 1.0)));
+        // The list is free again once the block has reported.
+        let xs = scopes.get("xs").unwrap().as_list().unwrap();
+        xs.add("more".into());
+        assert_eq!(xs.len(), 21);
     }
 
     #[test]

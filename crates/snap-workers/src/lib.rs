@@ -48,6 +48,7 @@ pub use parallel::{default_workers, Parallel};
 pub use pool::{PoolClosed, WorkerPool};
 pub use ring_fn::{
     ring_map, ring_map_faulted, ring_map_keyed, ring_map_pairs, ring_map_pairs_faulted,
-    ring_reduce_groups, ring_reduce_groups_faulted, ColumnarPolicy, KeyColumn, KeyedTally,
-    RingMapError, RingMapOptions, COLUMNAR_MIN_ITEMS,
+    ring_map_pairs_view, ring_map_view, ring_reduce_groups, ring_reduce_groups_faulted,
+    ring_reduce_lists_faulted, ColumnarPolicy, KeyColumn, KeyedTally, RingMapError, RingMapOptions,
+    COLUMNAR_MIN_ITEMS,
 };

@@ -14,37 +14,44 @@
 //! register program (see `snap_ast::bytecode`), so every execution path
 //! that flows through here — pooled, work-stolen, fault-retried — runs
 //! it per item; every other ring runs on the tree walk. On top of that
-//! sits the **columnar batch tier**: when the ring
-//! is batchable and every list element is a `Value::Number`, the map
-//! unboxes the list once, moves flat `f64` chunks through the pool, and
-//! runs `eval_batch` per chunk with no per-element dispatch at all (see
-//! [`ColumnarPolicy`]). The ladder is columnar batch → numeric scalar →
-//! tree walk; the `ring.batch_calls` / `ring.fastpath_calls` /
-//! `ring.treewalk_calls` counters show which tier a run used.
+//! sits the **columnar batch tier**: when the ring is batchable and the
+//! list is stored as numbers, [`ring_map_view`] reads its `f64`s in
+//! place, runs one `eval_batch` per pool chunk of them with no
+//! per-element dispatch at all, and reports a numeric list (see
+//! [`ColumnarPolicy`]). Nothing is unboxed or boxed on the way. The
+//! ladder is columnar batch → numeric scalar → tree walk; the
+//! `ring.batch_calls` / `ring.fastpath_calls` / `ring.treewalk_calls`
+//! counters show which tier a run used.
 //!
 //! The same rung covers MapReduce's `[key, value]` mappers:
 //! [`ring_map_keyed`] runs a mapper's [`PairProgram`] as a key column and
 //! an `f64` value column per chunk, so no two-item list is ever built.
+//! The reduce phase hands each group to the reducer as one list
+//! ([`ring_reduce_lists_faulted`]), so a numeric group stays numeric.
+//!
+//! The `Vec` and slice entry points ([`ring_map`], [`ring_map_faulted`],
+//! …) are adapters onto the view functions. A boxed slice stays boxed:
+//! only a list stored as numbers reaches the columnar tier.
 
 #![forbid(unsafe_code)]
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
 use snap_ast::bytecode::{NumProgram, PairKey, PairProgram};
 use snap_ast::pure::{as_map_pair, compile_cached, PureFn};
-use snap_ast::{EvalError, Ring, Value};
+use snap_ast::{EvalError, List, ListView, Ring, Value};
 
 use crate::executor::{columnar_chunk_size, try_map_slice_with};
 use crate::fault::{ExecError, FaultPolicy};
 
-/// Whether [`ring_map`] may route all-numeric lists through the
-/// columnar batch tier (flat `f64` chunks + `eval_batch`, boxing
-/// deferred to the output seam) instead of per-element calls.
+/// Whether [`ring_map`] may route numeric lists through the columnar
+/// batch tier (`f64` chunks + `eval_batch`) instead of per-element calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ColumnarPolicy {
-    /// Batch when the ring is batchable and every element is a
-    /// `Value::Number` (and the list is big enough to pay for the scan).
+    /// Batch when the ring is batchable and the list is stored as
+    /// numbers (and is big enough to pay for the chunking).
     #[default]
     Auto,
     /// Always evaluate per element — the ablation baseline, and the
@@ -52,9 +59,9 @@ pub enum ColumnarPolicy {
     Disabled,
 }
 
-/// Don't bother scanning tiny lists for numeric-ness: below this the
-/// per-element path is already cheap. Public so tests and benches can
-/// size inputs relative to the threshold.
+/// Don't bother chunking tiny lists: below this the per-element path is
+/// already cheap. Public so tests and benches can size inputs relative
+/// to the threshold.
 pub const COLUMNAR_MIN_ITEMS: usize = 16;
 
 /// Options for [`ring_map`].
@@ -122,48 +129,79 @@ impl From<RingMapError> for EvalError {
 /// input order; the first error (if any) is reported. Execution-layer
 /// failures (retry exhaustion, deadline) are flattened into
 /// [`EvalError::Other`]; callers that need to tell them apart use
-/// [`ring_map_faulted`].
+/// [`ring_map_faulted`]. The items become a list first, so numbers only
+/// run on the columnar tier.
 pub fn ring_map(
     ring: Arc<Ring>,
     items: Vec<Value>,
     options: RingMapOptions,
 ) -> Result<Vec<Value>, EvalError> {
-    ring_map_faulted(ring, items, options).map_err(EvalError::from)
+    List::from_vec(items)
+        .with_view(|items| ring_map_view(ring, items, options))
+        .map(List::into_vec)
+        .map_err(EvalError::from)
 }
 
-/// [`ring_map`] with the execution-layer failure kept distinct: the
-/// fault-aware entry point for callers that degrade gracefully (the
-/// parallel blocks fall back to a sequential map on
-/// [`ExecError::RetriesExhausted`], but propagate deadline errors).
-/// Takes the items by reference or by value; either way it only reads
-/// them, so a caller that must be able to re-run the map keeps its own
-/// list instead of a copy.
+/// [`ring_map`] over borrowed boxed items, with the execution-layer
+/// failure kept distinct: the fault-aware entry point for callers that
+/// degrade gracefully (the parallel blocks fall back to a sequential map
+/// on [`ExecError::RetriesExhausted`], but propagate deadline errors).
+/// It only reads the items, so a caller that must be able to re-run the
+/// map keeps its own list instead of a copy. Boxed items run one call
+/// each, numbers included; [`ring_map_view`] over a numeric list batches.
 pub fn ring_map_faulted(
     ring: Arc<Ring>,
     items: impl AsRef<[Value]>,
     options: RingMapOptions,
 ) -> Result<Vec<Value>, RingMapError> {
-    let items = items.as_ref();
+    ring_map_view(ring, ListView::Values(items.as_ref()), options).map(List::into_vec)
+}
+
+/// The parallel map over a list's items in place, reporting the mapped
+/// list: the one implementation behind every `ring_map` entry point.
+/// Numeric items under a batchable ring run on the columnar tier and
+/// report a numeric list; everything else runs one call per item, each
+/// item deep-copied into the worker and its result out of it.
+pub fn ring_map_view(
+    ring: Arc<Ring>,
+    items: ListView<'_>,
+    options: RingMapOptions,
+) -> Result<List, RingMapError> {
     let len = items.len();
     snap_trace::well_known::RING_MAP_CALLS.incr();
     snap_trace::well_known::RING_MAP_ITEMS.add(len as u64);
     let _span = snap_trace::span!("ring_map", len);
     let f = compile_cached(&ring).map_err(RingMapError::Eval)?;
     if columnar_applies(&options, len) {
-        if let Some(inputs) = f.is_batchable().then(|| columnar_f64(items)).flatten() {
-            return columnar_map(&f, inputs, &options);
+        match items {
+            ListView::Numbers(numbers) if f.is_batchable() => {
+                return columnar_map(&f, numbers, &options)
+            }
+            // A batch-sized map stayed on the per-element path: either
+            // the ring is not batchable or the list is not numeric.
+            _ => snap_trace::well_known::RING_BATCH_FALLBACKS.incr(),
         }
-        // A batch-sized map stayed on the per-element path: either the
-        // ring is not batchable or the list is not all-numeric.
-        snap_trace::well_known::RING_BATCH_FALLBACKS.incr();
     }
-    // Structured clone, as `postMessage` does for a Web Worker: the item
-    // is deep-copied into the worker and the result out of it.
+    let mapped = match items {
+        ListView::Values(items) => map_items(items, &options, |item| f.call1(item.deep_copy())),
+        ListView::Numbers(numbers) => map_items(numbers, &options, |&n| f.call1(Value::Number(n))),
+    };
+    mapped.map(List::from_vec)
+}
+
+/// One call per item on the pool, under `options`' fault policy and
+/// simulated latency; each result is deep-copied out of the worker
+/// (structured clone, as `postMessage` does for a Web Worker).
+fn map_items<T: Send + Sync>(
+    items: &[T],
+    options: &RingMapOptions,
+    call: impl Fn(&T) -> Result<Value, EvalError> + Send + Sync,
+) -> Result<Vec<Value>, RingMapError> {
     let results = try_map_slice_with(items, options.workers, &options.policy, |item| {
         if let Some(latency) = options.latency {
             std::thread::sleep(latency);
         }
-        f.call1(item.deep_copy()).map(|v| v.deep_copy())
+        call(item).map(|v| v.deep_copy())
     })
     .map_err(RingMapError::Exec)?;
     results
@@ -174,32 +212,17 @@ pub fn ring_map_faulted(
 
 /// Whether `options` let a map of `len` items onto the columnar tier:
 /// `ColumnarPolicy::Auto`, no simulated latency, and enough items to pay
-/// for the detection scan.
+/// for the chunking.
 fn columnar_applies(options: &RingMapOptions, len: usize) -> bool {
     options.columnar == ColumnarPolicy::Auto
         && options.latency.is_none()
         && len >= COLUMNAR_MIN_ITEMS
 }
 
-/// The columnar detection scan: `Some(flat f64s)` when every element is
-/// a `Value::Number`, `None` at the first non-number. One pass, no
-/// boxing — `to_number` of a `Number` is the identity, so the flat view
-/// feeds `eval_batch` the exact values per-element calls would coerce.
-fn columnar_f64(items: &[Value]) -> Option<Vec<f64>> {
-    let mut flat = Vec::with_capacity(items.len());
-    for item in items {
-        match item {
-            Value::Number(n) => flat.push(*n),
-            _ => return None,
-        }
-    }
-    Some(flat)
-}
-
-/// The columnar batch tier of [`ring_map_faulted`]: the list moves
-/// through the work-stealing pool as flat `f64` chunk descriptors, each
-/// task runs one [`PureFn::eval_batch`] over its sub-slice, and results
-/// are boxed back to `Value`s only at the single output seam below.
+/// The columnar batch tier of [`ring_map_view`]: the list's `f64`s move
+/// through the work-stealing pool as chunk ranges, each task runs one
+/// [`PureFn::eval_batch`] over its sub-slice, and the chunk outputs are
+/// concatenated once, in input order, into the numeric list reported.
 ///
 /// Chunks are deliberately coarse ([`columnar_chunk_size`]): batch
 /// arithmetic is so cheap per element that fine-grained claiming is all
@@ -210,9 +233,9 @@ fn columnar_f64(items: &[Value]) -> Option<Vec<f64>> {
 /// clone needs no work here.
 fn columnar_map(
     f: &PureFn,
-    inputs: Vec<f64>,
+    inputs: &[f64],
     options: &RingMapOptions,
-) -> Result<Vec<Value>, RingMapError> {
+) -> Result<List, RingMapError> {
     let len = inputs.len();
     let _span = snap_trace::span!("columnar_map", len);
     let chunks = chunk_ranges(len, columnar_chunk_size(len, options.workers));
@@ -224,13 +247,11 @@ fn columnar_map(
         out
     })
     .map_err(RingMapError::Exec)?;
-    // The boxing seam: flat chunk outputs become Values exactly once,
-    // in input order.
-    let mut values = Vec::with_capacity(len);
+    let mut numbers = Vec::with_capacity(len);
     for chunk in outputs {
-        values.extend(chunk.into_iter().map(Value::Number));
+        numbers.extend_from_slice(&chunk);
     }
-    Ok(values)
+    Ok(List::from_numbers(numbers))
 }
 
 /// `0..len` cut into consecutive ranges of `chunk` items (the last may
@@ -246,12 +267,13 @@ fn chunk_ranges(len: usize, chunk: usize) -> Vec<std::ops::Range<usize>> {
 /// One chunk's keys in [`ring_map_keyed`].
 #[derive(Debug)]
 pub enum KeyColumn<'a> {
-    /// The key is the argument: the chunk's items are its keys.
+    /// The key is the argument: the chunk's boxed items are its keys.
     Items(&'a [Value]),
     /// Every item has this key.
     Const(&'a Value),
-    /// Keys computed by the pair's numeric key program, one per item.
-    Numbers(Vec<f64>),
+    /// Number keys, one per item: a numeric chunk's own items when the
+    /// key is the argument, or the pair's numeric key program's results.
+    Numbers(Cow<'a, [f64]>),
 }
 
 /// What one [`ring_map_keyed`] call ran, kept off the counters until
@@ -270,10 +292,10 @@ pub struct KeyedTally {
 impl KeyedTally {
     /// Count the map on the columnar tier's counters, as the columnar map
     /// counts: one `par.columnar_chunks` per chunk, one
-    /// `ring.batch_calls` per all-number chunk with its items in
-    /// `ring.batch_elems`, and one `ring.fastpath_calls` per item of every
-    /// other chunk (one per item, however many of the pair's programs
-    /// ran on it).
+    /// `ring.batch_calls` per chunk of a numeric list with its items in
+    /// `ring.batch_elems`, and one `ring.fastpath_calls` per item of a
+    /// boxed list (one per item, however many of the pair's programs ran
+    /// on it).
     pub fn count(self) {
         snap_trace::well_known::PAR_COLUMNAR_CHUNKS.add(self.chunks);
         snap_trace::well_known::RING_BATCH_CALLS.add(self.batches);
@@ -288,17 +310,17 @@ impl KeyedTally {
 /// the same pool task. Returns the folds in chunk order, with the
 /// [`KeyedTally`] the caller counts if it keeps them.
 ///
-/// Numeric programs run as [`NumProgram::eval_batch`] over a chunk whose
-/// items are all numbers, and as scalar calls otherwise; either way the
-/// values are bit-identical to the tree walk's. The fault policy applies
-/// per chunk, as on the columnar map: an injected panic re-runs the whole
-/// chunk (so `fold` must be a pure function of its columns) and an
+/// Numeric programs run as [`NumProgram::eval_batch`] straight over a
+/// numeric list's `f64`s, and as scalar calls over boxed items; either
+/// way the values are bit-identical to the tree walk's. The fault policy
+/// applies per chunk, as on the columnar map: an injected panic re-runs
+/// the whole chunk (so `fold` must be a pure function of its columns) and an
 /// exhausted budget or a missed deadline is the `Err`. `Ok(None)` means
 /// `options` keep this call off the columnar tier (see
 /// [`ColumnarPolicy`]); nothing ran.
 pub fn ring_map_keyed<R: Send>(
     pair: &PairProgram,
-    items: &[Value],
+    items: ListView<'_>,
     chunk_len: usize,
     options: &RingMapOptions,
     fold: impl Fn(KeyColumn<'_>, Vec<f64>) -> R + Send + Sync,
@@ -309,42 +331,56 @@ pub fn ring_map_keyed<R: Send>(
     }
     let _span = snap_trace::span!("keyed.map", len);
     let ranges = chunk_ranges(len, chunk_len);
-    let chunks = try_map_slice_with(&ranges, options.workers, &options.policy, |range| {
-        let items = &items[range.clone()];
-        let numbers = columnar_f64(items);
-        let keys = match &pair.key {
-            PairKey::Arg => KeyColumn::Items(items),
-            PairKey::Const(key) => KeyColumn::Const(key),
-            PairKey::Num(p) => KeyColumn::Numbers(eval_column(p, items, numbers.as_deref())),
+    let folds = try_map_slice_with(&ranges, options.workers, &options.policy, |range| {
+        let (keys, values) = match items {
+            ListView::Numbers(numbers) => {
+                let numbers = &numbers[range.clone()];
+                let keys = match &pair.key {
+                    PairKey::Arg => KeyColumn::Numbers(Cow::Borrowed(numbers)),
+                    PairKey::Const(key) => KeyColumn::Const(key),
+                    PairKey::Num(p) => KeyColumn::Numbers(Cow::Owned(batch_column(p, numbers))),
+                };
+                (keys, batch_column(&pair.value, numbers))
+            }
+            ListView::Values(items) => {
+                let items = &items[range.clone()];
+                let keys = match &pair.key {
+                    PairKey::Arg => KeyColumn::Items(items),
+                    PairKey::Const(key) => KeyColumn::Const(key),
+                    PairKey::Num(p) => KeyColumn::Numbers(Cow::Owned(scalar_column(p, items))),
+                };
+                (keys, scalar_column(&pair.value, items))
+            }
         };
-        let values = eval_column(&pair.value, items, numbers.as_deref());
-        (fold(keys, values), numbers.is_some())
+        fold(keys, values)
     })?;
-    let mut tally = KeyedTally::default();
-    let mut folds = Vec::with_capacity(chunks.len());
-    for ((folded, batched), range) in chunks.into_iter().zip(&ranges) {
-        tally.chunks += 1;
-        if batched {
-            tally.batches += 1;
-            tally.batch_elems += range.len() as u64;
-        } else {
-            tally.scalar_items += range.len() as u64;
-        }
-        folds.push(folded);
-    }
+    let chunks = ranges.len() as u64;
+    let tally = match items {
+        ListView::Numbers(_) => KeyedTally {
+            chunks,
+            batches: chunks,
+            batch_elems: len as u64,
+            scalar_items: 0,
+        },
+        ListView::Values(_) => KeyedTally {
+            chunks,
+            scalar_items: len as u64,
+            ..KeyedTally::default()
+        },
+    };
     Ok(Some((folds, tally)))
 }
 
-/// One numeric program over one chunk: `eval_batch` over the unboxed
-/// column when the chunk is all numbers, a scalar call per item
-/// otherwise.
-fn eval_column(p: &NumProgram, items: &[Value], numbers: Option<&[f64]>) -> Vec<f64> {
-    let mut out = Vec::with_capacity(items.len());
-    match numbers {
-        Some(inputs) => p.eval_batch(inputs, &mut out),
-        None => out.extend(items.iter().map(|item| p.call1_f64(item))),
-    }
+/// One numeric program over one numeric chunk, as one `eval_batch`.
+fn batch_column(p: &NumProgram, numbers: &[f64]) -> Vec<f64> {
+    let mut out = Vec::with_capacity(numbers.len());
+    p.eval_batch(numbers, &mut out);
     out
+}
+
+/// One numeric program over one boxed chunk, a scalar call per item.
+fn scalar_column(p: &NumProgram, items: &[Value]) -> Vec<f64> {
+    items.iter().map(|item| p.call1_f64(item)).collect()
 }
 
 /// Apply a reporter ring to every item, returning `[key, value]` pairs —
@@ -355,17 +391,29 @@ pub fn ring_map_pairs(
     items: Vec<Value>,
     options: RingMapOptions,
 ) -> Result<Vec<(Value, Value)>, EvalError> {
-    ring_map_pairs_faulted(ring, items, options).map_err(EvalError::from)
+    List::from_vec(items)
+        .with_view(|items| ring_map_pairs_view(ring, items, options))
+        .map_err(EvalError::from)
 }
 
-/// [`ring_map_pairs`] with the execution-layer failure kept distinct.
+/// [`ring_map_pairs`] over borrowed boxed items, with the
+/// execution-layer failure kept distinct.
 pub fn ring_map_pairs_faulted(
     ring: Arc<Ring>,
     items: impl AsRef<[Value]>,
     options: RingMapOptions,
 ) -> Result<Vec<(Value, Value)>, RingMapError> {
-    let mapped = ring_map_faulted(ring, items, options)?;
-    mapped
+    ring_map_pairs_view(ring, ListView::Values(items.as_ref()), options)
+}
+
+/// [`ring_map_view`], then each result validated as a pair.
+pub fn ring_map_pairs_view(
+    ring: Arc<Ring>,
+    items: ListView<'_>,
+    options: RingMapOptions,
+) -> Result<Vec<(Value, Value)>, RingMapError> {
+    ring_map_view(ring, items, options)?
+        .into_vec()
         .into_iter()
         .map(as_map_pair)
         .collect::<Result<Vec<(Value, Value)>, EvalError>>()
@@ -383,21 +431,44 @@ pub fn ring_reduce_groups(
 }
 
 /// [`ring_reduce_groups`] with the execution-layer failure kept
-/// distinct. Like [`ring_map_faulted`], it only reads the groups.
+/// distinct. Like [`ring_map_faulted`], it only reads the groups: each
+/// group's values are deep-copied into one list (numeric when they are
+/// all numbers), which [`ring_reduce_lists_faulted`] reduces.
 pub fn ring_reduce_groups_faulted(
     ring: Arc<Ring>,
     groups: impl AsRef<[(Value, Vec<Value>)]>,
     options: RingMapOptions,
 ) -> Result<Vec<Value>, RingMapError> {
-    let groups = groups.as_ref();
+    let groups: Vec<(Value, List)> = groups
+        .as_ref()
+        .iter()
+        .map(|(key, values)| {
+            let values = values.iter().map(Value::deep_copy).collect();
+            (key.clone(), List::from_vec(values))
+        })
+        .collect();
+    ring_reduce_lists_faulted(ring, &groups, options)
+}
+
+/// The reduce phase: apply a reporter ring to each group's value list in
+/// parallel and report `[key, reduced]` per group, in group order.
+///
+/// Every call, a retried one too, gets the group's own list. The reducer
+/// passed `compile_cached`'s purity check, so it cannot change that list,
+/// and its result is deep-copied out of the worker, so nothing it
+/// reports shares the list either.
+pub fn ring_reduce_lists_faulted(
+    ring: Arc<Ring>,
+    groups: &[(Value, List)],
+    options: RingMapOptions,
+) -> Result<Vec<Value>, RingMapError> {
     let len = groups.len();
     snap_trace::well_known::RING_MAP_CALLS.incr();
     snap_trace::well_known::RING_MAP_ITEMS.add(len as u64);
     let _span = snap_trace::span!("ring_reduce_groups", len);
     let f = compile_cached(&ring).map_err(RingMapError::Eval)?;
     let results = try_map_slice_with(groups, options.workers, &options.policy, |(key, values)| {
-        let arg = Value::list(values.iter().map(Value::deep_copy).collect());
-        f.call1(arg)
+        f.call1(Value::List(values.clone()))
             .map(|reduced| Value::list(vec![key.clone(), reduced.deep_copy()]))
     })
     .map_err(RingMapError::Exec)?;
@@ -616,6 +687,170 @@ mod tests {
                 got: "[a]".into(),
             })
         );
+    }
+
+    #[test]
+    fn ring_map_view_keeps_a_numeric_list_numeric_at_any_length() {
+        for len in [0, 3, COLUMNAR_MIN_ITEMS, 200] {
+            let numbers: Vec<f64> = (0..len).map(|n| n as f64 * 0.5 - 3.0).collect();
+            let list = List::from_numbers(numbers.clone());
+            let out = list
+                .with_view(|items| ring_map_view(times_ten(), items, RingMapOptions::default()))
+                .unwrap();
+            assert!(out.is_numeric(), "{len} items");
+            let want: Vec<Value> = numbers.iter().map(|&n| (n * 10.0).into()).collect();
+            assert_eq!(out.to_vec(), want, "{len} items");
+        }
+    }
+
+    #[test]
+    fn boxed_numbers_run_one_call_per_item_and_agree_with_the_batch() {
+        let _serial = counter_lock();
+        let numbers: Vec<f64> = (0..64).map(|n| n as f64 * 0.73).collect();
+        let boxed: Vec<Value> = numbers.iter().map(|&n| n.into()).collect();
+        let fallback_before = snap_trace::well_known::RING_BATCH_FALLBACKS.get();
+        let per_item = ring_map_faulted(times_ten(), &boxed, RingMapOptions::default()).unwrap();
+        assert_eq!(
+            snap_trace::well_known::RING_BATCH_FALLBACKS.get(),
+            fallback_before + 1,
+            "a boxed slice stays off the columnar tier"
+        );
+        let batched = List::from_numbers(numbers)
+            .with_view(|items| ring_map_view(times_ten(), items, RingMapOptions::default()))
+            .unwrap();
+        assert_eq!(per_item, batched.to_vec());
+    }
+
+    #[test]
+    fn a_text_ring_over_numbers_reports_text_per_item() {
+        let _serial = counter_lock();
+        let exclaim = Arc::new(Ring::reporter(join(vec![empty_slot(), text("!")])));
+        let list = List::from_numbers((0..20).map(f64::from).collect());
+        let fallback_before = snap_trace::well_known::RING_BATCH_FALLBACKS.get();
+        let out = list
+            .with_view(|items| ring_map_view(exclaim, items, RingMapOptions::default()))
+            .unwrap();
+        assert!(snap_trace::well_known::RING_BATCH_FALLBACKS.get() > fallback_before);
+        assert!(!out.is_numeric());
+        assert_eq!(out.item(20), Some(Value::text("19!")));
+        assert!(list.is_numeric(), "the input keeps its form");
+    }
+
+    #[test]
+    fn ring_map_keyed_borrows_a_numeric_chunk_as_its_key_column() {
+        // mapper x -> [x, x × 2]: the key is the argument itself.
+        let pair = snap_ast::bytecode::lower_pair(&Ring::reporter_with_params(
+            vec!["x".into()],
+            make_list(vec![var("x"), mul(var("x"), num(2.0))]),
+        ))
+        .unwrap();
+        let numbers: Vec<f64> = (0..40).map(f64::from).collect();
+        let boxed: Vec<Value> = numbers.iter().map(|&n| n.into()).collect();
+        let options = RingMapOptions {
+            workers: 2,
+            ..Default::default()
+        };
+        let run = |items: ListView<'_>| {
+            let fold = |keys: KeyColumn<'_>, values: Vec<f64>| {
+                let (borrowed, keys) = match keys {
+                    KeyColumn::Numbers(keys) => (matches!(keys, Cow::Borrowed(_)), keys.to_vec()),
+                    KeyColumn::Items(items) => {
+                        (false, items.iter().map(Value::to_number).collect())
+                    }
+                    KeyColumn::Const(_) => panic!("the key is the argument"),
+                };
+                (borrowed, keys, values)
+            };
+            ring_map_keyed(&pair, items, 16, &options, fold)
+                .unwrap()
+                .expect("Auto keeps the keyed rung")
+        };
+        let (numeric, tally) = run(ListView::Numbers(&numbers));
+        assert_eq!(numeric.len(), 3, "40 items in chunks of 16");
+        assert!(numeric.iter().all(|(borrowed, _, _)| *borrowed));
+        assert_eq!(
+            (
+                tally.chunks,
+                tally.batches,
+                tally.batch_elems,
+                tally.scalar_items
+            ),
+            (3, 3, 40, 0)
+        );
+        let (on_boxed, tally) = run(ListView::Values(&boxed));
+        assert!(on_boxed.iter().all(|(borrowed, _, _)| !borrowed));
+        assert_eq!(
+            (
+                tally.chunks,
+                tally.batches,
+                tally.batch_elems,
+                tally.scalar_items
+            ),
+            (3, 0, 0, 40)
+        );
+        let columns = |chunks: &[(bool, Vec<f64>, Vec<f64>)]| -> (Vec<f64>, Vec<f64>) {
+            let keys = chunks.iter().flat_map(|c| c.1.clone()).collect();
+            let values = chunks.iter().flat_map(|c| c.2.clone()).collect();
+            (keys, values)
+        };
+        let (keys, values) = columns(&numeric);
+        assert_eq!(keys, numbers);
+        assert_eq!(values, numbers.iter().map(|n| n * 2.0).collect::<Vec<_>>());
+        assert_eq!(columns(&on_boxed), (keys, values));
+    }
+
+    #[test]
+    fn ring_map_keyed_stays_off_under_a_disabled_policy() {
+        let pair = snap_ast::bytecode::lower_pair(&Ring::reporter(make_list(vec![
+            text("k"),
+            add(empty_slot(), num(1.0)),
+        ])))
+        .unwrap();
+        let options = RingMapOptions {
+            columnar: ColumnarPolicy::Disabled,
+            ..Default::default()
+        };
+        let numbers = [1.0; 32];
+        let ran = ring_map_keyed(&pair, ListView::Numbers(&numbers), 8, &options, |_, _| ());
+        assert!(matches!(ran, Ok(None)));
+    }
+
+    #[test]
+    fn reduced_groups_share_nothing_with_the_groups() {
+        // The reducer reports its input list: what comes out is a copy,
+        // in the group's form.
+        let identity = Arc::new(Ring::reporter(empty_slot()));
+        let numeric = List::from_numbers(vec![1.0, 2.0]);
+        let boxed = List::from_vec(vec!["a".into(), 3.into()]);
+        let groups = vec![
+            (Value::text("n"), numeric.clone()),
+            (Value::text("b"), boxed.clone()),
+        ];
+        let out = ring_reduce_lists_faulted(identity, &groups, RingMapOptions::default()).unwrap();
+        let reduced = |i: usize| out[i].as_list().unwrap().item(2).unwrap();
+        let (n, b) = (reduced(0), reduced(1));
+        assert!(n.as_list().unwrap().is_numeric());
+        assert!(!b.as_list().unwrap().is_numeric());
+        n.as_list().unwrap().add(99.into());
+        b.as_list().unwrap().add(99.into());
+        assert_eq!(numeric.len(), 2);
+        assert_eq!(boxed.len(), 2);
+        assert_eq!(out[0].as_list().unwrap().item(1), Some(Value::text("n")));
+    }
+
+    #[test]
+    fn reduce_groups_hand_numbers_to_the_reducer_as_a_numeric_list() {
+        let identity = Arc::new(Ring::reporter(empty_slot()));
+        let groups = vec![
+            (Value::text("n"), vec![1.into(), 2.into()]),
+            (Value::text("m"), vec![1.into(), "2".into()]),
+        ];
+        let out = ring_reduce_groups(identity, groups, RingMapOptions::default()).unwrap();
+        let reduced = |i: usize| out[i].as_list().unwrap().item(2).unwrap();
+        assert!(reduced(0).as_list().unwrap().is_numeric());
+        assert!(!reduced(1).as_list().unwrap().is_numeric());
+        assert_eq!(reduced(0), Value::number_list([1.0, 2.0]));
+        assert_eq!(reduced(1), Value::list(vec![1.into(), "2".into()]));
     }
 
     #[test]

@@ -95,11 +95,13 @@ cargo run --release -p bench --bin trace_check -- \
   --require-counter codegen.runs \
   --require-counter codegen.native_elems
 
-echo "==> asan: snap-workers + snap-parallel suites under AddressSanitizer (nightly)"
+echo "==> asan: snap-workers + snap-parallel + snap-vm suites under AddressSanitizer (nightly)"
 # --lib --tests: rustdoc does not get RUSTFLAGS, so doctests built
 # without the sanitizer fail to link against the sanitized crates.
+# snap-vm's worker-backend tests hold a list's read guard across a
+# pooled call.
 RUSTFLAGS=-Zsanitizer=address cargo +nightly test --target x86_64-unknown-linux-gnu \
-  -p snap-workers -p snap-parallel --lib --tests
+  -p snap-workers -p snap-parallel -p snap-vm --lib --tests
 
 echo "==> chaos: fault-injection stress under a fixed seed"
 mkdir -p target/ci/chaos
