@@ -1,15 +1,23 @@
 //! A6: the columnar batch tier — eval_batch against the per-element
-//! fast path, and the columnar map pipeline against per-element calls.
+//! fast path, the numeric `combine` fold, and the columnar map pipeline
+//! against per-element calls.
 //!
 //! * `a6_batch_eval` isolates the evaluator: the a5 numeric ring
 //!   (`(( ) × 2 + ( ) mod 7) ÷ 3`) over the same 1 000-element batch,
 //!   once via `eval_batch` (instruction-outer lane loops, no per-element
 //!   dispatch) and once via per-element `PureFn::call` — the PR 5
 //!   baseline it must beat by ≥ 5×.
+//! * `a6_batch_eval/combine_fold` is `combine xs using (( ) + ( ))` over
+//!   192 000 numbers stored as numbers (e5's reducer fold): the one-op
+//!   fold, `acc + x` with the op dispatched once. Beside it,
+//!   `combine_fold_register_machine` folds the same numbers with
+//!   `(( ) + ( )) × 1`, the same sums through two ops, which stays on the
+//!   register machine: the pair is the one-op path's justification.
 //! * `a6_columnar_map` measures the whole pipeline on the climate
 //!   workload: a numeric `parallelMap` over synthetic NOAA readings with
-//!   the columnar tier on (`ColumnarPolicy::Auto`, flat `f64` chunks)
-//!   versus off (`Disabled`, boxed per-element calls).
+//!   the columnar tier on (`ColumnarPolicy::Auto`: flat `f64` chunks,
+//!   each written in place into its slice of the one result) versus off
+//!   (`Disabled`, one call per item).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -18,12 +26,15 @@ use std::time::Duration;
 
 use snap_ast::builder::*;
 use snap_ast::pure::CompiledStrategy;
-use snap_ast::{PureFn, Ring, Value};
+use snap_ast::{List, PureFn, Ring, Value};
 use snap_data::{generate_noaa, NoaaConfig};
 use snap_parallel::parallel_map_with_options;
 use snap_workers::{ColumnarPolicy, RingMapOptions};
 
 const ITEMS: usize = 1_000;
+
+/// e5's readings per run: the length of its reducer's one fold.
+const FOLD_ITEMS: usize = 192_000;
 
 /// The a5 bench ring, unchanged, so `a6_batch_eval/per_element_fastpath`
 /// is directly comparable to `a5_ring_eval/bytecode_fastpath`.
@@ -66,6 +77,26 @@ fn bench_batch_eval(c: &mut Criterion) {
                     black_box(f.call(std::slice::from_ref(black_box(item))).unwrap());
                 }
             })
+        });
+    }
+
+    group.throughput(Throughput::Elements(FOLD_ITEMS as u64));
+    let readings = Value::List(List::from_numbers(
+        (0..FOLD_ITEMS).map(|n| (n % 997) as f64 * 0.37).collect(),
+    ));
+    let one_op = add(empty_slot(), empty_slot());
+    for (name, combining) in [
+        ("combine_fold", one_op.clone()),
+        ("combine_fold_register_machine", mul(one_op, num(1.0))),
+    ] {
+        let sum = PureFn::compile(Arc::new(Ring::reporter_with_params(
+            vec!["xs".into()],
+            combine_using(var("xs"), ring_reporter(combining)),
+        )))
+        .expect("the reducer compiles");
+        let readings = readings.clone();
+        group.bench_function(name, move |b| {
+            b.iter(|| black_box(sum.call1(black_box(readings.clone())).unwrap()))
         });
     }
     group.finish();

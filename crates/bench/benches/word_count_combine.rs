@@ -2,10 +2,13 @@
 //!
 //! The same 20 000-word Zipf-distributed `mapReduce` runs with the
 //! combiner engaged (`CombinePolicy::Auto` recognises the summing
-//! reducer) and forced off (`Disabled` — every mapper pair reaches the
-//! shuffle). With ~105 distinct words and 4 worker chunks, combining
-//! shrinks shuffle volume from 20 000 pairs to at most 4 × 105 — the
-//! `shuffle.pairs_combined` counter records the elimination, and the
+//! reducer) and forced off (`Disabled`). Both rows run the keyed-columnar
+//! rung: the `[w, 1]` mapper runs as a key column and a constant value
+//! column per chunk, and each chunk interns its words in a hashed
+//! dictionary. `combiner_on` folds each chunk's values per word
+//! in the same task; `combiner_off` keeps every value for the grouping.
+//! Neither builds a pair list or reaches the shuffle; the boxed path
+//! this bench once timed runs only for calls the rung declines, and the
 //! differential suites prove the output identical either way.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};

@@ -12,9 +12,13 @@
 //! A cheap type pass proves the ring numeric: every argument use sits in
 //! a position the evaluator coerces with `to_number`, and the root always
 //! produces a `Value::Number`. Then [`NumProgram::call`] (the scalar
-//! path) and [`NumProgram::eval_batch`] (the columnar batch tier) run
-//! the whole body on a stack-allocated `f64` register file with zero
-//! heap traffic per call.
+//! path) and [`NumProgram::eval_batch_into`] (the columnar batch tier,
+//! writing into a caller's slice) run the whole body on a
+//! stack-allocated `f64` register file with zero heap traffic per call.
+//! [`NumProgram::fold`] runs `combine`'s left fold; a program that is one
+//! arithmetic op over its two inputs, the shape of every `combine` ring
+//! in the paper, folds as that op alone, dispatched once outside the
+//! loop, and every other program folds on the register machine.
 //!
 //! Every ring [`lower`] declines — non-numeric roots (comparisons,
 //! text, lists), higher-order or non-strict blocks, unbound variables,
@@ -94,11 +98,11 @@ enum NumInstr {
 
 /// Register-file width of the numeric fast path. Numeric lowering
 /// *declines* programs wider than this (they run on the tree walk), so
-/// both [`NumProgram::call`] and [`NumProgram::eval_batch`] run on
+/// both [`NumProgram::call`] and [`NumProgram::eval_batch_into`] run on
 /// fixed-size stack arrays with no heap branch.
 const NUM_STACK_REGS: usize = 32;
 
-/// Elements per batch block in [`NumProgram::eval_batch`]. The register
+/// Elements per batch block in [`NumProgram::eval_batch_into`]. The register
 /// file is `NUM_STACK_REGS × BATCH_LANES` `f64`s (16 KiB) — small enough
 /// for worker stacks, wide enough that the lane loops amortize the
 /// per-instruction dispatch and autovectorize.
@@ -132,6 +136,39 @@ fn batch_binop(op: BinOp, a: &[f64], b: &[f64], dst: &mut [f64]) {
     macro_rules! arm {
         ($op:expr) => {
             lanes(a, b, dst, |x, y| num_binop($op, x, y).expect("arith op"))
+        };
+    }
+    match op {
+        BinOp::Add => arm!(BinOp::Add),
+        BinOp::Sub => arm!(BinOp::Sub),
+        BinOp::Mul => arm!(BinOp::Mul),
+        BinOp::Div => arm!(BinOp::Div),
+        BinOp::Mod => arm!(BinOp::Mod),
+        BinOp::Pow => arm!(BinOp::Pow),
+        _ => unreachable!("non-arithmetic op in a numeric program"),
+    }
+}
+
+/// The left fold `acc = acc op x` from `first` over `rest` (`x op acc`
+/// when `swapped`), with `op` dispatched once, outside the loop, as
+/// [`batch_binop`] does; each step is the [`num_binop`] the register
+/// machine would run.
+fn fold_binop(op: BinOp, swapped: bool, first: f64, rest: &[f64]) -> f64 {
+    #[inline(always)]
+    fn steps(first: f64, rest: &[f64], f: impl Fn(f64, f64) -> f64) -> f64 {
+        rest.iter().fold(first, |acc, &x| f(acc, x))
+    }
+    macro_rules! arm {
+        ($op:expr) => {
+            if swapped {
+                steps(first, rest, |acc, x| {
+                    num_binop($op, x, acc).expect("arith op")
+                })
+            } else {
+                steps(first, rest, |acc, x| {
+                    num_binop($op, acc, x).expect("arith op")
+                })
+            }
         };
     }
     match op {
@@ -219,11 +256,23 @@ impl NumProgram {
     /// the same [`num_binop`]s run in the same order. `None` for an
     /// empty slice, or when the program does not take two inputs (a
     /// named arity other than 2), where `call` would raise.
+    ///
+    /// A program that is one arithmetic op over its two inputs folds as
+    /// `acc = num_binop(op, acc, item)` (or `(op, item, acc)` when the
+    /// ring names its inputs the other way round), with `op` dispatched
+    /// once outside the loop: the same op on the same operands as the
+    /// register machine's one step, without its loads. NaN payloads are
+    /// the one exemption, as in [`NumProgram::eval_batch_into`]: when a
+    /// NaN meets a NaN at `+` or `×`, operand order picks the payload,
+    /// and the optimizer may commute `item + acc` in this loop.
     pub fn fold(&self, items: &[f64]) -> Option<f64> {
         if !matches!(self.arity, None | Some(2)) {
             return None;
         }
         let (&first, rest) = items.split_first()?;
+        if let Some((op, swapped)) = self.one_op() {
+            return Some(fold_binop(op, swapped, first, rest));
+        }
         // Registers are written before they are read, so one file serves
         // every step.
         let mut stack = [0.0f64; NUM_STACK_REGS];
@@ -235,6 +284,28 @@ impl NumProgram {
                 |i| args.get(i as usize).copied().unwrap_or(0.0),
             )
         }))
+    }
+
+    /// `Some((op, swapped))` when, called with two inputs, the program
+    /// reports `input0 op input1`, or `input1 op input0` when `swapped`:
+    /// two loads, one of each input, and one arithmetic op over them.
+    fn one_op(&self) -> Option<(BinOp, bool)> {
+        let [first, second, NumInstr::Bin(op, a, b, dst)] = *self.instrs.as_slice() else {
+            return None;
+        };
+        // On two inputs, parameter `i` and own empty slot `i` both read
+        // input `i`; a third slot reads nothing.
+        let input = |reg: Reg| {
+            [first, second].into_iter().find_map(|load| match load {
+                NumInstr::Arg(i, to) | NumInstr::Slot(i, to) if to == reg && i < 2 => Some(i),
+                _ => None,
+            })
+        };
+        match (input(a)?, input(b)?, dst == self.out) {
+            (0, 1, true) => Some((op, false)),
+            (1, 0, true) => Some((op, true)),
+            _ => None,
+        }
     }
 
     /// Run the program on the register file `stack`, loading parameter
@@ -266,7 +337,7 @@ impl NumProgram {
         regs[self.out as usize]
     }
 
-    /// `true` when [`NumProgram::eval_batch`] covers this program: every
+    /// `true` when [`NumProgram::eval_batch_into`] covers this program: every
     /// element of a batch is the program's **single** numeric argument.
     /// That holds for slot-style rings (`arity == None` — with exactly
     /// one argument, every empty slot receives it) and one-parameter
@@ -276,8 +347,8 @@ impl NumProgram {
         matches!(self.arity, None | Some(1))
     }
 
-    /// Evaluate the program over every element of `inputs`, appending
-    /// one output per element to `out` — the columnar batch tier.
+    /// Evaluate the program over every element of `inputs`, writing the
+    /// output for `inputs[i]` to `out[i]` — the columnar batch tier.
     ///
     /// Each `inputs[i]` is treated exactly as `call(&[Value::Number(
     /// inputs[i])])` would treat its argument (`to_number` of a `Number`
@@ -292,16 +363,16 @@ impl NumProgram {
     /// the plain indexed lane loops autovectorize.
     ///
     /// # Panics
-    /// Debug-asserts [`NumProgram::batchable`]; on a non-batchable
-    /// program the per-element semantics would be wrong, so callers must
-    /// check first.
-    pub fn eval_batch(&self, inputs: &[f64], out: &mut Vec<f64>) {
+    /// When `out` is not as long as `inputs`. Debug-asserts
+    /// [`NumProgram::batchable`]; on a non-batchable program the
+    /// per-element semantics would be wrong, so callers must check first.
+    pub fn eval_batch_into(&self, inputs: &[f64], out: &mut [f64]) {
         debug_assert!(self.batchable(), "eval_batch on a non-batchable program");
-        out.reserve(inputs.len());
+        assert_eq!(inputs.len(), out.len(), "one output slot per input");
         // Lane-contiguous, register-major file: register r's lanes are
         // `file[r*BATCH_LANES .. r*BATCH_LANES + n]`.
         let mut file = [0.0f64; NUM_STACK_REGS * BATCH_LANES];
-        for block in inputs.chunks(BATCH_LANES) {
+        for (block, dst) in inputs.chunks(BATCH_LANES).zip(out.chunks_mut(BATCH_LANES)) {
             let n = block.len();
             for instr in &self.instrs {
                 match *instr {
@@ -332,7 +403,16 @@ impl NumProgram {
                     }
                 }
             }
-            out.extend_from_slice(&file[self.out as usize * BATCH_LANES..][..n]);
+            dst.copy_from_slice(&file[self.out as usize * BATCH_LANES..][..n]);
+        }
+    }
+
+    /// The value of a program that folded to one constant load: it
+    /// reports this for every input.
+    pub fn constant(&self) -> Option<f64> {
+        match *self.instrs.as_slice() {
+            [NumInstr::Const(v, _)] => Some(v),
+            _ => None,
         }
     }
 
@@ -341,7 +421,9 @@ impl NumProgram {
         self.instrs.len()
     }
 
-    /// `true` when the program folded to a single constant load.
+    /// `true` for a program of no instructions, which lowering never
+    /// builds: a ring that folded to a constant is one load (see
+    /// [`NumProgram::constant`]).
     pub fn is_empty(&self) -> bool {
         self.instrs.is_empty()
     }
@@ -729,6 +811,65 @@ mod tests {
     }
 
     #[test]
+    fn one_op_rings_over_both_inputs_fold_without_the_register_machine() {
+        let named = |params: [&str; 2], body| {
+            lower(&Ring::reporter_with_params(
+                params.iter().map(|p| p.to_string()).collect(),
+                body,
+            ))
+            .unwrap()
+        };
+        let one_op = [
+            (
+                lower(&Ring::reporter(sub(empty_slot(), empty_slot()))).unwrap(),
+                false,
+            ),
+            (named(["acc", "x"], sub(var("acc"), var("x"))), false),
+            (named(["acc", "x"], sub(var("x"), var("acc"))), true),
+            (named(["x", "acc"], pow(var("acc"), var("x"))), true),
+        ];
+        for (p, swapped) in &one_op {
+            assert_eq!(p.one_op().map(|(_, s)| s), Some(*swapped), "{p:?}");
+        }
+        let machine = [
+            // Two ops, one input twice, a constant operand, a third slot.
+            lower(&Ring::reporter(add(
+                add(empty_slot(), empty_slot()),
+                num(1.0),
+            )))
+            .unwrap(),
+            named(["acc", "x"], add(var("x"), var("x"))),
+            lower(&Ring::reporter(add(empty_slot(), num(5.0)))).unwrap(),
+            named(["a", "b"], add(empty_slot(), empty_slot())),
+        ];
+        assert!(machine[0].one_op().is_none() && machine[1].one_op().is_none());
+        assert!(machine[2].one_op().is_none());
+        // With formals, own empty slots still read input i on two inputs.
+        assert!(machine[3].one_op().is_some());
+        let items = [2.0, 10.0, -0.0, 3.0];
+        for (p, _) in &one_op {
+            let want = fold_by_calls(p, &items).map(f64::to_bits);
+            assert_eq!(p.fold(&items).map(f64::to_bits), want, "{p:?}");
+        }
+        assert_eq!(one_op[1].0.fold(&items), Some(2.0 - 10.0 + 0.0 - 3.0));
+        assert_eq!(one_op[2].0.fold(&items), Some(3.0 - (-0.0 - (10.0 - 2.0))));
+    }
+
+    #[test]
+    fn constant_programs_report_their_value() {
+        let one = lower(&Ring::reporter_with_params(vec!["w".into()], num(1.0))).unwrap();
+        assert_eq!(one.constant(), Some(1.0));
+        let folded = lower(&Ring::reporter(mul(num(2.0), num(4.0)))).unwrap();
+        assert_eq!(folded.constant(), Some(8.0));
+        assert_eq!(
+            lower(&Ring::reporter(sqrt(empty_slot())))
+                .unwrap()
+                .constant(),
+            None
+        );
+    }
+
+    #[test]
     fn comparison_roots_are_not_numeric() {
         // `<` reports a Bool under snap_cmp semantics, not a number.
         assert!(lower(&Ring::reporter(Expr::Binary(
@@ -761,9 +902,8 @@ mod tests {
             f64::NEG_INFINITY,
             5e-324,
         ]);
-        let mut batch = Vec::new();
-        p.eval_batch(&inputs, &mut batch);
-        assert_eq!(batch.len(), inputs.len());
+        let mut batch = vec![0.0; inputs.len()];
+        p.eval_batch_into(&inputs, &mut batch);
         for (&x, &got) in inputs.iter().zip(&batch) {
             let scalar = match p.call(&[Value::Number(x)]).unwrap() {
                 Value::Number(n) => n,
@@ -782,9 +922,7 @@ mod tests {
     #[test]
     fn eval_batch_handles_empty_input() {
         let p = lower(&Ring::reporter(mul(empty_slot(), num(10.0)))).unwrap();
-        let mut out = Vec::new();
-        p.eval_batch(&[], &mut out);
-        assert!(out.is_empty());
+        p.eval_batch_into(&[], &mut []);
     }
 
     #[test]

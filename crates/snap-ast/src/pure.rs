@@ -229,15 +229,33 @@ impl PureFn {
     /// Each element is treated exactly as `call1(Value::Number(x))`
     /// treats its argument; results are bit-identical to the scalar fast
     /// path and the tree walk (-0.0/±inf/subnormals included; NaN
-    /// payload bits excepted — see [`NumProgram::eval_batch`]). Numeric
-    /// programs cannot raise: arity was proven compatible, so the only
-    /// scalar failure mode (`ArityMismatch`) is impossible here.
+    /// payload bits excepted — see [`NumProgram::eval_batch_into`]).
+    /// Numeric programs cannot raise: arity was proven compatible, so the
+    /// only scalar failure mode (`ArityMismatch`) is impossible here.
+    /// The appending form of [`PureFn::eval_batch_into`].
     pub fn eval_batch(&self, inputs: &[f64], out: &mut Vec<f64>) -> bool {
+        if !self.is_batchable() {
+            return false;
+        }
+        let start = out.len();
+        out.resize(start + inputs.len(), 0.0);
+        self.eval_batch_into(inputs, &mut out[start..])
+    }
+
+    /// [`PureFn::eval_batch`] writing the output for `inputs[i]` to
+    /// `out[i]`, so a caller can hand each pool chunk its own slice of
+    /// one result. `false`, writing nothing, when the function is not
+    /// batchable.
+    ///
+    /// # Panics
+    /// When the function is batchable and `out` is not as long as
+    /// `inputs`.
+    pub fn eval_batch_into(&self, inputs: &[f64], out: &mut [f64]) -> bool {
         match &self.compiled {
             Compiled::Numeric(p) if p.batchable() => {
                 snap_trace::well_known::RING_BATCH_CALLS.incr();
                 snap_trace::well_known::RING_BATCH_ELEMS.add(inputs.len() as u64);
-                p.eval_batch(inputs, out);
+                p.eval_batch_into(inputs, out);
                 true
             }
             _ => false,

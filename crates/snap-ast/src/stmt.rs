@@ -166,6 +166,106 @@ pub enum Stmt {
     Comment(String),
 }
 
+/// The expressions a statement holds, in input order, handed to `$f`,
+/// and its nested bodies, handed to `$body`: one match for the shared
+/// and the mutable visit, since match ergonomics give each binding the
+/// statement's own mutability.
+macro_rules! visit_inputs {
+    ($stmt:expr, $f:ident, $body:ident) => {
+        match $stmt {
+            Stmt::Say(e)
+            | Stmt::Think(e)
+            | Stmt::SetVar(_, e)
+            | Stmt::ChangeVar(_, e)
+            | Stmt::Wait(e)
+            | Stmt::WaitUntil(e)
+            | Stmt::Broadcast(e)
+            | Stmt::BroadcastAndWait(e)
+            | Stmt::CreateCloneOf(e)
+            | Stmt::Report(e)
+            | Stmt::Move(e)
+            | Stmt::TurnRight(e)
+            | Stmt::TurnLeft(e)
+            | Stmt::PointInDirection(e)
+            | Stmt::SwitchCostume(e) => $f(e),
+            Stmt::SayFor(a, b) | Stmt::GoToXY(a, b) => {
+                $f(a);
+                $f(b);
+            }
+            Stmt::AddToList { item, list } => {
+                $f(item);
+                $f(list);
+            }
+            Stmt::DeleteOfList { index, list } => {
+                $f(index);
+                $f(list);
+            }
+            Stmt::InsertAtList { item, index, list } => {
+                $f(item);
+                $f(index);
+                $f(list);
+            }
+            Stmt::ReplaceItemOfList { index, list, item } => {
+                $f(index);
+                $f(list);
+                $f(item);
+            }
+            Stmt::If(c, b) | Stmt::Repeat(c, b) | Stmt::RepeatUntil(c, b) => {
+                $f(c);
+                $body(b, $f);
+            }
+            Stmt::IfElse(c, t, e) => {
+                $f(c);
+                $body(t, $f);
+                $body(e, $f);
+            }
+            Stmt::Forever(b) | Stmt::Warp(b) => $body(b, $f),
+            Stmt::For {
+                from, to, body: b, ..
+            } => {
+                $f(from);
+                $f(to);
+                $body(b, $f);
+            }
+            Stmt::ForEach { list, body: b, .. } => {
+                $f(list);
+                $body(b, $f);
+            }
+            Stmt::ParallelForEach {
+                list,
+                body: b,
+                parallelism,
+                ..
+            } => {
+                $f(list);
+                if let Some(p) = parallelism {
+                    $f(p);
+                }
+                $body(b, $f);
+            }
+            Stmt::RunRing(r, args) | Stmt::LaunchRing(r, args) => {
+                $f(r);
+                for a in args {
+                    $f(a);
+                }
+            }
+            Stmt::CallCustom(_, args) => {
+                for a in args {
+                    $f(a);
+                }
+            }
+            Stmt::DeclareLocals(_)
+            | Stmt::DeleteThisClone
+            | Stmt::Stop(_)
+            | Stmt::Show
+            | Stmt::Hide
+            | Stmt::NextCostume
+            | Stmt::ResetTimer
+            | Stmt::Comment(_) => {}
+        }
+    };
+}
+
 impl Stmt {
     /// Call `f` on every expression directly contained in this statement
     /// (not recursing into the expressions themselves), and recurse into
@@ -194,97 +294,37 @@ impl Stmt {
                 s.visit_exprs_dyn(f, true);
             }
         };
-        match self {
-            Stmt::Say(e)
-            | Stmt::Think(e)
-            | Stmt::SetVar(_, e)
-            | Stmt::ChangeVar(_, e)
-            | Stmt::Wait(e)
-            | Stmt::WaitUntil(e)
-            | Stmt::Broadcast(e)
-            | Stmt::BroadcastAndWait(e)
-            | Stmt::CreateCloneOf(e)
-            | Stmt::Report(e)
-            | Stmt::Move(e)
-            | Stmt::TurnRight(e)
-            | Stmt::TurnLeft(e)
-            | Stmt::PointInDirection(e)
-            | Stmt::SwitchCostume(e) => f(e),
-            Stmt::SayFor(a, b) | Stmt::GoToXY(a, b) => {
-                f(a);
-                f(b);
+        visit_inputs!(self, f, body);
+    }
+
+    /// [`Stmt::visit_exprs`] with each expression handed over mutably.
+    fn visit_exprs_mut(&mut self, f: &mut dyn FnMut(&mut Expr)) {
+        let body = |stmts: &mut [Stmt], f: &mut dyn FnMut(&mut Expr)| {
+            for s in stmts {
+                s.visit_exprs_mut(f);
             }
-            Stmt::AddToList { item, list } => {
-                f(item);
-                f(list);
-            }
-            Stmt::DeleteOfList { index, list } => {
-                f(index);
-                f(list);
-            }
-            Stmt::InsertAtList { item, index, list } => {
-                f(item);
-                f(index);
-                f(list);
-            }
-            Stmt::ReplaceItemOfList { index, list, item } => {
-                f(index);
-                f(list);
-                f(item);
-            }
-            Stmt::If(c, b) | Stmt::Repeat(c, b) | Stmt::RepeatUntil(c, b) => {
-                f(c);
-                body(b, f);
-            }
-            Stmt::IfElse(c, t, e) => {
-                f(c);
-                body(t, f);
-                body(e, f);
-            }
-            Stmt::Forever(b) | Stmt::Warp(b) => body(b, f),
-            Stmt::For {
-                from, to, body: b, ..
-            } => {
-                f(from);
-                f(to);
-                body(b, f);
-            }
-            Stmt::ForEach { list, body: b, .. } => {
-                f(list);
-                body(b, f);
-            }
-            Stmt::ParallelForEach {
-                list,
-                body: b,
-                parallelism,
-                ..
-            } => {
-                f(list);
-                if let Some(p) = parallelism {
-                    f(p);
-                }
-                body(b, f);
-            }
-            Stmt::RunRing(r, args) | Stmt::LaunchRing(r, args) => {
-                f(r);
-                for a in args {
-                    f(a);
-                }
-            }
-            Stmt::CallCustom(_, args) => {
-                for a in args {
-                    f(a);
-                }
-            }
-            Stmt::DeclareLocals(_)
-            | Stmt::DeleteThisClone
-            | Stmt::Stop(_)
-            | Stmt::Show
-            | Stmt::Hide
-            | Stmt::NextCostume
-            | Stmt::ResetTimer
-            | Stmt::Comment(_) => {}
+        };
+        visit_inputs!(self, f, body);
+    }
+
+    /// Rebuild a command ring's body `stmts` with each of its own empty
+    /// slots replaced by `f(slot_index)`. Slots are numbered from 0 in
+    /// the order the blocks' inputs appear, statement by statement and
+    /// into nested bodies; slots inside nested rings belong to those
+    /// rings and stay (see [`Expr::map_own_empty_slots`]).
+    pub fn map_own_empty_slots(stmts: &[Stmt], f: &mut impl FnMut(usize) -> Expr) -> Vec<Stmt> {
+        let mut out = stmts.to_vec();
+        let mut next = 0;
+        for stmt in &mut out {
+            stmt.visit_exprs_mut(&mut |e| {
+                let base = next;
+                *e = e.map_own_empty_slots(&mut |i| {
+                    next = next.max(base + i + 1);
+                    f(base + i)
+                });
+            });
         }
+        out
     }
 
     /// Count command blocks in a script, recursing into nested bodies.

@@ -19,7 +19,11 @@
 //!
 //! `combine` over a list stored as numbers folds it in one pass
 //! (`NumProgram::fold`); over the same numbers boxed it applies its ring
-//! step by step. Both must give what step-by-step scalar calls give.
+//! step by step. Both must give what step-by-step scalar calls give. The
+//! generated combining rings include every one-op shape the fold runs
+//! without the register machine (each arithmetic op over two empty
+//! slots, or over two named inputs in either order), and a fixed sweep
+//! checks those shapes bit for bit, NaN included.
 
 use proptest::prelude::*;
 
@@ -188,7 +192,8 @@ fn assert_combine_matches(params: &[&str], body: Expr, inputs: &[f64]) {
     let boxed: Vec<Value> = inputs.iter().map(|&x| Value::Number(x)).collect();
     let on_numbers = f.call1(Value::List(List::from_numbers(inputs.to_vec())));
     let on_boxed = f.call1(Value::List(List::boxed(boxed.clone())));
-    let ring = Ring::reporter_with_params(params.iter().map(|p| p.to_string()).collect(), body);
+    let ring =
+        Ring::reporter_with_params(params.iter().map(|p| p.to_string()).collect(), body.clone());
     let step = PureFn::compile(Arc::new(ring)).unwrap();
     let mut items = boxed.into_iter();
     let by_steps: Result<Value, EvalError> = match items.next() {
@@ -197,10 +202,19 @@ fn assert_combine_matches(params: &[&str], body: Expr, inputs: &[f64]) {
     };
     for (how, got) in [("numeric list", &on_numbers), ("boxed list", &on_boxed)] {
         match (got, &by_steps) {
-            (Ok(a), Ok(b)) => assert!(bits_eq(a, b), "{how}: {a:?} vs steps {b:?}"),
+            (Ok(a), Ok(b)) => assert!(
+                bits_eq(a, b),
+                "{how}: {a:?} vs steps {b:?} over {inputs:?} under {params:?} {body:?}"
+            ),
             (a, b) => assert_eq!(a, b, "{how}"),
         }
     }
+}
+
+/// Combining rings of one arithmetic op over `a` and `b`.
+fn one_op_strategy(a: Expr, b: Expr) -> impl Strategy<Value = Expr> {
+    arith_binop_strategy()
+        .prop_map(move |op| Expr::Binary(op, Box::new(a.clone()), Box::new(b.clone())))
 }
 
 proptest! {
@@ -210,25 +224,93 @@ proptest! {
     /// the item the second, and any further slot reads nothing.
     #[test]
     fn combine_over_numbers_folds_as_step_by_step_calls(
-        body in numeric_expr_strategy(false),
+        body in prop_oneof![
+            numeric_expr_strategy(false),
+            one_op_strategy(Expr::EmptySlot, Expr::EmptySlot),
+        ],
         inputs in prop::collection::vec(input_f64(), 0..60),
     ) {
         assert_combine_matches(&[], body, &inputs);
     }
 
-    /// Named combining rings: two parameters fold; one parameter raises
-    /// the arity error at the first step, on both forms.
+    /// Named combining rings: two parameters fold, in either order; one
+    /// parameter raises the arity error at the first step, on both forms.
     #[test]
     fn named_combine_over_numbers_folds_as_step_by_step_calls(
-        body in numeric_expr_strategy(true),
+        body in prop_oneof![
+            numeric_expr_strategy(true),
+            one_op_strategy(Expr::Var("acc".into()), Expr::Var("x".into())),
+            one_op_strategy(Expr::Var("x".into()), Expr::Var("acc".into())),
+        ],
         params in prop_oneof![
             Just(vec!["acc", "x"]),
+            Just(vec!["x", "acc"]),
             Just(vec!["x", "item"]),
             Just(vec!["x"]),
         ],
         inputs in prop::collection::vec(input_f64(), 0..60),
     ) {
         assert_combine_matches(&params, body, &inputs);
+    }
+}
+
+/// Numbers where a fold's rounding shows: NaN, both zeros, both
+/// infinities, subnormals, ±1 and 2^53 ± 1, past which adding 1 no
+/// longer changes a sum.
+fn fold_inputs() -> Vec<f64> {
+    let two_53 = 2f64.powi(53);
+    vec![
+        two_53 - 1.0,
+        1.0,
+        -0.0,
+        two_53 + 1.0,
+        5e-324,
+        f64::INFINITY,
+        0.0,
+        -1.0,
+        -2.225_073_858_507_201e-308,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        two_53,
+    ]
+}
+
+/// Every one-op combining ring (each arithmetic op, over two empty
+/// slots, over `(acc, x)` named in order, and reversed as `x op acc`),
+/// plus a two-op ring that stays on the register machine, folds every
+/// rotation and prefix of [`fold_inputs`] bit for bit as step-by-step
+/// calls do, on a numeric list and on a boxed one. NaN payloads are
+/// exempt, as everywhere in this suite: when a NaN meets a NaN, operand
+/// order picks the payload, and the compiler may commute `x + acc` in
+/// the fold loop where a call runs it as written.
+#[test]
+fn every_one_op_combine_ring_folds_bit_for_bit() {
+    use snap_ast::builder::*;
+    use snap_ast::BinOp;
+    let ops = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Mod,
+        BinOp::Pow,
+    ];
+    let binary = |op, a, b| Expr::Binary(op, Box::new(a), Box::new(b));
+    let mut rings: Vec<(Vec<&str>, Expr)> = Vec::new();
+    for op in ops {
+        rings.push((vec![], binary(op, empty_slot(), empty_slot())));
+        rings.push((vec!["acc", "x"], binary(op, var("acc"), var("x"))));
+        rings.push((vec!["acc", "x"], binary(op, var("x"), var("acc"))));
+    }
+    rings.push((vec![], mul(add(empty_slot(), empty_slot()), num(0.5))));
+    let mut inputs = fold_inputs();
+    for _ in 0..inputs.len() {
+        inputs.rotate_left(1);
+        for n in 0..=inputs.len() {
+            for (params, body) in &rings {
+                assert_combine_matches(params, body.clone(), &inputs[..n]);
+            }
+        }
     }
 }
 

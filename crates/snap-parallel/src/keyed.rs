@@ -19,9 +19,20 @@
 //! one [`Regime`], where `snap_cmp` is a total order whose `Equal` is the
 //! `loose_eq` that grouping uses, or holds a single distinct key. Any
 //! other column (mixed regimes, numeric text, booleans, NaN, lists)
-//! makes the rung decline, and the call takes the boxed path.
+//! makes the rung decline, and the call takes the boxed path. The first
+//! key a call interns sets the regime for all its chunks, so a chunk in
+//! another regime declines at its own first key.
+//!
+//! A chunk's dictionary looks each item's raw key up in a hash map keyed
+//! by [`KeyHasher`], a multiply-rotate hash that reads 8 bytes at a time
+//! (a word is a multiply or two, where SipHash runs its rounds). Its seed
+//! is drawn once per process from [`RandomState`]; ids never depend on
+//! it, since they are handed out in first-occurrence order.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::OnceLock;
 
 use snap_ast::bytecode::num_binop;
 use snap_ast::{BinOp, List, ListView, PureFn, Value};
@@ -57,6 +68,86 @@ impl Regime {
     }
 }
 
+/// The hasher of the rung's key dictionaries: each word of input is
+/// xored into the state, which is then multiplied by an odd constant, so
+/// every input bit reaches the state's high bits; `finish` rotates those
+/// to the low bits a table indexes by.
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    /// 2^64 divided by the golden ratio, rounded to odd.
+    const MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(Self::MULTIPLIER);
+    }
+}
+
+impl Hasher for KeyHasher {
+    /// Whole words 8 bytes at a time, then the last 0–7 bytes and the
+    /// length as one more word. The tail is read as two overlapping
+    /// 4-byte loads (or three single bytes), not byte by byte, so a short
+    /// word costs no loop whose exit depends on its length.
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let (words, tail) = bytes.as_chunks::<8>();
+        for word in words {
+            self.mix(u64::from_le_bytes(*word));
+        }
+        let n = tail.len();
+        let last = match n {
+            4.. => {
+                let lo = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
+                let hi = u32::from_le_bytes(tail[n - 4..].try_into().expect("4 bytes"));
+                u64::from(lo) | u64::from(hi) << 32
+            }
+            1.. => u64::from(tail[0]) | u64::from(tail[n / 2]) << 8 | u64::from(tail[n - 1]) << 16,
+            0 => 0,
+        };
+        self.mix(last ^ (bytes.len() as u64).rotate_right(8));
+    }
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.mix(n.into());
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// Builds [`KeyHasher`]s that start from the process's seed.
+#[derive(Clone, Copy)]
+struct KeyHash(u64);
+
+impl Default for KeyHash {
+    fn default() -> KeyHash {
+        static SEED: OnceLock<u64> = OnceLock::new();
+        KeyHash(*SEED.get_or_init(|| RandomState::new().hash_one(0u64)))
+    }
+}
+
+impl BuildHasher for KeyHash {
+    type Hasher = KeyHasher;
+
+    fn build_hasher(&self) -> KeyHasher {
+        KeyHasher(self.0)
+    }
+}
+
 /// A key by identity (exact text or bits), before canonical folding.
 #[derive(PartialEq, Eq, Hash)]
 enum RawKey<'a> {
@@ -85,7 +176,7 @@ impl<'a> RawKey<'a> {
 #[derive(Default)]
 struct CanonIndex {
     keys: Vec<(Value, CanonKey)>,
-    by_hash: HashMap<u64, Vec<u32>>,
+    by_hash: HashMap<u64, Vec<u32>, KeyHash>,
 }
 
 impl CanonIndex {
@@ -106,19 +197,32 @@ impl CanonIndex {
     }
 }
 
+/// The regime of a call's first interned key, which all its chunks share
+/// (`None` inside for a key in neither regime).
+type CallRegime = OnceLock<Option<Regime>>;
+
 /// One chunk's key dictionary: raw keys map straight to chunk-local
 /// canonical ids, so each distinct raw key pays for its [`CanonKey`]
 /// once and every other item costs one hash lookup.
-#[derive(Default)]
-struct ChunkKeys<'a> {
-    raw: HashMap<RawKey<'a>, u32>,
+struct ChunkKeys<'a, 'c> {
+    raw: HashMap<RawKey<'a>, u32, KeyHash>,
     canon: CanonIndex,
     /// The regime of every key so far; `None` after a first key in
     /// neither regime, which may then be the chunk's only key.
     regime: Option<Regime>,
+    call: &'c CallRegime,
 }
 
-impl<'a> ChunkKeys<'a> {
+impl<'a, 'c> ChunkKeys<'a, 'c> {
+    fn new(call: &'c CallRegime) -> Self {
+        ChunkKeys {
+            raw: HashMap::default(),
+            canon: CanonIndex::default(),
+            regime: None,
+            call,
+        }
+    }
+
     /// The canonical id of the key `raw`, materialized by `key` when it
     /// is new; `None` when the key takes the chunk off the rung.
     fn id(&mut self, raw: RawKey<'a>, key: impl FnOnce() -> Value) -> Option<u32> {
@@ -133,6 +237,9 @@ impl<'a> ChunkKeys<'a> {
         let canon = CanonKey::new(&key);
         let regime = Regime::of(&key, &canon);
         if self.raw.is_empty() {
+            if *self.call.get_or_init(|| regime) != regime {
+                return None;
+            }
             self.regime = regime;
         } else if regime.is_none() || regime != self.regime {
             return None;
@@ -156,9 +263,16 @@ struct ChunkGroups {
 
 /// Intern one chunk's keys and, under `op`, fold its values per key in
 /// input order, seeded with each key's first value as `combine_pairs`
-/// does. `None` when the chunk's keys take the call off the rung.
-fn fold_chunk(keys: KeyColumn<'_>, values: Vec<f64>, op: Option<BinOp>) -> Option<ChunkGroups> {
-    let mut dict = ChunkKeys::default();
+/// does. `None` when the chunk's keys take the call off the rung,
+/// including a first key outside the regime `call` holds. A re-run of the
+/// chunk gives the same answer, since `call` is set once.
+fn fold_chunk(
+    keys: KeyColumn<'_>,
+    values: Vec<f64>,
+    op: Option<BinOp>,
+    call: &CallRegime,
+) -> Option<ChunkGroups> {
+    let mut dict = ChunkKeys::new(call);
     let per_item = op.is_none() && !matches!(keys, KeyColumn::Const(_));
     let mut ids = Vec::with_capacity(if per_item { values.len() } else { 0 });
     let mut partials: Vec<f64> = Vec::new();
@@ -214,14 +328,12 @@ fn fold_chunk(keys: KeyColumn<'_>, values: Vec<f64>, op: Option<BinOp>) -> Optio
 }
 
 /// Merge the chunks' keys into canonical ids, sort those in `snap_cmp`
-/// order and gather every chunk's values under them, chunk by chunk.
-/// `None` when the chunks' regimes disagree, or a key outside both
-/// regimes is not the column's single key.
+/// order and gather every chunk's values under them, chunk by chunk. The
+/// chunks share one regime ([`fold_chunk`] declines the others). `None`
+/// when a key outside both regimes is not the column's single key.
 fn merge(chunks: Vec<ChunkGroups>) -> Option<Vec<(Value, Vec<f64>)>> {
     let regime = chunks.first()?.regime;
-    if chunks.iter().any(|c| c.regime != regime) {
-        return None;
-    }
+    debug_assert!(chunks.iter().all(|c| c.regime == regime));
     if regime.is_none() {
         // A key outside both regimes: fine as the column's one key, and
         // only if it equals itself (NaN and "nan" do not).
@@ -290,8 +402,9 @@ pub(crate) fn map_groups(
         Some(_) => items.len().div_ceil(workers),
         None => columnar_chunk_size(items.len(), workers),
     };
+    let call = CallRegime::new();
     let Some((chunks, tally)) = ring_map_keyed(pair, items, chunk_len, options, |keys, values| {
-        fold_chunk(keys, values, fold)
+        fold_chunk(keys, values, fold, &call)
     })?
     else {
         return Ok(None);
@@ -319,4 +432,135 @@ pub(crate) fn map_groups(
             .map(|(key, values)| (key, List::from_numbers(values)))
             .collect(),
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use std::borrow::Cow;
+
+    use super::*;
+
+    /// 20,000 distinct keys of one regime, each several times in a
+    /// scrambled order: texts, some also in capitals (one canonical key,
+    /// two raw keys), or numbers with both zeros (likewise).
+    fn keys(texts: bool) -> Vec<Value> {
+        let distinct: Vec<Value> = (0..20_000)
+            .map(|i| match (texts, i) {
+                (true, i) if i % 7 == 0 => Value::text(format!("Key{i}")),
+                (true, i) => Value::text(format!("key{i}")),
+                (false, 0) => Value::Number(-0.0),
+                (false, i) => Value::Number(i as f64 * 0.75 - 7_000.0),
+            })
+            .collect();
+        let mut items: Vec<Value> = (0..60_000)
+            .map(|j| distinct[(j * 7_919) % distinct.len()].clone())
+            .collect();
+        // The same canonical keys under a second raw key, late.
+        items.extend((0..20_000).step_by(7).map(|i| match texts {
+            true => Value::text(format!("key{i}")),
+            false if i == 0 => Value::Number(0.0),
+            false => distinct[i].clone(),
+        }));
+        items
+    }
+
+    #[test]
+    fn distinct_keys_get_first_occurrence_ids_and_group_as_the_shuffle_does() {
+        for texts in [true, false] {
+            let items = keys(texts);
+            let call = CallRegime::new();
+            let mut dict = ChunkKeys::new(&call);
+            // Canonical forms in this test: lowercase text, or the
+            // number's bits with −0 read as 0.
+            let canonical = |key: &Value| match key {
+                Value::Text(s) => s.to_lowercase(),
+                other => (other.to_number() + 0.0).to_bits().to_string(),
+            };
+            let mut first: HashMap<String, usize> = HashMap::new();
+            for item in &items {
+                let id = dict
+                    .id(RawKey::of(item).unwrap(), || item.clone())
+                    .expect("one regime");
+                let next = first.len();
+                let want = *first.entry(canonical(item)).or_insert(next);
+                assert_eq!(id as usize, want, "{item:?}");
+            }
+            assert_eq!(dict.canon.keys.len(), 20_000);
+            let raw_keys = if texts {
+                20_000 + 20_000 / 7 + 1
+            } else {
+                20_001
+            };
+            assert_eq!(dict.raw.len(), raw_keys);
+
+            // The same items, as three chunks, group as the shuffle does.
+            let values: Vec<f64> = (0..items.len()).map(|i| i as f64).collect();
+            let call = CallRegime::new();
+            let chunks: Vec<ChunkGroups> = (0..items.len())
+                .step_by(30_000)
+                .map(|start| {
+                    let end = (start + 30_000).min(items.len());
+                    let keys = match texts {
+                        true => KeyColumn::Items(&items[start..end]),
+                        false => KeyColumn::Numbers(Cow::Owned(
+                            items[start..end].iter().map(Value::to_number).collect(),
+                        )),
+                    };
+                    fold_chunk(keys, values[start..end].to_vec(), None, &call).unwrap()
+                })
+                .collect();
+            let grouped = merge(chunks).unwrap();
+            let pairs = items
+                .iter()
+                .zip(&values)
+                .map(|(k, &v)| (k.clone(), Value::Number(v)))
+                .collect();
+            let shuffled = crate::shuffle(pairs);
+            assert_eq!(grouped.len(), shuffled.len());
+            for ((key, values), (want_key, want_values)) in grouped.iter().zip(&shuffled) {
+                assert_eq!(format!("{key:?}"), format!("{want_key:?}"));
+                let want: Vec<f64> = want_values.iter().map(Value::to_number).collect();
+                assert_eq!(values, &want, "{key:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_chunk_whose_first_key_is_in_another_regime_declines_at_once() {
+        let call = CallRegime::new();
+        let words = [Value::text("fox"), Value::text("dog")];
+        assert!(fold_chunk(KeyColumn::Items(&words), vec![1.0; 2], None, &call).is_some());
+        let numbers = KeyColumn::Numbers(Cow::Owned(vec![1.0, 2.0]));
+        assert!(fold_chunk(numbers, vec![1.0; 2], None, &call).is_none());
+        // The regime is the call's: a fresh call takes numbers.
+        let numbers = KeyColumn::Numbers(Cow::Owned(vec![1.0, 2.0]));
+        assert!(fold_chunk(numbers, vec![1.0; 2], None, &CallRegime::new()).is_some());
+    }
+
+    #[test]
+    fn the_key_hasher_reads_every_byte_and_the_length() {
+        let hash = |bytes: &[u8]| {
+            let mut h = KeyHash(7).build_hasher();
+            h.write(bytes);
+            h.finish()
+        };
+        let words: [&[u8]; 9] = [
+            b"",
+            b"a",
+            b"ab",
+            b"abb",
+            b"abcd",
+            b"abcde",
+            b"abcdefg",
+            b"abcdefgh",
+            b"abcdefghi",
+        ];
+        for (i, a) in words.iter().enumerate() {
+            for b in &words[i + 1..] {
+                assert_ne!(hash(a), hash(b), "{a:?} {b:?}");
+            }
+        }
+        assert_ne!(hash(b"abcdefgh-1"), hash(b"abcdefgh-2"));
+        assert_eq!(hash(b"the"), hash(b"the"));
+    }
 }

@@ -2,7 +2,10 @@
 //! it: injected chunk panics in `mapReduce`'s keyed-columnar map are
 //! retried with identical output, a zero-retry exhaustion degrades once
 //! to the sequential path over the same input, a missed deadline is an
-//! error, and a degraded `parallelMap` equals the pooled one. Blocks
+//! error, and a degraded `parallelMap` equals the pooled one. A numeric
+//! `parallelMap`, whose chunks write into their own slices of one
+//! result, rewrites a retried chunk's slice and hands out nothing when
+//! it misses its deadline. Blocks
 //! whose rings read the very list they map, held as numbers and held
 //! boxed, go through a degraded call and a retried chunk while the block
 //! holds the list's read lock, and leave the list as it was.
@@ -21,7 +24,7 @@ use snap_parallel::{
     CombinePolicy,
 };
 use snap_trace::well_known as metrics;
-use snap_workers::{install_injector, FaultInjector, FaultPolicy, RingMapOptions};
+use snap_workers::{install_injector, ColumnarPolicy, FaultInjector, FaultPolicy, RingMapOptions};
 
 fn injector_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -212,6 +215,78 @@ fn degraded_parallel_map_equals_the_pooled_map() {
     install_injector(None);
     assert_same(&degraded.unwrap(), &pooled);
     assert_eq!(metrics::FAULT_DEGRADED_RUNS.get() - degraded_before, 1);
+}
+
+/// `( ) × 10` over 10,000 numbers stored as numbers: on 2 workers, the
+/// columnar map cuts them into 4 chunks, which the injector keys 0–3.
+fn numeric_map_case() -> (Arc<Ring>, List, u64) {
+    let ring = Arc::new(Ring::reporter(mul(empty_slot(), num(10.0))));
+    let numbers: Vec<f64> = (0..10_000).map(|i| i as f64 * 0.5 - 7.25).collect();
+    (ring, List::from_numbers(numbers), 4)
+}
+
+#[test]
+fn a_numeric_parallel_map_rewrites_a_retried_chunk_in_place() {
+    let _guard = injector_lock();
+    install_injector(None);
+    let (ring, list, chunks) = numeric_map_case();
+    let per_item = parallel_map_list(
+        ring.clone(),
+        &list,
+        RingMapOptions {
+            columnar: ColumnarPolicy::Disabled,
+            ..options(2, FaultPolicy::default())
+        },
+    )
+    .unwrap();
+    // A seed that fails exactly one chunk's first attempt, and no retry.
+    let one_chunk_once = (0..)
+        .map(|seed| FaultInjector::new(seed).panic_probability(0.3))
+        .find(|i| {
+            (0..chunks).filter(|&k| i.should_panic(k, 0)).count() == 1
+                && (0..chunks).all(|k| !i.should_panic(k, 1))
+        })
+        .unwrap();
+    let retries_before = metrics::FAULT_RETRIES_SCHEDULED.get();
+    let degraded_before = metrics::FAULT_DEGRADED_RUNS.get();
+    let chunks_before = metrics::PAR_COLUMNAR_CHUNKS.get();
+    install_injector(Some(one_chunk_once));
+    let policy = FaultPolicy::with_retries(1).backoff(Duration::from_micros(10));
+    let retried = parallel_map_list(ring, &list, options(2, policy));
+    install_injector(None);
+    let retried = retried.unwrap();
+    assert!(retried.is_numeric());
+    assert_same(&retried.to_vec(), &per_item.to_vec());
+    assert_eq!(metrics::FAULT_RETRIES_SCHEDULED.get() - retries_before, 1);
+    assert_eq!(metrics::FAULT_DEGRADED_RUNS.get(), degraded_before);
+    // The injected panic strikes before its chunk runs: each chunk ran
+    // once, on the columnar tier.
+    assert_eq!(metrics::PAR_COLUMNAR_CHUNKS.get() - chunks_before, chunks);
+}
+
+#[test]
+fn a_numeric_parallel_map_that_misses_its_deadline_hands_out_no_list() {
+    let _guard = injector_lock();
+    let (ring, list, _) = numeric_map_case();
+    let degraded_before = metrics::FAULT_DEGRADED_RUNS.get();
+    let deadlines_before = metrics::FAULT_DEADLINES_EXCEEDED.get();
+    // Every chunk sleeps 20 ms first: each worker's second claim comes
+    // after the 5 ms deadline, so two of the four slices stay unwritten.
+    install_injector(Some(
+        FaultInjector::new(5).delay_probability(1.0, Duration::from_millis(20)),
+    ));
+    let policy = FaultPolicy::default().deadline(Duration::from_millis(5));
+    let result = parallel_map_list(ring, &list, options(2, policy));
+    install_injector(None);
+    let err = result.expect_err("no partial list may escape a missed deadline");
+    assert!(err.to_string().contains("deadline exceeded"), "{err}");
+    assert_eq!(
+        metrics::FAULT_DEADLINES_EXCEEDED.get() - deadlines_before,
+        1
+    );
+    assert_eq!(metrics::FAULT_DEGRADED_RUNS.get(), degraded_before);
+    assert!(list.is_numeric());
+    assert_eq!(list.item(3), Some(Value::Number(-6.25)));
 }
 
 /// `(x + length of xs)`, with `xs` captured: every call reads `xs`.

@@ -324,6 +324,67 @@ mod tests {
     }
 
     #[test]
+    fn run_fills_a_command_rings_own_empty_slots() {
+        let vm = run_script(vec![
+            Stmt::RunRing(ring_command(vec![say(empty_slot())]), vec![num(7.0)]),
+            // One input fills every slot, in every statement.
+            Stmt::RunRing(
+                ring_command(vec![
+                    say(join(vec![empty_slot(), empty_slot()])),
+                    say(empty_slot()),
+                ]),
+                vec![text("a")],
+            ),
+            // Otherwise slot i takes input i, across statements; a slot
+            // with no input reads nothing.
+            Stmt::RunRing(
+                ring_command(vec![
+                    say(empty_slot()),
+                    if_then(boolean(true), vec![say(empty_slot())]),
+                    say(join(vec![text("["), empty_slot(), text("]")])),
+                ]),
+                vec![num(1.0), num(2.0)],
+            ),
+            // Formal parameters do not change the rule, and a nested
+            // ring keeps its own slot.
+            Stmt::RunRing(
+                ring_command_with(
+                    vec!["a"],
+                    vec![say(join(vec![
+                        var("a"),
+                        empty_slot(),
+                        call_ring(ring_reporter(add(empty_slot(), num(1.0))), vec![num(4.0)]),
+                    ]))],
+                ),
+                vec![num(3.0)],
+            ),
+        ]);
+        assert_eq!(vm.world.said(), vec!["7", "aa", "a", "1", "2", "[]", "335"]);
+    }
+
+    #[test]
+    fn launch_fills_a_command_rings_own_empty_slots_with_the_inputs_themselves() {
+        let vm = run_script(vec![
+            set_var("xs", make_list(vec![num(1.0)])),
+            Stmt::LaunchRing(
+                ring_command(vec![
+                    say(length_of(empty_slot())),
+                    Stmt::AddToList {
+                        item: num(9.0),
+                        list: empty_slot(),
+                    },
+                ]),
+                vec![var("xs")],
+            ),
+            wait(num(1.0)),
+            say(length_of(var("xs"))),
+        ]);
+        // The launched script read its input list, then grew that very
+        // list.
+        assert_eq!(vm.world.said(), vec!["1", "2"]);
+    }
+
+    #[test]
     fn custom_command_blocks_execute_with_params() {
         let project = Project::new("t")
             .with_global_block(snap_ast::CustomBlock::command(

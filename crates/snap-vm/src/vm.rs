@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use snap_ast::pure::Env;
+use snap_ast::pure::{slot_input, Env};
 use snap_ast::{
     BlockKind, EvalError, Expr, HatBlock, Project, Ring, RingBody, Stmt, StopKind, Value,
 };
@@ -31,6 +31,9 @@ use crate::error::VmError;
 use crate::eval::{round_robin_assign, EvalCtx};
 use crate::process::{LoopKind, LoopTask, Pid, Process, ScopeStack, Task};
 use crate::world::{SpriteId, World};
+
+/// The bindings of one scope frame.
+type ScopeFrame = Vec<(String, Value)>;
 
 /// Deterministic model of "other browser tasks": every frame where
 /// `timestep % period == phase` is consumed by the interfering task and
@@ -756,13 +759,10 @@ impl Vm {
                 let (ring, values) = self.eval_ring_call(p, ring_expr, args)?;
                 match &ring.body {
                     RingBody::Command(body) => {
-                        let frame = Self::ring_frame(&ring, &values)?;
+                        let (frame, stmts) = Self::enter_command_ring(&ring, body, &values)?;
                         p.scopes.push(frame);
                         p.tasks.push(Task::CallBoundary);
-                        p.tasks.push(Task::Seq {
-                            stmts: Arc::new(body.clone()),
-                            idx: 0,
-                        });
+                        p.tasks.push(Task::Seq { stmts, idx: 0 });
                         Ok(Flow::Continue)
                     }
                     _ => {
@@ -778,17 +778,13 @@ impl Vm {
                 let (ring, values) = self.eval_ring_call(p, ring_expr, args)?;
                 match &ring.body {
                     RingBody::Command(body) => {
-                        let frame = Self::ring_frame(&ring, &values)?;
+                        let (frame, stmts) = Self::enter_command_ring(&ring, body, &values)?;
                         let mut scopes = ScopeStack::new();
                         scopes.push(frame);
                         let pid = self.next_pid;
                         self.next_pid += 1;
-                        self.procs.push(Some(Process::with_scopes(
-                            pid,
-                            p.sprite,
-                            Arc::new(body.clone()),
-                            scopes,
-                        )));
+                        self.procs
+                            .push(Some(Process::with_scopes(pid, p.sprite, stmts, scopes)));
                         Ok(Flow::Continue)
                     }
                     _ => Err(EvalError::TypeMismatch {
@@ -958,9 +954,18 @@ impl Vm {
         Ok((ring, values))
     }
 
-    /// Build the scope frame for entering a command ring: captured
-    /// environment plus bound parameters.
-    fn ring_frame(ring: &Ring, args: &[Value]) -> Result<Vec<(String, Value)>, VmError> {
+    /// The scope frame and the body for entering the command ring `ring`,
+    /// whose body is `body`, with `args`: the captured environment plus
+    /// the bound parameters, and the body with each own empty slot
+    /// reading its input by [`slot_input`]'s rule, as a reporter ring's
+    /// slots do (one input fills every slot; otherwise slot `i` takes
+    /// input `i`). Slot `i` reads the variable `#i+1` the frame binds,
+    /// the name Snap! gives it.
+    fn enter_command_ring(
+        ring: &Ring,
+        body: &[Stmt],
+        args: &[Value],
+    ) -> Result<(ScopeFrame, Arc<Vec<Stmt>>), VmError> {
         let mut frame = ring.captured.clone();
         if !ring.params.is_empty() {
             if ring.params.len() != args.len() {
@@ -974,7 +979,12 @@ impl Vm {
                 frame.push((name.clone(), value.clone()));
             }
         }
-        Ok(frame)
+        let body = Stmt::map_own_empty_slots(body, &mut |i| {
+            let name = format!("#{}", i + 1);
+            frame.push((name.clone(), slot_input(args, i)));
+            Expr::Var(name)
+        });
+        Ok((frame, Arc::new(body)))
     }
 
     /// The parallel `parallelForEach`: spawn clones of the acting sprite

@@ -153,3 +153,87 @@ fn vm_with_sequential_backend(globals: Vec<(&str, Constant)>, body: Vec<Stmt>) -
     vm.world.set_backend(Arc::new(SequentialBackend));
     vm
 }
+
+/// Number equality bit for bit, NaN payloads aside (see
+/// `NumProgram::fold`).
+fn same_number(a: &Value, b: &Value) -> bool {
+    let (a, b) = (a.to_number(), b.to_number());
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+#[test]
+fn one_op_combine_rings_fold_numbers_in_the_vm_as_step_by_step_and_on_a_worker() {
+    use snap_ast::{BinOp, List};
+    let two_53 = 2f64.powi(53);
+    let mut inputs = vec![
+        two_53 - 1.0,
+        1.0,
+        -0.0,
+        two_53 + 1.0,
+        5e-324,
+        f64::INFINITY,
+        0.0,
+        -1.0,
+        -2.225_073_858_507_201e-308,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        two_53,
+    ];
+    let binary = |op, a, b| Expr::Binary(op, Box::new(a), Box::new(b));
+    let mut rings = Vec::new();
+    for op in [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Mod,
+        BinOp::Pow,
+    ] {
+        rings.push(ring_reporter(binary(op, empty_slot(), empty_slot())));
+        rings.push(ring_reporter_with(
+            vec!["acc", "x"],
+            binary(op, var("acc"), var("x")),
+        ));
+        rings.push(ring_reporter_with(
+            vec!["acc", "x"],
+            binary(op, var("x"), var("acc")),
+        ));
+    }
+    // Two ops: stays on the register machine.
+    rings.push(ring_reporter(mul(
+        add(empty_slot(), empty_slot()),
+        num(0.5),
+    )));
+    for _ in 0..inputs.len() {
+        inputs.rotate_left(1);
+        let numbers = Constant::List(inputs.iter().map(|&x| Constant::Number(x)).collect());
+        for ring in &rings {
+            let on_a_worker = parallel_map_over(
+                ring_reporter(combine_using(empty_slot(), ring.clone())),
+                make_list(vec![var("xs")]),
+            );
+            let mut vm = vm(
+                vec![("xs", numbers.clone()), ("ys", Constant::Number(0.0))],
+                vec![
+                    set_var("folded", combine_using(var("xs"), ring.clone())),
+                    set_var("stepped", combine_using(var("ys"), ring.clone())),
+                    set_var("worker", item(num(1.0), on_a_worker)),
+                ],
+            );
+            let boxed = inputs.iter().map(|&x| Value::Number(x)).collect();
+            vm.world
+                .globals
+                .insert("ys".into(), Value::List(List::boxed(boxed)));
+            run(&mut vm);
+            let global = |name| vm.world.global(name).unwrap().clone();
+            let stepped = global("stepped");
+            for name in ["folded", "worker"] {
+                assert!(
+                    same_number(&global(name), &stepped),
+                    "{name} {:?} vs stepped {stepped:?} over {inputs:?} with {ring:?}",
+                    global(name)
+                );
+            }
+        }
+    }
+}

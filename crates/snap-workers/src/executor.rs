@@ -145,6 +145,9 @@ fn run_scoped_on_pool(pool: &WorkerPool, tasks: usize, body: &(dyn Fn(usize) + S
     // output slices: they are `&mut` borrows of the caller's result
     // buffer, which `map_chunks` reads (or drops) only after `run_tasks`
     // has returned, so no job writes a slot after its buffer is gone.
+    // The columnar map's in-place slices (`ring_fn::columnar_map`) are
+    // items the chunk loop borrows, and their buffer is read only after
+    // the whole call has returned.
     let body_static: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(body) };
     let wg = WaitGroup::new();
     let panicked = Arc::new(AtomicBool::new(false));
@@ -187,6 +190,13 @@ fn run_scoped_on_pool(pool: &WorkerPool, tasks: usize, body: &(dyn Fn(usize) + S
     }
 }
 
+/// `out` cut into consecutive `&mut` slices of `chunk` items (the last
+/// may be shorter), each behind a lock that hands it to the one task that
+/// claims it: how a chunk of a parallel call writes its results in place.
+pub(crate) fn chunk_slices<R>(out: &mut [R], chunk: usize) -> Vec<Mutex<&mut [R]>> {
+    out.chunks_mut(chunk.max(1)).map(Mutex::new).collect()
+}
+
 /// The one chunk loop behind [`map_slice_with`] and
 /// [`try_map_slice_with`]: on up to `workers` pool tasks (never more than
 /// [`MAX_POOL_WORKERS`], the most threads the pool ever has), sets each
@@ -215,7 +225,7 @@ fn map_chunks<T: Sync, R: Send>(
     let origin = snap_trace::current_span_id();
     let mut out: Vec<Option<R>> = Vec::with_capacity(len);
     out.resize_with(len, || None);
-    let slices: Vec<Mutex<&mut [Option<R>]>> = out.chunks_mut(chunk).map(Mutex::new).collect();
+    let slices = chunk_slices(&mut out, chunk);
     let next = AtomicUsize::new(0);
     let task = |_: usize| loop {
         let claimed = next.fetch_add(1, Ordering::Relaxed);

@@ -16,17 +16,20 @@
 //! it per item; every other ring runs on the tree walk. On top of that
 //! sits the **columnar batch tier**: when the ring is batchable and the
 //! list is stored as numbers, [`ring_map_view`] reads its `f64`s in
-//! place, runs one `eval_batch` per pool chunk of them with no
-//! per-element dispatch at all, and reports a numeric list (see
-//! [`ColumnarPolicy`]). Nothing is unboxed or boxed on the way. The
-//! ladder is columnar batch → numeric scalar → tree walk; the
+//! place and runs one `eval_batch_into` per pool chunk of them, with no
+//! per-element dispatch at all, straight into that chunk's own `&mut`
+//! slice of the one result, which it reports as a numeric list (see
+//! [`ColumnarPolicy`]). Nothing is unboxed, boxed or copied again on the
+//! way. The ladder is columnar batch → numeric scalar → tree walk; the
 //! `ring.batch_calls` / `ring.fastpath_calls` / `ring.treewalk_calls`
 //! counters show which tier a run used.
 //!
 //! The same rung covers MapReduce's `[key, value]` mappers:
 //! [`ring_map_keyed`] runs a mapper's [`PairProgram`] as a key column and
-//! an `f64` value column per chunk, so no two-item list is ever built.
-//! The reduce phase hands each group to the reducer as one list
+//! an `f64` value column per chunk, so no two-item list is ever built; a
+//! value program that folded to a constant (word count's `1`) fills its
+//! column once per chunk instead of running per item. The reduce phase
+//! hands each group to the reducer as one list
 //! ([`ring_reduce_lists_faulted`]), so a numeric group stays numeric.
 //!
 //! The `Vec` and slice entry points ([`ring_map`], [`ring_map_faulted`],
@@ -37,13 +40,13 @@
 
 use std::borrow::Cow;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use snap_ast::bytecode::{NumProgram, PairKey, PairProgram};
 use snap_ast::pure::{as_map_pair, compile_cached, PureFn};
 use snap_ast::{EvalError, List, ListView, Ring, Value};
 
-use crate::executor::{columnar_chunk_size, try_map_slice_with};
+use crate::executor::{chunk_slices, columnar_chunk_size, try_map_slice_with};
 use crate::fault::{ExecError, FaultPolicy};
 
 /// Whether [`ring_map`] may route numeric lists through the columnar
@@ -220,17 +223,19 @@ fn columnar_applies(options: &RingMapOptions, len: usize) -> bool {
 }
 
 /// The columnar batch tier of [`ring_map_view`]: the list's `f64`s move
-/// through the work-stealing pool as chunk ranges, each task runs one
-/// [`PureFn::eval_batch`] over its sub-slice, and the chunk outputs are
-/// concatenated once, in input order, into the numeric list reported.
+/// through the work-stealing pool as chunks, and each task runs one
+/// [`PureFn::eval_batch_into`] from its chunk of the input straight into
+/// its own `&mut` slice of the one result, which becomes the numeric
+/// list reported. No chunk output is copied again.
 ///
 /// Chunks are deliberately coarse ([`columnar_chunk_size`]): batch
 /// arithmetic is so cheap per element that fine-grained claiming is all
 /// overhead. The fault policy still applies — at chunk granularity: an
-/// injected panic retries the whole chunk, and exhausted budgets surface
-/// as [`RingMapError::Exec`] so callers degrade exactly as they do for
-/// the per-element path. Numbers are plain copies, so the structured
-/// clone needs no work here.
+/// injected panic retries the whole chunk, which writes its whole slice
+/// again, and exhausted budgets or a missed deadline surface as
+/// [`RingMapError::Exec`], dropping the partly written result, so
+/// callers degrade exactly as they do for the per-element path. Numbers
+/// are plain copies, so the structured clone needs no work here.
 fn columnar_map(
     f: &PureFn,
     inputs: &[f64],
@@ -238,19 +243,21 @@ fn columnar_map(
 ) -> Result<List, RingMapError> {
     let len = inputs.len();
     let _span = snap_trace::span!("columnar_map", len);
-    let chunks = chunk_ranges(len, columnar_chunk_size(len, options.workers));
-    let outputs = try_map_slice_with(&chunks, options.workers, &options.policy, |range| {
+    let chunk = columnar_chunk_size(len, options.workers);
+    let mut numbers = vec![0.0; len];
+    let chunks: Vec<(&[f64], Mutex<&mut [f64]>)> = inputs
+        .chunks(chunk)
+        .zip(chunk_slices(&mut numbers, chunk))
+        .collect();
+    try_map_slice_with(&chunks, options.workers, &options.policy, |(input, out)| {
         snap_trace::well_known::PAR_COLUMNAR_CHUNKS.incr();
-        let mut out = Vec::with_capacity(range.len());
-        let batched = f.eval_batch(&inputs[range.clone()], &mut out);
+        // A retry after a panic mid-write rewrites the whole slice.
+        let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
+        let batched = f.eval_batch_into(input, &mut out);
         debug_assert!(batched, "columnar_map requires a batchable ring");
-        out
     })
     .map_err(RingMapError::Exec)?;
-    let mut numbers = Vec::with_capacity(len);
-    for chunk in outputs {
-        numbers.extend_from_slice(&chunk);
-    }
+    drop(chunks);
     Ok(List::from_numbers(numbers))
 }
 
@@ -310,8 +317,8 @@ impl KeyedTally {
 /// the same pool task. Returns the folds in chunk order, with the
 /// [`KeyedTally`] the caller counts if it keeps them.
 ///
-/// Numeric programs run as [`NumProgram::eval_batch`] straight over a
-/// numeric list's `f64`s, and as scalar calls over boxed items; either
+/// Numeric programs run as [`NumProgram::eval_batch_into`] straight over
+/// a numeric list's `f64`s, and as scalar calls over boxed items; either
 /// way the values are bit-identical to the tree walk's. The fault policy
 /// applies per chunk, as on the columnar map: an injected panic re-runs
 /// the whole chunk (so `fold` must be a pure function of its columns) and an
@@ -371,16 +378,21 @@ pub fn ring_map_keyed<R: Send>(
     Ok(Some((folds, tally)))
 }
 
-/// One numeric program over one numeric chunk, as one `eval_batch`.
+/// One numeric program over one numeric chunk, as one `eval_batch_into`.
 fn batch_column(p: &NumProgram, numbers: &[f64]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(numbers.len());
-    p.eval_batch(numbers, &mut out);
+    let mut out = vec![0.0; numbers.len()];
+    p.eval_batch_into(numbers, &mut out);
     out
 }
 
-/// One numeric program over one boxed chunk, a scalar call per item.
+/// One numeric program over one boxed chunk: a scalar call per item, or,
+/// for a program that folded to a constant (word count's `1`), that
+/// constant filled once.
 fn scalar_column(p: &NumProgram, items: &[Value]) -> Vec<f64> {
-    items.iter().map(|item| p.call1_f64(item)).collect()
+    match p.constant() {
+        Some(value) => vec![value; items.len()],
+        None => items.iter().map(|item| p.call1_f64(item)).collect(),
+    }
 }
 
 /// Apply a reporter ring to every item, returning `[key, value]` pairs —

@@ -148,12 +148,14 @@ fn deadline_errors_propagate_through_blocks_without_degrading() {
     install_injector(None);
     let before = FaultCounters::snapshot();
 
-    // A ring slow enough that 4096 items cannot finish in 1ms (each
-    // item folds a 500-number list): the blocks layer must hand the
-    // deadline to the caller, not silently re-run the whole phase
-    // sequentially (a deadline is a promise).
+    // A ring slow enough that 4096 items cannot finish in 1ms: each
+    // item builds a 10,000-number list, writing 80 KB, before it folds
+    // it, so a pool chunk of 1024 items takes milliseconds however fast
+    // the fold is. The blocks layer must hand the deadline to the
+    // caller, not silently re-run the whole phase sequentially (a
+    // deadline is a promise).
     let ring = Arc::new(Ring::reporter(combine_using(
-        numbers_from_to(num(1.0), num(500.0)),
+        numbers_from_to(num(1.0), num(10_000.0)),
         ring_reporter(add(empty_slot(), empty_slot())),
     )));
     let policy = FaultPolicy::default().deadline(Duration::from_millis(1));
