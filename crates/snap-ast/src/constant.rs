@@ -5,13 +5,22 @@
 //! that have no canonical serialized form. [`Constant`] is the
 //! serializable subset used for literals in the AST and for initial
 //! variable contents; it converts losslessly *into* a fresh [`Value`].
+//!
+//! A constant saves as the plain JSON value of its kind, not as a tagged
+//! enum: `Nothing` is `null`, a number a number, a text a string, a
+//! boolean a bool and a list an array. Each kind has its own JSON kind,
+//! so no tag is needed to tell them apart, and an item of a list constant
+//! is one `<item>` element of the XML format (see [`crate::xml`]). A
+//! project's input data is a list constant, so that is what sets a large
+//! project's size and load time.
 
+use serde::json::{Error, Number, Value as Json};
 use serde::{Deserialize, Serialize};
 
 use crate::value::Value;
 
 /// A literal as it appears in a saved project.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Constant {
     /// Empty slot contents.
     Nothing,
@@ -49,6 +58,40 @@ impl Constant {
             Value::Bool(b) => Constant::Bool(*b),
             Value::List(l) => Constant::List(l.to_vec().iter().map(Constant::from_value).collect()),
         }
+    }
+}
+
+impl Serialize for Constant {
+    fn to_json_value(&self) -> Json {
+        match self {
+            Constant::Nothing => Json::Null,
+            Constant::Number(n) => Json::Number(Number::from_f64(*n)),
+            Constant::Text(s) => Json::String(s.clone()),
+            Constant::Bool(b) => Json::Bool(*b),
+            Constant::List(items) => Json::Array(items.iter().map(Self::to_json_value).collect()),
+        }
+    }
+}
+
+impl Deserialize for Constant {
+    fn from_json_value(v: Json) -> Result<Constant, Error> {
+        Ok(match v {
+            Json::Null => Constant::Nothing,
+            Json::Number(n) => Constant::Number(n.as_f64()),
+            Json::String(s) => Constant::Text(s),
+            Json::Bool(b) => Constant::Bool(b),
+            Json::Array(items) => Constant::List(
+                items
+                    .into_iter()
+                    .map(Constant::from_json_value)
+                    .collect::<Result<_, _>>()?,
+            ),
+            Json::Object(_) => {
+                return Err(Error::custom(
+                    "Constant: expected null, number, string, bool or array, found object",
+                ))
+            }
+        })
     }
 }
 
@@ -157,5 +200,23 @@ mod tests {
         let json = serde_json::to_string(&c).unwrap();
         let back: Constant = serde_json::from_str(&json).unwrap();
         assert_eq!(back, c);
+    }
+
+    #[test]
+    fn constants_save_as_plain_json_values() {
+        let c = Constant::List(vec![
+            Constant::Nothing,
+            Constant::Number(-0.5),
+            Constant::Text("5".into()),
+            Constant::Number(5.0),
+            Constant::Bool(true),
+            Constant::List(vec![]),
+        ]);
+        let json = serde_json::to_string(&c).unwrap();
+        assert_eq!(json, r#"[null,-0.5,"5",5,true,[]]"#);
+        assert_eq!(serde_json::from_str::<Constant>(&json).unwrap(), c);
+        // The tagged form, `{"Text": "a"}`, is an object: not a constant.
+        let err = serde_json::from_str::<Constant>(r#"{"Text":"a"}"#).unwrap_err();
+        assert!(err.to_string().ends_with("found object"), "{err}");
     }
 }

@@ -5,8 +5,19 @@
 //! rendered as elements (see [`crate::xml`]) — which keeps it exactly as
 //! expressive as the JSON format and guarantees lossless round-trips
 //! (values are carried in fully-escaped attributes, so whitespace
-//! survives). Both formats decode through the same derived
-//! `Deserialize` impls.
+//! survives). Both formats decode through the same `Deserialize` impls,
+//! derived for the blocks and hand-written for [`crate::Constant`],
+//! which saves as a plain JSON value (one element per list item).
+//!
+//! Constants are not written the way Snap! writes a list
+//! (`<list><item><l>5</l></item></list>`): `<l>5</l>` cannot tell the
+//! text `"5"` from the number 5, and psnap keeps them apart. A list of
+//! numbers only is stored as plain `f64`s, which the numeric tiers run
+//! on; the keyed `mapReduce` rung groups number keys and declines
+//! numeric text, which falls between `snap_cmp`'s two regimes; and a
+//! text keeps its spelling (`"007"`, `"5.0"`) where a number prints as
+//! `7` or `5`. So a constant keeps its JSON kind in the `type`
+//! attribute.
 
 use crate::sprite::Project;
 use crate::xml::{self, XmlError};

@@ -8,9 +8,19 @@
 //! a fully escaped `value` attribute, so whitespace survives. This is not
 //! Snap!'s own `<sprite>`/`<script>`/`<block>` vocabulary.
 //!
+//! A block is a tagged enum value, an object with one field per block.
+//! A [`crate::Constant`] is a plain JSON value, so an item of a list
+//! constant, which is where a project's input data lives, is a single
+//! element: `<item type="string" value="into"/>` or
+//! `<item type="number" value="41.5"/>`. Numbers are written as
+//! `serde::json::Number` prints them, `NaN`, `Infinity` and `-Infinity`
+//! included, and read with Rust's float parser.
+//!
 //! [`read`] scans the text once, straight into the value tree that
 //! `Project::from_json` also decodes, and [`write`] streams a tree back
-//! to text. `tests/codec.rs` property-tests the round trip.
+//! to text. Decoding takes the tree by value, so its strings move into
+//! the project and it is freed as it is consumed. `tests/codec.rs`
+//! property-tests the round trip.
 
 use std::borrow::Cow;
 use std::fmt;

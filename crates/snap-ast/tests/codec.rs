@@ -1,13 +1,14 @@
 //! The two project codecs, XML and JSON, against each other and against
 //! hostile input.
 //!
-//! Generated projects must survive both round trips unchanged, and their
-//! texts must hold every character either format escapes. Cut or
-//! corrupted documents, documents nested past the depth limit, very wide
-//! objects and trailing content must each give an error, in bounded time
-//! and without overflowing a 2 MiB thread stack (the default for spawned
-//! threads). The golden test pins the XML text byte for byte, since
-//! saved projects and the benchmark's inputs depend on it.
+//! Generated projects must survive both round trips unchanged (a NaN
+//! may come back as another NaN), and their texts must hold every
+//! character either format escapes. Cut or corrupted documents,
+//! documents nested past the depth limit, very wide objects and trailing
+//! content must each give an error, in bounded time and without
+//! overflowing a 2 MiB thread stack (the default for spawned threads).
+//! The golden test pins the XML text byte for byte, since saved projects
+//! and the benchmark's inputs depend on it.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -61,10 +62,21 @@ fn number() -> impl Strategy<Value = f64> {
     ]
 }
 
+/// A constant's numbers, which also take the values that compare unequal
+/// to themselves or that strict JSON cannot spell.
+fn constant_number() -> impl Strategy<Value = f64> {
+    (0u8..10, number()).prop_map(|(pick, n)| match pick {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        _ => n,
+    })
+}
+
 fn constant() -> impl Strategy<Value = Constant> {
     let leaf = prop_oneof![
         Just(Constant::Nothing),
-        number().prop_map(Constant::Number),
+        constant_number().prop_map(Constant::Number),
         tricky_text().prop_map(Constant::Text),
         any::<bool>().prop_map(Constant::Bool),
     ];
@@ -106,15 +118,44 @@ fn project() -> impl Strategy<Value = Project> {
         })
 }
 
+/// `a` and `b` are the same constant bit for bit, any NaN matching any
+/// other (`==` finds a NaN unequal to itself and -0 equal to 0).
+fn same_constant(a: &Constant, b: &Constant) -> bool {
+    match (a, b) {
+        (Constant::Number(x), Constant::Number(y)) => {
+            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+        }
+        (Constant::List(xs), Constant::List(ys)) => {
+            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_constant(x, y))
+        }
+        _ => a == b,
+    }
+}
+
+/// Assert that `back` is `original` loaded again: its globals by
+/// [`same_constant`] and the rest by `==`.
+fn assert_same_project(back: Project, original: &Project) {
+    assert_eq!(back.globals.len(), original.globals.len());
+    for ((name, value), (want_name, want)) in back.globals.iter().zip(&original.globals) {
+        assert_eq!(name, want_name);
+        assert!(same_constant(value, want), "{value:?} != {want:?}");
+    }
+    let rest = |p: Project| Project {
+        globals: Vec::new(),
+        ..p
+    };
+    assert_eq!(rest(back), rest(original.clone()));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn generated_projects_roundtrip_through_both_formats(p in project()) {
         let via_xml = Project::from_xml(&p.to_xml()).expect("written XML loads");
-        prop_assert_eq!(&via_xml, &p);
+        assert_same_project(via_xml, &p);
         let via_json = Project::from_json(&p.to_json()).expect("written JSON loads");
-        prop_assert_eq!(&via_json, &p);
+        assert_same_project(via_json, &p);
     }
 }
 
@@ -164,6 +205,8 @@ fn golden_project() -> Project {
                 Constant::Number(1e-300),
                 Constant::Number(1e300),
                 Constant::Number(9e15),
+                Constant::Number(f64::INFINITY),
+                Constant::Number(f64::NEG_INFINITY),
                 Constant::Nothing,
                 Constant::Bool(true),
                 Constant::Bool(false),
@@ -207,27 +250,38 @@ fn numbers_keep_their_sign_and_bits_through_both_formats() {
         9e15,
         0.1,
         -42.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
     ];
     let project = Project::new("numbers").with_global(
         "xs",
         Constant::List(numbers.iter().copied().map(Constant::Number).collect()),
     );
-    let bits = |p: &Project| -> Vec<u64> {
+    // Any NaN stands for all of them: neither format keeps a NaN's payload.
+    let bits = |p: &Project| -> Vec<Option<u64>> {
         let Constant::List(items) = &p.globals[0].1 else {
             panic!("the global is a list");
         };
         items
             .iter()
             .map(|c| match c {
-                Constant::Number(n) => n.to_bits(),
+                Constant::Number(n) => (!n.is_nan()).then(|| n.to_bits()),
                 other => panic!("not a number: {other:?}"),
             })
             .collect()
     };
-    let want: Vec<u64> = numbers.iter().map(|n| n.to_bits()).collect();
-    let xml = project.to_xml();
+    let want: Vec<Option<u64>> = bits(&project);
+    let (xml, json) = (project.to_xml(), project.to_json());
     assert_eq!(bits(&Project::from_xml(&xml).unwrap()), want);
-    assert_eq!(bits(&Project::from_json(&project.to_json()).unwrap()), want);
+    assert_eq!(bits(&Project::from_json(&json).unwrap()), want);
+    // Strict JSON has no spelling for the non-finite numbers; JavaScript's,
+    // which both formats write, load back as numbers, not as `Nothing`.
+    for written in ["NaN", "Infinity", "-Infinity"] {
+        assert!(xml.contains(&format!("value=\"{written}\"")), "{written}");
+        let line = |l: &str| l.trim().trim_end_matches(',') == written;
+        assert!(json.lines().any(line), "{written} missing from:\n{json}");
+    }
     // Exponent form only outside [1e-6, 1e21): typical values keep their
     // plain form.
     for written in [
@@ -249,6 +303,56 @@ fn to_xml_writes_the_pinned_text() {
     let written = golden_project().to_xml();
     assert!(written == golden, "to_xml changed:\n{written}");
     assert_eq!(Project::from_xml(golden).unwrap(), golden_project());
+}
+
+#[test]
+fn each_item_of_a_list_constant_is_one_element() {
+    let with = |items: Vec<Constant>| {
+        let xml = Project::new("items")
+            .with_global("xs", Constant::List(items))
+            .to_xml();
+        (xml.matches("<item").count(), xml.matches("<field").count())
+    };
+    let items: Vec<Constant> = (0..1_000)
+        .map(|i| match i % 4 {
+            0 => Constant::Number(f64::from(i) * 0.5),
+            1 => Constant::Text(format!("word {i}")),
+            2 => Constant::Bool(i % 3 == 0),
+            _ => Constant::Nothing,
+        })
+        .collect();
+    let n = items.len();
+    let (empty_items, empty_fields) = with(Vec::new());
+    let (all_items, all_fields) = with(items);
+    assert_eq!(all_items - empty_items, n, "one <item> per list item");
+    assert_eq!(all_fields, empty_fields, "no <field> inside a constant");
+}
+
+/// A project whose one script says `length of` nested `depth` times
+/// around a number.
+fn deep_length_of(depth: usize) -> Project {
+    let chain = (0..depth).fold(num(3.0), |inner, _| length_of(inner));
+    Project::new("deep")
+        .with_sprite(SpriteDef::new("Cat").with_script(Script::on_green_flag(vec![say(chain)])))
+}
+
+#[test]
+fn a_deep_expression_saves_and_loads_in_both_formats_on_a_small_stack() {
+    // The number inside 500 `length of` blocks is the 509th nested XML
+    // element (the JSON text nests one level less: a number is no level
+    // there), so five more blocks pass the depth limit in either format.
+    // A debug build, which gives every temporary its own stack slot, fits
+    // them too, because the derived codecs handle each enum variant in
+    // its own out-of-line frame.
+    on_small_stack(|| {
+        let p = deep_length_of(500);
+        let (xml, json) = (p.to_xml(), p.to_json());
+        assert_eq!(Project::from_xml(&xml).expect("deep XML loads"), p);
+        assert_eq!(Project::from_json(&json).expect("deep JSON loads"), p);
+    });
+    let p = deep_length_of(505);
+    assert!(xml_too_deep(p.to_xml()));
+    assert!(json_too_deep(p.to_json()));
 }
 
 fn deep_json(depth: usize) -> String {
@@ -317,7 +421,8 @@ fn decode_errors_stay_short_on_huge_input() {
         "{message}"
     );
 
-    // Names taken from the input are cut short too.
+    // A constant is a plain JSON value, so an object in its place is an
+    // error that names no key.
     let tag = "x".repeat(100_000);
     let doc = format!(
         r#"{{"name":"p","globals":[["g",{{"{tag}":1}}]],"global_blocks":[],"stage_scripts":[],"sprites":[]}}"#
@@ -325,7 +430,17 @@ fn decode_errors_stay_short_on_huge_input() {
     let message = Project::from_json(&doc).unwrap_err().to_string();
     assert!(message.len() < 1024, "{} bytes", message.len());
     assert!(
-        message.starts_with("Constant: unknown variant \"xxx"),
+        message.starts_with("Constant: expected null, number"),
+        "{message}"
+    );
+    // Names taken from the input are cut short.
+    let doc = format!(
+        r#"{{"name":"p","globals":[],"global_blocks":[],"stage_scripts":[{{"hat":"GreenFlag","body":[{{"{tag}":1}}]}}],"sprites":[]}}"#
+    );
+    let message = Project::from_json(&doc).unwrap_err().to_string();
+    assert!(message.len() < 1024, "{} bytes", message.len());
+    assert!(
+        message.starts_with("Stmt: unknown variant \"xxx"),
         "{message}"
     );
     let message = Project::from_xml(&format!("<{tag}/>"))
