@@ -5,6 +5,9 @@
 //! cargo run --release -p bench --bin report            # all experiments
 //! cargo run --release -p bench --bin report -- e3 e9   # a subset
 //! ```
+//!
+//! An id that names no experiment is refused with exit status 2 and the
+//! list of valid ids, before anything runs.
 
 use std::time::{Duration, Instant};
 
@@ -18,54 +21,43 @@ use snap_data::{
 };
 use snap_vm::Vm;
 
+/// Every experiment, in the order `report` runs them.
+const EXPERIMENTS: [(&str, fn()); 13] = [
+    ("e1", e1),
+    ("e2", e2),
+    ("e3", e3),
+    ("e4", e4),
+    ("e5", e5),
+    ("e6", e6),
+    ("e7", e7),
+    ("e8", e8),
+    ("e9", e9),
+    ("e10", e10),
+    ("e12", e12),
+    ("e13", e13),
+    ("e14", e14),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
+    let known = |a: &str| a == "all" || EXPERIMENTS.iter().any(|(id, _)| *id == a);
+    if let Some(unknown) = args.iter().find(|a| !known(a)) {
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+        eprintln!(
+            "report: unknown experiment id `{unknown}`; valid ids: {} (or all)",
+            ids.join(" ")
+        );
+        std::process::exit(2);
+    }
     let want = |id: &str| args.is_empty() || args.iter().any(|a| a == id || a == "all");
 
     println!("psnap experiment report — every figure/listing of the paper");
     println!("host: {} CPU(s) available\n", num_cpus());
 
-    if want("e1") {
-        e1();
-    }
-    if want("e2") {
-        e2();
-    }
-    if want("e3") {
-        e3();
-    }
-    if want("e4") {
-        e4();
-    }
-    if want("e5") {
-        e5();
-    }
-    if want("e6") {
-        e6();
-    }
-    if want("e7") {
-        e7();
-    }
-    if want("e8") {
-        e8();
-    }
-    if want("e9") {
-        e9();
-    }
-    if want("e10") {
-        e10();
-    }
-    if want("e11") {
-        e11();
-    }
-    if want("e12") {
-        e12();
-    }
-    if want("e13") {
-        e13();
-    }
-    if want("e14") {
-        e14();
+    for (id, run) in EXPERIMENTS {
+        if want(id) {
+            run();
+        }
     }
 }
 
@@ -96,48 +88,6 @@ fn e14() {
     for line in report.to_table().lines() {
         println!("  {line}");
     }
-    println!();
-}
-
-fn e11() {
-    header(
-        "E11",
-        "inter-node scaling (simulated cluster; paper sec. 6.3 future work)",
-    );
-    let items = number_items(4096);
-    let base = snap_parallel::ClusterSpec {
-        nodes: 1,
-        cores_per_node: 4,
-        compute_cost: 500,
-        net_cost_per_item: 1,
-        startup_cost: 2_000,
-        ..snap_parallel::ClusterSpec::default()
-    };
-    println!("  compute-heavy items (compute 500, net 1, startup 2000 / node):");
-    let rows = snap_parallel::strong_scaling_sweep(
-        times_ten_ring(),
-        items.clone(),
-        &base,
-        &[1, 2, 4, 8, 16, 32],
-    )
-    .unwrap();
-    for (nodes, makespan, speedup) in rows {
-        println!("    {nodes:>3} nodes: makespan {makespan:>8}  speedup {speedup:5.2}x");
-    }
-    println!("  network-bound items (compute 5, net 100):");
-    let netty = snap_parallel::ClusterSpec {
-        compute_cost: 5,
-        net_cost_per_item: 100,
-        ..base
-    };
-    let rows =
-        snap_parallel::strong_scaling_sweep(times_ten_ring(), items, &netty, &[1, 2, 4, 8, 16, 32])
-            .unwrap();
-    for (nodes, makespan, speedup) in rows {
-        println!("    {nodes:>3} nodes: makespan {makespan:>8}  speedup {speedup:5.2}x");
-    }
-    println!("  shape: compute-bound scales, network-bound saturates — the");
-    println!("  crossover the cost model exposes.");
     println!();
 }
 

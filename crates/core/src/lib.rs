@@ -130,12 +130,6 @@ impl Session {
         self.vm.world.watch(name);
     }
 
-    /// Lint the loaded project (undefined variables, bad custom-block
-    /// calls, unreachable code, …) without running it.
-    pub fn lint(&self) -> Vec<snap_ast::Lint> {
-        snap_ast::lint_project(&self.vm.world.project)
-    }
-
     /// Render the stage as text: timer, watchers, say bubbles, sprites.
     pub fn stage(&self) -> String {
         snap_vm::render_stage(
@@ -165,16 +159,6 @@ mod tests {
         let mut session = Session::load_json(&json).unwrap();
         session.run();
         assert_eq!(session.said(), vec!["hello"]);
-    }
-
-    #[test]
-    fn session_lint_finds_undefined_variables() {
-        let session = Session::load(Project::new("t").with_sprite(
-            SpriteDef::new("S").with_script(Script::on_green_flag(vec![say(var("ghost"))])),
-        ));
-        let lints = session.lint();
-        assert_eq!(lints.len(), 1);
-        assert!(lints[0].to_string().contains("ghost"));
     }
 
     #[test]

@@ -557,7 +557,7 @@ impl<'a> NumBuilder<'a> {
 /// type pass plus lowering. Succeeds only when the **root** always
 /// produces a `Value::Number` (an arithmetic operator, a numeric unary,
 /// or a number literal), every reachable argument use sits in a
-/// coercing operand position, and the program fits [`NUM_STACK_REGS`]
+/// coercing operand position, and the program fits `NUM_STACK_REGS`
 /// registers. `None` means the caller keeps tree-walking the ring.
 pub fn lower(ring: &Ring) -> Option<NumProgram> {
     match &ring.body {

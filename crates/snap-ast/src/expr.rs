@@ -42,43 +42,6 @@ pub enum BinOp {
     Or,
 }
 
-impl BinOp {
-    /// The operator's symbol as it would appear on the block / in C code.
-    pub fn symbol(&self) -> &'static str {
-        match self {
-            BinOp::Add => "+",
-            BinOp::Sub => "-",
-            BinOp::Mul => "*",
-            BinOp::Div => "/",
-            BinOp::Mod => "%",
-            BinOp::Pow => "^",
-            BinOp::Eq => "==",
-            BinOp::Ne => "!=",
-            BinOp::Lt => "<",
-            BinOp::Gt => ">",
-            BinOp::Le => "<=",
-            BinOp::Ge => ">=",
-            BinOp::And => "&&",
-            BinOp::Or => "||",
-        }
-    }
-
-    /// `true` for comparison and logic operators (hexagonal blocks).
-    pub fn is_predicate(&self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq
-                | BinOp::Ne
-                | BinOp::Lt
-                | BinOp::Gt
-                | BinOp::Le
-                | BinOp::Ge
-                | BinOp::And
-                | BinOp::Or
-        )
-    }
-}
-
 /// Unary operator blocks (mostly the `sqrt of`-style monadic menu).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum UnOp {
@@ -370,18 +333,6 @@ impl Expr {
         n
     }
 
-    /// Count the empty slots belonging to *this* ring level: nested rings
-    /// keep their own slots (their arguments are bound when *they* are
-    /// applied, not when the outer ring is).
-    pub fn own_empty_slot_count(&self) -> usize {
-        let mut n = 0;
-        self.map_own_empty_slots(&mut |i| {
-            n = n.max(i + 1);
-            Expr::EmptySlot
-        });
-        n
-    }
-
     /// Rebuild the expression with each own-level empty slot replaced by
     /// `f(slot_index)` (0-based, left-to-right). Does **not** descend into
     /// nested [`Expr::Ring`]s — their slots belong to them.
@@ -463,17 +414,6 @@ impl Expr {
             },
         }
     }
-
-    /// `true` when any sub-expression is an [`Expr::EmptySlot`].
-    pub fn has_empty_slot(&self) -> bool {
-        let mut found = false;
-        self.visit(&mut |e| {
-            if matches!(e, Expr::EmptySlot) {
-                found = true;
-            }
-        });
-        found
-    }
 }
 
 #[cfg(test)]
@@ -489,16 +429,12 @@ mod tests {
     }
 
     #[test]
-    fn empty_slot_detection() {
-        assert!(mul(empty_slot(), num(10.0)).has_empty_slot());
-        assert!(!mul(var("x"), num(10.0)).has_empty_slot());
-    }
-
-    #[test]
     fn visit_descends_into_rings() {
         let e = Expr::Ring(RingExpr::reporter(mul(empty_slot(), num(10.0))));
         assert_eq!(e.block_count(), 4);
-        assert!(e.has_empty_slot());
+        let mut slots = 0;
+        e.visit(&mut |e| slots += usize::from(matches!(e, Expr::EmptySlot)));
+        assert_eq!(slots, 1);
     }
 
     #[test]
@@ -516,31 +452,19 @@ mod tests {
     #[test]
     fn slot_substitution_skips_nested_rings() {
         let inner = Expr::Ring(RingExpr::reporter(mul(empty_slot(), num(2.0))));
-        let outer = add(
-            empty_slot(),
-            Expr::Map {
-                ring: Box::new(inner),
-                list: Box::new(empty_slot()),
-            },
-        );
-        assert_eq!(outer.own_empty_slot_count(), 2);
-        let replaced = outer.map_own_empty_slots(&mut |i| var(format!("%arg{i}")));
-        // The inner ring's slot must survive.
-        assert!(replaced.has_empty_slot());
-        let mut vars = 0;
-        replaced.visit(&mut |e| {
-            if matches!(e, Expr::Var(_)) {
-                vars += 1;
-            }
+        let map_over = |list| Expr::Map {
+            ring: Box::new(inner.clone()),
+            list: Box::new(list),
+        };
+        let outer = add(empty_slot(), map_over(empty_slot()));
+        let mut seen = Vec::new();
+        let replaced = outer.map_own_empty_slots(&mut |i| {
+            seen.push(i);
+            var(format!("%arg{i}"))
         });
-        assert_eq!(vars, 2);
-    }
-
-    #[test]
-    fn binop_symbols() {
-        assert_eq!(BinOp::Add.symbol(), "+");
-        assert_eq!(BinOp::Mod.symbol(), "%");
-        assert!(BinOp::Le.is_predicate());
-        assert!(!BinOp::Mul.is_predicate());
+        // The outer level's two slots are numbered left to right; the
+        // inner ring's slot belongs to it and survives.
+        assert_eq!(seen, vec![0, 1]);
+        assert_eq!(replaced, add(var("%arg0"), map_over(var("%arg1"))));
     }
 }

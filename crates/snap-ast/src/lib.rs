@@ -22,7 +22,6 @@ pub mod bytecode;
 pub mod constant;
 pub mod error;
 pub mod expr;
-pub mod lint;
 pub mod project_xml;
 pub mod pure;
 pub mod ring;
@@ -35,7 +34,6 @@ pub mod xml;
 pub use constant::Constant;
 pub use error::EvalError;
 pub use expr::{Attr, BinOp, Expr, RingExpr, RingExprBody, UnOp};
-pub use lint::{lint_project, Lint, LintKind};
 pub use pure::{compile_cache_stats, compile_cached, CompiledStrategy, PureFn};
 pub use ring::{Ring, RingBody};
 pub use script::{BlockKind, CustomBlock, HatBlock, Script};

@@ -224,7 +224,7 @@ impl PureFn {
     /// Evaluate a whole chunk of unboxed numbers at once — the columnar
     /// batch tier. Appends one output per input to `out` and returns
     /// `true`; returns `false` (appending nothing) when the function is
-    /// not batchable, so callers fall back to per-element [`call1`].
+    /// not batchable, so callers fall back to per-element [`Self::call1`].
     ///
     /// Each element is treated exactly as `call1(Value::Number(x))`
     /// treats its argument; results are bit-identical to the scalar fast
@@ -303,7 +303,7 @@ fn compile_cache() -> &'static Mutex<CompileCache> {
 /// cost one hash lookup. Compilation *failures* are not cached (they
 /// are cheap and rare). Entries die with their ring: a dropped `Arc`
 /// leaves a dead [`Weak`] that is evicted by the periodic sweep (every
-/// [`COMPILE_CACHE_SWEEP_INTERVAL`] insertions, or when the cache hits
+/// `COMPILE_CACHE_SWEEP_INTERVAL` insertions, or when the cache hits
 /// capacity).
 pub fn compile_cached(ring: &Arc<Ring>) -> Result<PureFn, EvalError> {
     let key = Arc::as_ptr(ring) as usize;

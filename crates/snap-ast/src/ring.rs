@@ -89,11 +89,6 @@ impl Ring {
         self
     }
 
-    /// `true` for reporter/predicate rings.
-    pub fn is_reporter(&self) -> bool {
-        matches!(self.body, RingBody::Reporter(_) | RingBody::Predicate(_))
-    }
-
     /// Short human-readable description used by `Value::to_display_string`.
     pub fn describe(&self) -> String {
         let kind = match self.body {
@@ -131,13 +126,11 @@ mod tests {
     }
 
     #[test]
-    fn only_reporter_and_predicate_rings_report() {
+    fn describe_names_each_ring_kind() {
         let predicate = Ring::predicate(gt(empty_slot(), num(0.0)));
-        assert!(predicate.is_reporter());
         assert_eq!(predicate.describe(), "predicate");
-        assert!(Ring::reporter(empty_slot()).is_reporter());
+        assert_eq!(Ring::reporter(empty_slot()).describe(), "reporter");
         let command = Ring::command_with_params(vec!["a".into(), "b".into()], vec![]);
-        assert!(!command.is_reporter());
         assert_eq!(command.describe(), "command(a, b)");
         assert_eq!(
             Value::Ring(std::sync::Arc::new(command)).to_display_string(),

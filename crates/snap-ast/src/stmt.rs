@@ -271,27 +271,13 @@ impl Stmt {
     /// (not recursing into the expressions themselves), and recurse into
     /// nested statement bodies.
     pub fn visit_exprs(&self, f: &mut impl FnMut(&Expr)) {
-        self.visit_exprs_inner(f, true);
+        self.visit_exprs_dyn(f);
     }
 
-    /// Like [`Stmt::visit_exprs`], but does **not** descend into nested
-    /// statement bodies — only this statement's own inputs. Used by
-    /// scope-sensitive passes (the linter) that walk bodies themselves.
-    pub fn visit_own_exprs(&self, f: &mut impl FnMut(&Expr)) {
-        self.visit_exprs_inner(f, false);
-    }
-
-    fn visit_exprs_inner(&self, f: &mut impl FnMut(&Expr), recurse: bool) {
-        self.visit_exprs_dyn(f, recurse);
-    }
-
-    fn visit_exprs_dyn(&self, f: &mut dyn FnMut(&Expr), recurse: bool) {
+    fn visit_exprs_dyn(&self, f: &mut dyn FnMut(&Expr)) {
         let body = |stmts: &[Stmt], f: &mut dyn FnMut(&Expr)| {
-            if !recurse {
-                return;
-            }
             for s in stmts {
-                s.visit_exprs_dyn(f, true);
+                s.visit_exprs_dyn(f);
             }
         };
         visit_inputs!(self, f, body);

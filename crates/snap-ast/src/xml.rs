@@ -16,8 +16,8 @@
 //! `serde::json::Number` prints them, `NaN`, `Infinity` and `-Infinity`
 //! included, and read with Rust's float parser.
 //!
-//! [`read`] scans the text once, straight into the value tree that
-//! `Project::from_json` also decodes, and [`write`] streams a tree back
+//! `read` scans the text once, straight into the value tree that
+//! `Project::from_json` also decodes, and `write` streams a tree back
 //! to text. Decoding takes the tree by value, so its strings move into
 //! the project and it is freed as it is consumed. `tests/codec.rs`
 //! property-tests the round trip.

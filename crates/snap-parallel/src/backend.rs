@@ -11,32 +11,20 @@ use std::sync::Arc;
 
 use snap_ast::{EvalError, List, Ring, Value};
 use snap_vm::{ParallelBackend, Vm};
-use snap_workers::{FaultPolicy, RingMapOptions};
+use snap_workers::RingMapOptions;
 
 use crate::blocks::{self, CombinePolicy};
 
 /// [`ParallelBackend`] implementation on OS-thread workers: every call
-/// runs on the shared pool, with structured-clone isolation.
+/// runs on the shared pool, with structured-clone isolation, under the
+/// default fault policy.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct WorkerBackend {
-    /// Fault policy applied to every block this backend runs. The
-    /// default reproduces the pre-fault-tolerance behaviour.
-    pub policy: FaultPolicy,
-}
+pub struct WorkerBackend;
 
-impl WorkerBackend {
-    /// Builder: run every block under `policy`.
-    pub fn with_policy(mut self, policy: FaultPolicy) -> WorkerBackend {
-        self.policy = policy;
-        self
-    }
-
-    fn options(&self, workers: usize) -> RingMapOptions {
-        RingMapOptions {
-            workers,
-            policy: self.policy,
-            ..Default::default()
-        }
+fn options(workers: usize) -> RingMapOptions {
+    RingMapOptions {
+        workers,
+        ..Default::default()
     }
 }
 
@@ -50,7 +38,7 @@ impl ParallelBackend for WorkerBackend {
         // Route through the block layer so the backend inherits its
         // degrade-to-sequential fault handling — a VM script never sees
         // a worker panic, only a slower answer or a deadline error.
-        blocks::parallel_map_with_options(ring, items, self.options(workers))
+        blocks::parallel_map_with_options(ring, items, options(workers))
     }
 
     fn map_reduce(
@@ -60,7 +48,7 @@ impl ParallelBackend for WorkerBackend {
         items: Vec<Value>,
         workers: usize,
     ) -> Result<Vec<Value>, EvalError> {
-        blocks::map_reduce_with_options(mapper, reducer, items, self.options(workers))
+        blocks::map_reduce_with_options(mapper, reducer, items, options(workers))
     }
 
     fn name(&self) -> &'static str {
@@ -73,7 +61,7 @@ impl ParallelBackend for WorkerBackend {
         list: &List,
         workers: usize,
     ) -> Result<Value, EvalError> {
-        blocks::parallel_map_list(ring, list, self.options(workers)).map(Value::List)
+        blocks::parallel_map_list(ring, list, options(workers)).map(Value::List)
     }
 
     fn map_reduce_list(
@@ -83,20 +71,14 @@ impl ParallelBackend for WorkerBackend {
         list: &List,
         workers: usize,
     ) -> Result<Value, EvalError> {
-        let options = self.options(workers);
-        blocks::map_reduce_list(mapper, reducer, list, options, CombinePolicy::Auto)
+        blocks::map_reduce_list(mapper, reducer, list, options(workers), CombinePolicy::Auto)
             .map(Value::List)
     }
 }
 
 /// Install the true-parallel backend on a VM (in place).
 pub fn install(vm: &mut Vm) {
-    vm.world.set_backend(Arc::new(WorkerBackend::default()));
-}
-
-/// Install a specific backend configuration (its fault policy) on a VM.
-pub fn install_with(vm: &mut Vm, backend: WorkerBackend) {
-    vm.world.set_backend(Arc::new(backend));
+    vm.world.set_backend(Arc::new(WorkerBackend));
 }
 
 #[cfg(test)]
@@ -154,7 +136,7 @@ mod tests {
     fn worker_backend_keeps_a_numeric_list_numeric() {
         let ring = Arc::new(Ring::reporter(mul(empty_slot(), num(10.0))));
         let list = List::from_numbers((0..64).map(f64::from).collect());
-        let backend = WorkerBackend::default();
+        let backend = WorkerBackend;
         let out = backend.parallel_map_list(ring.clone(), &list, 2).unwrap();
         assert!(out.as_list().unwrap().is_numeric());
         let by_vec = backend.parallel_map(ring, list.to_vec(), 2).unwrap();
@@ -180,7 +162,7 @@ mod tests {
             List::from_numbers(numbers.clone()),
             List::boxed(numbers.iter().map(|&n| n.into()).collect()),
         ] {
-            let par = WorkerBackend::default()
+            let par = WorkerBackend
                 .map_reduce_list(mapper.clone(), reducer.clone(), &list, 3)
                 .unwrap();
             let seq = SequentialBackend

@@ -47,7 +47,7 @@ use snap_ast::pure::{as_map_pair, compile_cached};
 use snap_ast::{BinOp, EvalError, Expr, List, ListView, Ring, RingBody, RingExprBody, Value};
 use snap_workers::{
     ring_map_pairs_view, ring_map_view, ring_reduce_lists_faulted, ExecError, ExecMode,
-    FaultPolicy, RingMapError, RingMapOptions,
+    RingMapError, RingMapOptions,
 };
 
 use crate::keyed;
@@ -127,24 +127,6 @@ pub fn parallel_map(
     )
 }
 
-/// [`parallel_map`] under an explicit [`FaultPolicy`].
-pub fn parallel_map_with_policy(
-    ring: Arc<Ring>,
-    items: Vec<Value>,
-    workers: usize,
-    policy: FaultPolicy,
-) -> Result<Vec<Value>, EvalError> {
-    parallel_map_with_options(
-        ring,
-        items,
-        RingMapOptions {
-            workers,
-            policy,
-            ..Default::default()
-        },
-    )
-}
-
 /// [`parallel_map`] with full execution options, including the fault
 /// policy: [`parallel_map_list`] over a list of `items`.
 pub fn parallel_map_with_options(
@@ -191,26 +173,6 @@ pub fn map_reduce(
         items,
         RingMapOptions {
             workers,
-            ..Default::default()
-        },
-    )
-}
-
-/// [`map_reduce`] under an explicit [`FaultPolicy`].
-pub fn map_reduce_with_policy(
-    mapper: Arc<Ring>,
-    reducer: Arc<Ring>,
-    items: Vec<Value>,
-    workers: usize,
-    policy: FaultPolicy,
-) -> Result<Vec<Value>, EvalError> {
-    map_reduce_with_options(
-        mapper,
-        reducer,
-        items,
-        RingMapOptions {
-            workers,
-            policy,
             ..Default::default()
         },
     )

@@ -25,7 +25,7 @@ use snap_ast::builder::*;
 use snap_ast::{Constant, EvalError, Expr, List, Project, Ring, Script, SpriteDef, Value};
 use snap_parallel::{
     associative_fold_op, combine_pairs, map_reduce_list, map_reduce_with_combine, shuffle,
-    CombinePolicy, WorkerBackend, COMBINE_MIN_PAIRS,
+    CombinePolicy, COMBINE_MIN_PAIRS,
 };
 use snap_trace::well_known as metrics;
 use snap_vm::Vm;
@@ -678,7 +678,7 @@ fn vm_twin_says_the_same_through_worker_and_sequential_backends() {
             let mut vm = Vm::new(project.clone());
             vm.world.default_workers = case.workers;
             if parallel {
-                snap_parallel::install_with(&mut vm, WorkerBackend::default());
+                snap_parallel::install(&mut vm);
             }
             vm.green_flag();
             vm.run_until_idle();

@@ -454,19 +454,6 @@ metrics! {
         /// (pairs in minus partially-reduced pairs out).
         SHUFFLE_PAIRS_COMBINED = "shuffle.pairs_combined";
 
-        /// Simulated-cluster distributed maps.
-        DISTRIBUTED_MAPS = "distributed.maps";
-        /// Items run through the simulated cluster.
-        DISTRIBUTED_ITEMS = "distributed.items";
-        /// Simulated cluster nodes that failed mid-run.
-        DIST_NODE_FAILURES = "distributed.node_failures";
-        /// Items reassigned off failed simulated nodes onto survivors.
-        DIST_ITEMS_REASSIGNED = "distributed.items_reassigned";
-        /// Straggler items speculatively re-executed on a backup node.
-        DIST_SPECULATIVE_RUNS = "distributed.speculative_runs";
-        /// Distributed maps that fell back to the master (every node died).
-        DIST_DEGRADED_RUNS = "distributed.degraded_runs";
-
         /// Emitted C/OpenMP programs compiled by the codegen harness.
         CODEGEN_COMPILES = "codegen.compiles";
         /// Compiled codegen binaries executed to completion.

@@ -20,7 +20,7 @@ fn vm(globals: Vec<(&str, Constant)>, body: Vec<Stmt>) -> Vm {
     let mut vm =
         Vm::new(project.with_sprite(SpriteDef::new("S").with_script(Script::on_green_flag(body))));
     vm.world.default_workers = 2;
-    vm.world.set_backend(Arc::new(WorkerBackend::default()));
+    vm.world.set_backend(Arc::new(WorkerBackend));
     vm
 }
 

@@ -47,8 +47,6 @@ use std::time::Duration;
 
 use snap_trace::{well_known as metrics, WorkerCounters};
 
-use crate::fault::FaultPolicy;
-
 pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Hard ceiling on pool growth ([`WorkerPool::ensure_workers`]); far
@@ -454,54 +452,6 @@ impl WorkerPool {
             Err(PoolClosed) => metrics::POOL_JOBS_REFUSED.incr(),
         }
         sent
-    }
-
-    /// Submit a job that is re-run on the same worker when it panics,
-    /// up to `policy.retries` extra attempts with exponential backoff.
-    /// The job must be `Fn` (re-callable); each panicked attempt is
-    /// counted and traced, and an attempt that exhausts the budget is a
-    /// final failure — the worker survives either way.
-    pub fn execute_with_policy(
-        &self,
-        policy: FaultPolicy,
-        job: impl Fn() + Send + 'static,
-    ) -> Result<(), PoolClosed> {
-        // Captured on the submitting thread: retries run on a worker,
-        // where the parent stack is empty, so the link is the only thing
-        // tying a `fault.retry` span back to the span that submitted it.
-        let origin = snap_trace::current_span_id();
-        self.execute(move || {
-            let mut attempt = 0u32;
-            loop {
-                match catch_unwind(AssertUnwindSafe(&job)) {
-                    Ok(()) => return,
-                    Err(payload) => {
-                        metrics::POOL_JOBS_PANICKED.incr();
-                        snap_trace::note(
-                            "pool.job_panic",
-                            format!(
-                                "attempt {attempt}: {}",
-                                crate::fault::panic_message(payload.as_ref())
-                            ),
-                        );
-                        if attempt < policy.retries {
-                            metrics::FAULT_RETRIES_SCHEDULED.incr();
-                            let _retry = snap_trace::span_linked_with(
-                                "fault.retry",
-                                "attempt",
-                                attempt as u64,
-                                origin,
-                            );
-                            std::thread::sleep(policy.backoff_for(attempt));
-                            attempt += 1;
-                        } else {
-                            metrics::FAULT_FAILURES_FINAL.incr();
-                            return;
-                        }
-                    }
-                }
-            }
-        })
     }
 
     fn submit(&self, job: Job) -> Result<(), PoolClosed> {
@@ -957,48 +907,6 @@ mod tests {
             ));
         });
         assert_eq!(*seen.lock().unwrap(), vec![(true, true, false); 2]);
-    }
-
-    #[test]
-    fn execute_with_policy_retries_until_success() {
-        let pool = WorkerPool::new(2);
-        let attempts = Arc::new(AtomicUsize::new(0));
-        let done = Arc::new(AtomicUsize::new(0));
-        let (a, d) = (attempts.clone(), done.clone());
-        pool.execute_with_policy(
-            FaultPolicy::with_retries(3).backoff(Duration::ZERO),
-            move || {
-                if a.fetch_add(1, Ordering::SeqCst) < 2 {
-                    panic!("flaky job");
-                }
-                d.fetch_add(1, Ordering::SeqCst);
-            },
-        )
-        .unwrap();
-        drop(pool); // drain
-        assert_eq!(
-            attempts.load(Ordering::SeqCst),
-            3,
-            "two failures, one success"
-        );
-        assert_eq!(done.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn execute_with_policy_gives_up_after_the_budget() {
-        let pool = WorkerPool::new(1);
-        let attempts = Arc::new(AtomicUsize::new(0));
-        let a = attempts.clone();
-        pool.execute_with_policy(
-            FaultPolicy::with_retries(2).backoff(Duration::ZERO),
-            move || {
-                a.fetch_add(1, Ordering::SeqCst);
-                panic!("always fails");
-            },
-        )
-        .unwrap();
-        drop(pool); // drain; the worker must survive the final failure
-        assert_eq!(attempts.load(Ordering::SeqCst), 3, "1 try + 2 retries");
     }
 
     #[test]

@@ -1,24 +1,22 @@
-//! The supercomputer workflow (paper §6.3, Fig. 17) plus inter-node
-//! scaling on the simulated cluster.
+//! The supercomputer workflow (paper §6.3, Fig. 17).
 //!
 //! Blocks → OpenMP code mapping → compile & link → generated `#SBATCH`
-//! submission script → simulated batch queue → collect results; then a
-//! strong-scaling sweep of `parallelMap` over simulated cluster nodes.
+//! submission script → simulated batch queue → collect results.
 //!
 //! ```sh
 //! cargo run --release --example cluster_workflow
 //! cargo run --release --example cluster_workflow -- --serve-metrics
 //! ```
 //!
-//! With `--serve-metrics`, the fault-tolerant distributed map keeps
-//! re-running while live `/metrics`, `/report.json`, and `/profile` are
-//! served (see `examples/util/cli.rs`); `--trace <path>` writes a
-//! Chrome trace on exit.
+//! With `--serve-metrics`, a `parallelMap` of `(( ) × 10)` over 4096
+//! numbers keeps re-running on the worker pool while live `/metrics`,
+//! `/report.json`, and `/profile` are served (see
+//! `examples/util/cli.rs`); `--trace <path>` writes a Chrome trace on
+//! exit.
 
 use snap_core::build::{BatchRequest, BatchScheduler, BuildPipeline, JobSpec, Policy};
 use snap_core::codegen::openmp::{averaging_reducer, climate_mapper, emit_mapreduce_openmp};
 use snap_core::data::{generate_noaa, NoaaConfig};
-use snap_core::parallel::{strong_scaling_sweep, ClusterSpec};
 use snap_core::prelude::*;
 use std::sync::Arc;
 
@@ -89,68 +87,11 @@ fn main() {
         println!("(no C compiler on this machine; pipeline step skipped)");
     }
 
-    // ---- §6.3 "inter-node parallelism": strong scaling ---------------
-    println!("\n=== simulated inter-node strong scaling of parallelMap ===");
-    let ring = Arc::new(Ring::reporter(mul(empty_slot(), num(10.0))));
-    let items: Vec<Value> = (0..4096).map(|n| Value::Number(n as f64)).collect();
-    let base = ClusterSpec {
-        nodes: 1,
-        cores_per_node: 4,
-        compute_cost: 500,
-        net_cost_per_item: 1,
-        startup_cost: 2_000,
-        ..ClusterSpec::default()
-    };
-    println!("{:>6} {:>12} {:>9}", "nodes", "makespan", "speedup");
-    for (nodes, makespan, speedup) in strong_scaling_sweep(
-        ring.clone(),
-        items.clone(),
-        &base,
-        &[1, 2, 4, 8, 16, 32, 64],
-    )
-    .expect("sweep runs")
-    {
-        println!("{nodes:>6} {makespan:>12} {speedup:>8.2}x");
-    }
-    println!("(compute-bound: scales until the serialized master link dominates)");
-
-    // ---- fault tolerance: the same map on an unreliable cluster ------
-    println!("\n=== the same map with nodes failing and straggling ===");
-    let faulty = ClusterSpec {
-        nodes: 16,
-        node_failure_p: 0.25,
-        straggler_p: 0.25,
-        straggler_factor: 6.0,
-        fault_seed: 2024,
-        ..base
-    };
-    let clean = ClusterSpec { nodes: 16, ..base };
-    let healthy = snap_core::parallel::distributed_map(ring.clone(), items.clone(), &clean)
-        .expect("clean run");
-    let recovered = snap_core::parallel::distributed_map(ring, items, &faulty).expect("faulty run");
-    assert_eq!(
-        healthy.results, recovered.results,
-        "fault recovery must not change answers"
-    );
-    println!(
-        "clean:     makespan {:>9}  (16/16 nodes healthy)",
-        healthy.makespan
-    );
-    println!(
-        "recovered: makespan {:>9}  ({} node(s) failed, {} item(s) reassigned, {} speculative run(s))",
-        recovered.makespan,
-        recovered.failed_nodes,
-        recovered.reassigned_items,
-        recovered.speculative_runs
-    );
-    println!("(identical results either way; the faults only cost modeled time)");
-
     let ring = Arc::new(Ring::reporter(mul(empty_slot(), num(10.0))));
     opts.serve_and_rerun(|| {
         let items: Vec<Value> = (0..4096).map(|n| Value::Number(n as f64)).collect();
-        let run = snap_core::parallel::distributed_map(ring.clone(), items, &faulty)
-            .expect("faulty rerun");
-        assert_eq!(run.results.len(), 4096);
+        let out = snap_core::parallel::parallel_map(ring.clone(), items, 4).expect("rerun");
+        assert_eq!(out.len(), 4096);
     });
     opts.finish();
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The repo's CI gate, runnable locally: format, lint, tier-1 build+test,
+# The repo's CI gate, runnable locally: format, lint, docs, tier-1 build+test,
 # then the tracing pipeline — run a traced example, validate the emitted
 # Chrome trace + ExecutionReport JSON. All generated reports go under
 # target/, never into the tree.
@@ -11,6 +11,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (deny warnings, so no dangling doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> tier-1: cargo build --release"
 cargo build --release

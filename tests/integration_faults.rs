@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use snap_ast::builder::*;
 use snap_ast::{Ring, Value};
-use snap_parallel::{map_reduce_with_policy, parallel_map_with_options, parallel_map_with_policy};
+use snap_parallel::{map_reduce_with_options, parallel_map, parallel_map_with_options};
 use snap_trace::well_known as metrics;
 use snap_workers::{
     install_injector, try_map_slice_with, ColumnarPolicy, ExecError, FaultInjector, FaultPolicy,
@@ -84,7 +84,15 @@ fn acceptance_injected_panics_recover_with_retries() {
 
     install_injector(Some(FaultInjector::new(0xACCE).panic_probability(0.2)));
     let policy = FaultPolicy::with_retries(3).backoff(Duration::from_micros(50));
-    let out = parallel_map_with_policy(times_ten_ring(), number_items(10_000), 4, policy);
+    let out = parallel_map_with_options(
+        times_ten_ring(),
+        number_items(10_000),
+        RingMapOptions {
+            workers: 4,
+            policy,
+            ..Default::default()
+        },
+    );
     install_injector(None);
 
     let out = out.expect("20% panics under a 3-retry policy still complete");
@@ -159,7 +167,15 @@ fn deadline_errors_propagate_through_blocks_without_degrading() {
         ring_reporter(add(empty_slot(), empty_slot())),
     )));
     let policy = FaultPolicy::default().deadline(Duration::from_millis(1));
-    let result = parallel_map_with_policy(ring, number_items(4096), 2, policy);
+    let result = parallel_map_with_options(
+        ring,
+        number_items(4096),
+        RingMapOptions {
+            workers: 2,
+            policy,
+            ..Default::default()
+        },
+    );
 
     let err = match result {
         Err(err) => format!("{err}"),
@@ -250,12 +266,7 @@ fn blocks_degrade_to_sequential_when_retries_are_zero() {
     // sequential path consults no injector) rather than surface a
     // worker panic to a VM script.
     install_injector(Some(FaultInjector::new(13).panic_probability(1.0)));
-    let out = parallel_map_with_policy(
-        times_ten_ring(),
-        number_items(256),
-        4,
-        FaultPolicy::default(),
-    );
+    let out = parallel_map(times_ten_ring(), number_items(256), 4);
     install_injector(None);
 
     let out = out.expect("blocks layer degrades instead of failing");
@@ -381,7 +392,16 @@ fn chaos_stress_is_deterministic_under_a_fixed_seed() {
         .map(|i| Value::text(format!("w{}", i % 97)))
         .collect();
     install_injector(Some(chaos_injector));
-    let groups = map_reduce_with_policy(mapper, reducer, words, 4, policy);
+    let groups = map_reduce_with_options(
+        mapper,
+        reducer,
+        words,
+        RingMapOptions {
+            workers: 4,
+            policy,
+            ..Default::default()
+        },
+    );
     install_injector(None);
     let groups = groups.expect("chaos mapReduce completes");
     assert_eq!(groups.len(), 97, "one group per distinct word");
