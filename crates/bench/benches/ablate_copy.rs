@@ -31,15 +31,7 @@ fn bench_isolation(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("copy", payload), &items, |b, items| {
             b.iter(|| {
                 black_box(
-                    ring_map(
-                        ring.clone(),
-                        items.clone(),
-                        RingMapOptions {
-                            workers: 4,
-                            ..Default::default()
-                        },
-                    )
-                    .unwrap(),
+                    ring_map(ring.clone(), items.clone(), RingMapOptions { workers: 4 }).unwrap(),
                 )
             })
         });

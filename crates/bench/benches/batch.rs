@@ -1,13 +1,14 @@
-//! A4: batch-scheduler policy ablation — FIFO vs EASY backfill on a
-//! mixed workload (wide long jobs + narrow short jobs).
+//! A4: the batch scheduler's EASY-backfill queue on a mixed workload
+//! (wide long jobs + narrow short jobs). Its FIFO baseline is gone; the
+//! measured FIFO/backfill table stays in EXPERIMENTS.md.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use snap_build::{BatchScheduler, JobSpec, Policy};
+use snap_build::{BatchScheduler, JobSpec};
 
-fn run_workload(policy: Policy) -> (f64, u64) {
-    let mut s = BatchScheduler::new(16, policy);
+fn run_workload() -> (f64, u64) {
+    let mut s = BatchScheduler::new(16);
     // A stream of jobs: every 4th is wide (12 nodes), the rest narrow.
     for i in 0..64u64 {
         let wide = i % 4 == 0;
@@ -26,11 +27,7 @@ fn bench_policies(c: &mut Criterion) {
     let mut group = c.benchmark_group("a4_batch_policy");
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.sample_size(20);
-    for (name, policy) in [("fifo", Policy::Fifo), ("backfill", Policy::Backfill)] {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &policy, |b, &policy| {
-            b.iter(|| black_box(run_workload(policy)))
-        });
-    }
+    group.bench_function("backfill", |b| b.iter(|| black_box(run_workload())));
     group.finish();
 }
 

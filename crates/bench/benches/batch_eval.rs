@@ -15,9 +15,10 @@
 //!   register machine: the pair is the one-op path's justification.
 //! * `a6_columnar_map` measures the whole pipeline on the climate
 //!   workload: a numeric `parallelMap` over synthetic NOAA readings with
-//!   the columnar tier on (`ColumnarPolicy::Auto`: flat `f64` chunks,
-//!   each written in place into its slice of the one result) versus off
-//!   (`Disabled`, one call per item).
+//!   the columnar tier on (`columnar_on`: the readings as a list of
+//!   numbers, run as flat `f64` chunks, each written in place into its
+//!   slice of the one result) versus off (`columnar_off`: the same
+//!   readings held boxed, one call per item).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -28,8 +29,7 @@ use snap_ast::builder::*;
 use snap_ast::pure::CompiledStrategy;
 use snap_ast::{List, PureFn, Ring, Value};
 use snap_data::{generate_noaa, NoaaConfig};
-use snap_parallel::parallel_map_with_options;
-use snap_workers::{ColumnarPolicy, RingMapOptions};
+use snap_parallel::{parallel_map, parallel_map_list};
 
 const ITEMS: usize = 1_000;
 
@@ -122,38 +122,21 @@ fn bench_columnar_map(c: &mut Criterion) {
         vec!["t".into()],
         div(mul(num(5.0), sub(var("t"), num(32.0))), num(9.0)),
     ));
-    let options = |columnar| RingMapOptions {
-        workers: 4,
-        columnar,
-        ..Default::default()
-    };
-
     {
         let ring = ring.clone();
         let temps = temps.clone();
         group.bench_function("columnar_on", move |b| {
-            b.iter(|| {
-                black_box(
-                    parallel_map_with_options(
-                        ring.clone(),
-                        temps.clone(),
-                        options(ColumnarPolicy::Auto),
-                    )
-                    .unwrap(),
-                )
-            })
+            b.iter(|| black_box(parallel_map(ring.clone(), temps.clone(), 4).unwrap()))
         });
     }
     {
         group.bench_function("columnar_off", move |b| {
             b.iter(|| {
+                let boxed = List::boxed(temps.clone());
                 black_box(
-                    parallel_map_with_options(
-                        ring.clone(),
-                        temps.clone(),
-                        options(ColumnarPolicy::Disabled),
-                    )
-                    .unwrap(),
+                    parallel_map_list(ring.clone(), &boxed, 4)
+                        .unwrap()
+                        .into_vec(),
                 )
             })
         });

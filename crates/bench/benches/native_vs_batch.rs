@@ -7,7 +7,7 @@
 //!   cost is process spawn + protocol encode/decode + the native loop:
 //!   the real end-to-end price of escaping the VM per invocation.
 //! * `batch_tier` — the same ring through the pooled columnar
-//!   `ring_map` pipeline (`ColumnarPolicy::Auto`, flat `f64` lanes).
+//!   `ring_map` pipeline (flat `f64` lanes).
 //!
 //! On small inputs the batch tier wins (no exec/process overhead);
 //! the native tier amortizes only on much larger datasets. Recording
@@ -24,7 +24,7 @@ use snap_ast::{Ring, Value};
 use snap_codegen::harness::Harness;
 use snap_codegen::openmp::emit_map_openmp;
 use snap_data::{generate_noaa, NoaaConfig};
-use snap_workers::{ring_map, ColumnarPolicy, RingMapOptions};
+use snap_workers::{ring_map, RingMapOptions};
 
 const WORKERS: usize = 4;
 
@@ -82,11 +82,7 @@ fn bench_native_vs_batch(c: &mut Criterion) {
             let out = ring_map(
                 Arc::clone(&ring),
                 black_box(boxed.clone()),
-                RingMapOptions {
-                    workers: WORKERS,
-                    columnar: ColumnarPolicy::Auto,
-                    ..RingMapOptions::default()
-                },
+                RingMapOptions { workers: WORKERS },
             )
             .expect("batch tier run");
             black_box(out.len())

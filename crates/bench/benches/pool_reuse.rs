@@ -39,10 +39,7 @@ fn bench_pool_reuse(c: &mut Criterion) {
 
     group.bench_function("pooled", move |b| {
         b.iter(|| {
-            let options = RingMapOptions {
-                workers: WORKERS,
-                ..RingMapOptions::default()
-            };
+            let options = RingMapOptions { workers: WORKERS };
             black_box(ring_map(ring.clone(), black_box(items.clone()), options).unwrap())
         })
     });

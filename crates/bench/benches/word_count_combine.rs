@@ -1,15 +1,13 @@
 //! A5: map-side combining on the word-count corpus (paper §3.4).
 //!
-//! The same 20 000-word Zipf-distributed `mapReduce` runs with the
-//! combiner engaged (`CombinePolicy::Auto` recognises the summing
-//! reducer) and forced off (`Disabled`). Both rows run the keyed-columnar
-//! rung: the `[w, 1]` mapper runs as a key column and a constant value
-//! column per chunk, and each chunk interns its words in a hashed
-//! dictionary. `combiner_on` folds each chunk's values per word
-//! in the same task; `combiner_off` keeps every value for the grouping.
-//! Neither builds a pair list or reaches the shuffle; the boxed path
-//! this bench once timed runs only for calls the rung declines, and the
-//! differential suites prove the output identical either way.
+//! A 20 000-word Zipf-distributed `mapReduce` whose summing reducer the
+//! block recognises, so it combines. It runs on the keyed-columnar rung:
+//! the `[w, 1]` mapper runs as a key column and a constant value column
+//! per chunk, each chunk interns its words in a hashed dictionary and
+//! folds its values per word in the same task. It builds no pair list
+//! and never reaches the shuffle; the boxed path this bench once timed
+//! runs only for calls the rung declines, and the differential suites
+//! prove the output identical either way.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -19,8 +17,7 @@ use std::time::Duration;
 use snap_ast::builder::*;
 use snap_ast::{Ring, Value};
 use snap_data::generate_words;
-use snap_parallel::{map_reduce_with_combine, CombinePolicy};
-use snap_workers::RingMapOptions;
+use snap_parallel::map_reduce;
 
 const WORDS: usize = 20_000;
 const WORKERS: usize = 4;
@@ -51,30 +48,11 @@ fn bench_word_count_combine(c: &mut Criterion) {
         .map(Value::from)
         .collect();
 
-    for (name, policy) in [
-        ("combiner_on", CombinePolicy::Auto),
-        ("combiner_off", CombinePolicy::Disabled),
-    ] {
-        let items = items.clone();
-        group.bench_function(name, move |b| {
-            b.iter(|| {
-                let options = RingMapOptions {
-                    workers: WORKERS,
-                    ..RingMapOptions::default()
-                };
-                black_box(
-                    map_reduce_with_combine(
-                        mapper(),
-                        reducer(),
-                        black_box(items.clone()),
-                        options,
-                        policy,
-                    )
-                    .unwrap(),
-                )
-            })
-        });
-    }
+    group.bench_function("combiner_on", move |b| {
+        b.iter(|| {
+            black_box(map_reduce(mapper(), reducer(), black_box(items.clone()), WORKERS).unwrap())
+        })
+    });
     group.finish();
 }
 

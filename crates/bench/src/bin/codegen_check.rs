@@ -34,7 +34,7 @@ use snap_codegen::harness::{self, compare_pairs, compare_values, Harness, Scenar
 use snap_codegen::openmp::{emit_map_openmp, emit_mapreduce_openmp_protocol};
 use snap_data::corpus::generate_words;
 use snap_data::noaa::{generate as generate_noaa, NoaaConfig};
-use snap_workers::ring_fn::{ring_map, ColumnarPolicy, RingMapOptions};
+use snap_workers::ring_fn::{ring_map, ring_map_faulted, RingMapOptions};
 
 fn usage() -> String {
     "usage: codegen_check [--require-toolchain] [--out <dir>] [--trace <path>]".to_owned()
@@ -137,21 +137,18 @@ fn write_diff_report(out: &Path, name: &str, detail: &str) {
     let _ = fs::write(dir.join("diff_report.txt"), detail);
 }
 
-/// The pooled columnar pipeline's view of a map scenario, as plain f64.
-fn pooled_map(
-    ring: &Arc<Ring>,
-    inputs: &[f64],
-    columnar: ColumnarPolicy,
-) -> Result<Vec<f64>, String> {
+/// The pooled pipelines' view of a map scenario, as plain f64: the
+/// numbers as a list, which runs on the columnar tier, and the same
+/// numbers held boxed, which run one scalar call per item.
+fn pooled_maps(ring: &Arc<Ring>, inputs: &[f64]) -> Result<(Vec<f64>, Vec<f64>), String> {
     let items: Vec<Value> = inputs.iter().map(|&x| Value::Number(x)).collect();
-    let options = RingMapOptions {
-        workers: 4,
-        columnar,
-        ..RingMapOptions::default()
-    };
-    let out = ring_map(Arc::clone(ring), items, options)
-        .map_err(|e| format!("pooled ring_map failed: {e:?}"))?;
-    Ok(out.iter().map(Value::to_number).collect())
+    let options = RingMapOptions { workers: 4 };
+    let per_item = ring_map_faulted(Arc::clone(ring), &items, options)
+        .map_err(|e| format!("pooled per-item ring_map failed: {e:?}"))?;
+    let columnar = ring_map(Arc::clone(ring), items, options)
+        .map_err(|e| format!("pooled columnar ring_map failed: {e:?}"))?;
+    let numbers = |out: Vec<Value>| out.iter().map(Value::to_number).collect();
+    Ok((numbers(columnar), numbers(per_item)))
 }
 
 /// VM-side MapReduce via the paper's parallel block, normalized to
@@ -219,9 +216,8 @@ fn run_scenario(h: &Harness, scenario: &Scenario, out: &Path) -> Result<String, 
                 .batch
                 .ok_or_else(|| "map ring unexpectedly not batchable".to_owned())?;
             compare_values("native vs batch", &native, &batch)?;
-            let columnar = pooled_map(ring, &inputs, ColumnarPolicy::Auto)?;
+            let (columnar, scalar_pool) = pooled_maps(ring, &inputs)?;
             compare_values("native vs pooled columnar", &native, &columnar)?;
-            let scalar_pool = pooled_map(ring, &inputs, ColumnarPolicy::Disabled)?;
             compare_values("native vs pooled scalar", &native, &scalar_pool)?;
             Ok(format!(
                 "{} elements bit-for-bit across 4 tiers (+2 pooled pipelines)",

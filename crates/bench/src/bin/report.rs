@@ -71,8 +71,7 @@ fn e14() {
     let items = number_items(10_000);
     let out = snap_parallel::parallel_map(ring, items, 4).expect("traced parallel map");
     assert_eq!(out.len(), 10_000);
-    // Exercise the parallel shuffle too: word count over a corpus large
-    // enough to cross the threshold.
+    // Both `mapReduce` paths over one corpus of 5,000 words.
     let mapper = std::sync::Arc::new(snap_ast::Ring::reporter_with_params(
         vec!["w".into()],
         make_list(vec![var("w"), num(1.0)]),
@@ -81,8 +80,22 @@ fn e14() {
         vec!["vals".into()],
         combine_using(var("vals"), ring_reporter(add(empty_slot(), empty_slot()))),
     ));
+    // Word count groups on the keyed-columnar rung (`keyed.*` spans)...
     let words: Vec<Value> = generate_word_values(5_000, 7);
-    snap_parallel::map_reduce(mapper, reducer, words, 4).expect("traced map_reduce");
+    snap_parallel::map_reduce(mapper, reducer, words.clone(), 4).expect("traced map_reduce");
+    // ...and a `[w, w]` mapper, whose text value the rung declines, takes
+    // the boxed path: with `length of vals`, which is no associative
+    // fold, all 5,000 pairs reach the shuffle, past
+    // `PARALLEL_SHUFFLE_THRESHOLD`, so it runs in parallel.
+    let echo = std::sync::Arc::new(snap_ast::Ring::reporter_with_params(
+        vec!["w".into()],
+        make_list(vec![var("w"), var("w")]),
+    ));
+    let count = std::sync::Arc::new(snap_ast::Ring::reporter_with_params(
+        vec!["vals".into()],
+        length_of(var("vals")),
+    ));
+    snap_parallel::map_reduce(echo, count, words, 4).expect("traced boxed map_reduce");
     snap_trace::set_enabled(false);
     let report = snap_trace::report();
     for line in report.to_table().lines() {
@@ -117,7 +130,7 @@ fn e12() {
         &dataset.station_temp_pairs(),
     )
     .unwrap();
-    let mut cluster = snap_build::BatchScheduler::new(8, snap_build::Policy::Backfill);
+    let mut cluster = snap_build::BatchScheduler::new(8);
     // Some background load so the queue is visible.
     cluster.submit(snap_build::JobSpec {
         name: "background".into(),
@@ -562,18 +575,11 @@ fn e10() {
         "E10",
         "worker scaling & crossover (ablation of Fig. 5's worker input)",
     );
-    println!("  latency-bound items (2 ms simulated service time, 48 items):");
-    let items = number_items(48);
-    let ring = times_ten_ring();
+    println!("  latency-bound items (48 items, each sleeping 2 ms, Parallel::for_each):");
     let mut base = None;
     for workers in [1usize, 2, 4, 8] {
         let start = Instant::now();
-        let _ = latency_map(
-            ring.clone(),
-            items.clone(),
-            workers,
-            Duration::from_millis(2),
-        );
+        sleep_for_each(48, workers, Duration::from_millis(2));
         let elapsed = start.elapsed();
         let baseline = *base.get_or_insert(elapsed);
         println!(
@@ -581,8 +587,11 @@ fn e10() {
             baseline.as_secs_f64() / elapsed.as_secs_f64()
         );
     }
-    println!("  compute-bound items (expensive ring, wall time; on a single-CPU");
-    println!("  host the speedup is ~1x — see EXPERIMENTS.md on this gate):");
+    println!(
+        "  compute-bound items (expensive ring, wall time; the host's {} CPU(s)",
+        num_cpus()
+    );
+    println!("  bound the speedup — see EXPERIMENTS.md on this gate):");
     let ring = expensive_ring(200);
     let items = number_items(512);
     let mut base = None;
@@ -597,8 +606,8 @@ fn e10() {
             out.len()
         );
     }
-    // Crossover: tiny items where worker overhead dominates.
-    println!("  overhead crossover (per-call worker spawn vs item count, x10 ring):");
+    // Crossover: tiny items where pool overhead dominates.
+    println!("  overhead crossover (dispatch to the persistent pool vs item count, x10 ring):");
     for n in [1usize, 10, 100, 10_000] {
         let items = number_items(n);
         let t_seq = {

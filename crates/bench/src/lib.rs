@@ -12,7 +12,7 @@ use std::time::Duration;
 use snap_ast::builder::*;
 use snap_ast::{Constant, Project, Ring, Script, SpriteDef, Stmt, Value};
 use snap_vm::Vm;
-use snap_workers::{ring_map, RingMapOptions};
+use snap_workers::Parallel;
 
 /// The paper's `(( ) × 10)` ring (Figs. 4–6).
 pub fn times_ten_ring() -> Arc<Ring> {
@@ -77,23 +77,14 @@ pub fn number_items(n: usize) -> Vec<Value> {
     (1..=n).map(|i| Value::Number(i as f64)).collect()
 }
 
-/// `ring_map` with a worker count and simulated per-item latency.
-pub fn latency_map(
-    ring: Arc<Ring>,
-    items: Vec<Value>,
-    workers: usize,
-    latency: Duration,
-) -> Vec<Value> {
-    ring_map(
-        ring,
-        items,
-        RingMapOptions {
-            workers,
-            latency: Some(latency),
-            ..Default::default()
-        },
-    )
-    .expect("latency map evaluates")
+/// E10's latency-bound work: `items` items on `workers` pool workers
+/// (`Parallel::for_each`), each of which sleeps for `service`, as a drink
+/// takes time to pour or a request takes time to answer. A sleep needs
+/// no CPU, so worker scaling shows on a host with any core count.
+pub fn sleep_for_each(items: usize, workers: usize, service: Duration) {
+    Parallel::new((0..items).collect::<Vec<_>>())
+        .with_max_workers(workers)
+        .for_each(|_| std::thread::sleep(service));
 }
 
 /// Build the concession-stand project (paper §3.3). `parallel` selects

@@ -41,3 +41,17 @@ fn a_known_experiment_runs_and_exits_zero() {
     assert!(stdout.contains("==== E1:"), "{stdout}");
     assert!(!stdout.contains("==== E2:"), "only E1 runs: {stdout}");
 }
+
+#[test]
+fn e14_runs_the_parallel_shuffle() {
+    // A declined `mapReduce` with more pairs than the shuffle's threshold
+    // must reach the parallel shuffle, and its traced report says so.
+    let output = report(&["e14"]);
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let runs = stdout
+        .lines()
+        .find_map(|line| line.trim().strip_prefix("shuffle.parallel_runs"))
+        .unwrap_or_else(|| panic!("no shuffle.parallel_runs row: {stdout}"));
+    assert_eq!(runs.trim(), "1", "{stdout}");
+}

@@ -4,25 +4,14 @@
 //! sophisticated batch scheduling systems. The Snap! environment can be
 //! extended to … submit the job, monitor waiting in the queue until
 //! execution, then collect the results." We have no supercomputer, so
-//! this is the substitution: a discrete-time cluster model with FIFO and
-//! EASY-backfill policies, walltime enforcement, and the
+//! this is the substitution: a discrete-time cluster model with an
+//! EASY-backfill queue, walltime enforcement, and the
 //! submit → queue → run → collect lifecycle the paper sketches.
 
 use std::collections::HashMap;
 
 /// Job identifier.
 pub type JobId = u64;
-
-/// Queueing policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Policy {
-    /// Strict first-in-first-out: the head job blocks everything behind it.
-    Fifo,
-    /// EASY backfill: later jobs may start early if they fit in the idle
-    /// nodes *and* cannot delay the head job's guaranteed start time.
-    #[default]
-    Backfill,
-}
 
 /// Lifecycle of a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,10 +66,12 @@ impl Job {
     }
 }
 
-/// The simulated cluster.
+/// The simulated cluster. Its queue is EASY backfill: jobs start in
+/// submission order while they fit, and a later job may start early if
+/// it fits in the idle nodes *and* cannot delay the head job's
+/// reservation, the tick by which enough nodes will be free for it.
 pub struct BatchScheduler {
     total_nodes: usize,
-    policy: Policy,
     clock: u64,
     next_id: JobId,
     jobs: HashMap<JobId, Job>,
@@ -90,11 +81,10 @@ pub struct BatchScheduler {
 }
 
 impl BatchScheduler {
-    /// A cluster with `total_nodes` nodes under `policy`.
-    pub fn new(total_nodes: usize, policy: Policy) -> BatchScheduler {
+    /// A cluster with `total_nodes` nodes.
+    pub fn new(total_nodes: usize) -> BatchScheduler {
         BatchScheduler {
             total_nodes: total_nodes.max(1),
-            policy,
             clock: 0,
             next_id: 1,
             jobs: HashMap::new(),
@@ -162,7 +152,7 @@ impl BatchScheduler {
     }
 
     /// Advance one tick: finish jobs, enforce walltimes, start what the
-    /// policy allows.
+    /// queue allows.
     pub fn tick(&mut self) {
         // 1. Retire running jobs that finished (or hit their walltime)
         //    by the current tick.
@@ -238,9 +228,6 @@ impl BatchScheduler {
                 break;
             }
         }
-        if self.policy == Policy::Fifo {
-            return;
-        }
         // EASY backfill: compute the head job's shadow time (when enough
         // nodes will be free, assuming running jobs hold their nodes for
         // their full walltime), then start any later job that fits the
@@ -310,8 +297,8 @@ mod tests {
     }
 
     #[test]
-    fn fifo_runs_jobs_in_order() {
-        let mut s = BatchScheduler::new(4, Policy::Fifo);
+    fn full_width_jobs_run_in_submission_order() {
+        let mut s = BatchScheduler::new(4);
         let a = s.submit(spec("a", 4, 10, 5)).unwrap();
         let b = s.submit(spec("b", 4, 10, 5)).unwrap();
         s.run_to_completion(1000);
@@ -324,14 +311,14 @@ mod tests {
 
     #[test]
     fn oversized_jobs_are_rejected() {
-        let mut s = BatchScheduler::new(4, Policy::Fifo);
+        let mut s = BatchScheduler::new(4);
         assert!(s.submit(spec("big", 5, 10, 5)).is_none());
         assert!(s.submit(spec("zero", 0, 10, 5)).is_none());
     }
 
     #[test]
     fn walltime_limit_kills_jobs() {
-        let mut s = BatchScheduler::new(1, Policy::Fifo);
+        let mut s = BatchScheduler::new(1);
         let id = s.submit(spec("long", 1, 3, 100)).unwrap();
         s.run_to_completion(1000);
         let job = s.job(id).unwrap();
@@ -343,7 +330,7 @@ mod tests {
     fn backfill_lets_small_jobs_jump() {
         // 4 nodes. Running: 2-node job for 10. Head: needs 4 (waits).
         // Small 1-node job with walltime 5 can backfill.
-        let mut s = BatchScheduler::new(4, Policy::Backfill);
+        let mut s = BatchScheduler::new(4);
         let long = s.submit(spec("long", 2, 10, 10)).unwrap();
         s.tick(); // long starts
         let head = s.submit(spec("wide", 4, 10, 2)).unwrap();
@@ -361,22 +348,8 @@ mod tests {
     }
 
     #[test]
-    fn fifo_blocks_small_jobs_behind_wide_head() {
-        let mut s = BatchScheduler::new(4, Policy::Fifo);
-        s.submit(spec("long", 2, 10, 10)).unwrap();
-        s.tick();
-        let head = s.submit(spec("wide", 4, 10, 2)).unwrap();
-        let small = s.submit(spec("small", 1, 5, 2)).unwrap();
-        s.run_to_completion(1000);
-        // Under strict FIFO the small job waits for the wide head.
-        assert!(
-            s.job(small).unwrap().started_at.unwrap() >= s.job(head).unwrap().started_at.unwrap()
-        );
-    }
-
-    #[test]
     fn cancel_removes_pending_jobs() {
-        let mut s = BatchScheduler::new(1, Policy::Fifo);
+        let mut s = BatchScheduler::new(1);
         let a = s.submit(spec("a", 1, 10, 10)).unwrap();
         let b = s.submit(spec("b", 1, 10, 10)).unwrap();
         s.tick();
@@ -389,7 +362,7 @@ mod tests {
 
     #[test]
     fn utilization_and_wait_statistics() {
-        let mut s = BatchScheduler::new(2, Policy::Backfill);
+        let mut s = BatchScheduler::new(2);
         s.submit(spec("a", 1, 5, 5)).unwrap();
         s.submit(spec("b", 1, 5, 5)).unwrap();
         s.run_to_completion(1000);
@@ -398,25 +371,28 @@ mod tests {
     }
 
     #[test]
-    fn backfill_improves_mean_wait_over_fifo() {
-        let workload = |s: &mut BatchScheduler| {
-            s.submit(spec("running", 3, 20, 20)).unwrap();
-            s.tick();
-            s.submit(spec("wide", 4, 20, 5)).unwrap();
-            for i in 0..5 {
-                s.submit(spec(&format!("small{i}"), 1, 5, 3)).unwrap();
-            }
-            s.run_to_completion(10_000);
-        };
-        let mut fifo = BatchScheduler::new(4, Policy::Fifo);
-        workload(&mut fifo);
-        let mut easy = BatchScheduler::new(4, Policy::Backfill);
-        workload(&mut easy);
-        assert!(
-            easy.mean_wait() < fifo.mean_wait(),
-            "backfill {} should beat fifo {}",
-            easy.mean_wait(),
-            fifo.mean_wait()
-        );
+    fn backfill_fills_idle_nodes_without_delaying_the_head() {
+        let mut s = BatchScheduler::new(4);
+        let running = s.submit(spec("running", 3, 20, 20)).unwrap();
+        s.tick();
+        // The wide head needs all 4 nodes: its reservation is tick 20,
+        // when the running job's walltime ends.
+        let wide = s.submit(spec("wide", 4, 20, 5)).unwrap();
+        let small: Vec<JobId> = (0..5)
+            .map(|i| s.submit(spec(&format!("small{i}"), 1, 5, 3)).unwrap())
+            .collect();
+        s.run_to_completion(10_000);
+        let reservation = s.job(running).unwrap().started_at.unwrap() + 20;
+        let wide = s.job(wide).unwrap();
+        assert!(wide.started_at.unwrap() <= reservation);
+        // Each small job fits the one idle node and ends (by walltime)
+        // before the reservation, so all run ahead of the head, one
+        // after another.
+        let starts: Vec<u64> = small
+            .iter()
+            .map(|&id| s.job(id).unwrap().started_at.unwrap())
+            .collect();
+        assert_eq!(starts, vec![1, 4, 7, 10, 13]);
+        assert!(starts.iter().all(|&start| start < wide.started_at.unwrap()));
     }
 }

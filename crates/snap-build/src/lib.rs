@@ -4,8 +4,8 @@
 //! [`BuildPipeline`] (write generated sources → compile through the
 //! codegen harness → run → collect output) and a [`BatchScheduler`]
 //! simulator standing in for a supercomputer's queueing system (submit,
-//! wait, run, collect — with FIFO and EASY-backfill policies and
-//! walltime enforcement).
+//! wait, run, collect — with an EASY-backfill queue and walltime
+//! enforcement).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,6 +14,6 @@ pub mod batch;
 pub mod pipeline;
 pub mod workflow;
 
-pub use batch::{BatchScheduler, Job, JobId, JobSpec, JobState, Policy};
+pub use batch::{BatchScheduler, Job, JobId, JobSpec, JobState};
 pub use pipeline::{parse_kv_output, BuildError, BuildPipeline};
 pub use workflow::{batch_script, run_on_cluster, BatchRequest, WorkflowReport};

@@ -149,7 +149,6 @@ pub fn run_on_cluster(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::Policy;
     use snap_codegen::openmp::{averaging_reducer, climate_mapper, emit_mapreduce_openmp};
 
     #[test]
@@ -197,7 +196,7 @@ mod tests {
             &[("s".into(), 32.0), ("s".into(), 212.0)],
         )
         .unwrap();
-        let mut cluster = BatchScheduler::new(4, Policy::Backfill);
+        let mut cluster = BatchScheduler::new(4);
         let report =
             run_on_cluster(&pipeline, &mut cluster, &program, &BatchRequest::default()).unwrap();
         assert_eq!(report.state, JobState::Completed);
@@ -220,7 +219,7 @@ mod tests {
             &[("s".into(), 212.0)],
         )
         .unwrap();
-        let mut cluster = BatchScheduler::new(2, Policy::Fifo);
+        let mut cluster = BatchScheduler::new(2);
         let blocker = cluster
             .submit(JobSpec {
                 name: "blocker".into(),
@@ -256,7 +255,7 @@ mod tests {
             &[("s".into(), 50.0)],
         )
         .unwrap();
-        let mut cluster = BatchScheduler::new(2, Policy::Fifo);
+        let mut cluster = BatchScheduler::new(2);
         let err = run_on_cluster(
             &pipeline,
             &mut cluster,

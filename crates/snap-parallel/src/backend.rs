@@ -11,22 +11,13 @@ use std::sync::Arc;
 
 use snap_ast::{EvalError, List, Ring, Value};
 use snap_vm::{ParallelBackend, Vm};
-use snap_workers::RingMapOptions;
 
-use crate::blocks::{self, CombinePolicy};
+use crate::blocks;
 
 /// [`ParallelBackend`] implementation on OS-thread workers: every call
-/// runs on the shared pool, with structured-clone isolation, under the
-/// default fault policy.
+/// runs on the shared pool, with structured-clone isolation.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerBackend;
-
-fn options(workers: usize) -> RingMapOptions {
-    RingMapOptions {
-        workers,
-        ..Default::default()
-    }
-}
 
 impl ParallelBackend for WorkerBackend {
     fn parallel_map(
@@ -37,8 +28,8 @@ impl ParallelBackend for WorkerBackend {
     ) -> Result<Vec<Value>, EvalError> {
         // Route through the block layer so the backend inherits its
         // degrade-to-sequential fault handling — a VM script never sees
-        // a worker panic, only a slower answer or a deadline error.
-        blocks::parallel_map_with_options(ring, items, options(workers))
+        // a worker panic, only a slower answer.
+        blocks::parallel_map(ring, items, workers)
     }
 
     fn map_reduce(
@@ -48,7 +39,7 @@ impl ParallelBackend for WorkerBackend {
         items: Vec<Value>,
         workers: usize,
     ) -> Result<Vec<Value>, EvalError> {
-        blocks::map_reduce_with_options(mapper, reducer, items, options(workers))
+        blocks::map_reduce(mapper, reducer, items, workers)
     }
 
     fn name(&self) -> &'static str {
@@ -61,7 +52,7 @@ impl ParallelBackend for WorkerBackend {
         list: &List,
         workers: usize,
     ) -> Result<Value, EvalError> {
-        blocks::parallel_map_list(ring, list, options(workers)).map(Value::List)
+        blocks::parallel_map_list(ring, list, workers).map(Value::List)
     }
 
     fn map_reduce_list(
@@ -71,8 +62,7 @@ impl ParallelBackend for WorkerBackend {
         list: &List,
         workers: usize,
     ) -> Result<Value, EvalError> {
-        blocks::map_reduce_list(mapper, reducer, list, options(workers), CombinePolicy::Auto)
-            .map(Value::List)
+        blocks::map_reduce_list(mapper, reducer, list, workers).map(Value::List)
     }
 }
 

@@ -4,22 +4,20 @@
 //! embedding code and the benchmark harness. Scripts running inside the
 //! VM reach the same implementations through [`crate::WorkerBackend`].
 //!
-//! The blocks are the last rung of the fault-degradation ladder: when
-//! the pooled execution layer gives up (retry budget exhausted), a block
-//! never surfaces a panic — it re-runs the whole phase sequentially and
-//! injector-free on the calling thread (counted under
-//! `fault.degraded_runs`, recorded as a trace note). Deadline failures
-//! are the exception: a deadline is a promise to the caller, so they
-//! propagate as errors instead of being quietly absorbed by a slower
-//! sequential pass.
+//! A block takes one setting, its worker count (Fig. 5's optional input,
+//! Parallel.js's `{maxWorkers: n}`), and has one fault contract: when an
+//! item panics on the pool, the block never surfaces the panic — it
+//! re-runs that phase sequentially and injector-free on the calling
+//! thread (counted under `fault.degraded_runs`, recorded as a trace
+//! note). So a fault changes counters, never results.
 //!
 //! Each block reads its input list in place, under the list's read lock
 //! for the whole call ([`parallel_map_list`], [`map_reduce_list`]); the
 //! `Vec` entry points build a list and run the same code. `parallelMap`
 //! routes through `ring_map_view`, which runs a numeric list on the
 //! **columnar batch tier** (its `f64`s in pool chunks, one `eval_batch`
-//! per chunk, reporting a numeric list — see
-//! `snap_workers::ColumnarPolicy`). `mapReduce` widens that rung: a
+//! per chunk, reporting a numeric list, from `COLUMNAR_MIN_ITEMS` items
+//! up). `mapReduce` widens that rung: a
 //! `[key, value]` mapper with a numeric value runs as a key column and
 //! an `f64` column, with its keys interned and grouped by id instead of
 //! boxed, hashed and sorted, and each group reaches the reducer as a
@@ -62,9 +60,9 @@ fn record_degraded(block: &'static str, err: &ExecError) {
     );
 }
 
-/// The blocks' rung of the fault ladder for one phase: an evaluation
-/// error or a missed deadline surfaces as an error; any other execution
-/// failure is recorded and `sequential` re-runs the phase.
+/// The blocks' fault contract for one phase: an evaluation error
+/// surfaces as an error; an item that panicked on the pool is recorded
+/// and `sequential` re-runs the phase.
 fn or_degrade<T>(
     block: &'static str,
     pooled: Result<T, RingMapError>,
@@ -73,9 +71,6 @@ fn or_degrade<T>(
     match pooled {
         Ok(out) => Ok(out),
         Err(RingMapError::Eval(e)) => Err(e),
-        Err(RingMapError::Exec(e @ ExecError::DeadlineExceeded { .. })) => {
-            Err(EvalError::Other(e.to_string()))
-        }
         Err(RingMapError::Exec(e)) => {
             record_degraded(block, &e);
             sequential()
@@ -112,46 +107,25 @@ fn sequential_reduce_groups(
 
 /// `parallelMap <ring> over <list>` (paper §3.2): apply the ring to every
 /// item on `workers` true parallel workers; results in input order.
+/// [`parallel_map_list`] over a list of `items`.
 pub fn parallel_map(
     ring: Arc<Ring>,
     items: Vec<Value>,
     workers: usize,
 ) -> Result<Vec<Value>, EvalError> {
-    parallel_map_with_options(
-        ring,
-        items,
-        RingMapOptions {
-            workers,
-            ..Default::default()
-        },
-    )
-}
-
-/// [`parallel_map`] with full execution options, including the fault
-/// policy: [`parallel_map_list`] over a list of `items`.
-pub fn parallel_map_with_options(
-    ring: Arc<Ring>,
-    items: Vec<Value>,
-    options: RingMapOptions,
-) -> Result<Vec<Value>, EvalError> {
-    parallel_map_list(ring, &List::from_vec(items), options).map(List::into_vec)
+    parallel_map_list(ring, &List::from_vec(items), workers).map(List::into_vec)
 }
 
 /// `parallelMap` over `list`, read in place under its read lock (see the
-/// module docs), reporting the mapped list. This is the
-/// fault-degradation rung: execution-layer failures other than a missed
-/// deadline fall back to a sequential injector-free map over the same
-/// items instead of surfacing.
-pub fn parallel_map_list(
-    ring: Arc<Ring>,
-    list: &List,
-    options: RingMapOptions,
-) -> Result<List, EvalError> {
+/// module docs), reporting the mapped list. An item that panics on the
+/// pool makes the map re-run sequentially and injector-free over the
+/// same items instead of surfacing.
+pub fn parallel_map_list(ring: Arc<Ring>, list: &List, workers: usize) -> Result<List, EvalError> {
     list.with_view(|items| {
         let _span = snap_trace::span!("parallel_map", "items" => items.len());
         or_degrade(
             "parallel_map",
-            ring_map_view(ring.clone(), items, options),
+            ring_map_view(ring.clone(), items, RingMapOptions { workers }),
             || sequential_ring_map(&ring, items),
         )
     })
@@ -160,34 +134,16 @@ pub fn parallel_map_list(
 /// `mapReduce <mapper> <reducer> over <list>` (paper §3.4): parallel map
 /// phase producing `[key, value]` pairs, sort-by-key shuffle, then a
 /// parallel reduce phase — one reducer call per key, receiving that key's
-/// value list. Returns `[key, reduced]` pairs in key order.
+/// value list. Returns `[key, reduced]` pairs in key order:
+/// [`map_reduce_list`] over a list of `items`.
 pub fn map_reduce(
     mapper: Arc<Ring>,
     reducer: Arc<Ring>,
     items: Vec<Value>,
     workers: usize,
 ) -> Result<Vec<Value>, EvalError> {
-    map_reduce_with_options(
-        mapper,
-        reducer,
-        items,
-        RingMapOptions {
-            workers,
-            ..Default::default()
-        },
-    )
-}
-
-/// Whether `mapReduce` may partially reduce pairs on the map side
-/// before the shuffle (see [`map_reduce_with_combine`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum CombinePolicy {
-    /// Combine when the reducer is detected associative
-    /// ([`associative_fold_op`]) and the pair count makes it worthwhile.
-    #[default]
-    Auto,
-    /// Never combine: every mapper-emitted pair reaches the shuffle.
-    Disabled,
+    let list = List::from_vec(items);
+    list.with_view(|items| map_reduce_view(mapper, reducer, items, workers))
 }
 
 /// Below this many pairs the combiner's per-key bookkeeping costs more
@@ -247,51 +203,27 @@ pub fn associative_fold_op(reducer: &Ring) -> Option<BinOp> {
     operands_are_own_inputs.then_some(*op)
 }
 
-/// [`map_reduce`] with full execution options. Each phase degrades to
-/// its sequential path independently (a healthy reduce still runs
-/// pooled even when the map phase had to degrade). Map-side combining
-/// runs under the default [`CombinePolicy::Auto`].
-pub fn map_reduce_with_options(
-    mapper: Arc<Ring>,
-    reducer: Arc<Ring>,
-    items: Vec<Value>,
-    options: RingMapOptions,
-) -> Result<Vec<Value>, EvalError> {
-    map_reduce_with_combine(mapper, reducer, items, options, CombinePolicy::Auto)
-}
-
-/// [`map_reduce`] with full execution options and an explicit
-/// [`CombinePolicy`]: [`map_reduce_list`] over a list of `items`.
-pub fn map_reduce_with_combine(
-    mapper: Arc<Ring>,
-    reducer: Arc<Ring>,
-    items: Vec<Value>,
-    options: RingMapOptions,
-    combine: CombinePolicy,
-) -> Result<Vec<Value>, EvalError> {
-    let list = List::from_vec(items);
-    list.with_view(|items| map_reduce_view(mapper, reducer, items, options, combine))
-}
-
 /// `mapReduce` over `list`, read in place under its read lock (see the
-/// module docs), reporting the `[key, reduced]` list. Under
-/// [`CombinePolicy::Auto`], when [`associative_fold_op`] recognizes the
-/// reducer, each worker partially reduces its chunk's pairs by key
-/// *before* the shuffle — shrinking shuffle volume from O(items) to
-/// O(workers × keys) with identical output (the reducer then folds
-/// per-chunk partials exactly as it would have folded raw values).
+/// module docs), reporting the `[key, reduced]` list. When
+/// [`associative_fold_op`] recognizes the reducer and the call has at
+/// least [`COMBINE_MIN_PAIRS`] items, each worker partially reduces its
+/// chunk's pairs by key *before* the shuffle — shrinking shuffle volume
+/// from O(items) to O(workers × keys) with the sequential `mapReduce`'s
+/// output (the reducer then folds per-chunk partials exactly as it would
+/// have folded raw values).
 ///
 /// The map phase runs on the keyed-columnar rung when the mapper and its
 /// key column allow it (see the `keyed` module); its groups are
-/// bit-identical to the boxed path's, which every other call takes.
+/// bit-identical to the boxed path's, which every other call takes. Each
+/// phase degrades to its sequential path independently (a healthy reduce
+/// still runs pooled even when the map phase had to degrade).
 pub fn map_reduce_list(
     mapper: Arc<Ring>,
     reducer: Arc<Ring>,
     list: &List,
-    options: RingMapOptions,
-    combine: CombinePolicy,
+    workers: usize,
 ) -> Result<List, EvalError> {
-    list.with_view(|items| map_reduce_view(mapper, reducer, items, options, combine))
+    list.with_view(|items| map_reduce_view(mapper, reducer, items, workers))
         .map(List::from_vec)
 }
 
@@ -300,18 +232,19 @@ fn map_reduce_view(
     mapper: Arc<Ring>,
     reducer: Arc<Ring>,
     items: ListView<'_>,
-    options: RingMapOptions,
-    combine: CombinePolicy,
+    workers: usize,
 ) -> Result<Vec<Value>, EvalError> {
     let _span = snap_trace::span!("map_reduce", "items" => items.len());
+    let options = RingMapOptions { workers };
     // The mapper emits one pair per item, so this is the pair count the
     // combiner's threshold sees.
-    let fold = match combine {
-        CombinePolicy::Auto if items.len() >= COMBINE_MIN_PAIRS => associative_fold_op(&reducer),
-        _ => None,
+    let fold = if items.len() >= COMBINE_MIN_PAIRS {
+        associative_fold_op(&reducer)
+    } else {
+        None
     };
     let map_fn = compile_cached(&mapper)?;
-    let pairs = match keyed::map_groups(&map_fn, items, &options, fold) {
+    let pairs = match keyed::map_groups(&map_fn, items, workers, fold) {
         Ok(Some(groups)) => return reduce_groups(&reducer, &groups, options),
         Ok(None) => ring_map_pairs_view(mapper.clone(), items, options),
         Err(e) => Err(RingMapError::Exec(e)),
@@ -324,7 +257,7 @@ fn map_reduce_view(
             .collect()
     })?;
     let pairs = match fold {
-        Some(op) => combine_pairs(pairs, op, options.workers, ExecMode::Pooled),
+        Some(op) => combine_pairs(pairs, op, workers, ExecMode::Pooled),
         None => pairs,
     };
     let groups: Vec<(Value, List)> = shuffle(pairs)
@@ -610,39 +543,26 @@ mod tests {
     }
 
     #[test]
-    fn combiner_output_matches_disabled_exactly() {
-        use super::{map_reduce_with_combine, CombinePolicy};
-        use snap_workers::RingMapOptions;
+    fn combiner_output_matches_the_sequential_map_reduce() {
+        use snap_ast::pure::{compile_cached, map_reduce};
         // A word corpus big enough to clear COMBINE_MIN_PAIRS, with heavy
         // key repetition and case variation.
         let words = ["the", "The", "fox", "dog", "THE", "a", "dog"];
         let items: Vec<Value> = (0..400).map(|i| words[i % words.len()].into()).collect();
-        let options = RingMapOptions {
-            workers: 4,
-            ..Default::default()
-        };
         let combined_before = snap_trace::well_known::SHUFFLE_PAIRS_COMBINED.get();
-        let on = map_reduce_with_combine(
-            word_count_mapper(),
-            word_count_reducer(),
-            items.clone(),
-            options,
-            CombinePolicy::Auto,
-        )
-        .unwrap();
+        let on =
+            run_map_reduce(word_count_mapper(), word_count_reducer(), items.clone(), 4).unwrap();
         assert!(
             snap_trace::well_known::SHUFFLE_PAIRS_COMBINED.get() > combined_before,
-            "Auto must actually combine on an associative reducer"
+            "the block must actually combine on an associative reducer"
         );
-        let off = map_reduce_with_combine(
-            word_count_mapper(),
-            word_count_reducer(),
-            items,
-            options,
-            CombinePolicy::Disabled,
-        )
-        .unwrap();
-        assert_eq!(on, off, "combining must not change output or ordering");
+        let mapper = compile_cached(&word_count_mapper()).unwrap();
+        let reducer = compile_cached(&word_count_reducer()).unwrap();
+        let uncombined = map_reduce(&mapper, &reducer, items).unwrap();
+        assert_eq!(
+            on, uncombined,
+            "combining must not change output or ordering"
+        );
     }
 
     #[test]
@@ -659,13 +579,6 @@ mod tests {
         }
     }
 
-    fn options(workers: usize) -> snap_workers::RingMapOptions {
-        snap_workers::RingMapOptions {
-            workers,
-            ..Default::default()
-        }
-    }
-
     #[test]
     fn parallel_map_list_reads_a_numeric_list_and_reports_numbers() {
         use super::parallel_map_list;
@@ -674,8 +587,8 @@ mod tests {
         let numbers: Vec<f64> = (0..100).map(|n| n as f64 * 0.25).collect();
         let numeric = List::from_numbers(numbers.clone());
         let boxed = List::boxed(numbers.iter().map(|&n| n.into()).collect());
-        let from_numeric = parallel_map_list(ring.clone(), &numeric, options(3)).unwrap();
-        let from_boxed = parallel_map_list(ring, &boxed, options(3)).unwrap();
+        let from_numeric = parallel_map_list(ring.clone(), &numeric, 3).unwrap();
+        let from_boxed = parallel_map_list(ring, &boxed, 3).unwrap();
         assert!(from_numeric.is_numeric());
         let want: Vec<Value> = numbers.iter().map(|n| (n * 3.0 - 0.5).into()).collect();
         assert_eq!(from_numeric.to_vec(), want);
@@ -694,14 +607,14 @@ mod tests {
         // `item 5 of` a number fails on whichever worker runs it.
         let ring = Arc::new(Ring::reporter(item(num(5.0), empty_slot())));
         let list = List::from_numbers((0..40).map(f64::from).collect());
-        assert!(parallel_map_list(ring, &list, options(2)).is_err());
+        assert!(parallel_map_list(ring, &list, 2).is_err());
         list.set_item(1, "written".into());
         assert_eq!(list.item(1), Some(Value::text("written")));
     }
 
     #[test]
     fn map_reduce_list_hands_each_group_over_as_a_numeric_list() {
-        use super::{map_reduce_list, CombinePolicy};
+        use super::map_reduce_list;
         use snap_ast::List;
         // Mapper [x mod 3, x]; the reducer reports its value list.
         let mapper = Arc::new(Ring::reporter_with_params(
@@ -710,7 +623,7 @@ mod tests {
         ));
         let reducer = Arc::new(Ring::reporter_with_params(vec!["vals".into()], var("vals")));
         let list = List::from_numbers((0..60).map(f64::from).collect());
-        let out = map_reduce_list(mapper, reducer, &list, options(2), CombinePolicy::Auto).unwrap();
+        let out = map_reduce_list(mapper, reducer, &list, 2).unwrap();
         assert_eq!(out.len(), 3);
         for (k, pair) in out.to_vec().iter().enumerate() {
             let pair = pair.as_list().unwrap();
@@ -725,33 +638,17 @@ mod tests {
 
     #[test]
     fn map_reduce_list_matches_the_vec_entry_point_on_words() {
-        use super::{map_reduce_list, map_reduce_with_combine, CombinePolicy};
+        use super::map_reduce_list;
         use snap_ast::List;
         let words: Vec<Value> = "b a c a b a".split(' ').map(Value::from).collect();
         let list = List::from_vec(words.clone());
-        for combine in [CombinePolicy::Auto, CombinePolicy::Disabled] {
-            let by_list = map_reduce_list(
-                word_count_mapper(),
-                word_count_reducer(),
-                &list,
-                options(2),
-                combine,
-            )
-            .unwrap();
-            let by_vec = map_reduce_with_combine(
-                word_count_mapper(),
-                word_count_reducer(),
-                words.clone(),
-                options(2),
-                combine,
-            )
-            .unwrap();
-            assert_eq!(by_list.to_vec(), by_vec);
-            assert_eq!(
-                Value::List(by_list).to_display_string(),
-                "[[a, 3], [b, 2], [c, 1]]"
-            );
-        }
+        let by_list = map_reduce_list(word_count_mapper(), word_count_reducer(), &list, 2).unwrap();
+        let by_vec = run_map_reduce(word_count_mapper(), word_count_reducer(), words, 2).unwrap();
+        assert_eq!(by_list.to_vec(), by_vec);
+        assert_eq!(
+            Value::List(by_list).to_display_string(),
+            "[[a, 3], [b, 2], [c, 1]]"
+        );
         assert_eq!(list.len(), 6);
     }
 

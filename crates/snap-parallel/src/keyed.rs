@@ -11,7 +11,7 @@
 //! Each group's `f64`s move into a numeric list, which is what the
 //! reducer receives: no value is ever boxed.
 //!
-//! The groups are bit-identical to the boxed path's (`ring_map_pairs` →
+//! The groups are bit-identical to the boxed path's (`ring_map_pairs_view` →
 //! [`crate::combine_pairs`] → [`crate::shuffle`]): in `snap_cmp` order,
 //! each under its first key in input order with case preserved, values in
 //! input order, and a combined run folds exactly `combine_pairs`'s
@@ -37,7 +37,7 @@ use std::sync::OnceLock;
 use snap_ast::bytecode::num_binop;
 use snap_ast::{BinOp, List, ListView, PureFn, Value};
 use snap_trace::well_known as metrics;
-use snap_workers::{columnar_chunk_size, ring_map_keyed, ExecError, KeyColumn, RingMapOptions};
+use snap_workers::{columnar_chunk_size, ring_map_keyed, ExecError, KeyColumn};
 
 use crate::shuffle::CanonKey;
 
@@ -391,19 +391,19 @@ fn merge(chunks: Vec<ChunkGroups>) -> Option<Vec<(Value, Vec<f64>)>> {
 pub(crate) fn map_groups(
     mapper: &PureFn,
     items: ListView<'_>,
-    options: &RingMapOptions,
+    workers: usize,
     fold: Option<BinOp>,
 ) -> Result<Option<Groups>, ExecError> {
     let Some(pair) = mapper.pair_program() else {
         return Ok(None);
     };
-    let workers = options.workers.max(1);
+    let workers = workers.max(1);
     let chunk_len = match fold {
         Some(_) => items.len().div_ceil(workers),
         None => columnar_chunk_size(items.len(), workers),
     };
     let call = CallRegime::new();
-    let Some((chunks, tally)) = ring_map_keyed(pair, items, chunk_len, options, |keys, values| {
+    let Some((chunks, tally)) = ring_map_keyed(pair, items, chunk_len, workers, |keys, values| {
         fold_chunk(keys, values, fold, &call)
     })?
     else {

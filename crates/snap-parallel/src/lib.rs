@@ -31,9 +31,8 @@ pub mod shuffle;
 
 pub use backend::{install, WorkerBackend};
 pub use blocks::{
-    associative_fold_op, map_reduce, map_reduce_list, map_reduce_with_combine,
-    map_reduce_with_options, parallel_for_each, parallel_map, parallel_map_list,
-    parallel_map_with_options, CombinePolicy, COMBINE_MIN_PAIRS,
+    associative_fold_op, map_reduce, map_reduce_list, parallel_for_each, parallel_map,
+    parallel_map_list, COMBINE_MIN_PAIRS,
 };
 pub use shuffle::{
     combine_pairs, shuffle, shuffle_parallel, shuffle_seq, PARALLEL_SHUFFLE_THRESHOLD,

@@ -1,25 +1,27 @@
 //! Acceptance tests for the columnar batch tier at the blocks layer:
-//! with `ColumnarPolicy::Auto`, `parallelMap` and `mapReduce` must
+//! `parallelMap` and `mapReduce` on the columnar tier ("on") must
 //! produce output — values *and* ordering — bit-for-bit identical to
-//! the per-element (`Disabled`) runs, on both the numeric climate
-//! workload and the word-count corpus. Both `[key, value]` mappers run
-//! on the keyed-columnar rung under `Auto`.
+//! the per-element path ("off"), on both the numeric climate workload
+//! and the word-count corpus. A `parallelMap` is off when its numbers
+//! are held boxed; a `mapReduce` is off when composed from its public
+//! phases (`common::public_phases`). Both `[key, value]` mappers run on
+//! the keyed-columnar rung.
 //!
 //! The rung checks read the process-wide `par.columnar_chunks` and
 //! `ring.batch_fallbacks` counters, so every test holds
 //! [`counter_lock`].
+
+mod common;
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use snap_ast::builder::*;
 use snap_ast::{List, Ring, Value};
 use snap_data::{generate_noaa, generate_words, NoaaConfig};
-use snap_parallel::{
-    map_reduce_list, map_reduce_with_options, parallel_map_list, parallel_map_with_options,
-    CombinePolicy,
-};
+use snap_parallel::{map_reduce, map_reduce_list, parallel_map, parallel_map_list};
 use snap_trace::well_known as metrics;
-use snap_workers::{ColumnarPolicy, RingMapOptions};
+
+const WORKERS: usize = 4;
 
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
@@ -47,12 +49,16 @@ fn on_keyed_rung<R>(f: impl FnOnce() -> R) -> R {
     out
 }
 
-fn options(columnar: ColumnarPolicy) -> RingMapOptions {
-    RingMapOptions {
-        workers: 4,
-        columnar,
-        ..Default::default()
-    }
+/// `parallelMap` over `items` held boxed: one call per item, off the
+/// columnar tier.
+fn per_item_map(ring: Arc<Ring>, items: Vec<Value>) -> Vec<Value> {
+    let fallback_before = metrics::RING_BATCH_FALLBACKS.get();
+    let out = parallel_map_list(ring, &List::boxed(items), WORKERS).unwrap();
+    assert!(
+        metrics::RING_BATCH_FALLBACKS.get() > fallback_before,
+        "a boxed list stays off the columnar tier"
+    );
+    out.into_vec()
 }
 
 /// °F → °C as a one-parameter ring: 5 × (t − 32) ÷ 9.
@@ -92,14 +98,12 @@ fn climate_parallel_map_columnar_on_off_are_identical() {
     });
     let temps = dataset.temps_f_values();
     let chunks_before = metrics::PAR_COLUMNAR_CHUNKS.get();
-    let on = parallel_map_with_options(f_to_c_ring(), temps.clone(), options(ColumnarPolicy::Auto))
-        .unwrap();
+    let on = parallel_map(f_to_c_ring(), temps.clone(), WORKERS).unwrap();
     assert!(
         metrics::PAR_COLUMNAR_CHUNKS.get() > chunks_before,
         "the all-numeric climate map must take the columnar tier"
     );
-    let off =
-        parallel_map_with_options(f_to_c_ring(), temps, options(ColumnarPolicy::Disabled)).unwrap();
+    let off = per_item_map(f_to_c_ring(), temps);
     assert_numbers_bits_eq(&on, &off);
 }
 
@@ -124,17 +128,17 @@ fn awkward_floats_survive_the_columnar_tier_bitwise() {
         mul(empty_slot(), num(0.1)),
         modulo(empty_slot(), num(7.0)),
     )));
-    let on = parallel_map_with_options(ring.clone(), inputs.clone(), options(ColumnarPolicy::Auto))
-        .unwrap();
-    let off = parallel_map_with_options(ring, inputs, options(ColumnarPolicy::Disabled)).unwrap();
+    let on = parallel_map(ring.clone(), inputs.clone(), WORKERS).unwrap();
+    let off = per_item_map(ring, inputs);
     assert_numbers_bits_eq(&on, &off);
 }
 
 #[test]
 fn word_count_map_reduce_columnar_on_off_are_identical() {
-    // The word-count mapper [w, 1] lowers to a pair program, so Auto
-    // runs it on the keyed rung (text keys, constant values, combined
-    // per chunk) and must change nothing, including key ordering.
+    // The word-count mapper [w, 1] lowers to a pair program, so the
+    // block runs it on the keyed rung (text keys, constant values,
+    // combined per chunk) and must change nothing, including key
+    // ordering.
     let _serial = counter_lock();
     let mapper = Arc::new(Ring::reporter_with_params(
         vec!["w".into()],
@@ -149,24 +153,17 @@ fn word_count_map_reduce_columnar_on_off_are_identical() {
         .map(Value::from)
         .collect();
     let on = on_keyed_rung(|| {
-        map_reduce_with_options(
-            mapper.clone(),
-            reducer.clone(),
-            words.clone(),
-            options(ColumnarPolicy::Auto),
-        )
-        .unwrap()
+        map_reduce(mapper.clone(), reducer.clone(), words.clone(), WORKERS).unwrap()
     });
-    let off =
-        map_reduce_with_options(mapper, reducer, words, options(ColumnarPolicy::Disabled)).unwrap();
-    assert_eq!(on, off, "columnar fallback changed mapReduce output");
+    let off = common::public_phases(mapper, reducer, &words, WORKERS).unwrap();
+    assert_eq!(on, off, "the keyed rung changed mapReduce output");
 }
 
 #[test]
 fn climate_map_reduce_columnar_on_off_are_identical() {
     // The full climate pipeline (["avg", °C] mapper, averaging reducer)
-    // under both policies: Auto runs the map on the keyed rung (one
-    // constant key, batched values) and the output must be unchanged.
+    // both ways: the block runs the map on the keyed rung (one constant
+    // key, batched values) and the output must be unchanged.
     let _serial = counter_lock();
     let mapper = Arc::new(Ring::reporter_with_params(
         vec!["t".into()],
@@ -190,21 +187,14 @@ fn climate_map_reduce_columnar_on_off_are_identical() {
     })
     .temps_f_values();
     let on = on_keyed_rung(|| {
-        map_reduce_with_options(
-            mapper.clone(),
-            reducer.clone(),
-            temps.clone(),
-            options(ColumnarPolicy::Auto),
-        )
-        .unwrap()
+        map_reduce(mapper.clone(), reducer.clone(), temps.clone(), WORKERS).unwrap()
     });
-    let off =
-        map_reduce_with_options(mapper, reducer, temps, options(ColumnarPolicy::Disabled)).unwrap();
+    let off = common::public_phases(mapper, reducer, &temps, WORKERS).unwrap();
     assert_eq!(on, off);
 }
 
 #[test]
-fn numeric_lists_match_disabled_runs_over_boxed_lists() {
+fn numeric_lists_match_per_item_runs_over_boxed_lists() {
     // The blocks over a list stored as numbers, on the columnar tier and
     // the keyed rung, against the per-element path over the same numbers
     // held boxed: bit for bit, and the numeric list stays numeric.
@@ -223,10 +213,10 @@ fn numeric_lists_match_disabled_runs_over_boxed_lists() {
     let boxed = List::boxed(temps.iter().map(|&t| Value::Number(t)).collect());
 
     let chunks_before = metrics::PAR_COLUMNAR_CHUNKS.get();
-    let on = parallel_map_list(f_to_c_ring(), &numeric, options(ColumnarPolicy::Auto)).unwrap();
+    let on = parallel_map_list(f_to_c_ring(), &numeric, WORKERS).unwrap();
     assert!(metrics::PAR_COLUMNAR_CHUNKS.get() > chunks_before);
     assert!(on.is_numeric(), "a numeric map reports a numeric list");
-    let off = parallel_map_list(f_to_c_ring(), &boxed, options(ColumnarPolicy::Disabled)).unwrap();
+    let off = parallel_map_list(f_to_c_ring(), &boxed, WORKERS).unwrap();
     assert_numbers_bits_eq(&on.to_vec(), &off.to_vec());
 
     let mapper = Arc::new(Ring::reporter_with_params(
@@ -244,24 +234,10 @@ fn numeric_lists_match_disabled_runs_over_boxed_lists() {
         ),
     ));
     let on = on_keyed_rung(|| {
-        map_reduce_list(
-            mapper.clone(),
-            reducer.clone(),
-            &numeric,
-            options(ColumnarPolicy::Auto),
-            CombinePolicy::Auto,
-        )
-        .unwrap()
+        map_reduce_list(mapper.clone(), reducer.clone(), &numeric, WORKERS).unwrap()
     });
-    let off = map_reduce_list(
-        mapper,
-        reducer,
-        &boxed,
-        options(ColumnarPolicy::Disabled),
-        CombinePolicy::Disabled,
-    )
-    .unwrap();
+    let off = common::public_phases(mapper, reducer, &boxed.to_vec(), WORKERS).unwrap();
     assert_eq!(on.len(), 4);
-    assert_eq!(format!("{on:?}"), format!("{off:?}"));
+    assert_eq!(format!("{:?}", on.to_vec()), format!("{off:?}"));
     assert!(numeric.is_numeric() && !boxed.is_numeric());
 }

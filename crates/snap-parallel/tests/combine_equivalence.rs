@@ -1,9 +1,9 @@
 //! Acceptance tests for map-side combining on the word-count corpus.
 //!
-//! The PR's contract: on a realistic Zipf word corpus the combiner must
-//! cut shuffled pairs by **at least 5×** while leaving the `mapReduce`
+//! The contract: on a realistic Zipf word corpus the combiner must cut
+//! shuffled pairs by **at least 5×** while leaving the `mapReduce`
 //! output — values *and* group ordering — bit-for-bit identical to the
-//! uncombined run.
+//! uncombined run, the sequential `mapReduce`.
 //!
 //! The word-count mapper runs on the keyed-columnar rung, which folds
 //! per key inside its map chunks; `combine_pairs` itself is checked
@@ -16,11 +16,12 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use snap_ast::builder::*;
+use snap_ast::pure::compile_cached;
 use snap_ast::{BinOp, List, Ring, Value};
 use snap_data::generate_words;
-use snap_parallel::{combine_pairs, map_reduce_list, map_reduce_with_combine, CombinePolicy};
+use snap_parallel::{combine_pairs, map_reduce, map_reduce_list};
 use snap_trace::well_known as metrics;
-use snap_workers::{ExecMode, RingMapOptions};
+use snap_workers::ExecMode;
 
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
@@ -42,6 +43,14 @@ fn word_count_reducer() -> Arc<Ring> {
         vec!["vals".into()],
         combine_using(var("vals"), ring_reporter(add(empty_slot(), empty_slot()))),
     ))
+}
+
+/// The uncombined `mapReduce`: the sequential one, which folds each
+/// group's raw values in input order.
+fn sequential_map_reduce(mapper: Arc<Ring>, reducer: Arc<Ring>, items: Vec<Value>) -> Vec<Value> {
+    let mapper = compile_cached(&mapper).unwrap();
+    let reducer = compile_cached(&reducer).unwrap();
+    snap_ast::pure::map_reduce(&mapper, &reducer, items).unwrap()
 }
 
 /// The corpus used by the acceptance check: large enough that every
@@ -83,36 +92,27 @@ fn combiner_cuts_pairs_at_least_five_fold_on_word_corpus() {
 #[test]
 fn combined_map_reduce_output_is_identical_to_uncombined() {
     let _guard = counter_lock();
-    // End-to-end mapReduce on the word-count corpus: combiner on vs off
-    // must agree exactly, across worker counts, including output order.
+    // End-to-end mapReduce on the word-count corpus: the combined block
+    // and the sequential mapReduce must agree exactly, across worker
+    // counts, including output order.
     let items = corpus(8_000);
+    let off = sequential_map_reduce(word_count_mapper(), word_count_reducer(), items.clone());
     for workers in [1, 2, 4, 8] {
-        let options = RingMapOptions {
-            workers,
-            ..Default::default()
-        };
         let chunks_before = metrics::PAR_COLUMNAR_CHUNKS.get();
         let fallback_before = metrics::RING_BATCH_FALLBACKS.get();
-        let on = map_reduce_with_combine(
+        let combined_before = metrics::SHUFFLE_PAIRS_COMBINED.get();
+        let on = map_reduce(
             word_count_mapper(),
             word_count_reducer(),
             items.clone(),
-            options,
-            CombinePolicy::Auto,
+            workers,
         )
         .unwrap();
-        let off = map_reduce_with_combine(
-            word_count_mapper(),
-            word_count_reducer(),
-            items.clone(),
-            options,
-            CombinePolicy::Disabled,
-        )
-        .unwrap();
-        // Both runs took the keyed rung: its chunks ran and no map
-        // declined the columnar tier.
-        assert!(metrics::PAR_COLUMNAR_CHUNKS.get() >= chunks_before + 2);
+        // The block took the keyed rung and combined there: its chunks
+        // ran and no map declined the columnar tier.
+        assert!(metrics::PAR_COLUMNAR_CHUNKS.get() > chunks_before);
         assert_eq!(metrics::RING_BATCH_FALLBACKS.get(), fallback_before);
+        assert!(metrics::SHUFFLE_PAIRS_COMBINED.get() > combined_before);
         assert_eq!(on, off, "workers={workers}");
     }
 }
@@ -122,7 +122,8 @@ fn combined_output_on_number_lists_is_identical_in_both_forms() {
     let _guard = counter_lock();
     // Integer readings keyed by `x mod 7` and summed: the combiner folds
     // a numeric list's `f64`s per chunk and the reducer folds each group
-    // as a numeric list; held boxed, or uncombined, nothing changes.
+    // as a numeric list; held boxed, or uncombined (the sequential
+    // mapReduce), nothing changes.
     let mapper = Arc::new(Ring::reporter_with_params(
         vec!["x".into()],
         make_list(vec![modulo(var("x"), num(7.0)), var("x")]),
@@ -130,59 +131,36 @@ fn combined_output_on_number_lists_is_identical_in_both_forms() {
     let numbers: Vec<f64> = (0..6_000).map(|i| ((i * 37) % 1_000) as f64).collect();
     let numeric = List::from_numbers(numbers.clone());
     let boxed = List::boxed(numbers.iter().map(|&n| Value::Number(n)).collect());
-    let run = |list: &List, workers: usize, combine: CombinePolicy| {
-        let options = RingMapOptions {
-            workers,
-            ..Default::default()
-        };
-        map_reduce_list(mapper.clone(), word_count_reducer(), list, options, combine)
+    let run = |list: &List, workers: usize| {
+        map_reduce_list(mapper.clone(), word_count_reducer(), list, workers)
             .unwrap()
             .to_vec()
     };
-    let want = run(&boxed, 1, CombinePolicy::Disabled);
+    let want = sequential_map_reduce(mapper.clone(), word_count_reducer(), boxed.to_vec());
     assert_eq!(want.len(), 7);
     for workers in [1, 2, 4] {
         let combined_before = metrics::SHUFFLE_PAIRS_COMBINED.get();
-        assert_eq!(
-            run(&numeric, workers, CombinePolicy::Auto),
-            want,
-            "workers={workers}"
-        );
+        assert_eq!(run(&numeric, workers), want, "workers={workers}");
         assert!(metrics::SHUFFLE_PAIRS_COMBINED.get() > combined_before);
-        assert_eq!(
-            run(&boxed, workers, CombinePolicy::Auto),
-            want,
-            "workers={workers}"
-        );
-        assert_eq!(run(&numeric, workers, CombinePolicy::Disabled), want);
+        assert_eq!(run(&boxed, workers), want, "workers={workers}");
     }
 }
 
 #[test]
-fn auto_policy_combines_on_the_word_corpus() {
+fn map_reduce_combines_on_the_word_corpus() {
     let _guard = counter_lock();
-    // The default path (map_reduce → Auto) must actually engage the
-    // combiner for the associative word-count reducer.
+    // The block must actually engage the combiner for the associative
+    // word-count reducer.
     let items = corpus(4_000);
     let before = metrics::SHUFFLE_PAIRS_COMBINED.get();
-    let options = RingMapOptions {
-        workers: 4,
-        ..Default::default()
-    };
-    let out = snap_parallel::map_reduce_with_options(
-        word_count_mapper(),
-        word_count_reducer(),
-        items,
-        options,
-    )
-    .unwrap();
+    let out = map_reduce(word_count_mapper(), word_count_reducer(), items, 4).unwrap();
     assert!(!out.is_empty());
     // The corpus vocabulary is ~105 words; 4 chunks keep at most
     // 4 × 105 pairs, so at least 4000 − 420 must have been eliminated.
     let eliminated = metrics::SHUFFLE_PAIRS_COMBINED.get() - before;
     assert!(
         eliminated >= 4_000 - 4 * 105,
-        "Auto policy barely combined: only {eliminated} pairs eliminated"
+        "the block barely combined: only {eliminated} pairs eliminated"
     );
 }
 

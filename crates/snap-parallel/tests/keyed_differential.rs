@@ -3,14 +3,12 @@
 //! programs).
 //!
 //! Each seeded case builds a mapper `[key, value]`, a reducer and an
-//! input list, and runs the `mapReduce` four ways that must agree bit
-//! for bit: the block under `ColumnarPolicy::Auto` (the keyed rung when
-//! it applies) on the list as built, which stores numbers only as `f64`s,
-//! the same on the list held boxed, the block under
-//! `ColumnarPolicy::Disabled` (the boxed per-element path), and the
-//! public phases composed by hand, as perfbench's traced replay composes
-//! them (`ring_map_pairs_faulted` → `combine_pairs` → `shuffle` →
-//! `ring_reduce_groups_faulted`). The only
+//! input list, and runs the `mapReduce` three ways that must agree bit
+//! for bit: the block (the keyed rung when it applies) on the list as
+//! built, which stores numbers only as `f64`s, the same on the list held
+//! boxed, and the boxed path, composed by hand from the public phases as
+//! perfbench's traced replay composes them (`ring_map_pairs_faulted` →
+//! `combine_pairs` → `shuffle` → `ring_reduce_groups_faulted`). The only
 //! slack is a NaN's payload bits. The rung's counters must match an
 //! independent prediction of whether it applies, and every way of
 //! declining it must occur. A VM-level twin runs the keyed cases as
@@ -19,20 +17,16 @@
 //! The rung checks read process-wide counters, so both tests hold
 //! [`counter_lock`].
 
+mod common;
+
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use snap_ast::builder::*;
 use snap_ast::{Constant, EvalError, Expr, List, Project, Ring, Script, SpriteDef, Value};
-use snap_parallel::{
-    associative_fold_op, combine_pairs, map_reduce_list, map_reduce_with_combine, shuffle,
-    CombinePolicy, COMBINE_MIN_PAIRS,
-};
+use snap_parallel::{map_reduce as map_reduce_block, map_reduce_list};
 use snap_trace::well_known as metrics;
 use snap_vm::Vm;
-use snap_workers::{
-    ring_map_pairs_faulted, ring_reduce_groups_faulted, ColumnarPolicy, ExecMode, RingMapOptions,
-    COLUMNAR_MIN_ITEMS,
-};
+use snap_workers::{ring_map_pairs_faulted, RingMapOptions, COLUMNAR_MIN_ITEMS};
 
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
@@ -124,7 +118,6 @@ struct Case {
     captured: Option<Value>,
     items: Vec<Value>,
     workers: usize,
-    combine: CombinePolicy,
 }
 
 const WORDS: [&str; 12] = [
@@ -258,7 +251,6 @@ impl Case {
             captured,
             items: (0..len).map(|_| input(gen, inputs)).collect(),
             workers: 1 + gen.below(4),
-            combine: gen.pick(&[CombinePolicy::Auto, CombinePolicy::Disabled]),
         }
     }
 
@@ -305,40 +297,26 @@ impl Case {
         ))
     }
 
-    fn options(&self, columnar: ColumnarPolicy) -> RingMapOptions {
-        RingMapOptions {
-            workers: self.workers,
-            columnar,
-            ..Default::default()
-        }
-    }
-
-    /// The public phases composed by hand, as perfbench's traced replay
-    /// composes them.
+    /// The boxed path: the public phases composed by hand, as
+    /// perfbench's traced replay composes them.
     fn composed(&self) -> Result<Vec<Value>, EvalError> {
-        let options = self.options(ColumnarPolicy::Auto);
-        let reducer = self.reducer();
-        let pairs = ring_map_pairs_faulted(self.mapper(), self.items.clone(), options)?;
-        let pairs = match associative_fold_op(&reducer) {
-            Some(op) if self.combine == CombinePolicy::Auto && pairs.len() >= COMBINE_MIN_PAIRS => {
-                combine_pairs(pairs, op, options.workers, ExecMode::Pooled)
-            }
-            _ => pairs,
-        };
-        Ok(ring_reduce_groups_faulted(
-            reducer,
-            shuffle(pairs),
-            options,
-        )?)
+        common::public_phases(self.mapper(), self.reducer(), &self.items, self.workers)
     }
 
-    fn block(&self, columnar: ColumnarPolicy) -> Result<Vec<Value>, EvalError> {
-        map_reduce_with_combine(
+    /// The pairs the boxed map reports.
+    fn boxed_pairs(&self) -> Result<Vec<(Value, Value)>, EvalError> {
+        let options = RingMapOptions {
+            workers: self.workers,
+        };
+        Ok(ring_map_pairs_faulted(self.mapper(), &self.items, options)?)
+    }
+
+    fn block(&self) -> Result<Vec<Value>, EvalError> {
+        map_reduce_block(
             self.mapper(),
             self.reducer(),
             self.items.clone(),
-            self.options(columnar),
-            self.combine,
+            self.workers,
         )
     }
 
@@ -349,8 +327,7 @@ impl Case {
             self.mapper(),
             self.reducer(),
             &List::boxed(self.items.clone()),
-            self.options(ColumnarPolicy::Auto),
-            self.combine,
+            self.workers,
         )
         .map(List::into_vec)
     }
@@ -447,30 +424,19 @@ fn keyed_rung_equals_the_boxed_path_and_the_public_phases_bit_for_bit() {
     let mut seen = std::collections::BTreeMap::<Expect, usize>::new();
     for seed in 0..CASES {
         let case = Case::generate(&mut Gen(seed));
-        let boxed_pairs = ring_map_pairs_faulted(
-            case.mapper(),
-            case.items.clone(),
-            case.options(ColumnarPolicy::Disabled),
-        )
-        .map_err(EvalError::from);
-        let expect = case.expect(&boxed_pairs);
+        let expect = case.expect(&case.boxed_pairs());
 
-        let (keyed, on_auto) = moved(|| case.block(ColumnarPolicy::Auto));
-        let (boxed, on_disabled) = moved(|| case.block(ColumnarPolicy::Disabled));
+        let (keyed, on_block) = moved(|| case.block());
+        let (boxed, on_composed) = moved(|| case.composed());
         let (keyed_boxed, on_boxed_input) = moved(|| case.block_on_boxed_list());
-        let (chunks, fallbacks) = (on_auto[CHUNKS], on_auto[FALLBACKS]);
-        let composed = case.composed();
+        let (chunks, fallbacks) = (on_block[CHUNKS], on_block[FALLBACKS]);
         assert!(
             same_results(&keyed, &boxed),
-            "seed {seed}: Auto {keyed:?} vs Disabled {boxed:?} for {case:?}"
-        );
-        assert!(
-            same_results(&keyed, &composed),
-            "seed {seed}: Auto {keyed:?} vs composed phases {composed:?} for {case:?}"
+            "seed {seed}: block {keyed:?} vs composed phases {boxed:?} for {case:?}"
         );
         assert!(
             same_results(&keyed, &keyed_boxed),
-            "seed {seed}: Auto {keyed:?} vs Auto on a boxed list {keyed_boxed:?} for {case:?}"
+            "seed {seed}: block {keyed:?} vs block on a boxed list {keyed_boxed:?} for {case:?}"
         );
         assert_eq!(
             (on_boxed_input[CHUNKS] > 0, on_boxed_input[FALLBACKS]),
@@ -494,15 +460,14 @@ fn keyed_rung_equals_the_boxed_path_and_the_public_phases_bit_for_bit() {
             ),
         }
         if expect != Expect::Keyed && boxed.is_ok() {
-            // A declined call counts what the boxed path counts, plus its
-            // one batch fallback: whatever the rung tried before it
-            // declined moves nothing. (An error can stop a pooled map at
-            // a varying item, so only complete runs compare.)
-            let mut want = on_disabled;
-            want[FALLBACKS] += u64::from(expect != Expect::Small);
+            // A declined call counts exactly what the composed boxed path
+            // counts, its one batch fallback included: whatever the rung
+            // tried before it declined moves nothing. (An error can stop
+            // a pooled map at a varying item, so only complete runs
+            // compare.)
             assert_eq!(
-                on_auto, want,
-                "seed {seed}: {expect:?} under Auto vs Disabled counters for {case:?}"
+                on_block, on_composed,
+                "seed {seed}: {expect:?} block vs composed counters for {case:?}"
             );
         }
         *seen.entry(expect).or_default() += 1;
@@ -542,11 +507,11 @@ fn keyed_rung_equals_the_parallel_shuffle_on_large_key_columns() {
         (&words, num(1.0)),
         (&numbers, add(mul(var("x"), num(0.5)), num(1.0))),
     ] {
-        for (workers, combine, reducer) in [
-            (1, CombinePolicy::Disabled, ReducerKind::Identity),
-            (2, CombinePolicy::Auto, ReducerKind::Sum),
-            (3, CombinePolicy::Auto, ReducerKind::Product),
-            (4, CombinePolicy::Disabled, ReducerKind::Mean),
+        for (workers, reducer) in [
+            (1, ReducerKind::Identity),
+            (2, ReducerKind::Sum),
+            (3, ReducerKind::Product),
+            (4, ReducerKind::Mean),
         ] {
             let case = Case {
                 key: KeyKind::Param,
@@ -559,20 +524,15 @@ fn keyed_rung_equals_the_parallel_shuffle_on_large_key_columns() {
                 captured: None,
                 items: items.clone(),
                 workers,
-                combine,
             };
-            let (keyed, on_auto) = moved(|| case.block(ColumnarPolicy::Auto));
+            let (keyed, on_block) = moved(|| case.block());
             let parallel_before = metrics::SHUFFLE_PARALLEL_RUNS.get();
-            let boxed = case.block(ColumnarPolicy::Disabled);
+            let boxed = case.composed();
             let parallel_runs = metrics::SHUFFLE_PARALLEL_RUNS.get() - parallel_before;
+            assert!(same_results(&keyed, &boxed), "{workers} {reducer:?}");
             assert!(
-                same_results(&keyed, &boxed),
-                "{workers} {combine:?} {reducer:?}"
-            );
-            assert!(same_results(&keyed, &case.composed()));
-            assert!(
-                on_auto[CHUNKS] > 0 && on_auto[FALLBACKS] == 0,
-                "{workers} {combine:?} {reducer:?}: the keyed rung ran"
+                on_block[CHUNKS] > 0 && on_block[FALLBACKS] == 0,
+                "{workers} {reducer:?}: the keyed rung ran"
             );
             assert_eq!(parallel_runs, 1, "the boxed path took the parallel shuffle");
         }
@@ -589,11 +549,7 @@ fn regimes_that_differ_only_between_chunks_decline_after_the_map_and_count_once(
         .map(|i| Value::text(WORDS[i % WORDS.len()]))
         .chain((0..100).map(|i| Value::Number((i % 9) as f64)))
         .collect();
-    for (combine, reducer) in [
-        (CombinePolicy::Auto, ReducerKind::Sum),
-        (CombinePolicy::Disabled, ReducerKind::Sum),
-        (CombinePolicy::Auto, ReducerKind::Identity),
-    ] {
+    for reducer in [ReducerKind::Sum, ReducerKind::Identity] {
         let case = Case {
             key: KeyKind::Param,
             value: ValueKind::Constant,
@@ -605,19 +561,16 @@ fn regimes_that_differ_only_between_chunks_decline_after_the_map_and_count_once(
             captured: None,
             items: items.clone(),
             workers: 2,
-            combine,
         };
-        let (keyed, on_auto) = moved(|| case.block(ColumnarPolicy::Auto));
-        let (boxed, on_disabled) = moved(|| case.block(ColumnarPolicy::Disabled));
+        let (keyed, on_block) = moved(|| case.block());
+        let (boxed, on_composed) = moved(|| case.composed());
         assert!(same_results(&keyed, &boxed), "{keyed:?} vs {boxed:?}");
-        assert!(same_results(&keyed, &case.composed()));
-        let mut want = on_disabled;
-        want[FALLBACKS] += 1;
         assert_eq!(
-            on_auto, want,
-            "{combine:?} {reducer:?}: Auto vs Disabled counters"
+            on_block, on_composed,
+            "{reducer:?}: block vs composed counters"
         );
-        assert_eq!(on_auto[CHUNKS], 0);
+        assert_eq!(on_block[CHUNKS], 0);
+        assert_eq!(on_block[FALLBACKS], 1);
     }
 }
 
@@ -650,13 +603,7 @@ fn vm_twin_says_the_same_through_worker_and_sequential_backends() {
     let mut keyed_cases = 0;
     for seed in 0..CASES {
         let case = Case::generate(&mut Gen(seed));
-        let boxed_pairs = ring_map_pairs_faulted(
-            case.mapper(),
-            case.items.clone(),
-            case.options(ColumnarPolicy::Disabled),
-        )
-        .map_err(EvalError::from);
-        if case.expect(&boxed_pairs) != Expect::Keyed {
+        if case.expect(&case.boxed_pairs()) != Expect::Keyed {
             continue;
         }
         keyed_cases += 1;

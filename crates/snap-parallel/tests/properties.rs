@@ -7,9 +7,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use snap_ast::builder::*;
+use snap_ast::pure::compile_cached;
 use snap_ast::{Ring, Value};
-use snap_parallel::{map_reduce, map_reduce_with_combine, parallel_map, shuffle, CombinePolicy};
-use snap_workers::RingMapOptions;
+use snap_parallel::{map_reduce, parallel_map, shuffle};
 
 fn word_strategy() -> impl Strategy<Value = String> {
     "[a-e]{1,3}" // small alphabet → plenty of key collisions
@@ -133,9 +133,10 @@ proptest! {
         words in prop::collection::vec(word_strategy(), 0..300),
         workers in 1usize..9
     ) {
-        // Word count with the combiner on vs forced off: identical
-        // output, including group ordering — integer `+` folds are exact
-        // however the pairs were pre-reduced across chunks.
+        // Word count with the combiner against the sequential mapReduce,
+        // which folds raw values: identical output, including group
+        // ordering — integer `+` folds are exact however the pairs were
+        // pre-reduced across chunks.
         let mapper = || Arc::new(Ring::reporter_with_params(
             vec!["w".into()],
             make_list(vec![var("w"), num(1.0)]),
@@ -145,13 +146,9 @@ proptest! {
             combine_using(var("vals"), ring_reporter(add(empty_slot(), empty_slot()))),
         ));
         let items: Vec<Value> = words.iter().map(|w| Value::text(w.clone())).collect();
-        let options = RingMapOptions { workers, ..Default::default() };
-        let on = map_reduce_with_combine(
-            mapper(), reducer(), items.clone(), options, CombinePolicy::Auto,
-        ).unwrap();
-        let off = map_reduce_with_combine(
-            mapper(), reducer(), items, options, CombinePolicy::Disabled,
-        ).unwrap();
+        let on = map_reduce(mapper(), reducer(), items.clone(), workers).unwrap();
+        let (mapper, reducer) = (compile_cached(&mapper()).unwrap(), compile_cached(&reducer()).unwrap());
+        let off = snap_ast::pure::map_reduce(&mapper, &reducer, items).unwrap();
         prop_assert_eq!(on, off);
     }
 }

@@ -373,10 +373,9 @@ metrics! {
         /// the shutdown-race fallback, attributed so report totals
         /// reconcile (inline runs are neither submitted nor executed).
         POOL_JOBS_INLINE = "pool.jobs_inline";
-        /// Job attempts that panicked inside a worker (counted per attempt,
-        /// before any retry decision). Every panicked attempt is either
-        /// retried (`fault.retries_scheduled`) or final
-        /// (`fault.failures_final`), so the three always reconcile.
+        /// Jobs and items that panicked inside a worker. Nothing is
+        /// retried, so each one is also counted final
+        /// (`fault.failures_final`), and the two always move together.
         POOL_JOBS_PANICKED = "pool.jobs_panicked";
         /// Worker threads spawned (all pools).
         POOL_WORKERS_SPAWNED = "pool.workers_spawned";
@@ -390,21 +389,17 @@ metrics! {
         /// queue probe came up empty.
         POOL_WORKER_PARKS = "pool.worker_parks";
 
-        /// Panicked attempts granted another try by a `FaultPolicy`.
+        /// Panicked items granted another try on the pool. Nothing retries,
+        /// so this stays 0; a benchmark's fault-free check still reads it.
         FAULT_RETRIES_SCHEDULED = "fault.retries_scheduled";
-        /// Panicked attempts whose retry budget was exhausted.
+        /// Panicked jobs and items, each final: nothing is retried.
         FAULT_FAILURES_FINAL = "fault.failures_final";
-        /// Parallel calls that gave up because their deadline passed.
-        FAULT_DEADLINES_EXCEEDED = "fault.deadlines_exceeded";
         /// Panics provoked by the deterministic fault injector.
         FAULT_INJECTED_PANICS = "fault.injected_panics";
         /// Delays provoked by the deterministic fault injector.
         FAULT_INJECTED_DELAYS = "fault.injected_delays";
-        /// Items salvaged by the post-parallel sequential reassignment pass
-        /// after their retry budget ran out on workers.
-        FAULT_ITEMS_REASSIGNED = "fault.items_reassigned";
-        /// Parallel blocks that degraded to the sequential path rather than
-        /// fail (retry exhaustion, pool shutdown, or a pooled panic).
+        /// Phases of parallel blocks that re-ran on the sequential path
+        /// because an item panicked on the pool.
         FAULT_DEGRADED_RUNS = "fault.degraded_runs";
 
         /// `run_tasks` invocations that ran on the pool.
@@ -745,7 +740,7 @@ mod tests {
             .expect("POOL_JOBS_PANICKED is a row");
         assert!(panicked
             .help
-            .contains("per attempt, before any retry decision"));
+            .contains("Nothing is retried, so each one is also counted final"));
     }
 
     #[test]

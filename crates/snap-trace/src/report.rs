@@ -195,26 +195,19 @@ impl ExecutionReport {
                 count(&TRACE_SPANS_DROPPED),
             );
         }
-        // The fault-tolerance line: every panicked attempt is either
-        // retried or final, so panicked == retries + final — a reader
-        // can check the reconciliation straight off the report.
+        // The fault line: every panic is final, so panicked == final —
+        // a reader can check the reconciliation straight off the report.
         let panicked = count(&POOL_JOBS_PANICKED);
-        let faulty = panicked > 0
-            || count(&FAULT_DEADLINES_EXCEEDED) > 0
-            || count(&FAULT_DEGRADED_RUNS) > 0
-            || count(&FAULT_INJECTED_DELAYS) > 0;
+        let faulty =
+            panicked > 0 || count(&FAULT_DEGRADED_RUNS) > 0 || count(&FAULT_INJECTED_DELAYS) > 0;
         if faulty {
             let _ = writeln!(
                 out,
-                "  faults: panicked={} retries={} final={} deadline={} \
-                 injected_panics={} injected_delays={} reassigned={} degraded={}",
+                "  faults: panicked={} final={} injected_panics={} injected_delays={} degraded={}",
                 panicked,
-                count(&FAULT_RETRIES_SCHEDULED),
                 count(&FAULT_FAILURES_FINAL),
-                count(&FAULT_DEADLINES_EXCEEDED),
                 count(&FAULT_INJECTED_PANICS),
                 count(&FAULT_INJECTED_DELAYS),
-                count(&FAULT_ITEMS_REASSIGNED),
                 count(&FAULT_DEGRADED_RUNS),
             );
         }
@@ -353,7 +346,7 @@ mod tests {
     #[test]
     fn fault_counters_and_messages_surface_in_renderings() {
         well_known::POOL_JOBS_PANICKED.incr();
-        well_known::FAULT_RETRIES_SCHEDULED.incr();
+        well_known::FAULT_FAILURES_FINAL.incr();
         crate::span::note("test.report_fault", "worker panic recorded");
         let report = report();
         assert!(report.counter("pool.jobs_panicked") >= 1);

@@ -21,11 +21,10 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-use std::time::Instant;
 
 use snap_trace::well_known as metrics;
 
-use crate::fault::{injector, panic_message, ExecError, FaultPolicy};
+use crate::fault::{injector, panic_message, ExecError};
 use crate::parallel::default_workers;
 use crate::pool::{on_pool_thread, Job, WaitGroup, WorkerPool, MAX_POOL_WORKERS};
 
@@ -123,7 +122,7 @@ fn run_tasks(tasks: usize, body: &(dyn Fn(usize) + Sync)) {
 /// Count and trace a panic caught at the scoped-executor level. These
 /// jobs catch before the pool's own `run_job` guard can see the unwind,
 /// so the accounting lives here; the panic is re-raised to the caller
-/// after the wait, which makes it final (no retry budget on this path).
+/// after the wait, which makes it final.
 fn record_task_panic(w: usize, payload: &(dyn std::any::Any + Send)) {
     metrics::POOL_JOBS_PANICKED.incr();
     metrics::FAULT_FAILURES_FINAL.incr();
@@ -206,14 +205,11 @@ pub(crate) fn chunk_slices<R>(out: &mut [R], chunk: usize) -> Vec<Mutex<&mut [R]
 /// A task claims its next chunk with one `fetch_add` on the chunk index
 /// and then locks that chunk's output slice. Only the claiming task ever
 /// locks it, so the lock is never contended and never shared between
-/// tasks; it is what hands the task a safe `&mut` slice. `stop` is asked
-/// after each claim: when it says so, the task ends and leaves the
-/// claimed chunk's slots empty (`try_map_slice_with`'s deadline).
+/// tasks; it is what hands the task a safe `&mut` slice.
 fn map_chunks<T: Sync, R: Send>(
     items: &[T],
     workers: usize,
     span: &'static str,
-    stop: impl Fn() -> bool + Sync,
     fill: impl Fn(usize, &T) -> Option<R> + Sync,
 ) -> Vec<Option<R>> {
     let len = items.len();
@@ -232,9 +228,6 @@ fn map_chunks<T: Sync, R: Send>(
         let Some(slice) = slices.get(claimed) else {
             break;
         };
-        if stop() {
-            break;
-        }
         metrics::EXEC_CHUNKS_CLAIMED.incr();
         let start = claimed * chunk;
         let _span = snap_trace::span_linked_with("exec.chunk", "start", start as u64, origin);
@@ -263,183 +256,68 @@ pub fn map_slice_with<T: Send + Sync, R: Send>(
     if workers <= 1 || items.len() <= 1 {
         return items.iter().map(f).collect();
     }
-    map_chunks(
-        items,
-        workers,
-        "exec.map_slice",
-        || false,
-        |_, item| Some(f(item)),
-    )
-    .into_iter()
-    .map(|slot| slot.expect("every index processed exactly once"))
-    .collect()
+    map_chunks(items, workers, "exec.map_slice", |_, item| Some(f(item)))
+        .into_iter()
+        .map(|slot| slot.expect("every index processed exactly once"))
+        .collect()
 }
 
 /// Fault-aware parallel map: like [`map_slice_with`], but each item runs
-/// under `policy` — a panicked item is re-attempted up to
-/// `policy.retries` times with exponential backoff, and the whole call
-/// observes the policy deadline cooperatively (workers stop *claiming*
-/// work once it passes; in-flight items always finish, because pooled
-/// jobs borrow the caller's stack and can never be abandoned).
+/// under `catch_unwind`, so an item that panics fails the call with
+/// [`ExecError::ItemPanicked`] instead of unwinding into the caller. A
+/// panic stops no other item: every item runs once, so which items the
+/// active [`FaultInjector`](crate::fault::FaultInjector) strikes depends
+/// on its seed alone, however the tasks interleave.
 ///
-/// When the active [`FaultInjector`](crate::fault::FaultInjector) (see
-/// [`crate::fault::install_injector`]) is configured, every attempt may
-/// be injected with a delay or a panic, deterministically per
-/// `(item index, attempt)`.
-///
-/// Items that exhaust their retry budget are salvaged by one final
-/// sequential, injector-free pass on the caller's thread (counted under
-/// `fault.items_reassigned`) — but only when the policy actually asked
-/// for retries. With `retries == 0` the call reports
-/// [`ExecError::RetriesExhausted`] on the first panic, which is the
-/// seed's propagate-the-panic behaviour in `Result` form.
+/// When an injector is installed (see [`crate::fault::install_injector`]),
+/// each item may be delayed or made to panic first, keyed by its index.
 pub fn try_map_slice_with<T: Send + Sync, R: Send>(
     items: &[T],
     workers: usize,
-    policy: &FaultPolicy,
     f: impl Fn(&T) -> R + Send + Sync,
 ) -> Result<Vec<R>, ExecError> {
-    let len = items.len();
-    if len == 0 {
-        return Ok(Vec::new());
-    }
-    let started = Instant::now();
     let injector = injector();
-    let expired = || matches!(policy.deadline, Some(d) if started.elapsed() >= d);
-    // Causal anchor for retry and salvage spans (as for the chunk spans,
-    // see `map_chunks`): the innermost span open on the calling thread.
-    let origin = snap_trace::current_span_id();
-    let failed: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-    let deadline_hit = AtomicBool::new(false);
-
-    // The per-item attempt loop, shared by the sequential and parallel
-    // paths. Returns the value on success; on budget exhaustion records
-    // the failure (counter + note + failed list) and returns None.
-    let attempt_item = |index: usize, item: &T| -> Option<R> {
-        let mut attempt = 0u32;
-        loop {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(inj) = injector {
-                    inj.inject(index as u64, attempt);
-                }
-                f(item)
-            }));
-            match result {
-                Ok(value) => return Some(value),
-                Err(payload) => {
-                    metrics::POOL_JOBS_PANICKED.incr();
-                    let message = panic_message(payload.as_ref());
-                    if attempt < policy.retries {
-                        metrics::FAULT_RETRIES_SCHEDULED.incr();
-                        // The retry span covers the backoff wait and links
-                        // back to the originating parallel call, so the
-                        // fault ladder's second rung is visible (and
-                        // attributable) in the Chrome trace.
-                        let _retry = snap_trace::span_linked_with(
-                            "fault.retry",
-                            "item",
-                            index as u64,
-                            origin,
-                        );
-                        std::thread::sleep(policy.backoff_for(attempt));
-                        attempt += 1;
-                    } else {
-                        metrics::FAULT_FAILURES_FINAL.incr();
-                        snap_trace::note(
-                            "exec.item_failed",
-                            format!("item {index} failed after {attempt} retr(ies): {message}"),
-                        );
-                        failed
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .push((index, message));
-                        return None;
-                    }
-                }
+    let last_message: Mutex<String> = Mutex::new(String::new());
+    let run_item = |index: usize, item: &T| -> Option<R> {
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            if let Some(inj) = injector {
+                inj.inject(index as u64);
+            }
+            f(item)
+        }));
+        match result {
+            Ok(value) => Some(value),
+            Err(payload) => {
+                metrics::POOL_JOBS_PANICKED.incr();
+                metrics::FAULT_FAILURES_FINAL.incr();
+                let message = panic_message(payload.as_ref());
+                snap_trace::note("exec.item_failed", format!("item {index}: {message}"));
+                *last_message.lock().unwrap_or_else(PoisonError::into_inner) = message;
+                None
             }
         }
     };
-
-    let mut out = if workers <= 1 || len <= 1 {
-        let mut out: Vec<Option<R>> = Vec::with_capacity(len);
-        out.resize_with(len, || None);
-        for (index, item) in items.iter().enumerate() {
-            if expired() {
-                deadline_hit.store(true, Ordering::SeqCst);
-                break;
-            }
-            out[index] = attempt_item(index, item);
-        }
-        out
+    let out = if workers <= 1 || items.len() <= 1 {
+        items
+            .iter()
+            .enumerate()
+            .map(|(index, item)| run_item(index, item))
+            .collect()
     } else {
-        // The deadline is checked after each claim: a skipped claimed
-        // chunk guarantees unfilled slots, so a deadline error is never
-        // reported for a run that actually completed everything.
-        let stop = || {
-            let hit = expired();
-            if hit {
-                deadline_hit.store(true, Ordering::SeqCst);
-            }
-            hit
-        };
-        map_chunks(items, workers, "exec.try_map_slice", stop, attempt_item)
+        map_chunks(items, workers, "exec.try_map_slice", run_item)
     };
-
-    if deadline_hit.load(Ordering::SeqCst) {
-        let completed = out.iter().filter(|slot| slot.is_some()).count();
-        metrics::FAULT_DEADLINES_EXCEEDED.incr();
-        snap_trace::note(
-            "exec.deadline_exceeded",
-            format!("{completed}/{len} items completed before the deadline"),
-        );
-        return Err(ExecError::DeadlineExceeded {
-            completed,
-            total: len,
+    let failed_items = out.iter().filter(|slot| slot.is_none()).count();
+    if failed_items > 0 {
+        return Err(ExecError::ItemPanicked {
+            failed_items,
+            last_message: last_message
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner),
         });
     }
-
-    let failed = failed.into_inner().unwrap_or_else(PoisonError::into_inner);
-    if !failed.is_empty() {
-        let last_message = failed.last().map(|(_, m)| m.clone()).unwrap_or_default();
-        if policy.retries == 0 {
-            return Err(ExecError::RetriesExhausted {
-                failed_items: failed.len(),
-                last_message,
-            });
-        }
-        // Salvage pass: the retry budget was spent under injection, so
-        // give the failed items one clean sequential run on the caller's
-        // thread. A panic here is genuine (no injector) and final.
-        metrics::FAULT_ITEMS_REASSIGNED.add(failed.len() as u64);
-        let _salvage =
-            snap_trace::span_linked_with("fault.salvage", "items", failed.len() as u64, origin);
-        snap_trace::note(
-            "exec.salvage",
-            format!("re-running {} failed item(s) sequentially", failed.len()),
-        );
-        for (index, _) in &failed {
-            match catch_unwind(AssertUnwindSafe(|| f(&items[*index]))) {
-                Ok(value) => out[*index] = Some(value),
-                Err(payload) => {
-                    metrics::POOL_JOBS_PANICKED.incr();
-                    metrics::FAULT_FAILURES_FINAL.incr();
-                    let message = panic_message(payload.as_ref());
-                    snap_trace::note(
-                        "exec.salvage_failed",
-                        format!("item {index} failed without injection: {message}"),
-                    );
-                    return Err(ExecError::RetriesExhausted {
-                        failed_items: failed.len(),
-                        last_message: message,
-                    });
-                }
-            }
-        }
-    }
-
     Ok(out
         .into_iter()
-        .map(|slot| slot.expect("every index processed exactly once"))
+        .map(|slot| slot.expect("every item ran once"))
         .collect())
 }
 
@@ -528,107 +406,64 @@ mod tests {
         assert_eq!(out, expected);
     }
 
+    /// The same through the fault-aware map: the panicked item leaves
+    /// its slot empty, and the slots around it are dropped with the
+    /// result buffer when the call reports the error.
     #[test]
-    fn string_results_survive_a_retried_item() {
-        use std::sync::atomic::AtomicU32;
-        let attempts = AtomicU32::new(0);
+    fn string_results_survive_a_failed_try_map() {
         let items: Vec<usize> = (0..1000).collect();
-        let policy = FaultPolicy::with_retries(1).backoff(std::time::Duration::ZERO);
-        let out = try_map_slice_with(&items, 4, &policy, |&i| {
-            if i == 389 && attempts.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("first attempt of item 389");
+        let err = try_map_slice_with(&items, 4, |&i| {
+            if i == 389 {
+                panic!("item 389");
             }
             format!("item-{i}")
         })
-        .unwrap();
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ExecError::ItemPanicked {
+                failed_items: 1,
+                last_message: "item 389".into(),
+            }
+        );
+        let out = try_map_slice_with(&items, 4, |&i| format!("item-{i}")).unwrap();
         let expected: Vec<String> = items.iter().map(|i| format!("item-{i}")).collect();
         assert_eq!(out, expected);
-        assert_eq!(attempts.load(Ordering::SeqCst), 2, "one retry, no salvage");
     }
 
     #[test]
-    fn try_map_with_zero_retries_matches_plain_map() {
+    fn try_map_matches_plain_map() {
         let items: Vec<i64> = (0..503).collect();
-        let policy = FaultPolicy::default();
-        let out = try_map_slice_with(&items, 4, &policy, |&n| n * 7).unwrap();
-        assert_eq!(out, map_slice_with(&items, 4, |&n| n * 7));
+        for workers in [1, 4] {
+            let out = try_map_slice_with(&items, workers, |&n| n * 7).unwrap();
+            assert_eq!(out, map_slice_with(&items, 4, |&n| n * 7));
+        }
     }
 
     #[test]
-    fn retries_recover_flaky_items_in_order() {
+    fn a_panicked_item_is_reported_with_its_message() {
         use std::sync::atomic::AtomicU32;
-        let attempts: Vec<AtomicU32> = (0..100).map(|_| AtomicU32::new(0)).collect();
-        let items: Vec<usize> = (0..100).collect();
-        let policy = FaultPolicy::with_retries(2).backoff(std::time::Duration::ZERO);
-        let out = try_map_slice_with(&items, 4, &policy, |&i| {
-            let n = attempts[i].fetch_add(1, Ordering::SeqCst);
-            if i % 7 == 0 && n == 0 {
-                panic!("flaky item");
-            }
-            i * 3
-        })
-        .unwrap();
-        assert_eq!(out, items.iter().map(|i| i * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn zero_retry_failure_reports_retries_exhausted() {
-        let items: Vec<i64> = (0..64).collect();
-        let policy = FaultPolicy::default();
-        let err = try_map_slice_with(&items, 4, &policy, |&n| {
-            if n == 13 {
-                panic!("boom-13");
-            }
-            n
-        })
-        .unwrap_err();
-        match err {
-            ExecError::RetriesExhausted {
+        // Every item runs once, the panicking ones too, on one worker
+        // and on several.
+        for workers in [1, 4] {
+            let calls = AtomicU32::new(0);
+            let items: Vec<i64> = (0..64).collect();
+            let err = try_map_slice_with(&items, workers, |&n| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                if n == 13 {
+                    panic!("boom-13");
+                }
+                n
+            })
+            .unwrap_err();
+            let ExecError::ItemPanicked {
                 failed_items,
                 last_message,
-            } => {
-                assert_eq!(failed_items, 1);
-                assert!(last_message.contains("boom-13"), "got: {last_message}");
-            }
-            other => panic!("wrong error: {other:?}"),
+            } = err;
+            assert_eq!(failed_items, 1);
+            assert_eq!(last_message, "boom-13");
+            assert_eq!(calls.load(Ordering::SeqCst), 64, "{workers} worker(s)");
         }
-    }
-
-    #[test]
-    fn deadline_exceeded_is_reported_not_hung() {
-        let items: Vec<u64> = (0..64).collect();
-        let policy = FaultPolicy::default().deadline(std::time::Duration::from_millis(5));
-        let err = try_map_slice_with(&items, 2, &policy, |_| {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        })
-        .unwrap_err();
-        match err {
-            ExecError::DeadlineExceeded { completed, total } => {
-                assert_eq!(total, 64);
-                assert!(completed < total, "some work must have been skipped");
-            }
-            other => panic!("wrong error: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn exhausted_items_are_salvaged_sequentially_in_order() {
-        use std::sync::atomic::AtomicU32;
-        let attempts: Vec<AtomicU32> = (0..50).map(|_| AtomicU32::new(0)).collect();
-        let items: Vec<usize> = (0..50).collect();
-        let policy = FaultPolicy::with_retries(1).backoff(std::time::Duration::ZERO);
-        // Items 3, 13, 23, 33, 43 fail on both in-worker attempts (the
-        // whole retry budget) and only succeed on the third call — which
-        // can only be the sequential salvage pass.
-        let out = try_map_slice_with(&items, 4, &policy, |&i| {
-            let n = attempts[i].fetch_add(1, Ordering::SeqCst);
-            if i % 10 == 3 && n < 2 {
-                panic!("needs salvage");
-            }
-            i + 1000
-        })
-        .unwrap();
-        assert_eq!(out, (0..50).map(|i| i + 1000).collect::<Vec<_>>());
     }
 
     #[test]

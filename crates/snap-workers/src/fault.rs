@@ -1,30 +1,23 @@
-//! Fault-tolerant execution: retry policies, deadlines, and
+//! Fault handling: what a pooled call reports when an item panics, and
 //! deterministic fault injection.
 //!
 //! A browser tab running the paper's Web Workers loses workers all the
-//! time — tab throttling, OOM kills, a worker script that throws. The
-//! seed runtime instead treated any panicking job as fatal to the whole
-//! parallel call. This module is the recovery layer:
+//! time — tab throttling, OOM kills, a worker script that throws. Here a
+//! panicking item never takes the caller down:
 //!
-//! * [`FaultPolicy`] — how many times a panicked item is retried, with
-//!   what exponential backoff, and an optional wall-clock deadline for
-//!   the whole call. The default policy (`retries: 0`) reproduces the
-//!   seed's behaviour exactly: one attempt, panic propagates.
 //! * [`ExecError`] — what a fault-aware call reports instead of
-//!   unwinding: the retry budget ran out ([`ExecError::RetriesExhausted`])
-//!   or the deadline passed with work still unclaimed
-//!   ([`ExecError::DeadlineExceeded`]).
+//!   unwinding: an item panicked on the pool. Every item still ran once,
+//!   and the blocks in `snap-parallel` then re-run that phase
+//!   sequentially, so a fault changes counters, never results.
 //! * [`FaultInjector`] — deterministic chaos: every injection decision
-//!   is a pure hash of `(seed, item, attempt)`, so a run under a fixed
-//!   seed injects the same panics at the same items regardless of how
-//!   the scheduler interleaves threads. Installed programmatically
+//!   is a pure hash of `(seed, item)`, so a run under a fixed seed
+//!   injects the same panics at the same items regardless of how the
+//!   scheduler interleaves threads. Installed programmatically
 //!   ([`install_injector`]) or from `SNAP_FAULT_*` environment
 //!   variables, which is how the CI chaos job drives it.
 //!
-//! Every panicked attempt increments `pool.jobs_panicked` and exactly
-//! one of `fault.retries_scheduled` / `fault.failures_final`, so a run
-//! report always reconciles:
-//! `jobs_panicked == retries_scheduled + failures_final`.
+//! Every panicked item increments both `pool.jobs_panicked` and
+//! `fault.failures_final`: nothing is retried, so every panic is final.
 
 #![forbid(unsafe_code)]
 
@@ -34,106 +27,29 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
-/// Retry, backoff, and deadline budget for one parallel call.
-///
-/// `Default` is the zero policy — no retries, no deadline — which makes
-/// fault-aware entry points behave exactly like their non-fault
-/// counterparts (one attempt per item, first panic is final).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultPolicy {
-    /// How many times a panicked item is re-attempted (0 = one attempt).
-    pub retries: u32,
-    /// Base backoff slept before retry `n` as `backoff * 2^n`, capped at
-    /// [`FaultPolicy::MAX_BACKOFF`]. Zero means retry immediately.
-    pub backoff: Duration,
-    /// Wall-clock budget for the whole call. Cooperative: workers stop
-    /// claiming new work once it passes (in-flight items finish), and
-    /// the call reports [`ExecError::DeadlineExceeded`].
-    pub deadline: Option<Duration>,
-}
-
-impl Default for FaultPolicy {
-    fn default() -> Self {
-        FaultPolicy {
-            retries: 0,
-            backoff: Duration::from_millis(1),
-            deadline: None,
-        }
-    }
-}
-
-impl FaultPolicy {
-    /// Ceiling on a single backoff sleep regardless of attempt count.
-    pub const MAX_BACKOFF: Duration = Duration::from_secs(1);
-
-    /// The default policy with `retries` re-attempts per item.
-    pub fn with_retries(retries: u32) -> FaultPolicy {
-        FaultPolicy {
-            retries,
-            ..FaultPolicy::default()
-        }
-    }
-
-    /// Builder: set the base backoff.
-    pub fn backoff(mut self, backoff: Duration) -> FaultPolicy {
-        self.backoff = backoff;
-        self
-    }
-
-    /// Builder: set the wall-clock deadline.
-    pub fn deadline(mut self, deadline: Duration) -> FaultPolicy {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Sleep duration before re-attempt number `attempt` (0-based):
-    /// exponential doubling from the base, capped at [`Self::MAX_BACKOFF`].
-    pub fn backoff_for(&self, attempt: u32) -> Duration {
-        if self.backoff.is_zero() {
-            return Duration::ZERO;
-        }
-        let factor = 1u32 << attempt.min(16);
-        self.backoff.saturating_mul(factor).min(Self::MAX_BACKOFF)
-    }
-}
-
 /// Failure reported by a fault-aware parallel call. Unlike a panic, an
-/// `ExecError` leaves the pool and the caller intact; the degradation
-/// ladder in `snap-parallel` decides whether to fall back sequentially.
+/// `ExecError` leaves the pool and the caller intact; the blocks in
+/// `snap-parallel` fall back to a sequential run of the phase.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
-    /// One or more items panicked on every allowed attempt.
-    RetriesExhausted {
-        /// How many items ran out of attempts.
+    /// One or more items panicked on the pool.
+    ItemPanicked {
+        /// How many items panicked.
         failed_items: usize,
-        /// Panic message of the last failing attempt.
+        /// The message of the last panic recorded.
         last_message: String,
-    },
-    /// The policy deadline passed with work still unclaimed. The items
-    /// already in flight were allowed to finish (the pooled executor
-    /// never abandons a borrowed-stack job), but unclaimed items were
-    /// skipped, so no complete result set exists.
-    DeadlineExceeded {
-        /// Items that did complete before the cutoff.
-        completed: usize,
-        /// Total items requested.
-        total: usize,
     },
 }
 
 impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExecError::RetriesExhausted {
+            ExecError::ItemPanicked {
                 failed_items,
                 last_message,
             } => write!(
                 f,
-                "retry budget exhausted for {failed_items} item(s); last panic: {last_message}"
-            ),
-            ExecError::DeadlineExceeded { completed, total } => write!(
-                f,
-                "deadline exceeded with {completed}/{total} items completed"
+                "{failed_items} item(s) panicked on the pool; last panic: {last_message}"
             ),
         }
     }
@@ -189,25 +105,24 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// splitmix64 finalizer — mixes the injector seed with an item key and
-/// attempt number into a uniform u64. Pure, so injection decisions are
-/// independent of thread interleaving.
+/// splitmix64 finalizer — mixes the injector seed with an item key into
+/// a uniform u64. Pure, so injection decisions are independent of thread
+/// interleaving.
 fn mix(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
 }
 
-/// Deterministic fault injector: decides per `(item, attempt)` whether
-/// to panic or sleep, by hashing against a fixed seed. Probabilities are
-/// in `[0, 1]`.
+/// Deterministic fault injector: decides per item whether to panic or
+/// sleep, by hashing against a fixed seed. Probabilities are in `[0, 1]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultInjector {
     /// Seed shared by every decision this injector makes.
     pub seed: u64,
-    /// Probability an attempt panics (before running the item).
+    /// Probability an item panics (before it runs).
     pub panic_p: f64,
-    /// Probability an attempt is delayed by `delay` first.
+    /// Probability an item is delayed by `delay` first.
     pub delay_p: f64,
     /// Injected delay duration.
     pub delay: Duration,
@@ -224,44 +139,40 @@ impl FaultInjector {
         }
     }
 
-    /// Builder: probability an attempt panics.
+    /// Builder: probability an item panics.
     pub fn panic_probability(mut self, p: f64) -> FaultInjector {
         self.panic_p = p.clamp(0.0, 1.0);
         self
     }
 
-    /// Builder: probability an attempt is delayed, and by how much.
+    /// Builder: probability an item is delayed, and by how much.
     pub fn delay_probability(mut self, p: f64, delay: Duration) -> FaultInjector {
         self.delay_p = p.clamp(0.0, 1.0);
         self.delay = delay;
         self
     }
 
-    /// Uniform `[0, 1)` draw for `(key, attempt, salt)` under this seed.
-    fn draw(&self, key: u64, attempt: u32, salt: u64) -> f64 {
-        let h = mix(self
-            .seed
-            .wrapping_add(mix(key.wrapping_add(salt)))
-            .wrapping_add(u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+    /// Uniform `[0, 1)` draw for `(key, salt)` under this seed.
+    fn draw(&self, key: u64, salt: u64) -> f64 {
+        let h = mix(self.seed.wrapping_add(mix(key.wrapping_add(salt))));
         // 53 mantissa bits → exact double in [0, 1).
         (h >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// Should this `(key, attempt)` panic? Deterministic per seed.
-    pub fn should_panic(&self, key: u64, attempt: u32) -> bool {
-        self.panic_p > 0.0 && self.draw(key, attempt, 0x70616e69) < self.panic_p
+    /// Should item `key` panic? Deterministic per seed.
+    pub fn should_panic(&self, key: u64) -> bool {
+        self.panic_p > 0.0 && self.draw(key, 0x70616e69) < self.panic_p
     }
 
-    /// Should this `(key, attempt)` be delayed? Deterministic per seed.
-    pub fn should_delay(&self, key: u64, attempt: u32) -> bool {
-        self.delay_p > 0.0 && self.draw(key, attempt, 0x64656c61) < self.delay_p
+    /// Should item `key` be delayed? Deterministic per seed.
+    pub fn should_delay(&self, key: u64) -> bool {
+        self.delay_p > 0.0 && self.draw(key, 0x64656c61) < self.delay_p
     }
 
-    /// Run the injection for one attempt: maybe sleep, maybe panic (in
-    /// that order, so a delayed attempt can still fail). Counts what it
-    /// injects.
-    pub fn inject(&self, key: u64, attempt: u32) {
-        if self.should_delay(key, attempt) {
+    /// Run the injection for one item: maybe sleep, maybe panic (in that
+    /// order, so a delayed item can still fail). Counts what it injects.
+    pub fn inject(&self, key: u64) {
+        if self.should_delay(key) {
             snap_trace::well_known::FAULT_INJECTED_DELAYS.incr();
             // The span makes injected stalls visible in the trace (nested
             // under the chunk that suffered them, so the parent chain
@@ -269,9 +180,9 @@ impl FaultInjector {
             let _delay = snap_trace::span_with("fault.injected_delay", "item", key);
             std::thread::sleep(self.delay);
         }
-        if self.should_panic(key, attempt) {
+        if self.should_panic(key) {
             snap_trace::well_known::FAULT_INJECTED_PANICS.incr();
-            panic!("injected fault: item {key} attempt {attempt}");
+            panic!("injected fault: item {key}");
         }
     }
 
@@ -368,52 +279,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_policy_is_the_seed_behaviour() {
-        let policy = FaultPolicy::default();
-        assert_eq!(policy.retries, 0);
-        assert!(policy.deadline.is_none());
-    }
-
-    #[test]
-    fn backoff_doubles_and_caps() {
-        let policy = FaultPolicy::with_retries(8).backoff(Duration::from_millis(10));
-        assert_eq!(policy.backoff_for(0), Duration::from_millis(10));
-        assert_eq!(policy.backoff_for(1), Duration::from_millis(20));
-        assert_eq!(policy.backoff_for(2), Duration::from_millis(40));
-        assert_eq!(policy.backoff_for(30), FaultPolicy::MAX_BACKOFF);
-        let zero = FaultPolicy::with_retries(3).backoff(Duration::ZERO);
-        assert_eq!(zero.backoff_for(5), Duration::ZERO);
-    }
-
-    #[test]
     fn injector_decisions_are_deterministic_per_seed() {
         let a = FaultInjector::new(42).panic_probability(0.2);
         let b = FaultInjector::new(42).panic_probability(0.2);
         for key in 0..1000u64 {
-            assert_eq!(a.should_panic(key, 0), b.should_panic(key, 0));
-            assert_eq!(a.should_panic(key, 1), b.should_panic(key, 1));
+            assert_eq!(a.should_panic(key), b.should_panic(key));
         }
     }
 
     #[test]
     fn injector_rate_is_near_the_configured_probability() {
         let inj = FaultInjector::new(7).panic_probability(0.2);
-        let hits = (0..10_000u64).filter(|&k| inj.should_panic(k, 0)).count();
+        let hits = (0..10_000u64).filter(|&k| inj.should_panic(k)).count();
         // 10k draws at p=0.2 → ~2000 ± a few hundred.
         assert!((1600..2400).contains(&hits), "hit rate off: {hits}");
     }
 
     #[test]
-    fn attempts_redraw_independently() {
-        let inj = FaultInjector::new(3).panic_probability(0.5);
-        let differs = (0..64u64).any(|k| inj.should_panic(k, 0) != inj.should_panic(k, 1));
-        assert!(differs, "attempt number must vary the draw");
-    }
-
-    #[test]
     fn zero_probability_never_fires() {
         let inj = FaultInjector::new(9);
-        assert!((0..100u64).all(|k| !inj.should_panic(k, 0) && !inj.should_delay(k, 0)));
+        assert!((0..100u64).all(|k| !inj.should_panic(k) && !inj.should_delay(k)));
     }
 
     #[test]
@@ -513,8 +398,8 @@ mod tests {
             .delay_probability(-1.0, Duration::ZERO);
         assert_eq!((never.panic_p, never.delay_p), (0.0, 0.0));
         for key in 0..500 {
-            assert!(always.should_panic(key, 0) && always.should_delay(key, 1));
-            assert!(!never.should_panic(key, 0) && !never.should_delay(key, 1));
+            assert!(always.should_panic(key) && always.should_delay(key));
+            assert!(!never.should_panic(key) && !never.should_delay(key));
         }
     }
 
@@ -524,20 +409,18 @@ mod tests {
             .panic_probability(0.5)
             .delay_probability(0.5, Duration::ZERO);
         let mut fired = 0;
-        for key in 0..64 {
-            for attempt in 0..2 {
-                let outcome = std::panic::catch_unwind(|| injector.inject(key, attempt));
-                assert_eq!(outcome.is_err(), injector.should_panic(key, attempt));
-                if let Err(payload) = outcome {
-                    fired += 1;
-                    assert_eq!(
-                        panic_message(payload.as_ref()),
-                        format!("injected fault: item {key} attempt {attempt}")
-                    );
-                }
+        for key in 0..128 {
+            let outcome = std::panic::catch_unwind(|| injector.inject(key));
+            assert_eq!(outcome.is_err(), injector.should_panic(key));
+            if let Err(payload) = outcome {
+                fired += 1;
+                assert_eq!(
+                    panic_message(payload.as_ref()),
+                    format!("injected fault: item {key}")
+                );
             }
         }
-        assert!((40..=88).contains(&fired), "{fired} of 128 attempts fired");
+        assert!((40..=88).contains(&fired), "{fired} of 128 items fired");
     }
 
     #[test]
@@ -551,16 +434,14 @@ mod tests {
     }
 
     #[test]
-    fn exec_error_displays_both_variants() {
-        let r = ExecError::RetriesExhausted {
+    fn exec_error_names_the_panicked_items() {
+        let err = ExecError::ItemPanicked {
             failed_items: 3,
             last_message: "boom".into(),
         };
-        assert!(r.to_string().contains("3 item(s)"));
-        let d = ExecError::DeadlineExceeded {
-            completed: 5,
-            total: 10,
-        };
-        assert!(d.to_string().contains("5/10"));
+        assert_eq!(
+            err.to_string(),
+            "3 item(s) panicked on the pool; last panic: boom"
+        );
     }
 }

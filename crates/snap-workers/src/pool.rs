@@ -263,8 +263,8 @@ fn run_job(executed: &WorkerCounters, id: usize, job: Job) {
     // the submitter through whatever completion handle the job carries.
     // The payload is not silently dropped: its message goes into the
     // trace as a `pool.job_panic` note, and the counters record it as a
-    // final failure (a raw job carries no retry budget) so the
-    // panicked == retries + final reconciliation stays exact.
+    // final failure, so `pool.jobs_panicked` and `fault.failures_final`
+    // move together.
     if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
         metrics::POOL_JOBS_PANICKED.incr();
         metrics::FAULT_FAILURES_FINAL.incr();

@@ -12,15 +12,15 @@
 //! Compilation goes further than the paper's `new Function`: a numeric
 //! ring's `PureFn` from [`compile_cached`] carries an unboxed `f64`
 //! register program (see `snap_ast::bytecode`), so every execution path
-//! that flows through here — pooled, work-stolen, fault-retried — runs
-//! it per item; every other ring runs on the tree walk. On top of that
+//! that flows through here — pooled, work-stolen, degraded — runs it
+//! per item; every other ring runs on the tree walk. On top of that
 //! sits the **columnar batch tier**: when the ring is batchable and the
 //! list is stored as numbers, [`ring_map_view`] reads its `f64`s in
 //! place and runs one `eval_batch_into` per pool chunk of them, with no
 //! per-element dispatch at all, straight into that chunk's own `&mut`
-//! slice of the one result, which it reports as a numeric list (see
-//! [`ColumnarPolicy`]). Nothing is unboxed, boxed or copied again on the
-//! way. The ladder is columnar batch → numeric scalar → tree walk; the
+//! slice of the one result, which it reports as a numeric list (from
+//! [`COLUMNAR_MIN_ITEMS`] items up). Nothing is unboxed, boxed or copied
+//! again on the way. The ladder is columnar batch → numeric scalar → tree walk; the
 //! `ring.batch_calls` / `ring.fastpath_calls` / `ring.treewalk_calls`
 //! counters show which tier a run used.
 //!
@@ -47,64 +47,39 @@ use snap_ast::pure::{as_map_pair, compile_cached, PureFn};
 use snap_ast::{EvalError, List, ListView, Ring, Value};
 
 use crate::executor::{chunk_slices, columnar_chunk_size, try_map_slice_with};
-use crate::fault::{ExecError, FaultPolicy};
-
-/// Whether [`ring_map`] may route numeric lists through the columnar
-/// batch tier (`f64` chunks + `eval_batch`) instead of per-element calls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ColumnarPolicy {
-    /// Batch when the ring is batchable and the list is stored as
-    /// numbers (and is big enough to pay for the chunking).
-    #[default]
-    Auto,
-    /// Always evaluate per element — the ablation baseline, and the
-    /// knob differential tests flip to prove output equivalence.
-    Disabled,
-}
+use crate::fault::ExecError;
 
 /// Don't bother chunking tiny lists: below this the per-element path is
 /// already cheap. Public so tests and benches can size inputs relative
 /// to the threshold.
 pub const COLUMNAR_MIN_ITEMS: usize = 16;
 
-/// Options for [`ring_map`].
+/// Options for [`ring_map`]: the worker count, Parallel.js's
+/// `{maxWorkers: n}` (Listing 1) and the parallel blocks' one optional
+/// input (Fig. 5).
 #[derive(Debug, Clone, Copy)]
 pub struct RingMapOptions {
     /// Worker count (clamped to ≥ 1).
     pub workers: usize,
-    /// Simulated per-item service time, slept by the worker before
-    /// evaluating. Models latency-bound items (a drink takes time to
-    /// pour, a request takes time to answer) so worker scaling is
-    /// observable even on single-core hosts; `None` for real workloads.
-    pub latency: Option<std::time::Duration>,
-    /// Fault policy for the call. The default (no retries, no deadline)
-    /// reproduces the pre-fault-tolerance behaviour exactly.
-    pub policy: FaultPolicy,
-    /// Columnar batch tier: on by default, off for ablation.
-    pub columnar: ColumnarPolicy,
 }
 
 impl Default for RingMapOptions {
     fn default() -> Self {
         RingMapOptions {
             workers: crate::parallel::default_workers(),
-            latency: None,
-            policy: FaultPolicy::default(),
-            columnar: ColumnarPolicy::default(),
         }
     }
 }
 
 /// Failure of a fault-aware ring map: either the user's ring reported an
-/// evaluation error, or the execution layer itself failed (retry budget
-/// exhausted, deadline exceeded). Callers that degrade gracefully match
-/// on [`RingMapError::Exec`] to pick the fallback.
+/// evaluation error, or an item panicked on the pool. Callers that
+/// degrade gracefully match on [`RingMapError::Exec`] to pick the
+/// fallback.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RingMapError {
     /// The ring itself reported an error on some item.
     Eval(EvalError),
-    /// The execution layer failed (panics beyond the retry budget, or
-    /// the call deadline passed).
+    /// An item panicked on the pool.
     Exec(ExecError),
 }
 
@@ -129,11 +104,10 @@ impl From<RingMapError> for EvalError {
 }
 
 /// Apply a reporter ring to every item in parallel. Results come back in
-/// input order; the first error (if any) is reported. Execution-layer
-/// failures (retry exhaustion, deadline) are flattened into
-/// [`EvalError::Other`]; callers that need to tell them apart use
-/// [`ring_map_faulted`]. The items become a list first, so numbers only
-/// run on the columnar tier.
+/// input order; the first error (if any) is reported. A panicked item is
+/// flattened into [`EvalError::Other`]; callers that need to tell it
+/// apart use [`ring_map_faulted`]. The items become a list first, so
+/// numbers only run on the columnar tier.
 pub fn ring_map(
     ring: Arc<Ring>,
     items: Vec<Value>,
@@ -148,10 +122,10 @@ pub fn ring_map(
 /// [`ring_map`] over borrowed boxed items, with the execution-layer
 /// failure kept distinct: the fault-aware entry point for callers that
 /// degrade gracefully (the parallel blocks fall back to a sequential map
-/// on [`ExecError::RetriesExhausted`], but propagate deadline errors).
-/// It only reads the items, so a caller that must be able to re-run the
-/// map keeps its own list instead of a copy. Boxed items run one call
-/// each, numbers included; [`ring_map_view`] over a numeric list batches.
+/// on [`ExecError::ItemPanicked`]). It only reads the items, so a caller
+/// that must be able to re-run the map keeps its own list instead of a
+/// copy. Boxed items run one call each, numbers included;
+/// [`ring_map_view`] over a numeric list batches.
 pub fn ring_map_faulted(
     ring: Arc<Ring>,
     items: impl AsRef<[Value]>,
@@ -175,7 +149,7 @@ pub fn ring_map_view(
     snap_trace::well_known::RING_MAP_ITEMS.add(len as u64);
     let _span = snap_trace::span!("ring_map", len);
     let f = compile_cached(&ring).map_err(RingMapError::Eval)?;
-    if columnar_applies(&options, len) {
+    if len >= COLUMNAR_MIN_ITEMS {
         match items {
             ListView::Numbers(numbers) if f.is_batchable() => {
                 return columnar_map(&f, numbers, &options)
@@ -192,18 +166,14 @@ pub fn ring_map_view(
     mapped.map(List::from_vec)
 }
 
-/// One call per item on the pool, under `options`' fault policy and
-/// simulated latency; each result is deep-copied out of the worker
-/// (structured clone, as `postMessage` does for a Web Worker).
+/// One call per item on the pool; each result is deep-copied out of the
+/// worker (structured clone, as `postMessage` does for a Web Worker).
 fn map_items<T: Send + Sync>(
     items: &[T],
     options: &RingMapOptions,
     call: impl Fn(&T) -> Result<Value, EvalError> + Send + Sync,
 ) -> Result<Vec<Value>, RingMapError> {
-    let results = try_map_slice_with(items, options.workers, &options.policy, |item| {
-        if let Some(latency) = options.latency {
-            std::thread::sleep(latency);
-        }
+    let results = try_map_slice_with(items, options.workers, |item| {
         call(item).map(|v| v.deep_copy())
     })
     .map_err(RingMapError::Exec)?;
@@ -211,15 +181,6 @@ fn map_items<T: Send + Sync>(
         .into_iter()
         .collect::<Result<Vec<Value>, EvalError>>()
         .map_err(RingMapError::Eval)
-}
-
-/// Whether `options` let a map of `len` items onto the columnar tier:
-/// `ColumnarPolicy::Auto`, no simulated latency, and enough items to pay
-/// for the chunking.
-fn columnar_applies(options: &RingMapOptions, len: usize) -> bool {
-    options.columnar == ColumnarPolicy::Auto
-        && options.latency.is_none()
-        && len >= COLUMNAR_MIN_ITEMS
 }
 
 /// The columnar batch tier of [`ring_map_view`]: the list's `f64`s move
@@ -230,9 +191,7 @@ fn columnar_applies(options: &RingMapOptions, len: usize) -> bool {
 ///
 /// Chunks are deliberately coarse ([`columnar_chunk_size`]): batch
 /// arithmetic is so cheap per element that fine-grained claiming is all
-/// overhead. The fault policy still applies — at chunk granularity: an
-/// injected panic retries the whole chunk, which writes its whole slice
-/// again, and exhausted budgets or a missed deadline surface as
+/// overhead. A fault strikes a whole chunk: a panicked chunk surfaces as
 /// [`RingMapError::Exec`], dropping the partly written result, so
 /// callers degrade exactly as they do for the per-element path. Numbers
 /// are plain copies, so the structured clone needs no work here.
@@ -249,9 +208,8 @@ fn columnar_map(
         .chunks(chunk)
         .zip(chunk_slices(&mut numbers, chunk))
         .collect();
-    try_map_slice_with(&chunks, options.workers, &options.policy, |(input, out)| {
+    try_map_slice_with(&chunks, options.workers, |(input, out)| {
         snap_trace::well_known::PAR_COLUMNAR_CHUNKS.incr();
-        // A retry after a panic mid-write rewrites the whole slice.
         let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
         let batched = f.eval_batch_into(input, &mut out);
         debug_assert!(batched, "columnar_map requires a batchable ring");
@@ -319,26 +277,24 @@ impl KeyedTally {
 ///
 /// Numeric programs run as [`NumProgram::eval_batch_into`] straight over
 /// a numeric list's `f64`s, and as scalar calls over boxed items; either
-/// way the values are bit-identical to the tree walk's. The fault policy
-/// applies per chunk, as on the columnar map: an injected panic re-runs
-/// the whole chunk (so `fold` must be a pure function of its columns) and an
-/// exhausted budget or a missed deadline is the `Err`. `Ok(None)` means
-/// `options` keep this call off the columnar tier (see
-/// [`ColumnarPolicy`]); nothing ran.
+/// way the values are bit-identical to the tree walk's. A fault strikes
+/// per chunk, as on the columnar map: a panicked chunk is the `Err`.
+/// `Ok(None)` means the list is too short for the columnar tier (fewer
+/// than [`COLUMNAR_MIN_ITEMS`] items); nothing ran.
 pub fn ring_map_keyed<R: Send>(
     pair: &PairProgram,
     items: ListView<'_>,
     chunk_len: usize,
-    options: &RingMapOptions,
+    workers: usize,
     fold: impl Fn(KeyColumn<'_>, Vec<f64>) -> R + Send + Sync,
 ) -> Result<Option<(Vec<R>, KeyedTally)>, ExecError> {
     let len = items.len();
-    if !columnar_applies(options, len) {
+    if len < COLUMNAR_MIN_ITEMS {
         return Ok(None);
     }
     let _span = snap_trace::span!("keyed.map", len);
     let ranges = chunk_ranges(len, chunk_len);
-    let folds = try_map_slice_with(&ranges, options.workers, &options.policy, |range| {
+    let folds = try_map_slice_with(&ranges, workers, |range| {
         let (keys, values) = match items {
             ListView::Numbers(numbers) => {
                 let numbers = &numbers[range.clone()];
@@ -395,21 +351,10 @@ fn scalar_column(p: &NumProgram, items: &[Value]) -> Vec<f64> {
     }
 }
 
-/// Apply a reporter ring to every item, returning `[key, value]` pairs —
-/// the worker half of the MapReduce map phase. Identical to [`ring_map`]
-/// but validates each result is a pair (`snap_ast::pure::as_map_pair`).
-pub fn ring_map_pairs(
-    ring: Arc<Ring>,
-    items: Vec<Value>,
-    options: RingMapOptions,
-) -> Result<Vec<(Value, Value)>, EvalError> {
-    List::from_vec(items)
-        .with_view(|items| ring_map_pairs_view(ring, items, options))
-        .map_err(EvalError::from)
-}
-
-/// [`ring_map_pairs`] over borrowed boxed items, with the
-/// execution-layer failure kept distinct.
+/// Apply a reporter ring to every borrowed boxed item, returning
+/// `[key, value]` pairs — the worker half of the MapReduce map phase.
+/// Identical to [`ring_map_faulted`] but validates each result is a pair
+/// (`snap_ast::pure::as_map_pair`).
 pub fn ring_map_pairs_faulted(
     ring: Arc<Ring>,
     items: impl AsRef<[Value]>,
@@ -432,20 +377,11 @@ pub fn ring_map_pairs_view(
         .map_err(RingMapError::Eval)
 }
 
-/// Apply a reporter ring once per group in parallel. Each call receives
+/// Apply a reporter ring once per group in parallel: each call receives
 /// the group's value list as its single argument (the reduce phase).
-pub fn ring_reduce_groups(
-    ring: Arc<Ring>,
-    groups: Vec<(Value, Vec<Value>)>,
-    options: RingMapOptions,
-) -> Result<Vec<Value>, EvalError> {
-    ring_reduce_groups_faulted(ring, groups, options).map_err(EvalError::from)
-}
-
-/// [`ring_reduce_groups`] with the execution-layer failure kept
-/// distinct. Like [`ring_map_faulted`], it only reads the groups: each
-/// group's values are deep-copied into one list (numeric when they are
-/// all numbers), which [`ring_reduce_lists_faulted`] reduces.
+/// Like [`ring_map_faulted`], it only reads the groups: each group's
+/// values are deep-copied into one list (numeric when they are all
+/// numbers), which [`ring_reduce_lists_faulted`] reduces.
 pub fn ring_reduce_groups_faulted(
     ring: Arc<Ring>,
     groups: impl AsRef<[(Value, Vec<Value>)]>,
@@ -465,10 +401,10 @@ pub fn ring_reduce_groups_faulted(
 /// The reduce phase: apply a reporter ring to each group's value list in
 /// parallel and report `[key, reduced]` per group, in group order.
 ///
-/// Every call, a retried one too, gets the group's own list. The reducer
-/// passed `compile_cached`'s purity check, so it cannot change that list,
-/// and its result is deep-copied out of the worker, so nothing it
-/// reports shares the list either.
+/// Every call gets the group's own list. The reducer passed
+/// `compile_cached`'s purity check, so it cannot change that list, and
+/// its result is deep-copied out of the worker, so nothing it reports
+/// shares the list either.
 pub fn ring_reduce_lists_faulted(
     ring: Arc<Ring>,
     groups: &[(Value, List)],
@@ -479,7 +415,7 @@ pub fn ring_reduce_lists_faulted(
     snap_trace::well_known::RING_MAP_ITEMS.add(len as u64);
     let _span = snap_trace::span!("ring_reduce_groups", len);
     let f = compile_cached(&ring).map_err(RingMapError::Eval)?;
-    let results = try_map_slice_with(groups, options.workers, &options.policy, |(key, values)| {
+    let results = try_map_slice_with(groups, options.workers, |(key, values)| {
         f.call1(Value::List(values.clone()))
             .map(|reduced| Value::list(vec![key.clone(), reduced.deep_copy()]))
     })
@@ -515,10 +451,7 @@ mod tests {
         let out = ring_map(
             times_ten(),
             vec![3.into(), 7.into(), 8.into()],
-            RingMapOptions {
-                workers: 4,
-                ..Default::default()
-            },
+            RingMapOptions { workers: 4 },
         )
         .unwrap();
         assert_eq!(out, vec![30.into(), 70.into(), 80.into()]);
@@ -546,15 +479,7 @@ mod tests {
         let batch_before = snap_trace::well_known::RING_BATCH_ELEMS.get();
         let tree_before = snap_trace::well_known::RING_TREEWALK_CALLS.get();
         let items: Vec<Value> = (0..64).map(|n| Value::Number(n as f64)).collect();
-        let out = ring_map(
-            times_ten(),
-            items,
-            RingMapOptions {
-                workers: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let out = ring_map(times_ten(), items, RingMapOptions { workers: 4 }).unwrap();
         assert_eq!(out.len(), 64);
         assert_eq!(out[7], Value::Number(70.0));
         let batch_delta = snap_trace::well_known::RING_BATCH_ELEMS.get() - batch_before;
@@ -570,21 +495,12 @@ mod tests {
     }
 
     #[test]
-    fn disabled_columnar_runs_the_scalar_fastpath() {
-        // The pre-columnar contract still holds under
-        // ColumnarPolicy::Disabled: per-element unboxed fastpath calls.
+    fn boxed_numbers_run_the_scalar_fastpath() {
+        // The pre-columnar contract still holds for numbers held boxed:
+        // per-element unboxed fastpath calls.
         let fast_before = snap_trace::well_known::RING_FASTPATH_CALLS.get();
         let items: Vec<Value> = (0..64).map(|n| Value::Number(n as f64)).collect();
-        let out = ring_map(
-            times_ten(),
-            items,
-            RingMapOptions {
-                workers: 4,
-                columnar: ColumnarPolicy::Disabled,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let out = ring_map_faulted(times_ten(), &items, RingMapOptions { workers: 4 }).unwrap();
         assert_eq!(out.len(), 64);
         let fast_delta = snap_trace::well_known::RING_FASTPATH_CALLS.get() - fast_before;
         assert!(
@@ -628,15 +544,7 @@ mod tests {
     fn columnar_and_scalar_agree_elementwise() {
         let items: Vec<Value> = (0..500).map(|n| Value::Number(n as f64 * 0.73)).collect();
         let on = ring_map(times_ten(), items.clone(), RingMapOptions::default()).unwrap();
-        let off = ring_map(
-            times_ten(),
-            items,
-            RingMapOptions {
-                columnar: ColumnarPolicy::Disabled,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let off = ring_map_faulted(times_ten(), &items, RingMapOptions::default()).unwrap();
         assert_eq!(on, off);
     }
 
@@ -677,10 +585,11 @@ mod tests {
             vec!["w".into()],
             make_list(vec![var("w"), num(1.0)]),
         ));
-        let pairs = ring_map_pairs(good, vec!["a".into()], RingMapOptions::default()).unwrap();
+        let pairs =
+            ring_map_pairs_faulted(good, vec!["a".into()], RingMapOptions::default()).unwrap();
         assert_eq!(pairs[0].0, Value::text("a"));
         let bad = Arc::new(Ring::reporter(empty_slot()));
-        assert!(ring_map_pairs(bad, vec![1.into()], RingMapOptions::default()).is_err());
+        assert!(ring_map_pairs_faulted(bad, vec![1.into()], RingMapOptions::default()).is_err());
     }
 
     #[test]
@@ -690,7 +599,7 @@ mod tests {
             make_list(vec![var("w"), num(1.0), text("extra")]),
         ));
         let items = vec!["a".into(), "b".into()];
-        let pairs = ring_map_pairs(triple, items, RingMapOptions::default()).unwrap();
+        let pairs = ring_map_pairs_faulted(triple, items, RingMapOptions::default()).unwrap();
         assert_eq!(pairs, vec![("a".into(), 1.into()), ("b".into(), 1.into())]);
         assert_eq!(
             as_map_pair(Value::list(vec!["a".into()])),
@@ -758,10 +667,6 @@ mod tests {
         .unwrap();
         let numbers: Vec<f64> = (0..40).map(f64::from).collect();
         let boxed: Vec<Value> = numbers.iter().map(|&n| n.into()).collect();
-        let options = RingMapOptions {
-            workers: 2,
-            ..Default::default()
-        };
         let run = |items: ListView<'_>| {
             let fold = |keys: KeyColumn<'_>, values: Vec<f64>| {
                 let (borrowed, keys) = match keys {
@@ -773,9 +678,9 @@ mod tests {
                 };
                 (borrowed, keys, values)
             };
-            ring_map_keyed(&pair, items, 16, &options, fold)
+            ring_map_keyed(&pair, items, 16, 2, fold)
                 .unwrap()
-                .expect("Auto keeps the keyed rung")
+                .expect("40 items are enough for the keyed rung")
         };
         let (numeric, tally) = run(ListView::Numbers(&numbers));
         assert_eq!(numeric.len(), 3, "40 items in chunks of 16");
@@ -812,19 +717,17 @@ mod tests {
     }
 
     #[test]
-    fn ring_map_keyed_stays_off_under_a_disabled_policy() {
+    fn ring_map_keyed_stays_off_below_the_columnar_minimum() {
         let pair = snap_ast::bytecode::lower_pair(&Ring::reporter(make_list(vec![
             text("k"),
             add(empty_slot(), num(1.0)),
         ])))
         .unwrap();
-        let options = RingMapOptions {
-            columnar: ColumnarPolicy::Disabled,
-            ..Default::default()
-        };
-        let numbers = [1.0; 32];
-        let ran = ring_map_keyed(&pair, ListView::Numbers(&numbers), 8, &options, |_, _| ());
-        assert!(matches!(ran, Ok(None)));
+        let numbers = [1.0; COLUMNAR_MIN_ITEMS];
+        let run =
+            |len: usize| ring_map_keyed(&pair, ListView::Numbers(&numbers[..len]), 8, 2, |_, _| ());
+        assert!(matches!(run(COLUMNAR_MIN_ITEMS - 1), Ok(None)));
+        assert!(matches!(run(COLUMNAR_MIN_ITEMS), Ok(Some(_))));
     }
 
     #[test]
@@ -857,7 +760,7 @@ mod tests {
             (Value::text("n"), vec![1.into(), 2.into()]),
             (Value::text("m"), vec![1.into(), "2".into()]),
         ];
-        let out = ring_reduce_groups(identity, groups, RingMapOptions::default()).unwrap();
+        let out = ring_reduce_groups_faulted(identity, groups, RingMapOptions::default()).unwrap();
         let reduced = |i: usize| out[i].as_list().unwrap().item(2).unwrap();
         assert!(reduced(0).as_list().unwrap().is_numeric());
         assert!(!reduced(1).as_list().unwrap().is_numeric());
@@ -875,7 +778,7 @@ mod tests {
             ("a".into(), vec![1.into(), 2.into()]),
             ("b".into(), vec![10.into()]),
         ];
-        let out = ring_reduce_groups(sum, groups, RingMapOptions::default()).unwrap();
+        let out = ring_reduce_groups_faulted(sum, groups, RingMapOptions::default()).unwrap();
         assert_eq!(
             out,
             vec![

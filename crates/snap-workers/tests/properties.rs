@@ -41,14 +41,8 @@ proptest! {
     ) {
         let ring = Arc::new(Ring::reporter(mul(empty_slot(), num(k))));
         let items: Vec<Value> = xs.iter().map(|&x| Value::Number(x)).collect();
-        let baseline = ring_map(ring.clone(), items.clone(), RingMapOptions {
-            workers: 1,
-            ..Default::default()
-        }).unwrap();
-        let parallel = ring_map(ring, items, RingMapOptions {
-            workers,
-            ..Default::default()
-        }).unwrap();
+        let baseline = ring_map(ring.clone(), items.clone(), RingMapOptions { workers: 1 }).unwrap();
+        let parallel = ring_map(ring, items, RingMapOptions { workers }).unwrap();
         prop_assert_eq!(baseline, parallel);
     }
 
@@ -65,10 +59,7 @@ proptest! {
         ));
         let items: Vec<Value> = xs.iter().map(|&x| Value::Number(x)).collect();
         let expected: Vec<Value> = xs.iter().map(|&x| Value::Number(x + 1.0)).collect();
-        let got = ring_map(ring, items, RingMapOptions {
-            workers,
-            ..Default::default()
-        }).unwrap();
+        let got = ring_map(ring, items, RingMapOptions { workers }).unwrap();
         prop_assert_eq!(got, expected);
     }
 
@@ -86,10 +77,7 @@ proptest! {
             .collect();
         let snapshot: Vec<String> =
             items.iter().map(Value::to_display_string).collect();
-        let _ = ring_map(ring, items.clone(), RingMapOptions {
-            workers,
-            ..Default::default()
-        }).unwrap();
+        let _ = ring_map(ring, items.clone(), RingMapOptions { workers }).unwrap();
         let after: Vec<String> = items.iter().map(Value::to_display_string).collect();
         prop_assert_eq!(snapshot, after);
     }

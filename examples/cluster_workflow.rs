@@ -14,7 +14,7 @@
 //! `examples/util/cli.rs`); `--trace <path>` writes a Chrome trace on
 //! exit.
 
-use snap_core::build::{BatchRequest, BatchScheduler, BuildPipeline, JobSpec, Policy};
+use snap_core::build::{BatchRequest, BatchScheduler, BuildPipeline, JobSpec};
 use snap_core::codegen::openmp::{averaging_reducer, climate_mapper, emit_mapreduce_openmp};
 use snap_core::data::{generate_noaa, NoaaConfig};
 use snap_core::prelude::*;
@@ -43,7 +43,7 @@ fn main() {
     let dir = std::env::temp_dir().join("psnap-cluster-example");
     let pipeline = BuildPipeline::new(&dir).expect("build dir");
 
-    let mut cluster = BatchScheduler::new(16, Policy::Backfill);
+    let mut cluster = BatchScheduler::new(16);
     // Fill the machine with other people's jobs, like a real Monday.
     for i in 0..6 {
         cluster.submit(JobSpec {

@@ -1,10 +1,8 @@
-//! End-to-end acceptance of the fault-tolerance layer: injected panics
-//! are retried with backoff and never corrupt results, deadlines turn
-//! hangs into typed errors, exhausted retry budgets fall back in a
-//! fixed order (in-worker retries → executor salvage → sequential
-//! degradation at the blocks layer), and the whole thing reconciles in
-//! the metrics registry: every panicked attempt is either retried or a
-//! final failure.
+//! End-to-end acceptance of the blocks' fault contract: an item that
+//! panics on the pool never corrupts a result — its phase re-runs
+//! sequentially and injector-free at the blocks layer — and the whole
+//! thing reconciles in the metrics registry: every panicked item is a
+//! final failure, and nothing is retried.
 //!
 //! The fault injector is process-global, so every test serializes on
 //! [`injector_lock`] and uninstalls the injector before releasing it.
@@ -17,13 +15,10 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use snap_ast::builder::*;
-use snap_ast::{Ring, Value};
-use snap_parallel::{map_reduce_with_options, parallel_map, parallel_map_with_options};
+use snap_ast::{List, Ring, Value};
+use snap_parallel::{map_reduce, parallel_map, parallel_map_list, PARALLEL_SHUFFLE_THRESHOLD};
 use snap_trace::well_known as metrics;
-use snap_workers::{
-    install_injector, try_map_slice_with, ColumnarPolicy, ExecError, FaultInjector, FaultPolicy,
-    RingMapOptions,
-};
+use snap_workers::{install_injector, try_map_slice_with, ExecError, FaultInjector};
 
 /// Serializes tests that install the process-global fault injector.
 fn injector_lock() -> MutexGuard<'static, ()> {
@@ -34,12 +29,11 @@ fn injector_lock() -> MutexGuard<'static, ()> {
 }
 
 /// Snapshot of the counters the reconciliation invariant ties together.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct FaultCounters {
     panicked: u64,
     retried: u64,
     final_failures: u64,
-    reassigned: u64,
     degraded: u64,
 }
 
@@ -49,7 +43,6 @@ impl FaultCounters {
             panicked: metrics::POOL_JOBS_PANICKED.get(),
             retried: metrics::FAULT_RETRIES_SCHEDULED.get(),
             final_failures: metrics::FAULT_FAILURES_FINAL.get(),
-            reassigned: metrics::FAULT_ITEMS_REASSIGNED.get(),
             degraded: metrics::FAULT_DEGRADED_RUNS.get(),
         }
     }
@@ -59,7 +52,6 @@ impl FaultCounters {
             panicked: self.panicked - before.panicked,
             retried: self.retried - before.retried,
             final_failures: self.final_failures - before.final_failures,
-            reassigned: self.reassigned - before.reassigned,
             degraded: self.degraded - before.degraded,
         }
     }
@@ -73,187 +65,173 @@ fn number_items(n: usize) -> Vec<Value> {
     (0..n).map(|i| Value::Number(i as f64)).collect()
 }
 
-// ---------------------------------------------------------------------
-// Acceptance: 20% injected panics, 3 retries, 10k-item parallelMap.
-// ---------------------------------------------------------------------
+fn word_count_mapper() -> Arc<Ring> {
+    Arc::new(Ring::reporter_with_params(
+        vec!["w".into()],
+        make_list(vec![var("w"), num(1.0)]),
+    ))
+}
 
-#[test]
-fn acceptance_injected_panics_recover_with_retries() {
-    let _guard = injector_lock();
-    let before = FaultCounters::snapshot();
+fn summing_reducer() -> Arc<Ring> {
+    Arc::new(Ring::reporter_with_params(
+        vec!["vals".into()],
+        combine_using(var("vals"), ring_reporter(add(empty_slot(), empty_slot()))),
+    ))
+}
 
-    install_injector(Some(FaultInjector::new(0xACCE).panic_probability(0.2)));
-    let policy = FaultPolicy::with_retries(3).backoff(Duration::from_micros(50));
-    let out = parallel_map_with_options(
-        times_ten_ring(),
-        number_items(10_000),
-        RingMapOptions {
-            workers: 4,
-            policy,
-            ..Default::default()
-        },
-    );
-    install_injector(None);
-
-    let out = out.expect("20% panics under a 3-retry policy still complete");
-    assert_eq!(out.len(), 10_000);
-    for (i, value) in out.iter().enumerate() {
-        assert_eq!(
-            *value,
-            Value::Number(i as f64 * 10.0),
-            "item {i} out of order or corrupted"
-        );
-    }
-
-    let delta = FaultCounters::snapshot().delta_since(&before);
-    assert!(
-        delta.panicked > 0,
-        "a 20% injector over 10k items must actually panic"
-    );
-    // Every panicked attempt was either rescheduled or became a final
-    // failure — nothing double-counted, nothing lost.
-    assert_eq!(
-        delta.panicked,
-        delta.retried + delta.final_failures,
-        "jobs_panicked must reconcile with retries_scheduled + failures_final"
-    );
-    // Items that exhausted 1+3 attempts (~0.2^4 of 10k) were salvaged
-    // sequentially rather than failing the call.
-    assert_eq!(delta.reassigned, delta.final_failures);
-    assert_eq!(delta.degraded, 0, "the pooled path itself must not degrade");
+fn words(n: usize, distinct: usize) -> Vec<Value> {
+    (0..n)
+        .map(|i| Value::text(format!("w{}", i % distinct)))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
-// Deadlines: a typed error instead of a hang, completed work reported.
+// Every pooled phase, every item panicking: each phase degrades once
+// and the results are the uninjected ones, bit for bit.
 // ---------------------------------------------------------------------
 
 #[test]
-fn deadline_exceeded_is_a_typed_error_not_a_hang() {
+fn every_pooled_phase_degrades_to_the_uninjected_result() {
     let _guard = injector_lock();
     install_injector(None);
-
-    let items: Vec<u64> = (0..64).collect();
-    let policy = FaultPolicy::default().deadline(Duration::from_millis(2));
-    let result = try_map_slice_with(&items, 2, &policy, |n| {
-        std::thread::sleep(Duration::from_millis(1));
-        n * 2
-    });
-    match result {
-        Err(ExecError::DeadlineExceeded { completed, total }) => {
-            assert_eq!(total, 64);
-            assert!(
-                completed < total,
-                "a deadline error implies skipped work, got {completed}/{total}"
+    let numbers: Vec<f64> = (0..5_000).map(|i| i as f64 * 0.37 - 100.0).collect();
+    let boxed: Vec<Value> = numbers.iter().map(|&n| Value::Number(n)).collect();
+    // `[w, w]`: a text value, so the keyed rung declines and the boxed
+    // map, the parallel shuffle and the reduce run; `length of vals` is
+    // no associative fold, so every pair reaches the shuffle.
+    let echo_mapper = Arc::new(Ring::reporter_with_params(
+        vec!["w".into()],
+        make_list(vec![var("w"), var("w")]),
+    ));
+    let length_reducer = Arc::new(Ring::reporter_with_params(
+        vec!["vals".into()],
+        length_of(var("vals")),
+    ));
+    let declined_items = words(PARALLEL_SHUFFLE_THRESHOLD + 500, 41);
+    // Each block with the phases it runs on the pool.
+    type Block<'a> = Box<dyn Fn() -> Vec<Value> + 'a>;
+    let blocks: Vec<(&str, u64, Block)> = vec![
+        (
+            "columnar parallelMap",
+            1,
+            Box::new(|| {
+                let list = List::from_numbers(numbers.clone());
+                let out = parallel_map_list(times_ten_ring(), &list, 4).unwrap();
+                assert!(out.is_numeric());
+                out.into_vec()
+            }),
+        ),
+        (
+            "per-item parallelMap over a boxed list",
+            1,
+            Box::new(|| {
+                parallel_map_list(times_ten_ring(), &List::boxed(boxed.clone()), 4)
+                    .unwrap()
+                    .into_vec()
+            }),
+        ),
+        (
+            "keyed-rung mapReduce: map and reduce",
+            2,
+            Box::new(|| {
+                map_reduce(word_count_mapper(), summing_reducer(), words(4_000, 97), 4).unwrap()
+            }),
+        ),
+        (
+            "declined mapReduce: map and reduce",
+            2,
+            Box::new(|| {
+                map_reduce(
+                    echo_mapper.clone(),
+                    length_reducer.clone(),
+                    declined_items.clone(),
+                    4,
+                )
+                .unwrap()
+            }),
+        ),
+    ];
+    for (name, phases, block) in &blocks {
+        let clean = block();
+        let chunks_before = metrics::PAR_COLUMNAR_CHUNKS.get();
+        let shuffles_before = metrics::SHUFFLE_PARALLEL_RUNS.get();
+        let injected_before = metrics::FAULT_INJECTED_PANICS.get();
+        let before = FaultCounters::snapshot();
+        install_injector(Some(FaultInjector::new(0xFA11).panic_probability(1.0)));
+        let faulted = block();
+        install_injector(None);
+        let delta = FaultCounters::snapshot().delta_since(&before);
+        assert_eq!(format!("{faulted:?}"), format!("{clean:?}"), "{name}");
+        assert_eq!(delta.degraded, *phases, "{name}: one degrade per phase");
+        assert!(delta.panicked > 0, "{name}");
+        assert_eq!(
+            delta.panicked,
+            metrics::FAULT_INJECTED_PANICS.get() - injected_before,
+            "{name}: only injected panics"
+        );
+        assert_eq!(delta.panicked, delta.final_failures, "{name}");
+        assert_eq!(delta.retried, 0, "{name}: nothing retries");
+        // Every columnar or keyed chunk panicked before it ran, so none
+        // is counted: the sequential runs produced the output.
+        assert_eq!(metrics::PAR_COLUMNAR_CHUNKS.get(), chunks_before, "{name}");
+        if name.starts_with("declined") {
+            assert_eq!(
+                metrics::SHUFFLE_PARALLEL_RUNS.get() - shuffles_before,
+                1,
+                "the degraded map's pairs still reach the parallel shuffle"
             );
         }
-        other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
 }
 
-#[test]
-fn deadline_errors_propagate_through_blocks_without_degrading() {
-    let _guard = injector_lock();
-    install_injector(None);
-    let before = FaultCounters::snapshot();
-
-    // A ring slow enough that 4096 items cannot finish in 1ms: each
-    // item builds a 10,000-number list, writing 80 KB, before it folds
-    // it, so a pool chunk of 1024 items takes milliseconds however fast
-    // the fold is. The blocks layer must hand the deadline to the
-    // caller, not silently re-run the whole phase sequentially (a
-    // deadline is a promise).
-    let ring = Arc::new(Ring::reporter(combine_using(
-        numbers_from_to(num(1.0), num(10_000.0)),
-        ring_reporter(add(empty_slot(), empty_slot())),
-    )));
-    let policy = FaultPolicy::default().deadline(Duration::from_millis(1));
-    let result = parallel_map_with_options(
-        ring,
-        number_items(4096),
-        RingMapOptions {
-            workers: 2,
-            policy,
-            ..Default::default()
-        },
-    );
-
-    let err = match result {
-        Err(err) => format!("{err}"),
-        Ok(out) => panic!("expected a deadline error, got {} results", out.len()),
-    };
-    assert!(
-        err.contains("deadline exceeded"),
-        "error should name the deadline: {err}"
-    );
-    let delta = FaultCounters::snapshot().delta_since(&before);
-    assert_eq!(delta.degraded, 0, "deadlines must never degrade");
-}
-
 // ---------------------------------------------------------------------
-// Retry budgets: 0 retries fails fast like the seed; exhausted budgets
-// fall back in order (salvage first, sequential degradation last).
+// The pooled call itself: a typed error, never an unwind.
 // ---------------------------------------------------------------------
 
 #[test]
-fn zero_retry_policy_fails_fast_on_first_panic() {
+fn a_panicked_item_fails_the_pooled_call_with_its_message() {
     let _guard = injector_lock();
     install_injector(Some(FaultInjector::new(7).panic_probability(1.0)));
 
     let items: Vec<u64> = (0..32).collect();
-    let result = try_map_slice_with(&items, 2, &FaultPolicy::default(), |n| n + 1);
+    let result = try_map_slice_with(&items, 2, |n| n + 1);
     install_injector(None);
 
     match result {
-        Err(ExecError::RetriesExhausted {
+        Err(ExecError::ItemPanicked {
             failed_items,
             last_message,
         }) => {
-            assert!(failed_items >= 1);
+            assert_eq!(failed_items, 32, "every item ran once, and panicked");
             assert!(
                 last_message.contains("injected fault"),
                 "panic message must survive into the error: {last_message}"
             );
         }
-        other => panic!("expected RetriesExhausted, got {other:?}"),
+        other => panic!("expected ItemPanicked, got {other:?}"),
     }
 }
 
 #[test]
-fn zero_retry_policy_is_equivalent_to_seed_on_the_happy_path() {
+fn a_fault_free_pooled_call_moves_no_fault_counter() {
     let _guard = injector_lock();
     install_injector(None);
     let before = FaultCounters::snapshot();
 
     let items: Vec<u64> = (0..1000).collect();
-    let out = try_map_slice_with(&items, 4, &FaultPolicy::default(), |n| n * 3)
-        .expect("no injector, no faults");
+    let out = try_map_slice_with(&items, 4, |n| n * 3).expect("no injector, no faults");
     assert_eq!(out, items.iter().map(|n| n * 3).collect::<Vec<_>>());
 
     let delta = FaultCounters::snapshot().delta_since(&before);
-    assert_eq!(delta.panicked, 0);
-    assert_eq!(delta.retried, 0);
-    assert_eq!(delta.reassigned, 0);
-}
-
-#[test]
-fn exhausted_retries_salvage_sequentially_in_order() {
-    let _guard = injector_lock();
-    let before = FaultCounters::snapshot();
-
-    // Every pooled attempt panics; the salvage pass runs injector-free,
-    // so with retries > 0 the call still completes, in order.
-    install_injector(Some(FaultInjector::new(11).panic_probability(1.0)));
-    let items: Vec<u64> = (0..64).collect();
-    let policy = FaultPolicy::with_retries(2).backoff(Duration::from_micros(10));
-    let out = try_map_slice_with(&items, 2, &policy, |n| n + 100);
-    install_injector(None);
-
-    let out = out.expect("salvage pass completes every exhausted item");
-    assert_eq!(out, (100..164).collect::<Vec<u64>>());
-
-    let delta = FaultCounters::snapshot().delta_since(&before);
-    assert_eq!(delta.reassigned, 64, "every item had to be salvaged");
-    assert_eq!(delta.panicked, delta.retried + delta.final_failures);
+    assert_eq!(
+        delta,
+        FaultCounters {
+            panicked: 0,
+            retried: 0,
+            final_failures: 0,
+            degraded: 0,
+        }
+    );
 }
 
 #[test]
@@ -261,10 +239,10 @@ fn blocks_degrade_to_sequential_when_retries_are_zero() {
     let _guard = injector_lock();
     let before = FaultCounters::snapshot();
 
-    // With no retry budget the executor fails fast — and the blocks
-    // layer is the last rung of the ladder: re-run sequentially (the
-    // sequential path consults no injector) rather than surface a
-    // worker panic to a VM script.
+    // Nothing retries, so the executor reports the panics — and the
+    // blocks layer re-runs the phase sequentially (the sequential path
+    // consults no injector) rather than surface a worker panic to a VM
+    // script.
     install_injector(Some(FaultInjector::new(13).panic_probability(1.0)));
     let out = parallel_map(times_ten_ring(), number_items(256), 4);
     install_injector(None);
@@ -296,29 +274,23 @@ fn chaos_stress_is_deterministic_under_a_fixed_seed() {
     let chaos_injector = FaultInjector::new(seed)
         .panic_probability(0.2)
         .delay_probability(0.05, Duration::from_micros(200));
-    let policy = FaultPolicy::with_retries(3).backoff(Duration::from_micros(50));
 
     // Two identical parallelMap rounds: both must produce correct
     // results, and — because injection is a pure function of
-    // (seed, item, attempt) — both must inject the same number of
-    // first-attempt panics. Columnar is disabled so the injector keys
-    // on every *item* (the columnar tier keys on chunks — stressed
-    // separately below) and the per-item retry ladder gets the full
-    // 10k-attempt pounding.
-    let per_item = RingMapOptions {
-        workers: 4,
-        policy,
-        columnar: ColumnarPolicy::Disabled,
-        ..Default::default()
-    };
-    let mut first_attempt_panics = Vec::new();
+    // (seed, item) — both must inject the same number of panics. The
+    // numbers are held boxed so the injector keys on every *item* (the
+    // columnar tier keys on chunks — stressed separately below) and
+    // the per-item path gets the full 10k-item pounding before it
+    // degrades.
+    let boxed = List::boxed(number_items(10_000));
+    let mut per_item_panics = Vec::new();
     for round in 0..2 {
         let before = metrics::FAULT_INJECTED_PANICS.get();
         let before_all = FaultCounters::snapshot();
         install_injector(Some(chaos_injector));
-        let out = parallel_map_with_options(times_ten_ring(), number_items(10_000), per_item);
+        let out = parallel_map_list(times_ten_ring(), &boxed, 4);
         install_injector(None);
-        let out = out.expect("chaos round completes");
+        let out = out.expect("chaos round completes").into_vec();
         assert_eq!(out.len(), 10_000);
         for (i, value) in out.iter().enumerate() {
             assert_eq!(
@@ -328,32 +300,27 @@ fn chaos_stress_is_deterministic_under_a_fixed_seed() {
             );
         }
         let delta = FaultCounters::snapshot().delta_since(&before_all);
-        assert_eq!(delta.panicked, delta.retried + delta.final_failures);
-        first_attempt_panics.push(metrics::FAULT_INJECTED_PANICS.get() - before);
+        assert_eq!(delta.panicked, delta.final_failures);
+        assert_eq!(delta.retried, 0);
+        assert_eq!(delta.degraded, 1, "round {round}: the map degrades once");
+        per_item_panics.push(metrics::FAULT_INJECTED_PANICS.get() - before);
         println!(
-            "round {round}: {} injected panics, {} retried, {} salvaged",
-            first_attempt_panics[round], delta.retried, delta.reassigned
+            "round {round}: {} injected panics, {} degraded phase(s)",
+            per_item_panics[round], delta.degraded
         );
     }
 
-    // The columnar batch tier under the same chaos: with Auto the
-    // all-numeric map moves flat f64 chunks through the pool, so the
-    // injector keys on *chunk* descriptors and a panic retries the
-    // whole chunk. Results must still be exact, and two identical
-    // rounds must inject identically.
+    // The columnar batch tier under the same chaos: the all-numeric map
+    // moves flat f64 chunks through the pool, so the injector keys on
+    // *chunk* descriptors and a panicked chunk degrades the map.
+    // Results must still be exact, and two identical rounds must inject
+    // identically.
     let mut columnar_panics = Vec::new();
     for round in 0..2 {
         let before = metrics::FAULT_INJECTED_PANICS.get();
         let chunks_before = metrics::PAR_COLUMNAR_CHUNKS.get();
         install_injector(Some(chaos_injector));
-        let out = parallel_map_with_options(
-            times_ten_ring(),
-            number_items(10_000),
-            RingMapOptions {
-                columnar: ColumnarPolicy::Auto,
-                ..per_item
-            },
-        );
+        let out = parallel_map(times_ten_ring(), number_items(10_000), 4);
         install_injector(None);
         let out = out.expect("columnar chaos round completes");
         assert_eq!(out.len(), 10_000);
@@ -380,31 +347,15 @@ fn chaos_stress_is_deterministic_under_a_fixed_seed() {
     );
 
     // A faulty mapReduce round: grouped results survive chaos too.
-    let mapper = Arc::new(Ring::reporter_with_params(
-        vec!["w".into()],
-        make_list(vec![var("w"), num(1.0)]),
-    ));
-    let reducer = Arc::new(Ring::reporter_with_params(
-        vec!["vals".into()],
-        combine_using(var("vals"), ring_reporter(add(empty_slot(), empty_slot()))),
-    ));
-    let words: Vec<Value> = (0..4_000)
-        .map(|i| Value::text(format!("w{}", i % 97)))
-        .collect();
+    let words = words(4_000, 97);
+    let clean = map_reduce(word_count_mapper(), summing_reducer(), words.clone(), 4)
+        .expect("clean mapReduce");
     install_injector(Some(chaos_injector));
-    let groups = map_reduce_with_options(
-        mapper,
-        reducer,
-        words,
-        RingMapOptions {
-            workers: 4,
-            policy,
-            ..Default::default()
-        },
-    );
+    let groups = map_reduce(word_count_mapper(), summing_reducer(), words, 4);
     install_injector(None);
     let groups = groups.expect("chaos mapReduce completes");
     assert_eq!(groups.len(), 97, "one group per distinct word");
+    assert_eq!(groups, clean);
 
     snap_trace::set_enabled(false);
 
@@ -420,12 +371,12 @@ fn chaos_stress_is_deterministic_under_a_fixed_seed() {
     println!("chaos artifacts written to {}", chaos_dir.display());
 
     assert_eq!(
-        first_attempt_panics[0], first_attempt_panics[1],
+        per_item_panics[0], per_item_panics[1],
         "identical rounds under one seed must inject identically"
     );
     assert!(
-        first_attempt_panics[0] > 1_000,
+        per_item_panics[0] > 1_000,
         "a 20% injector over 10k items should fire often; got {}",
-        first_attempt_panics[0]
+        per_item_panics[0]
     );
 }
